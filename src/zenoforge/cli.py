@@ -2,8 +2,9 @@
 
 JSON goes to stdout by default; tabular subcommands accept ``--csv PATH``
 (RFC-4180 with a header row, floats at 12 significant digits). Flags win
-over a ``--config`` JSON file, which wins over built-in defaults. The
-environment variable ZENOFORGE_THREADS caps sweep workers.
+over a ``--config`` JSON file, which wins over built-in defaults. A config
+key must name one of the subcommand's flags and hold a value of that flag's
+JSON type; malformed config or job input exits 1 with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -11,30 +12,24 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .chain import allowed_spins, dfs_dimension, two_body
-from .channels import gate_error_report
+from .channels import gate_error_report, superop_tensor, unitary_superop
 from .grape import (
     ControlSystem,
     Eps1Target,
     Eps2Target,
     PulseSchedule,
-    SweepRow,
     gamma_sweep,
-    optimize,
     propagate_schedule,
 )
 from .lie import dfs_lie_dimension, lie_closure
 from .lindblad import (
     LindbladSpec,
-    LindbladTerm,
     detect_dfs,
-    dissipator_matrix,
     spec_from_json,
     steady_superprojector,
 )
@@ -66,13 +61,26 @@ def _write_csv(path, header, rows):
             out.close()
 
 
-def _load_config(path):
-    if not path:
+# JSON types accepted for each argparse flag type (bool is never a number)
+_CONFIG_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number")}
+
+
+def _load_config(args):
+    if not args.config:
         return {}
-    with open(path) as fh:
+    with open(args.config) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a JSON object")
+    for key, value in doc.items():
+        flag = args.config_flags.get(key)
+        if flag is None:
+            raise ValueError(f"unknown config key {key!r}; expected one of {sorted(args.config_flags)}")
+        kinds, what = _CONFIG_KINDS.get(flag.type, ((str,), "a string"))
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ValueError(f"config key {key!r} must be {what}, got {json.dumps(value)}")
+        if flag.choices is not None and value not in flag.choices:
+            raise ValueError(f"config key {key!r} must be one of {list(flag.choices)}")
     return doc
 
 
@@ -104,7 +112,7 @@ def _model_from_args(name, n, gamma):
 
 
 def cmd_lie_dim(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     name = _merged(args, config, "model", "ising-chain")
     n = _merged(args, config, "n", None)
     gamma = _merged(args, config, "gamma", None)
@@ -126,7 +134,7 @@ def cmd_lie_dim(args) -> int:
 
 
 def cmd_dfs(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     name = _merged(args, config, "model", "two-qubit-amp")
     n = _merged(args, config, "n", None)
     gamma = _merged(args, config, "gamma", None)
@@ -145,7 +153,7 @@ def cmd_dfs(args) -> int:
 
 
 def cmd_zeno_check(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     name = _merged(args, config, "model", "two-qubit-amp")
     gamma = _merged(args, config, "gamma", 1.0)
     t = _merged(args, config, "t", 1.0)
@@ -193,7 +201,7 @@ def _chain_dfs_lie_dim(n: int) -> int:
 
 
 def cmd_reproduce_table1(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     nmax = int(_merged(args, config, "nmax", 6))
     csv_path = _merged(args, config, "csv", "-")
     if nmax < 1:
@@ -243,9 +251,7 @@ def _sweep_target_builder(objective, goal_unitary, desc_name, etilde_mode):
         if etilde_mode == "identity":
             etilde = np.eye(d2 * d2, dtype=complex)
         else:
-            etilde = qubit2_reset_superop(build_model(desc_name, gamma=1.0))
-        from .channels import superop_tensor, unitary_superop
-
+            etilde = qubit2_reset_superop(build_model(desc_name, gamma=1.0).spec)
         goal = superop_tensor(unitary_superop(goal_unitary), d1, etilde, d2)
         return Eps1Target(goal, goal_unitary)
 
@@ -253,7 +259,7 @@ def _sweep_target_builder(objective, goal_unitary, desc_name, etilde_mode):
 
 
 def cmd_sweep(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     name = _merged(args, config, "model", "two-qubit-amp")
     gammas = [float(v) for v in str(_merged(args, config, "gammas", "0.1,1,10,100")).split(",") if v]
     target_name = _merged(args, config, "target", "hadamard")
@@ -271,20 +277,9 @@ def cmd_sweep(args) -> int:
         return 1
     builder = _sweep_system_builder(name)
     target_builder = _sweep_target_builder(objective, HADAMARD, name, etilde_mode)
-
-    workers = int(os.environ.get("ZENOFORGE_THREADS", "1"))
-    if workers > 1:
-        def one(g):
-            return gamma_sweep(
-                builder, [g], target_builder, restarts=restarts, seed=seed, n_slices=n_slices
-            )[0]
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, gammas))
-    else:
-        rows = gamma_sweep(
-            builder, gammas, target_builder, restarts=restarts, seed=seed, n_slices=n_slices
-        )
+    rows = gamma_sweep(
+        builder, gammas, target_builder, restarts=restarts, seed=seed, n_slices=n_slices
+    )
     header = ["gamma", "best_eps", "reduced_error", "restarts", "iterations"]
     _write_csv(
         csv_path,
@@ -295,6 +290,17 @@ def cmd_sweep(args) -> int:
         ],
     )
     return 0
+
+
+def _check_goal(goal: np.ndarray, dim: int):
+    """A fidelity goal must be a unitary on the first tensor factor."""
+    if goal.ndim != 2 or goal.shape[0] != goal.shape[1]:
+        raise ValueError(f"target must be a square matrix, got shape {goal.shape}")
+    n = goal.shape[0]
+    if n < 2 or dim % n:
+        raise ValueError(f"target size {n} must be at least 2 and divide the system dimension {dim}")
+    if not np.max(np.abs(goal @ goal.conj().T - np.eye(n))) <= 1e-8:  # NaN fails too
+        raise ValueError("target is not unitary within 1e-8")
 
 
 def cmd_fidelity(args) -> int:
@@ -319,18 +325,14 @@ def cmd_fidelity(args) -> int:
         goal_unitary = HADAMARD
     else:
         goal_unitary = np.array([[complex(re, im) for re, im in row] for row in target])
+    _check_goal(goal_unitary, spec.space.dim)
     d1 = goal_unitary.shape[0]
     d2 = spec.space.dim // d1
     etilde_mode = job.get("etilde", "identity")
     if etilde_mode == "identity":
         etilde = np.eye(d2 * d2, dtype=complex)
     elif etilde_mode == "projector":
-        sub = LindbladSpec(spec.hamiltonian, spec.terms)
-        from .models import ModelDescriptor
-
-        etilde = qubit2_reset_superop(
-            ModelDescriptor("job", {}, sub, controls)
-        )
+        etilde = qubit2_reset_superop(spec)
     else:
         print("etilde must be 'identity' or 'projector'", file=sys.stderr)
         return 1
@@ -396,6 +398,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fidelity", help="one-shot gate-error report from a JSON job")
     p.add_argument("job", help="JSON job file")
     p.set_defaults(func=cmd_fidelity)
+
+    # config files may set exactly the flags of their own subcommand
+    for p in sub.choices.values():
+        p.set_defaults(config_flags={
+            a.dest: a for a in p._actions if a.dest not in ("help", "config")
+        })
 
     return parser
 

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .channels import choi, epsilon1, epsilon2, reduced_channel, system_swap, unitary_superop
+from .channels import choi, reduced_channel, system_swap, unitary_superop
 from .lindblad import LindbladSpec, Superoperator, dissipator_matrix, hamiltonian_superop
 from .ops import Operator
 
@@ -127,6 +127,12 @@ class Eps1Target:
     goal: np.ndarray
     goal_unitary: np.ndarray | None = None
 
+    def value_and_cograd(self, e_total: np.ndarray):
+        """Value and cograd with d(value) = Re sum(cograd * dE)."""
+        diff = e_total - self.goal
+        value = float(np.linalg.norm(diff) ** 2)
+        return value, 2.0 * diff.conj()
+
 
 @dataclass(frozen=True)
 class Eps2Target:
@@ -134,35 +140,20 @@ class Eps2Target:
 
     goal_unitary: np.ndarray
 
-
-def _eps1_value_cograd(e_total: np.ndarray, target: Eps1Target):
-    diff = e_total - target.goal
-    value = float(np.linalg.norm(diff) ** 2)
-    return value, 2.0 * diff  # d(value) = 2 Re <diff, dE>
-
-
-def _eps2_value_cograd(e_total: np.ndarray, target: Eps2Target):
-    d = round(e_total.shape[0] ** 0.5)
-    d1 = target.goal_unitary.shape[0]
-    d2 = d // d1
-    j = choi(e_total).matrix
-    ju = choi(unitary_superop(target.goal_unitary)).matrix
-    s = system_swap(d1, d2)
-    one_minus_w = np.eye(d * d) - s @ np.kron(ju, np.eye(d2 * d2)) @ s.T
-    value = float(np.real(np.trace(j @ j @ one_minus_w)))
-    gj = one_minus_w @ j + j @ one_minus_w
-    # d(value) = Re Tr{gj dJ} with dJ = reshuffle(dE)/d: permute gj back
-    g4 = gj.reshape(d, d, d, d)
-    cograd = g4.transpose(2, 0, 3, 1).reshape(d * d, d * d) / d
-    return value, cograd
-
-
-def _value_and_cograd(e_total, target):
-    if isinstance(target, Eps1Target):
-        return _eps1_value_cograd(e_total, target)
-    if isinstance(target, Eps2Target):
-        return _eps2_value_cograd(e_total, target)
-    raise TypeError(f"unknown target type {type(target)!r}")
+    def value_and_cograd(self, e_total: np.ndarray):
+        """Value and cograd with d(value) = Re sum(cograd * dE)."""
+        d = round(e_total.shape[0] ** 0.5)
+        d1 = self.goal_unitary.shape[0]
+        d2 = d // d1
+        j = choi(e_total).matrix
+        ju = choi(unitary_superop(self.goal_unitary)).matrix
+        s = system_swap(d1, d2)
+        one_minus_w = np.eye(d * d) - s @ np.kron(ju, np.eye(d2 * d2)) @ s.T
+        value = float(np.real(np.trace(j @ j @ one_minus_w)))
+        gj = one_minus_w @ j + j @ one_minus_w
+        # d(value) = Re Tr{gj dJ} with dJ = reshuffle(dE)/d: permute gj back
+        g4 = gj.reshape(d, d, d, d)
+        return value, g4.transpose(2, 0, 3, 1).reshape(d * d, d * d) / d
 
 
 def objective_and_gradient(
@@ -196,15 +187,12 @@ def objective_and_gradient(
         suffix[k] = acc
         acc = acc @ props[k]
 
-    value, cograd = _value_and_cograd(e_total, target)
+    value, cograd = target.value_and_cograd(e_total)
     grad = np.empty((m, n))
     for k in range(n):
         for l in range(m):
             de = suffix[k] @ derivs[l, k] @ prefix[k]
-            if isinstance(target, Eps1Target):
-                grad[l, k] = np.real(np.sum(cograd.conj() * de))
-            else:
-                grad[l, k] = np.real(np.sum(cograd * de))
+            grad[l, k] = np.real(np.sum(cograd * de))
     return value, grad
 
 

@@ -62,7 +62,7 @@ def _as_matrix(gen) -> np.ndarray:
     return np.asarray(gen, dtype=complex)
 
 
-def lie_closure(generators, tol: float = 1e-6, max_dim: int | None = None) -> LieBasis:
+def lie_closure(generators, tol: float = 1e-6) -> LieBasis:
     """Closure of Lie(i H_0, ..., i H_m) for Hermitian generators.
 
     Seeds are the orthonormalized i*H_k; pairs are then commuted
@@ -87,7 +87,7 @@ def lie_closure(generators, tol: float = 1e-6, max_dim: int | None = None) -> Li
             raise ValueError("generators must be Hermitian")
     if all(np.max(np.abs(m)) < 1e-14 for m in mats):
         raise ValueError("need at least one nonzero generator")
-    cap = min(max_dim if max_dim is not None else 4 * d * d, d * d)
+    cap = d * d
 
     elements = np.zeros((cap, d, d), dtype=complex)
     rows = np.zeros((cap, 2 * d * d))
@@ -126,7 +126,7 @@ def lie_closure(generators, tol: float = 1e-6, max_dim: int | None = None) -> Li
             if np.linalg.norm(c) <= 0.5 * tol:
                 continue  # conclusively in-span after one full pass
             try_add(c)
-            if n >= d * d:
+            if n >= cap:
                 return LieBasis(d, elements[:n].copy())
         i += 1
     return LieBasis(d, elements[:n].copy())

@@ -307,42 +307,19 @@ def _cluster(values: np.ndarray, tol: float) -> list[complex]:
 def detect_dfs(spec: LindbladSpec, tol: float = 1e-8) -> DFSDecomposition:
     """Maximal orthogonal subspaces annihilated by the dissipative part.
 
-    The Hamiltonian is ignored. The search is kernel-first: the kernel of
-    the dissipator matrix bounds the supports, then common eigenspaces of
-    the Lindblad operators are peeled off eigenvalue by eigenvalue and
-    finally intersected with the G-eigenvector condition.
+    The Hamiltonian is ignored. Starting from the whole space, common
+    eigenspaces of the Lindblad operators are peeled off eigenvalue by
+    eigenvalue, then intersected with the G-eigenvector condition; every
+    surviving block is verified against the defining conditions.
     """
     d = spec.space.dim
-    diss = spec.dissipative_part()
-    active = [(t.rate, t.op.matrix) for t in diss.terms if t.rate > 0]
+    active = [(t.rate, t.op.matrix) for t in spec.terms if t.rate > 0]
     if not active:
         eye = np.eye(d, dtype=complex)
         block = DFSBlock(eye, Operator(spec.space, eye), (), 0.0)
         return DFSDecomposition(spec.space, (block,))
 
-    if d <= 32:
-        # Kernel-first: the union of supports of steady superoperator-kernel
-        # matrices bounds every DFS and prunes the eigenvalue search.
-        gen = dissipator_matrix(diss).matrix
-        if np.max(np.abs(gen - gen.conj().T)) <= 1e-12 * max(1.0, float(np.max(np.abs(gen)))):
-            w, v = np.linalg.eigh((gen + gen.conj().T) / 2)
-            kernel = v[:, np.abs(w) <= tol * max(1.0, float(np.max(np.abs(w))))]
-        else:
-            kernel = _null_space(gen, tol)
-        if kernel.shape[1] == 0:
-            return DFSDecomposition(spec.space, ())
-        support = np.zeros((d, d), dtype=complex)
-        for k in range(kernel.shape[1]):
-            x = unvec(kernel[:, k], d)
-            support += x @ x.conj().T + x.conj().T @ x
-        w, v = np.linalg.eigh(support)
-        search = v[:, w > tol * max(1.0, w.max())]
-    else:
-        # The d^2 x d^2 kernel is too costly here; peel on the full space.
-        # Final blocks are verified against the defining conditions either way.
-        search = np.eye(d, dtype=complex)
-
-    blocks: list[tuple[np.ndarray, tuple[complex, ...]]] = [(search, ())]
+    blocks: list[tuple[np.ndarray, tuple[complex, ...]]] = [(np.eye(d, dtype=complex), ())]
     for _, l in active:
         refined: list[tuple[np.ndarray, tuple[complex, ...]]] = []
         for sub, lams in blocks:
@@ -417,19 +394,9 @@ def relaxation_report(spec: LindbladSpec, tol: float = 1e-9) -> ZenoBoundReport:
 
 def dual_generator(spec: LindbladSpec) -> Superoperator:
     """Heisenberg-picture generator: A -> +i[H, A] - sum_j gamma_j
-    (Lj^dag Lj A + A Lj^dag Lj - 2 Lj^dag A Lj)."""
-    d = spec.space.dim
-    eye = np.eye(d)
-    mat = -hamiltonian_superop(spec.hamiltonian.matrix)
-    for term in spec.terms:
-        l = term.op.matrix
-        ldl = l.conj().T @ l
-        mat = mat + term.rate * (
-            2.0 * conjugation_superop(l.conj().T, l)
-            - conjugation_superop(ldl, eye)
-            - conjugation_superop(eye, ldl)
-        )
-    return Superoperator(spec.space, mat)
+    (Lj^dag Lj A + A Lj^dag Lj - 2 Lj^dag A Lj), the Hilbert-Schmidt
+    adjoint of the generator."""
+    return Superoperator(spec.space, dissipator_matrix(spec).matrix.conj().T)
 
 
 def _matrix_to_json(matrix: np.ndarray) -> list:

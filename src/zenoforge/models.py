@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import CollectiveSpec, build_chain, dfs_dimension, allowed_spins
+from .chain import CollectiveSpec, build_chain
 from .lindblad import (
     LindbladSpec,
     LindbladTerm,
@@ -202,21 +202,21 @@ def validate_model(desc: ModelDescriptor) -> dict:
     return derived
 
 
-def qubit2_reset_superop(desc: ModelDescriptor) -> np.ndarray:
-    """System-2 restriction of the model's steady superprojection.
+def qubit2_reset_superop(spec: LindbladSpec) -> np.ndarray:
+    """System-2 restriction of the spec's steady superprojection.
 
     Requires every Lindblad operator to act trivially on system 1
     (identity tensor factor), as in the two-qubit amplitude-damping and
     dephasing models; this is the paper's choice of E-tilde for eps1.
     """
-    dims = desc.spec.space.factor_dims
+    dims = spec.space.factor_dims
     if len(dims) < 2:
         raise ValueError("model is not bipartite")
     d1 = dims[0]
-    d2 = desc.spec.space.dim // d1
+    d2 = spec.space.dim // d1
     sub = HilbertSpace((d2,))
     terms = []
-    for t in desc.spec.terms:
+    for t in spec.terms:
         mat = t.op.matrix.reshape(d1, d2, d1, d2)
         # factorize as identity (x) local; fail loudly if it does not
         local = mat[0, :, 0, :]

@@ -285,7 +285,7 @@ def test_eps2_bound_suite():
 def test_gradient_checks():
     rng = np.random.default_rng(424242)
     system = ControlSystem((H0, H1), amp_spec(1.0), 1.0)
-    etilde = qubit2_reset_superop(build_model("two-qubit-amp"))
+    etilde = qubit2_reset_superop(build_model("two-qubit-amp").spec)
     goal = superop_tensor(unitary_superop(HADAMARD), 2, etilde, 2)
     targets = [Eps1Target(goal, HADAMARD), Eps2Target(HADAMARD)]
     step = 1e-6

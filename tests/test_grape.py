@@ -29,7 +29,7 @@ def two_qubit_system(gamma):
 
 
 def eps1_target():
-    etilde = qubit2_reset_superop(build_model("two-qubit-amp"))
+    etilde = qubit2_reset_superop(build_model("two-qubit-amp").spec)
     goal = superop_tensor(unitary_superop(HADAMARD), 2, etilde, 2)
     return Eps1Target(goal, HADAMARD)
 

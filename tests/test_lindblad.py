@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zenoforge.lindblad import (
     LindbladSpec,
@@ -17,6 +19,7 @@ from zenoforge.lindblad import (
     unvec,
     vec,
 )
+from zenoforge.models import build_model
 from zenoforge.ops import (
     HilbertSpace,
     Operator,
@@ -26,7 +29,7 @@ from zenoforge.ops import (
     zero,
 )
 
-from conftest import random_density, random_hermitian
+from conftest import random_density, random_hermitian, random_unitary
 
 
 def brute_force_generator(spec):
@@ -291,6 +294,61 @@ class TestDetectDfs:
             (LindbladTerm(1.0, lowering_on(s, 1)),),
         )
         assert detect_dfs(spec).block_dims == (2,)
+
+
+# Registered models with d <= 32 and their frozen DFS block dimensions.
+FROZEN_DFS = [
+    (("two-qubit-amp", {}), (2,)),
+    (("two-qubit-dephasing", {}), (2, 2)),
+    (("ising-chain", {"n_qubits": 3}), ()),
+    (("ising-chain", {"n_qubits": 4}), (2,)),
+    (("ising-chain", {"n_qubits": 5}), ()),
+    (("ising-chain", {"n_qubits": 5, "gammas": (0.0, 0.0, 1.0)}), (1, 5, 10, 10, 5, 1)),
+    (("n-level-atom", {"n_levels": 3}), (3,)),
+    (("n-level-atom", {"n_levels": 8}), (8,)),
+    (("n-level-atom", {"n_levels": 20}), (20,)),
+]
+
+
+class TestDetectDfsProperties:
+    @pytest.mark.parametrize(
+        "model, dims", FROZEN_DFS, ids=[f"{n}-{p}" for (n, p), _ in FROZEN_DFS]
+    )
+    def test_registered_models(self, model, dims):
+        name, params = model
+        spec = build_model(name, **params).spec
+        dfs = detect_dfs(spec)
+        assert dfs.block_dims == dims
+        gen = dissipator_matrix(spec.dissipative_part()).matrix
+        for block in dfs.blocks:
+            # every |psi_i><psi_j| inside one block is a steady state
+            b = block.basis
+            units = np.einsum("ai,bj->ijab", b, b.conj()).reshape(-1, b.shape[0] ** 2)
+            assert np.max(np.abs(gen @ units.T)) < 1e-9
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.sampled_from([m for m, _ in FROZEN_DFS if m[1].get("n_qubits", 0) < 5]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_unitary_covariance(self, model, seed):
+        name, params = model
+        spec = build_model(name, **params).spec
+        d = spec.space.dim
+        u = random_unitary(d, np.random.default_rng(seed))
+        rotated = LindbladSpec(
+            spec.hamiltonian,
+            tuple(
+                LindbladTerm(t.rate, Operator(spec.space, u @ t.op.matrix @ u.conj().T))
+                for t in spec.terms
+            ),
+        )
+        before = detect_dfs(spec).blocks
+        after = detect_dfs(rotated).blocks
+        assert len(after) == len(before)
+        for p, q in zip(before, after):
+            rotated_p = u @ p.projector.matrix @ u.conj().T
+            assert np.max(np.abs(rotated_p - q.projector.matrix)) < 1e-8
 
 
 class TestRelaxationReport:

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zenoforge.cli import main
 from zenoforge.models import (
@@ -41,7 +46,7 @@ class TestRegistry:
             build_model("two-qubit-amp", typo=1)
 
     def test_amp_reset_superoperator(self):
-        etilde = qubit2_reset_superop(build_model("two-qubit-amp"))
+        etilde = qubit2_reset_superop(build_model("two-qubit-amp").spec)
         expected = np.outer(vec(np.diag([1.0, 0.0])), vec(np.eye(2)))
         assert np.max(np.abs(etilde - expected)) < 1e-10
 
@@ -126,17 +131,6 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["dim_dfs"] == 12
 
-    def test_thread_env_keeps_sweep_deterministic(self, capsys, monkeypatch):
-        argv = [
-            "sweep", "--model", "two-qubit-amp", "--gammas", "1,5",
-            "--restarts", "1", "--slices", "4", "--seed", "3",
-        ]
-        assert main(argv) == 0
-        serial = capsys.readouterr().out
-        monkeypatch.setenv("ZENOFORGE_THREADS", "2")
-        assert main(argv) == 0
-        assert capsys.readouterr().out == serial
-
     def test_malformed_flags_exit_two(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["lie-dim", "--bogus"])
@@ -148,9 +142,63 @@ class TestCli:
             "--target", "cnot", "--restarts", "1",
         ]) == 1
 
-    def test_fidelity_job(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "argv, config, key",
+        [
+            (["sweep"], {"restarts": [1]}, "restarts"),
+            (["lie-dim", "--model", "n-level-atom"], {"n": 2.5}, "n"),
+            (["lie-dim"], {"modle": "ising-chain"}, "modle"),
+            (["dfs"], {"gamma": "1"}, "gamma"),
+            (["reproduce-table1"], {"nmax": True}, "nmax"),
+            (["sweep"], {"etilde": "bogus"}, "etilde"),
+            (["zeno-check"], {"n": 3}, "n"),
+            (["lie-dim"], {"config": "other.json"}, "config"),
+        ],
+    )
+    def test_bad_config_exits_one(self, tmp_path, capsys, argv, config, key):
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps(config))
+        assert main(argv + ["--config", str(path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and repr(key) in err[0]
+
+    def test_config_integer_for_float_flag(self, tmp_path, capsys):
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps({"model": "two-qubit-amp", "gamma": 2}))
+        assert main(["dfs", "--config", str(path)]) == 0
+        from_config = capsys.readouterr().out
+        assert main(["dfs", "--model", "two-qubit-amp", "--gamma", "2"]) == 0
+        assert capsys.readouterr().out == from_config
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.dictionaries(
+            st.sampled_from(["model", "n", "gamma", "gammas", "nmax", "bogus"]),
+            st.one_of(
+                st.none(),
+                st.booleans(),
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.text(max_size=5),
+                st.lists(st.integers(), max_size=2),
+            ),
+            max_size=3,
+        )
+    )
+    def test_config_fuzz_never_raises(self, config):
+        # no integers and no valid model name: any run that gets past the
+        # config check is a cheap two-qubit DFS report
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/conf.json"
+            with open(path, "w") as fh:
+                json.dump(config, fh)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert main(["dfs", "--config", path]) in (0, 1)
+
+    @staticmethod
+    def _fidelity_job(tmp_path, target):
         from zenoforge.lindblad import spec_to_json
-        from zenoforge.models import build_model
 
         desc = build_model("two-qubit-amp", gamma=5.0)
         sys_doc = json.loads(spec_to_json(desc.spec))
@@ -162,12 +210,31 @@ class TestCli:
         job = {
             "system": sys_doc,
             "amplitudes": [[0.3, -0.2], [0.1, 0.4]],
-            "target": "hadamard",
+            "target": target,
             "etilde": "projector",
         }
         path = tmp_path / "job.json"
         path.write_text(json.dumps(job))
-        assert main(["fidelity", str(path)]) == 0
+        return path
+
+    def test_fidelity_job(self, tmp_path, capsys):
+        assert main(["fidelity", str(self._fidelity_job(tmp_path, "hadamard"))]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert set(doc) == {"eps1", "eps2", "diamond_upper", "reduced_error", "nonphysical"}
         assert doc["eps2"] <= doc["eps1"] / 16 + 1e-9
+
+    @pytest.mark.parametrize(
+        "target, message",
+        [
+            ([[[1, 0]]], "at least 2"),
+            ([[[1, 0], [1, 0]], [[1, 0], [1, 0]]], "not unitary"),
+            ([[[1, 0], [0, 0]]], "square"),
+            ([[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]], "not unitary"),
+            ([[[float(i == j), 0.0] for j in range(3)] for i in range(3)], "divide"),
+        ],
+        ids=["1x1", "non-unitary", "non-square", "nan", "size-3"],
+    )
+    def test_fidelity_rejects_bad_goal(self, tmp_path, capsys, target, message):
+        assert main(["fidelity", str(self._fidelity_job(tmp_path, target))]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
