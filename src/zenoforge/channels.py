@@ -119,6 +119,16 @@ def epsilon1(target: Superoperator | np.ndarray, goal: Superoperator | np.ndarra
     return float(np.linalg.norm(a - b) ** 2)
 
 
+def _eps2_weight(goal_unitary: np.ndarray, d: int) -> np.ndarray:
+    """1 - S (J(U_G) (x) 1_2) S^T for a goal unitary on system 1 of a
+    d-dimensional system; eps2 = Tr{J^2(E_T) times this weight}."""
+    d1 = goal_unitary.shape[0]
+    d2 = d // d1
+    ju = choi(unitary_superop(goal_unitary)).matrix
+    s = system_swap(d1, d2)
+    return np.eye(d * d) - s @ np.kron(ju, np.eye(d2 * d2)) @ s.T
+
+
 def epsilon2(
     target: Superoperator | np.ndarray,
     goal_unitary: Operator | np.ndarray,
@@ -135,17 +145,11 @@ def epsilon2(
     u = goal_unitary.matrix if isinstance(goal_unitary, Operator) else np.asarray(goal_unitary)
     d = round(mat.shape[0] ** 0.5)
     d1 = u.shape[0]
-    if d % d1 != 0:
+    if d < d1 or d % d1 != 0:
         raise ValueError(f"total dim {d} does not factor over system-1 dim {d1}")
-    d2 = d // d1
-    if d2 < 1 or d1 * d2 != d:
-        raise ValueError("input is not bipartite")
     jt = choi(mat).matrix
-    ju = choi(unitary_superop(u)).matrix
-    s = system_swap(d1, d2)
-    w = s @ np.kron(ju, np.eye(d2 * d2)) @ s.T
     jt2 = jt @ jt
-    value = float(np.real(np.trace(jt2 @ (np.eye(d * d) - w))))
+    value = float(np.real(np.trace(jt2 @ _eps2_weight(u, d))))
     if return_flag:
         nonphysical = bool(np.real(np.trace(jt2)) > 1 + 1e-9)
         return value, nonphysical

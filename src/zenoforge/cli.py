@@ -29,6 +29,8 @@ from .grape import (
 from .lie import dfs_lie_dimension, lie_closure
 from .lindblad import (
     LindbladSpec,
+    _array_from_json,
+    _matrix_from_json,
     detect_dfs,
     spec_from_json,
     steady_superprojector,
@@ -91,23 +93,21 @@ def _merged(args, config, key, default):
     return config.get(key, default)
 
 
+# The build_model parameter that --n (or a config "n") sets; the two-qubit
+# models have a fixed size.
+_SIZE_PARAMS = {"n-level-atom": "n_levels", "ising-chain": "n_qubits"}
+
+
 def _model_from_args(name, n, gamma):
-    if name == "ising-chain":
-        kwargs = {}
+    size = _SIZE_PARAMS.get(name)
+    if size is None:
         if n is not None:
-            kwargs["n_qubits"] = n
-        if gamma is not None:
-            kwargs["gammas"] = (gamma, gamma, gamma)
-        return build_model(name, **kwargs)
-    if name == "n-level-atom":
-        kwargs = {}
-        if n is not None:
-            kwargs["n_levels"] = n
-            kwargs["gammas"] = (gamma if gamma is not None else 1.0,) * n
-        elif gamma is not None:
-            kwargs["gammas"] = (gamma,) * 3
-        return build_model(name, **kwargs)
-    kwargs = {} if gamma is None else {"gamma": gamma}
+            raise ValueError(f"--n (config 'n') is only for ising-chain and n-level-atom, not {name!r}")
+        return build_model(name, **({} if gamma is None else {"gamma": gamma}))
+    kwargs = {} if n is None else {size: n}
+    if gamma is not None:
+        # three collective rates for the chain; one per stable atom level (3 by default)
+        kwargs["gammas"] = (gamma,) * (3 if size == "n_qubits" else n or 3)
     return build_model(name, **kwargs)
 
 
@@ -158,7 +158,9 @@ def cmd_zeno_check(args) -> int:
     gamma = _merged(args, config, "gamma", 1.0)
     t = _merged(args, config, "t", 1.0)
     steps = _merged(args, config, "steps", "1,2,4,8,16,32,64,128,256")
-    gammas = _merged(args, config, "gammas", "")
+    gammas = [float(v) for v in str(_merged(args, config, "gammas", "")).split(",") if v]
+    if gammas and name in _SIZE_PARAMS:
+        raise ValueError("strong-damping check supports the two-qubit models")
     desc = _model_from_args(name, None, gamma)
     diss = desc.spec.dissipative_part()
     projector = steady_superprojector(diss)
@@ -172,11 +174,8 @@ def cmd_zeno_check(args) -> int:
         zp = zeno_product(projector, generator, t, nstep)
         zeno_rows.append([nstep, float(np.linalg.norm(zp.matrix - target, 2))])
     damping_rows = []
-    for g in (float(v) for v in str(gammas).split(",") if v):
-        scaled = build_model(name, gamma=g) if name.startswith("two-qubit") else None
-        if scaled is None:
-            raise ValueError("strong-damping check supports the two-qubit models")
-        spec = LindbladSpec(desc.controls[0], scaled.spec.terms)
+    for g in gammas:
+        spec = LindbladSpec(desc.controls[0], _model_from_args(name, None, g).spec.terms)
         damping_rows.append([g, strong_damping_error(spec, 1.0, t)])
     doc = {
         "model": name,
@@ -205,8 +204,7 @@ def cmd_reproduce_table1(args) -> int:
     nmax = int(_merged(args, config, "nmax", 6))
     csv_path = _merged(args, config, "csv", "-")
     if nmax < 1:
-        print("nmax must be at least 1", file=sys.stderr)
-        return 1
+        raise ValueError("nmax must be at least 1")
     ns = list(range(1, nmax + 1))
     spins = sorted({j for n in ns for j in allowed_spins(n)})
     header = ["quantity"] + [f"N={n}" for n in ns]
@@ -242,16 +240,22 @@ def _sweep_system_builder(desc_name):
     return build
 
 
+def _etilde(mode, spec: LindbladSpec, d2: int) -> np.ndarray:
+    """System-2 map of the eps1 goal: the identity or the spec's reset."""
+    if mode == "identity":
+        return np.eye(d2 * d2, dtype=complex)
+    if mode == "projector":
+        return qubit2_reset_superop(spec)
+    raise ValueError("etilde must be 'identity' or 'projector'")
+
+
 def _sweep_target_builder(objective, goal_unitary, desc_name, etilde_mode):
     def build(system: ControlSystem):
         if objective == "eps2":
             return Eps2Target(goal_unitary)
         d1 = goal_unitary.shape[0]
         d2 = system.spec.space.dim // d1
-        if etilde_mode == "identity":
-            etilde = np.eye(d2 * d2, dtype=complex)
-        else:
-            etilde = qubit2_reset_superop(build_model(desc_name, gamma=1.0).spec)
+        etilde = _etilde(etilde_mode, build_model(desc_name, gamma=1.0).spec, d2)
         goal = superop_tensor(unitary_superop(goal_unitary), d1, etilde, d2)
         return Eps1Target(goal, goal_unitary)
 
@@ -270,11 +274,7 @@ def cmd_sweep(args) -> int:
     etilde_mode = _merged(args, config, "etilde", "projector")
     csv_path = _merged(args, config, "csv", "-")
     if target_name != "hadamard":
-        print(f"unknown target {target_name!r}; only 'hadamard' is registered", file=sys.stderr)
-        return 1
-    if objective not in ("eps1", "eps2"):
-        print("objective must be eps1 or eps2", file=sys.stderr)
-        return 1
+        raise ValueError(f"unknown target {target_name!r}; only 'hadamard' is registered")
     builder = _sweep_system_builder(name)
     target_builder = _sweep_target_builder(objective, HADAMARD, name, etilde_mode)
     rows = gamma_sweep(
@@ -306,36 +306,29 @@ def _check_goal(goal: np.ndarray, dim: int):
 def cmd_fidelity(args) -> int:
     with open(args.job) as fh:
         job = json.load(fh)
+    if not isinstance(job, dict) or not isinstance(job["system"], dict):
+        raise ValueError("a job and its 'system' must be JSON objects")
     sys_doc = job["system"]
-    spec = spec_from_json(json.dumps(
-        {"dims": sys_doc["dims"], "hamiltonian": sys_doc["hamiltonian"], "terms": sys_doc["terms"]}
-    ))
+    spec = spec_from_json(json.dumps(sys_doc))
+    if not isinstance(sys_doc["controls"], list):
+        raise ValueError("controls must be a list of matrices")
     controls = tuple(
-        Operator(spec.space, np.array([[complex(re, im) for re, im in row] for row in mat]))
-        for mat in sys_doc["controls"]
+        Operator(spec.space, _matrix_from_json(mat, "control")) for mat in sys_doc["controls"]
     )
-    system = ControlSystem(controls, spec, float(sys_doc.get("total_time", 1.0)))
-    amplitudes = np.array(job["amplitudes"], dtype=float)
-    schedule = PulseSchedule(system.total_time, amplitudes)
+    total_time = float(_array_from_json(sys_doc.get("total_time", 1.0), 0, "total_time"))
+    system = ControlSystem(controls, spec, total_time)
+    schedule = PulseSchedule(total_time, _array_from_json(job["amplitudes"], 2, "amplitudes"))
     target = job.get("target", "hadamard")
     if isinstance(target, str):
         if target != "hadamard":
-            print(f"unknown target {target!r}", file=sys.stderr)
-            return 1
+            raise ValueError(f"unknown target {target!r}")
         goal_unitary = HADAMARD
     else:
-        goal_unitary = np.array([[complex(re, im) for re, im in row] for row in target])
+        goal_unitary = _matrix_from_json(target, "target")
     _check_goal(goal_unitary, spec.space.dim)
     d1 = goal_unitary.shape[0]
     d2 = spec.space.dim // d1
-    etilde_mode = job.get("etilde", "identity")
-    if etilde_mode == "identity":
-        etilde = np.eye(d2 * d2, dtype=complex)
-    elif etilde_mode == "projector":
-        etilde = qubit2_reset_superop(spec)
-    else:
-        print("etilde must be 'identity' or 'projector'", file=sys.stderr)
-        return 1
+    etilde = _etilde(job.get("etilde", "identity"), spec, d2)
     e_total = propagate_schedule(system, schedule)
     rho2 = np.eye(d2) / d2
     report = gate_error_report(e_total, goal_unitary, etilde, rho2)

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .channels import choi, reduced_channel, system_swap, unitary_superop
+from .channels import _eps2_weight, choi, reduced_channel, unitary_superop
 from .lindblad import LindbladSpec, Superoperator, dissipator_matrix, hamiltonian_superop
 from .ops import Operator
 
@@ -47,8 +47,8 @@ class ControlSystem:
     total_time: float
 
     def __post_init__(self):
-        if self.total_time <= 0:
-            raise ValueError("total time must be positive")
+        if not 0 < self.total_time < np.inf:  # NaN fails too
+            raise ValueError("total time must be positive and finite")
         if not self.controls:
             raise ValueError("need at least one control Hamiltonian")
         d = self.spec.space.dim
@@ -75,8 +75,10 @@ class PulseSchedule:
         amps = np.atleast_2d(np.asarray(self.amplitudes, dtype=float))
         if not np.all(np.isfinite(amps)):
             raise ValueError("amplitudes must be finite")
-        if self.total_time <= 0:
-            raise ValueError("total time must be positive")
+        if amps.shape[1] == 0:
+            raise ValueError("a pulse schedule needs at least one slice")
+        if not 0 < self.total_time < np.inf:  # NaN fails too
+            raise ValueError("total time must be positive and finite")
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -143,12 +145,8 @@ class Eps2Target:
     def value_and_cograd(self, e_total: np.ndarray):
         """Value and cograd with d(value) = Re sum(cograd * dE)."""
         d = round(e_total.shape[0] ** 0.5)
-        d1 = self.goal_unitary.shape[0]
-        d2 = d // d1
         j = choi(e_total).matrix
-        ju = choi(unitary_superop(self.goal_unitary)).matrix
-        s = system_swap(d1, d2)
-        one_minus_w = np.eye(d * d) - s @ np.kron(ju, np.eye(d2 * d2)) @ s.T
+        one_minus_w = _eps2_weight(self.goal_unitary, d)
         value = float(np.real(np.trace(j @ j @ one_minus_w)))
         gj = one_minus_w @ j + j @ one_minus_w
         # d(value) = Re Tr{gj dJ} with dJ = reshuffle(dE)/d: permute gj back

@@ -72,7 +72,7 @@ class LindbladTerm:
     op: Operator
 
     def __post_init__(self):
-        if self.rate < 0:
+        if not self.rate >= 0:  # NaN fails too
             raise ValueError(f"rate must be non-negative, got {self.rate}")
 
 
@@ -141,8 +141,6 @@ class Superoperator:
 
 def dissipator_matrix(spec: LindbladSpec) -> Superoperator:
     """Vectorized matrix of the full generator -i[H, .] + D."""
-    if not spec.hamiltonian.is_hermitian(1e-10):
-        raise ValueError("hamiltonian is not Hermitian within 1e-10")
     d = spec.space.dim
     mat = hamiltonian_superop(spec.hamiltonian.matrix)
     eye = np.eye(d)
@@ -170,6 +168,22 @@ def _kernel_tolerance(values: np.ndarray, tol: float) -> float:
     return tol * max(scale, 1.0)
 
 
+def _spectrum(gen: np.ndarray, tol: float):
+    """The one spectral analysis of a generator matrix: ``eigh`` when it is
+    self-adjoint, ``eigvals`` otherwise. Returns the eigenvalues, the
+    orthonormal eigenvectors (None unless self-adjoint), the mask of the
+    eigenvalues inside the zero cut ``_kernel_tolerance``, that cut, and
+    whether the generator is attractive: Re < -cut off the mask."""
+    scale = max(float(np.max(np.abs(gen))), 1.0)
+    if np.max(np.abs(gen - gen.conj().T)) <= 1e-12 * scale:
+        w, v = np.linalg.eigh((gen + gen.conj().T) / 2)
+    else:
+        w, v = np.linalg.eigvals(gen), None
+    cut = _kernel_tolerance(w, tol)
+    zero = np.abs(w) <= cut
+    return w, v, zero, cut, bool(np.all(w[~zero].real < -cut))
+
+
 def steady_superprojector(spec: LindbladSpec, tol: float = 1e-9) -> Superoperator:
     """Spectral projection onto the kernel of the generator, along its range.
 
@@ -179,45 +193,24 @@ def steady_superprojector(spec: LindbladSpec, tol: float = 1e-9) -> Superoperato
     Hermitian as a matrix in general.
     """
     gen = dissipator_matrix(spec).matrix
-    n = gen.shape[0]
-    herm_defect = np.max(np.abs(gen - gen.conj().T))
-    scale = max(float(np.max(np.abs(gen))), 1.0)
-
-    if herm_defect <= 1e-12 * scale:
+    _, vectors, zero, _, attractive = _spectrum(gen, tol)
+    if not zero.any():
+        raise ValueError("generator has no steady state")
+    if not attractive:
+        raise ValueError("generator is not attractive: nonzero eigenvalue with Re >= 0")
+    if vectors is not None:
         # Self-adjoint generator: kernel projector is orthogonal and the
         # zero eigenvalue is automatically semisimple.
-        w, v = np.linalg.eigh((gen + gen.conj().T) / 2)
-        cut = _kernel_tolerance(w, tol)
-        kernel = np.abs(w) <= cut
-        if not np.any(kernel):
-            raise ValueError("generator has no steady state")
-        if np.any(w[~kernel] > 0):
-            raise ValueError("generator is not attractive: positive eigenvalue found")
-        vk = v[:, kernel]
+        vk = vectors[:, zero]
         return Superoperator(spec.space, vk @ vk.conj().T)
 
-    w = np.linalg.eigvals(gen)
-    cut = _kernel_tolerance(w, tol)
-    nonzero = np.abs(w) > cut
-    if nonzero.all():
-        raise ValueError("generator has no steady state")
-    if np.any(w[nonzero].real > -cut):
-        raise ValueError(
-            "generator is not attractive: nonzero eigenvalue with Re >= 0"
-        )
-
+    k = int(zero.sum())
     u, s, vh = np.linalg.svd(gen)
-    null = s <= _kernel_tolerance(s, tol)
-    k = int(null.sum())
-    if k == 0:
-        raise ValueError("generator has no steady state")
-    # Semisimplicity: kernel of M and of M^2 must have equal dimension.
-    s2 = np.linalg.svd(gen @ gen, compute_uv=False)
-    k2 = int((s2 <= _kernel_tolerance(s2, tol)).sum())
-    if k2 != k:
+    # Semisimplicity: the kernel has the dimension k of the zero eigenvalue.
+    if s[-k] > _kernel_tolerance(s, tol):
         raise ValueError("zero eigenvalue of the generator is not semisimple")
-    right = vh[n - k :].conj().T         # ker(M)
-    left = u[:, n - k :]                 # ker(M^H) = ran(M)^perp
+    right = vh[-k:].conj().T             # ker(M)
+    left = u[:, -k:]                     # ker(M^H) = ran(M)^perp
     overlap = left.conj().T @ right
     if np.linalg.cond(overlap) > 1e8:
         raise ValueError("zero eigenvalue of the generator is not semisimple")
@@ -253,13 +246,12 @@ def _orthonormal_columns(cols: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     if cols.size == 0:
         return cols.reshape(cols.shape[0], 0)
     q, r = np.linalg.qr(cols)
-    keep = np.abs(np.diag(r)) > tol * max(1.0, np.abs(np.diag(r)).max())
-    return q[:, keep]
+    diag = np.abs(np.diag(r))
+    return q[:, diag > _kernel_tolerance(diag, tol)]
 
 def _null_space(mat: np.ndarray, tol: float) -> np.ndarray:
     _, s, vh = np.linalg.svd(mat)
-    cut = tol * max(1.0, float(s[0]) if s.size else 0.0)
-    return vh[s <= cut].conj().T
+    return vh[s <= _kernel_tolerance(s, tol)].conj().T
 
 
 def _intersect(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
@@ -376,17 +368,10 @@ class ZenoBoundReport:
 
 
 def relaxation_report(spec: LindbladSpec, tol: float = 1e-9) -> ZenoBoundReport:
-    gen = dissipator_matrix(spec).matrix
-    if np.max(np.abs(gen - gen.conj().T)) <= 1e-12 * max(1.0, float(np.max(np.abs(gen)))):
-        w = np.linalg.eigvalsh((gen + gen.conj().T) / 2).astype(complex)
-    else:
-        w = np.linalg.eigvals(gen)
-    scale = float(np.max(np.abs(w)))
-    if scale <= tol:
+    w, _, zero, cut, attractive = _spectrum(dissipator_matrix(spec).matrix, tol)
+    if zero.all():
         raise ValueError("all eigenvalues vanish: nothing relaxes")
-    cut = tol * scale
-    nonzero = w[np.abs(w) > cut]
-    attractive = bool(np.all(nonzero.real < -cut))
+    nonzero = w[~zero].astype(complex)
     slowest = float(np.min(np.abs(nonzero.real)))
     tau = 1.0 / slowest if slowest > cut else np.inf
     return ZenoBoundReport(tau, nonzero, attractive)
@@ -403,8 +388,23 @@ def _matrix_to_json(matrix: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
 
 
-def _matrix_from_json(data: list) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data])
+def _array_from_json(data, ndim: int, what: str) -> np.ndarray:
+    """A float array of rank ``ndim`` from nested JSON lists of numbers."""
+    try:
+        arr = np.array(data)
+    except ValueError:  # ragged nesting
+        arr = np.array(None)
+    if arr.ndim != ndim or arr.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must be a {ndim}-D list of numbers")
+    return arr.astype(float)
+
+
+def _matrix_from_json(data, what: str = "matrix") -> np.ndarray:
+    """A complex matrix from rows of [re, im] pairs."""
+    pairs = _array_from_json(data, 3, what)
+    if pairs.shape[2] != 2:
+        raise ValueError(f"{what} entries must be [re, im] pairs")
+    return pairs.view(complex)[..., 0]
 
 
 def spec_to_json(spec: LindbladSpec) -> str:
@@ -421,10 +421,18 @@ def spec_to_json(spec: LindbladSpec) -> str:
 
 def spec_from_json(text: str) -> LindbladSpec:
     doc = json.loads(text)
-    space = HilbertSpace(tuple(doc["dims"]))
-    h = Operator(space, _matrix_from_json(doc["hamiltonian"]))
+    dims = doc["dims"]
+    if not isinstance(dims, list) or not all(type(n) is int and n > 0 for n in dims):
+        raise ValueError(f"dims must be a list of positive integers, got {json.dumps(dims)}")
+    space = HilbertSpace(tuple(dims))
+    h = Operator(space, _matrix_from_json(doc["hamiltonian"], "hamiltonian"))
+    if not isinstance(doc["terms"], list) or not all(isinstance(t, dict) for t in doc["terms"]):
+        raise ValueError("terms must be a list of JSON objects")
     terms = tuple(
-        LindbladTerm(float(t["rate"]), Operator(space, _matrix_from_json(t["op"])))
+        LindbladTerm(
+            float(_array_from_json(t["rate"], 0, "rate")),
+            Operator(space, _matrix_from_json(t["op"], "op")),
+        )
         for t in doc["terms"]
     )
     return LindbladSpec(h, terms)

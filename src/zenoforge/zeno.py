@@ -16,7 +16,6 @@ from .lindblad import (
     Superoperator,
     dissipator_matrix,
     hamiltonian_superop,
-    relaxation_report,
     steady_superprojector,
     unvec,
     vec,
@@ -57,10 +56,9 @@ def superproject_hamiltonian(
     projected coherent dynamics over the whole steady-state manifold;
     unitality is checked through P(1) = 1.
     """
-    d = projector.space.dim
-    if np.max(np.abs(projector.matrix @ vec(np.eye(d)) - vec(np.eye(d)))) > tol:
+    if not projector.is_unital(tol):
         raise ValueError("superprojector does not fix the identity: dissipator not unital")
-    out = unvec(projector.matrix @ vec(h.matrix), d)
+    out = unvec(projector.matrix @ vec(h.matrix), projector.space.dim)
     defect = np.max(np.abs(out - out.conj().T))
     if defect > 1e-8:
         raise ValueError(f"projected operator is not Hermitian (defect {defect:.2e})")
@@ -88,11 +86,11 @@ def strong_damping_error(spec: LindbladSpec, g: float, t: float) -> float:
     bound regime of interest is g*t = O(1) with g * tau_R small.
     """
     diss = spec.dissipative_part()
-    if not relaxation_report(diss).attractive:
-        raise ValueError("dissipative part is not attractive")
+    if not any(term.rate > 0 for term in diss.terms):
+        raise ValueError("spec has no dissipation: nothing relaxes")
+    p = steady_superprojector(diss).matrix   # rejects a non-attractive D
     d_mat = dissipator_matrix(diss).matrix
     k_mat = hamiltonian_superop(spec.hamiltonian.matrix)
-    p = steady_superprojector(diss).matrix
     lhs = expm(t * (g * k_mat + d_mat))
     pkp = p @ k_mat @ p
     rhs = expm(g * t * pkp)

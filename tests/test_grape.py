@@ -71,6 +71,10 @@ class TestPropagateSchedule:
         with pytest.raises(ValueError):
             PulseSchedule(1.0, np.array([[np.nan, 0.0]]))
 
+    def test_rejects_schedule_without_slices(self):
+        with pytest.raises(ValueError, match="slice"):
+            PulseSchedule(1.0, np.zeros((2, 0)))
+
 
 class TestGradients:
     @pytest.mark.parametrize("make_target", [eps1_target, lambda: Eps2Target(HADAMARD)])

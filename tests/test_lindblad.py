@@ -375,6 +375,40 @@ class TestRelaxationReport:
         assert not rep.attractive
 
 
+class TestSuperprojectorProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(2, 4),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    def test_projects_onto_fixed_points(self, d, n_jumps, seed, dissipative):
+        # generic H and jump operators: a non-self-adjoint, attractive
+        # generator; with all rates zero it is unitary and not attractive
+        rng = np.random.default_rng(seed)
+        space = HilbertSpace((d,))
+        terms = tuple(
+            LindbladTerm(
+                float(rng.uniform(0.2, 2.0)) if dissipative else 0.0,
+                Operator(space, rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))),
+            )
+            for _ in range(n_jumps)
+        )
+        spec = LindbladSpec(Operator(space, random_hermitian(d, rng)), terms)
+        try:
+            p = steady_superprojector(spec).matrix
+        except ValueError:
+            p = None
+        assert relaxation_report(spec).attractive == (p is not None) == dissipative
+        if p is None:
+            return
+        e = propagate(spec, 1.0).matrix
+        assert np.max(np.abs(p @ p - p)) < 1e-8
+        assert np.max(np.abs(p @ e - p)) < 1e-8
+        assert np.max(np.abs(e @ p - p)) < 1e-8
+
+
 class TestDualGenerator:
     def test_pairing_identity(self, rng):
         s = qubits(2)

@@ -18,6 +18,8 @@ from zenoforge.models import (
 )
 from zenoforge.lindblad import vec
 
+_DELETE = object()  # marks a job entry to delete in the fidelity job tests
+
 
 class TestRegistry:
     @pytest.mark.parametrize("name", ["two-qubit-amp", "two-qubit-dephasing"])
@@ -143,6 +145,33 @@ class TestCli:
         ]) == 1
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["lie-dim", "--model", "two-qubit-amp", "--n", "5"], "two-qubit-amp"),
+            (["dfs", "--model", "two-qubit-dephasing", "--n", "3"], "two-qubit-dephasing"),
+            (["sweep", "--gammas", "1", "--restarts", "1", "--slices", "0"], "slice"),
+            (["reproduce-table1", "--nmax", "0"], "nmax"),
+            (["sweep", "--gammas", "1", "--target", "cnot", "--restarts", "1"], "cnot"),
+            (["zeno-check", "--model", "ising-chain", "--gammas", "10"], "two-qubit"),
+        ],
+        ids=["n-two-qubit-amp", "n-two-qubit-dephasing", "slices-0", "nmax-0",
+             "unknown-target", "damping-chain"],
+    )
+    def test_bad_input_exits_one(self, capsys, argv, message):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+    @pytest.mark.parametrize(
+        "name, n, dim_dfs", [("ising-chain", 3, 4), ("n-level-atom", 4, 16)]
+    )
+    def test_n_sets_the_model_size(self, capsys, name, n, dim_dfs):
+        assert main(["lie-dim", "--model", name, "--n", str(n), "--gamma", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["dim_dfs"] == dim_dfs
+
+    @pytest.mark.parametrize(
         "argv, config, key",
         [
             (["sweep"], {"restarts": [1]}, "restarts"),
@@ -153,6 +182,7 @@ class TestCli:
             (["sweep"], {"etilde": "bogus"}, "etilde"),
             (["zeno-check"], {"n": 3}, "n"),
             (["lie-dim"], {"config": "other.json"}, "config"),
+            (["lie-dim"], {"model": "two-qubit-amp", "n": 5}, "n"),
         ],
     )
     def test_bad_config_exits_one(self, tmp_path, capsys, argv, config, key):
@@ -197,7 +227,7 @@ class TestCli:
                 assert main(["dfs", "--config", path]) in (0, 1)
 
     @staticmethod
-    def _fidelity_job(tmp_path, target):
+    def _fidelity_doc(target="hadamard"):
         from zenoforge.lindblad import spec_to_json
 
         desc = build_model("two-qubit-amp", gamma=5.0)
@@ -207,14 +237,17 @@ class TestCli:
             for c in desc.controls
         ]
         sys_doc["total_time"] = 1.0
-        job = {
+        return {
             "system": sys_doc,
             "amplitudes": [[0.3, -0.2], [0.1, 0.4]],
             "target": target,
             "etilde": "projector",
         }
+
+    @classmethod
+    def _fidelity_job(cls, tmp_path, target, doc=None):
         path = tmp_path / "job.json"
-        path.write_text(json.dumps(job))
+        path.write_text(json.dumps(cls._fidelity_doc(target) if doc is None else doc))
         return path
 
     def test_fidelity_job(self, tmp_path, capsys):
@@ -238,3 +271,95 @@ class TestCli:
         assert main(["fidelity", str(self._fidelity_job(tmp_path, target))]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+    @staticmethod
+    def _replaced(doc, path, value):
+        """A copy of the job with the entry at ``path`` set (or deleted if
+        ``value`` is ``_DELETE``); the empty path replaces the whole job."""
+        if not path:
+            return value
+        doc = json.loads(json.dumps(doc))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is _DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        return doc
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            ((), [1, 2], "JSON object"),
+            (("system",), [], "JSON object"),
+            (("system", "dims"), 4, "dims"),
+            (("system", "dims"), [2, 2.0], "dims"),
+            (("system", "dims"), [2, -2], "dims"),
+            (("system", "dims"), [2, True], "dims"),
+            (("system", "hamiltonian"), 0, "hamiltonian"),
+            (("system", "hamiltonian"), [[[0, 0, 0]] * 4] * 4, "hamiltonian"),
+            (("system", "terms"), {"rate": 1}, "terms"),
+            (("system", "terms", 0, "rate"), "1", "rate"),
+            (("system", "controls"), 3, "controls"),
+            (("system", "controls", 0), [[1, 0]], "control"),
+            (("system", "total_time"), "1", "total_time"),
+            (("system", "total_time"), float("nan"), "total time"),
+            (("system", "total_time"), float("inf"), "total time"),
+            (("system", "terms", 0, "rate"), float("nan"), "rate"),
+            (("amplitudes",), [0.3, 0.1], "amplitudes"),
+            (("amplitudes",), [[0.3], [0.1, 0.4]], "amplitudes"),
+            (("amplitudes",), [["a", "b"], ["c", "d"]], "amplitudes"),
+            (("amplitudes",), [[], []], "slice"),
+            (("target",), "cnot", "cnot"),
+            (("target",), 7, "target"),
+            (("etilde",), "bogus", "etilde"),
+        ],
+    )
+    def test_fidelity_rejects_malformed_job(self, tmp_path, capsys, path, value, message):
+        doc = self._replaced(self._fidelity_doc(), path, value)
+        assert main(["fidelity", str(self._fidelity_job(tmp_path, None, doc))]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([
+            (), ("system",), ("system", "dims"), ("system", "dims", 0),
+            ("system", "hamiltonian"), ("system", "hamiltonian", 0),
+            ("system", "terms"), ("system", "terms", 0), ("system", "terms", 0, "rate"),
+            ("system", "terms", 0, "op"), ("system", "controls"), ("system", "controls", 1),
+            ("system", "total_time"), ("amplitudes",), ("amplitudes", 0), ("target",),
+            ("etilde",),
+        ]),
+        st.one_of(
+            st.just(_DELETE),
+            st.recursive(
+                st.one_of(
+                    st.none(),
+                    st.booleans(),
+                    st.integers(-3, 5),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.text(max_size=5),
+                ),
+                lambda children: st.one_of(
+                    st.lists(children, max_size=4),
+                    st.dictionaries(st.text(max_size=5), children, max_size=3),
+                ),
+                max_leaves=12,
+            ),
+        ),
+    )
+    def test_fidelity_job_fuzz_never_raises(self, path, value):
+        if not path and value is _DELETE:
+            value = None
+        doc = self._replaced(self._fidelity_doc(), path, value)
+        with tempfile.TemporaryDirectory() as tmp:
+            job = f"{tmp}/job.json"
+            with open(job, "w") as fh:
+                json.dump(doc, fh)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert main(["fidelity", job]) in (0, 1)
