@@ -205,15 +205,6 @@ class DFSLieReport:
     unital_verdict: ControllabilityVerdict | None
 
 
-def _closure_verdict(ops, tol: float) -> tuple[int, ControllabilityVerdict]:
-    """Closure dimension and verdict of the nonzero operators among ``ops``."""
-    nonzero = [p for p in ops if np.max(np.abs(p.matrix)) > 1e-12]
-    if not nonzero:
-        return 0, ControllabilityVerdict(0, False, False)
-    basis = lie_closure(nonzero, tol=tol)
-    return basis.dim, controllability_verdict(basis)
-
-
 def dfs_lie_dimension(
     spec: LindbladSpec, controls, tol: float = 1e-6
 ) -> DFSLieReport:
@@ -227,10 +218,18 @@ def dfs_lie_dimension(
 
     diss = spec.dissipative_part()
     dfs = detect_dfs(diss)
-    blocks = [
-        _closure_verdict([project_hamiltonian(h, dfs, idx) for h in controls], tol)
-        for idx in range(len(dfs.blocks))
-    ]
+    block_dims = []
+    block_verdicts = []
+    for idx in range(len(dfs.blocks)):
+        projected = [project_hamiltonian(h, dfs, idx) for h in controls]
+        nonzero = [p for p in projected if np.max(np.abs(p.matrix)) > 1e-12]
+        if not nonzero:
+            block_dims.append(0)
+            block_verdicts.append(ControllabilityVerdict(0, False, False))
+            continue
+        basis = lie_closure(nonzero, tol=tol)
+        block_dims.append(basis.dim)
+        block_verdicts.append(controllability_verdict(basis))
 
     unital_dim = None
     unital_verdict = None
@@ -244,9 +243,15 @@ def dfs_lie_dimension(
     )
     if diss.terms and np.max(np.abs(defect)) <= 1e-10 * max(1.0, scale):
         projector = steady_superprojector(diss)
-        unital_dim, unital_verdict = _closure_verdict(
-            [superproject_hamiltonian(h, projector) for h in controls], tol
-        )
+        superprojected = [superproject_hamiltonian(h, projector) for h in controls]
+        nonzero = [p for p in superprojected if np.max(np.abs(p.matrix)) > 1e-12]
+        if nonzero:
+            basis = lie_closure(nonzero, tol=tol)
+            unital_dim = basis.dim
+            unital_verdict = controllability_verdict(basis)
+        else:
+            unital_dim = 0
+            unital_verdict = ControllabilityVerdict(0, False, False)
     return DFSLieReport(
-        tuple(d for d, _ in blocks), tuple(v for _, v in blocks), unital_dim, unital_verdict
+        tuple(block_dims), tuple(block_verdicts), unital_dim, unital_verdict
     )

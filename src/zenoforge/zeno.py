@@ -86,9 +86,9 @@ def strong_damping_error(spec: LindbladSpec, g: float, t: float) -> float:
     bound regime of interest is g*t = O(1) with g * tau_R small.
     """
     diss = spec.dissipative_part()
-    if not any(term.rate > 0 for term in diss.terms):
-        raise ValueError("spec has no dissipation: nothing relaxes")
     p = steady_superprojector(diss).matrix   # rejects a non-attractive D
+    if round(np.trace(p).real) == p.shape[0]:   # rank of P = kernel dimension of D
+        raise ValueError("dissipative part vanishes: nothing relaxes")
     d_mat = dissipator_matrix(diss).matrix
     k_mat = hamiltonian_superop(spec.hamiltonian.matrix)
     lhs = expm(t * (g * k_mat + d_mat))

@@ -236,3 +236,10 @@ class TestStrongDampingError:
         spec = LindbladSpec(H0)  # no dissipation at all
         with pytest.raises(ValueError):
             strong_damping_error(spec, 1.0, 1.0)
+
+    @pytest.mark.parametrize("jump", [identity(S2), zero(S2)], ids=["identity", "zero"])
+    def test_vanishing_dissipator_rejected(self, jump):
+        # a positive rate whose jump operator gives D = 0 relaxes nothing either
+        spec = LindbladSpec(H0, (LindbladTerm(1.0, jump),))
+        with pytest.raises(ValueError, match="nothing relaxes"):
+            strong_damping_error(spec, 1.0, 1.0)
