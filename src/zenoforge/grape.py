@@ -1,15 +1,17 @@
 """Piecewise-constant pulse optimization of gate errors over dissipative
 bilinear control systems.
 
-The total time is divided into equidistant slices with constant fields;
-each slice propagator is a dense matrix exponential, and gradients are
-exact: the directional derivative of each slice exponential comes from the
-block-triangular exponential identity (scipy's expm_frechet).
+The total time is divided into equidistant slices with constant fields.
+One forward pass exponentiates the stack of slice generators
+A_k = dt (D + sum_l f_lk K_l) and multiplies the propagators into E_T. Exact
+gradients come from a backward costate sweep (adjoint-mode GRAPE) with one
+adjoint Frechet derivative (scipy's expm_frechet) per slice for all controls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -63,6 +65,12 @@ class ControlSystem:
     def n_controls(self) -> int:
         return len(self.controls)
 
+    @cached_property
+    def _generators(self) -> tuple[np.ndarray, np.ndarray]:
+        """The dissipator D and the stacked control superoperators K_l."""
+        controls = np.stack([hamiltonian_superop(c.matrix) for c in self.controls])
+        return dissipator_matrix(self.spec).matrix, controls
+
 
 @dataclass(frozen=True)
 class PulseSchedule:
@@ -98,27 +106,33 @@ def random_schedule(
     return PulseSchedule(system.total_time, amps)
 
 
-def _slice_generators(system: ControlSystem):
-    base = dissipator_matrix(system.spec).matrix
-    controls = [hamiltonian_superop(c.matrix) for c in system.controls]
-    return base, controls
+def _forward(system: ControlSystem, schedule: PulseSchedule):
+    """Stacked slice generators A_k, their exponentials E_k, the prefix
+    products P_k = E_{k-1} ... E_0 and the total map E_T."""
+    amps = schedule.amplitudes
+    if amps.shape[0] != system.n_controls:
+        raise ValueError(
+            f"schedule has {amps.shape[0]} control rows, "
+            f"system has {system.n_controls}"
+        )
+    base, controls = system._generators
+    gens = schedule.slice_duration * (
+        base + sum(f[:, None, None] * km for f, km in zip(amps, controls))
+    )
+    props = scipy.linalg.expm(gens)
+    prefix = np.empty_like(props)
+    total = np.eye(base.shape[0], dtype=complex)
+    for k, prop in enumerate(props):
+        prefix[k] = total
+        total = prop @ total
+    return gens, props, prefix, total
 
 
 def propagate_schedule(system: ControlSystem, schedule: PulseSchedule) -> Superoperator:
     """Ordered product of slice exponentials exp(dt (K(f_k) + D))."""
-    if schedule.amplitudes.shape[0] != system.n_controls:
-        raise ValueError(
-            f"schedule has {schedule.amplitudes.shape[0]} control rows, "
-            f"system has {system.n_controls}"
-        )
-    base, controls = _slice_generators(system)
-    dt = schedule.slice_duration
-    total = np.eye(base.shape[0], dtype=complex)
-    for k in range(schedule.n_slices):
-        gen = base + sum(
-            f * kmat for f, kmat in zip(schedule.amplitudes[:, k], controls)
-        )
-        total = scipy.linalg.expm(dt * gen) @ total
+    total = _forward(system, schedule)[3]
+    if not np.all(np.isfinite(total)):
+        raise ValueError("propagated map is not finite: amplitudes too large")
     return Superoperator(system.spec.space, total)
 
 
@@ -141,12 +155,15 @@ class Eps2Target:
     """Minimize the Choi-based subsystem bound toward a system-1 unitary."""
 
     goal_unitary: np.ndarray
+    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def value_and_cograd(self, e_total: np.ndarray):
         """Value and cograd with d(value) = Re sum(cograd * dE)."""
         d = round(e_total.shape[0] ** 0.5)
         j = choi(e_total).matrix
-        one_minus_w = _eps2_weight(self.goal_unitary, d)
+        if d not in self._weights:
+            self._weights[d] = _eps2_weight(self.goal_unitary, d)
+        one_minus_w = self._weights[d]
         value = float(np.real(np.trace(j @ j @ one_minus_w)))
         gj = one_minus_w @ j + j @ one_minus_w
         # d(value) = Re Tr{gj dJ} with dJ = reshuffle(dE)/d: permute gj back
@@ -158,40 +175,21 @@ def objective_and_gradient(
     system: ControlSystem, schedule: PulseSchedule, target
 ) -> tuple[float, np.ndarray]:
     """Objective and its exact gradient w.r.t. every slice amplitude."""
-    base, controls = _slice_generators(system)
-    amps = schedule.amplitudes
-    m, n = amps.shape
-    dt = schedule.slice_duration
-    dim = base.shape[0]
-
-    props = np.empty((n, dim, dim), dtype=complex)
-    derivs = np.empty((m, n, dim, dim), dtype=complex)
-    for k in range(n):
-        gen = dt * (base + sum(f * km for f, km in zip(amps[:, k], controls)))
-        for l in range(m):
-            p, dp = scipy.linalg.expm_frechet(gen, dt * controls[l])
-            derivs[l, k] = dp
-        props[k] = p
-
-    prefix = np.empty((n, dim, dim), dtype=complex)
-    suffix = np.empty((n, dim, dim), dtype=complex)
-    acc = np.eye(dim, dtype=complex)
-    for k in range(n):
-        prefix[k] = acc
-        acc = props[k] @ acc
-    e_total = acc
-    acc = np.eye(dim, dtype=complex)
-    for k in range(n - 1, -1, -1):
-        suffix[k] = acc
-        acc = acc @ props[k]
-
+    gens, props, prefix, e_total = _forward(system, schedule)
     value, cograd = target.value_and_cograd(e_total)
-    grad = np.empty((m, n))
-    for k in range(n):
-        for l in range(m):
-            de = suffix[k] @ derivs[l, k] @ prefix[k]
-            grad[l, k] = np.real(np.sum(cograd * de))
-    return value, grad
+    if not np.isfinite(props).all():  # an overflowing L-BFGS probe: no gradient
+        return value, np.full(schedule.amplitudes.shape, np.nan)
+    # Costate G_k = S_k^T cograd with S_k = E_{n-1} ... E_{k+1}: d(value) =
+    # Re sum(W_k * dE_k) for W_k = G_k P_k^T, and <X, L(A, E)> = <L(A^H, X), E>
+    # turns this into dt Re sum(conj(L(A_k^H, conj W_k)) * K_l) for every l.
+    adjoints = np.empty_like(props)
+    costate = cograd
+    for k in range(schedule.n_slices - 1, -1, -1):
+        w = costate @ prefix[k].T
+        adjoints[k] = scipy.linalg.expm_frechet(gens[k].conj().T, w.conj(), compute_expm=False)
+        costate = props[k].T @ costate
+    grad = np.tensordot(system._generators[1], adjoints.conj(), axes=([1, 2], [1, 2]))
+    return value, schedule.slice_duration * grad.real
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zenoforge.channels import choi, superop_tensor, unitary_superop
+from zenoforge import grape
+from zenoforge.channels import choi, epsilon2, superop_tensor, unitary_superop
 from zenoforge.grape import (
     ControlSystem,
     Eps1Target,
@@ -14,7 +18,14 @@ from zenoforge.grape import (
     propagate_schedule,
     random_schedule,
 )
-from zenoforge.lindblad import LindbladSpec, LindbladTerm, Superoperator, vec
+from zenoforge.lindblad import (
+    LindbladSpec,
+    LindbladTerm,
+    Superoperator,
+    dissipator_matrix,
+    hamiltonian_superop,
+    vec,
+)
 from zenoforge.models import HADAMARD, build_model, qubit2_reset_superop
 from zenoforge.ops import lowering_on, pauli_on, qubits, zero
 
@@ -32,6 +43,58 @@ def eps1_target():
     etilde = qubit2_reset_superop(build_model("two-qubit-amp").spec)
     goal = superop_tensor(unitary_superop(HADAMARD), 2, etilde, 2)
     return Eps1Target(goal, HADAMARD)
+
+
+def forward_mode_kernel(system, schedule, target):
+    """The former gradient kernel, kept as a test oracle: the dense slice
+    exponentials and one expm_frechet per (slice, control), contracted as
+    suffix @ dE @ prefix. Returns (E_T, gradient)."""
+    base = dissipator_matrix(system.spec).matrix
+    controls = [hamiltonian_superop(c.matrix) for c in system.controls]
+    amps = schedule.amplitudes
+    m, n = amps.shape
+    dt = schedule.slice_duration
+    dim = base.shape[0]
+    props = np.empty((n, dim, dim), dtype=complex)
+    derivs = np.empty((m, n, dim, dim), dtype=complex)
+    for k in range(n):
+        gen = dt * (base + sum(f * km for f, km in zip(amps[:, k], controls)))
+        props[k] = scipy.linalg.expm(gen)
+        for l in range(m):
+            derivs[l, k] = scipy.linalg.expm_frechet(gen, dt * controls[l])[1]
+    prefix = np.empty_like(props)
+    suffix = np.empty_like(props)
+    acc = np.eye(dim, dtype=complex)
+    for k in range(n):
+        prefix[k] = acc
+        acc = props[k] @ acc
+    e_total = acc
+    acc = np.eye(dim, dtype=complex)
+    for k in range(n - 1, -1, -1):
+        suffix[k] = acc
+        acc = acc @ props[k]
+    _, cograd = target.value_and_cograd(e_total)
+    grad = np.empty((m, n))
+    for k in range(n):
+        for l in range(m):
+            grad[l, k] = np.real(np.sum(cograd * (suffix[k] @ derivs[l, k] @ prefix[k])))
+    return e_total, grad
+
+
+# a third control for the three-control cases
+CONTROL_POOL = (H0, H1, pauli_on(S2, 0, "z") @ pauli_on(S2, 1, "x"))
+
+
+def model_system(name, gamma, n_controls):
+    spec = LindbladSpec(zero(S2)) if name == "no-terms" else build_model(name, gamma=gamma).spec
+    return ControlSystem(CONTROL_POOL[:n_controls], spec, 1.0)
+
+
+def assert_gradients_agree(got, want):
+    """|got - want| <= 1e-10 max(1, max|want|): relative, with an absolute
+    floor for gradients that vanish up to roundoff."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
 
 
 class TestPropagateSchedule:
@@ -75,6 +138,18 @@ class TestPropagateSchedule:
         with pytest.raises(ValueError, match="slice"):
             PulseSchedule(1.0, np.zeros((2, 0)))
 
+    def test_rejects_overflowing_map(self):
+        system = two_qubit_system(1.0)
+        with pytest.raises(ValueError, match="not finite"):
+            propagate_schedule(system, PulseSchedule(1.0, [[1e308, 0, 0], [0, 0, 0]]))
+
+    def test_matches_dense_slice_product(self, rng):
+        for name in ("two-qubit-amp", "two-qubit-dephasing", "no-terms"):
+            system = model_system(name, 2.0, 3)
+            sched = PulseSchedule(1.0, rng.uniform(-5, 5, (3, 7)))
+            want, _ = forward_mode_kernel(system, sched, Eps2Target(HADAMARD))
+            assert np.array_equal(propagate_schedule(system, sched).matrix, want)
+
 
 class TestGradients:
     @pytest.mark.parametrize("make_target", [eps1_target, lambda: Eps2Target(HADAMARD)])
@@ -96,6 +171,51 @@ class TestGradients:
                     fd = (vp - vm) / (2 * step)
                     assert grad[l, k] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
+    @pytest.mark.parametrize("make_target", [eps1_target, lambda: Eps2Target(HADAMARD)],
+                             ids=["eps1", "eps2"])
+    @pytest.mark.parametrize(
+        "name, gamma",
+        [(name, gamma) for name in ("two-qubit-amp", "two-qubit-dephasing")
+         for gamma in (0.0, 1e-8, 1.0, 100.0)] + [("no-terms", None)],
+    )
+    def test_matches_forward_mode_kernel(self, rng, name, gamma, make_target):
+        target = make_target()
+        for n_controls in (1, 2, 3):
+            system = model_system(name, gamma, n_controls)
+            for n_slices in (1, 5, 20):
+                for scale in (1.0, 30.0):
+                    amps = rng.uniform(-scale, scale, (n_controls, n_slices))
+                    sched = PulseSchedule(1.0, amps)
+                    _, want = forward_mode_kernel(system, sched, target)
+                    assert_gradients_agree(objective_and_gradient(system, sched, target)[1], want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from(["two-qubit-amp", "two-qubit-dephasing", "no-terms"]),
+        st.floats(0.0, 100.0),
+        st.integers(1, 3),
+        st.integers(1, 20),
+        st.floats(0.0, 30.0),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_forward_mode_kernel_on_random_schedules(
+        self, name, gamma, n_controls, n_slices, scale, use_eps1, seed
+    ):
+        system = model_system(name, gamma, n_controls)
+        amps = np.random.default_rng(seed).uniform(-scale, scale, (n_controls, n_slices))
+        sched = PulseSchedule(1.0, amps)
+        target = eps1_target() if use_eps1 else Eps2Target(HADAMARD)
+        _, want = forward_mode_kernel(system, sched, target)
+        assert_gradients_agree(objective_and_gradient(system, sched, target)[1], want)
+
+    def test_overflowing_probe_gives_nan_without_raising(self):
+        # L-BFGS line searches may probe such points; the optimizer backs off
+        system = two_qubit_system(1.0)
+        sched = PulseSchedule(1.0, [[1e50, 0, 0], [0, 0, 0]])
+        value, grad = objective_and_gradient(system, sched, Eps2Target(HADAMARD))
+        assert np.isnan(value) and grad.shape == (2, 3) and np.all(np.isnan(grad))
+
     def test_gradient_vanishes_at_global_minimum(self, rng):
         system = two_qubit_system(1.0)
         sched = PulseSchedule(1.0, rng.uniform(-1, 1, (2, 6)))
@@ -103,6 +223,50 @@ class TestGradients:
         value, grad = objective_and_gradient(system, sched, Eps1Target(reached))
         assert value == pytest.approx(0.0, abs=1e-12)
         assert np.max(np.abs(grad)) < 1e-8
+
+
+class TestSharedForwardPass:
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, 100.0])
+    def test_value_is_the_error_of_the_propagated_map(self, rng, gamma):
+        system = two_qubit_system(gamma)
+        sched = PulseSchedule(1.0, rng.uniform(-3, 3, (2, 7)))
+        e_total = propagate_schedule(system, sched).matrix
+        value, _ = objective_and_gradient(system, sched, Eps2Target(HADAMARD))
+        assert abs(value - epsilon2(e_total, HADAMARD)) <= 1e-14
+        target = eps1_target()
+        value, _ = objective_and_gradient(system, sched, target)
+        assert abs(value - np.linalg.norm(e_total - target.goal) ** 2) <= 1e-14
+
+    def test_dissipator_built_once_per_system(self, rng, monkeypatch):
+        calls = []
+        original = grape.dissipator_matrix
+
+        def counting(spec):
+            calls.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(grape, "dissipator_matrix", counting)
+        systems = [two_qubit_system(1.0), two_qubit_system(100.0)]
+        for system in systems:
+            result = optimize(system, Eps2Target(HADAMARD), restarts=2, seed=4,
+                              n_slices=5, max_iterations=30)
+            assert result.n_evaluations > 2
+            propagate_schedule(system, result.best_schedule)
+            propagate_schedule(system, random_schedule(system, 5, rng))
+        assert len(calls) == 2
+        assert all(call is system.spec for call, system in zip(calls, systems))
+
+    def test_systems_do_not_share_generators(self, rng):
+        sched = PulseSchedule(1.0, rng.uniform(-1, 1, (2, 5)))
+        weak = two_qubit_system(1.0)
+        weak_map = propagate_schedule(weak, sched).matrix
+        strong = two_qubit_system(100.0)
+        strong_map = propagate_schedule(strong, sched).matrix
+        assert np.array_equal(propagate_schedule(weak, sched).matrix, weak_map)
+        assert np.max(np.abs(weak_map - strong_map)) > 0.1
+        for system, got in ((weak, weak_map), (strong, strong_map)):
+            want, _ = forward_mode_kernel(system, sched, Eps2Target(HADAMARD))
+            assert np.array_equal(got, want)
 
 
 class TestOptimize:

@@ -1,13 +1,18 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zenoforge
 from zenoforge.cli import main
 from zenoforge.models import (
     HADAMARD,
@@ -57,6 +62,14 @@ class TestRegistry:
 
 
 class TestCli:
+    def test_runs_as_module(self):
+        src = str(Path(zenoforge.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-m", "zenoforge", "--help"],
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": path})
+        assert out.returncode == 0 and out.stdout.startswith("usage: zenoforge")
+
     def test_lie_dim_chain(self, capsys):
         assert main(["lie-dim", "--model", "ising-chain", "--n", "4"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -314,6 +327,7 @@ class TestCli:
             (("target",), "cnot", "cnot"),
             (("target",), 7, "target"),
             (("etilde",), "bogus", "etilde"),
+            (("amplitudes",), [[1e308, 0, 0], [0, 0, 0]], "not finite"),
         ],
     )
     def test_fidelity_rejects_malformed_job(self, tmp_path, capsys, path, value, message):
