@@ -40,12 +40,10 @@ from .lindblad import (
     LindbladSpec,
     LindbladTerm,
     Superoperator,
-    ZenoBoundReport,
     detect_dfs,
     dissipator_matrix,
     dual_generator,
     propagate,
-    relaxation_report,
     spec_from_json,
     spec_to_json,
     steady_superprojector,

@@ -24,7 +24,6 @@ __all__ = [
     "Superoperator",
     "DFSBlock",
     "DFSDecomposition",
-    "ZenoBoundReport",
     "vec",
     "unvec",
     "conjugation_superop",
@@ -33,7 +32,6 @@ __all__ = [
     "propagate",
     "steady_superprojector",
     "detect_dfs",
-    "relaxation_report",
     "dual_generator",
     "spec_to_json",
     "spec_from_json",
@@ -170,10 +168,10 @@ def _kernel_tolerance(values: np.ndarray, tol: float) -> float:
 
 def _spectrum(gen: np.ndarray, tol: float):
     """The one spectral analysis of a generator matrix: ``eigh`` when it is
-    self-adjoint, ``eigvals`` otherwise. Returns the eigenvalues, the
-    orthonormal eigenvectors (None unless self-adjoint), the mask of the
-    eigenvalues inside the zero cut ``_kernel_tolerance``, that cut, and
-    whether the generator is attractive: Re < -cut off the mask."""
+    self-adjoint, ``eigvals`` otherwise. Returns the orthonormal
+    eigenvectors (None unless self-adjoint), the mask of the eigenvalues
+    inside the zero cut ``_kernel_tolerance``, and whether the generator is
+    attractive: Re < -cut off the mask."""
     scale = max(float(np.max(np.abs(gen))), 1.0)
     if np.max(np.abs(gen - gen.conj().T)) <= 1e-12 * scale:
         w, v = np.linalg.eigh((gen + gen.conj().T) / 2)
@@ -181,7 +179,7 @@ def _spectrum(gen: np.ndarray, tol: float):
         w, v = np.linalg.eigvals(gen), None
     cut = _kernel_tolerance(w, tol)
     zero = np.abs(w) <= cut
-    return w, v, zero, cut, bool(np.all(w[~zero].real < -cut))
+    return v, zero, bool(np.all(w[~zero].real < -cut))
 
 
 def steady_superprojector(spec: LindbladSpec, tol: float = 1e-9) -> Superoperator:
@@ -193,7 +191,7 @@ def steady_superprojector(spec: LindbladSpec, tol: float = 1e-9) -> Superoperato
     Hermitian as a matrix in general.
     """
     gen = dissipator_matrix(spec).matrix
-    _, vectors, zero, _, attractive = _spectrum(gen, tol)
+    vectors, zero, attractive = _spectrum(gen, tol)
     if not zero.any():
         raise ValueError("generator has no steady state")
     if not attractive:
@@ -356,25 +354,6 @@ def detect_dfs(spec: LindbladSpec, tol: float = 1e-8) -> DFSDecomposition:
             if np.max(np.abs(bi.basis.conj().T @ bj.basis)) > 10 * tol:
                 raise ValueError("detected DFS blocks are not mutually orthogonal")
     return DFSDecomposition(spec.space, tuple(final))
-
-
-@dataclass(frozen=True)
-class ZenoBoundReport:
-    """Longest relaxation timescale and attractivity of a generator."""
-
-    relaxation_time: float
-    nonzero_eigenvalues: np.ndarray
-    attractive: bool
-
-
-def relaxation_report(spec: LindbladSpec, tol: float = 1e-9) -> ZenoBoundReport:
-    w, _, zero, cut, attractive = _spectrum(dissipator_matrix(spec).matrix, tol)
-    if zero.all():
-        raise ValueError("all eigenvalues vanish: nothing relaxes")
-    nonzero = w[~zero].astype(complex)
-    slowest = float(np.min(np.abs(nonzero.real)))
-    tau = 1.0 / slowest if slowest > cut else np.inf
-    return ZenoBoundReport(tau, nonzero, attractive)
 
 
 def dual_generator(spec: LindbladSpec) -> Superoperator:

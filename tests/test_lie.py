@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import zenoforge.lie as lie
 from zenoforge.lie import (
     ControllabilityVerdict,
     LieBasis,
+    _coordinates,
+    _element,
     controllability_verdict,
     dfs_lie_dimension,
     lie_closure,
     span_residual,
 )
 from zenoforge.lindblad import LindbladSpec, LindbladTerm
+from zenoforge.models import build_model
 from zenoforge.ops import (
     HilbertSpace,
     Operator,
@@ -170,3 +176,218 @@ class TestDfsLieDimension:
         assert all(v.contains_su for v in report.block_verdicts)
         assert report.unital_dim == 3
         assert not report.unital_verdict.contains_su
+
+
+# The reference the d^2-coordinate closure and the dimension-count verdict
+# are compared against: the same MGS closure on the 2d^2 embedding of
+# complex matrices (real and imaginary part of every entry), and the verdict
+# that checks every su(d) generator for membership after a rank test.
+
+
+def _embed(mats: np.ndarray) -> np.ndarray:
+    flat = mats.reshape(mats.shape[0], -1)
+    return np.concatenate([flat.real, flat.imag], axis=1)
+
+
+def oracle_closure(generators, tol=1e-6) -> LieBasis:
+    mats = [g.matrix for g in generators]
+    d = mats[0].shape[0]
+    cap = d * d
+    elements = np.zeros((cap, d, d), dtype=complex)
+    rows = np.zeros((cap, 2 * d * d))
+    n = 0
+
+    def try_add(row):
+        nonlocal n
+        if np.linalg.norm(row) < 1e-14:
+            return
+        for _ in range(2):
+            row = row - rows[:n].T @ (rows[:n] @ row)
+        norm = np.linalg.norm(row)
+        if norm <= tol:
+            return
+        rows[n] = row / norm
+        elements[n] = (rows[n][: d * d] + 1j * rows[n][d * d :]).reshape(d, d)
+        n += 1
+
+    for m in mats:
+        try_add(_embed((1j * m)[None])[0])
+    i = 1
+    while i < n:
+        x = elements[i]
+        earlier = elements[:i]
+        block = _embed(x[None] @ earlier - earlier @ x[None])
+        n0 = n
+        block -= (block @ rows[:n0].T) @ rows[:n0]
+        for c in block:
+            if np.linalg.norm(c) > 0.5 * tol:
+                try_add(c)
+            if n >= cap:
+                return LieBasis(d, elements[:n].copy())
+        i += 1
+    return LieBasis(d, elements[:n].copy())
+
+
+def oracle_residual(basis: LieBasis, matrix: np.ndarray) -> float:
+    rows = _embed(basis.elements)
+    row = _embed(matrix[None])[0]
+    return float(np.linalg.norm(row - rows.T @ (rows @ row)))
+
+
+def _su_generators(d):
+    for j in range(d):
+        for k in range(j + 1, d):
+            sym = np.zeros((d, d), dtype=complex)
+            sym[j, k] = sym[k, j] = 1.0
+            yield 1j * sym
+            asym = np.zeros((d, d), dtype=complex)
+            asym[j, k], asym[k, j] = 1.0, -1.0
+            yield asym
+    for j in range(d - 1):
+        diag = np.zeros((d, d), dtype=complex)
+        diag[j, j], diag[j + 1, j + 1] = 1.0, -1.0
+        yield 1j * diag
+
+
+def oracle_verdict(basis: LieBasis, tol=1e-7) -> ControllabilityVerdict:
+    d = basis.space_dim
+    traces = np.trace(basis.elements, axis1=1, axis2=2)
+    traceless = basis.elements - (traces[:, None, None] / d) * np.eye(d)
+    contains_su = np.linalg.matrix_rank(_embed(traceless), tol=1e-9) >= d * d - 1
+    if contains_su:
+        contains_su = all(
+            oracle_residual(basis, g / np.linalg.norm(g)) < tol for g in _su_generators(d)
+        )
+    return ControllabilityVerdict(basis.dim, bool(contains_su), basis.dim == d * d)
+
+
+def assert_matches_oracle(generators):
+    basis = lie_closure(generators)
+    reference = oracle_closure(generators)
+    assert basis.dim == reference.dim
+    for x in reference.elements:
+        assert span_residual(basis, x) < 1e-7
+    for x in basis.elements:
+        assert span_residual(reference, x) < 1e-7
+    assert controllability_verdict(basis) == oracle_verdict(reference)
+
+
+def closed_generator_sets(desc, monkeypatch):
+    """The controls, then every generator set ``dfs_lie_dimension`` closes."""
+    sets = [list(desc.controls)]
+    real_closure = lie.lie_closure
+
+    def recording_closure(generators, tol=1e-6):
+        sets.append(list(generators))
+        return real_closure(generators, tol=tol)
+
+    with monkeypatch.context() as m:
+        m.setattr(lie, "lie_closure", recording_closure)
+        report = dfs_lie_dimension(desc.spec, desc.controls)
+    assert len(sets) == 1 + len(report.block_dims) + (report.unital_dim is not None)
+    return sets
+
+
+# Atom sizes at which the 2d^2 reference lets Hermitian rounding noise into
+# its span: an element accepted with a Hermitian part near 1e-6 seeds
+# commutators whose Hermitian parts grow to order one, the cap d^2 is
+# reached with directions outside u(d), and the verdict reads contains_su
+# False beside equals_u True. The d^2 coordinates cannot hold such a
+# direction, so these sizes are compared in their own test.
+REFERENCE_LEAKS = (13, 15)
+
+MODELS_UP_TO_16 = [
+    ("two-qubit-amp", {}),
+    ("two-qubit-dephasing", {}),
+    *[("n-level-atom", {"n_levels": n}) for n in range(2, 16) if n not in REFERENCE_LEAKS],
+    ("ising-chain", {"n_qubits": 3}),
+    ("ising-chain", {"n_qubits": 4}),
+]
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize(
+        "name, params", MODELS_UP_TO_16, ids=[f"{m}-{p}" for m, p in MODELS_UP_TO_16]
+    )
+    def test_registered_models(self, name, params, monkeypatch):
+        for generators in closed_generator_sets(build_model(name, **params), monkeypatch):
+            assert_matches_oracle(generators)
+
+    @pytest.mark.parametrize("n_levels", REFERENCE_LEAKS)
+    def test_atom_sizes_where_the_reference_leaks(self, n_levels, monkeypatch):
+        desc = build_model("n-level-atom", n_levels=n_levels)
+        controls, block = closed_generator_sets(desc, monkeypatch)
+        assert_matches_oracle(controls)
+        basis = lie_closure(block)
+        reference = oracle_closure(block)
+        full = n_levels * n_levels
+        assert basis.dim == reference.dim == full
+        hermitian = np.linalg.norm(reference.elements + reference.elements.conj().swapaxes(1, 2), axis=(1, 2)) / 2
+        assert hermitian.max() > 0.5
+        assert oracle_verdict(reference) == ControllabilityVerdict(full, False, True)
+        assert controllability_verdict(basis) == ControllabilityVerdict(full, True, True)
+        assert np.array_equal(basis.elements, -basis.elements.conj().swapaxes(1, 2))
+        rows = _coordinates(basis.elements)
+        assert np.max(np.abs(rows @ rows.T - np.eye(full))) < 1e-10  # spans u(d)
+        for x in reference.elements:
+            assert span_residual(basis, (x - x.conj().T) / 2) < 1e-7
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 5),
+        st.integers(1, 3),
+        st.sampled_from(["generic", "traceless", "diagonal", "block"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_random_hermitian_sets_and_conjugates(self, d, count, structure, seed):
+        g = np.random.default_rng(seed)
+        space = HilbertSpace((d,))
+        mats = [random_hermitian(d, g) for _ in range(count)]
+        if structure == "traceless":
+            mats = [m - np.trace(m) / d * np.eye(d) for m in mats]
+        elif structure == "diagonal":
+            mats = [np.diag(np.diag(m)) for m in mats]
+        elif structure == "block":  # first level apart from the rest
+            apart = np.not_equal.outer(np.arange(d) == 0, np.arange(d) == 0)
+            mats = [np.where(apart, 0, m) for m in mats]
+        u = random_unitary(d, g)
+        assert_matches_oracle([Operator(space, m) for m in mats])
+        assert_matches_oracle([Operator(space, u @ m @ u.conj().T) for m in mats])
+
+
+class TestCoordinates:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_isometry_and_round_trip(self, d, seed):
+        g = np.random.default_rng(seed)
+        x = 1j * random_hermitian(d, g)
+        y = 1j * random_hermitian(d, g)
+        cx, cy = _coordinates(x), _coordinates(y)
+        assert cx.shape == (d * d,)
+        assert cx @ cy == pytest.approx(np.trace(x.conj().T @ y).real, abs=1e-12 * d * d)
+        back = _element(cx, d)
+        assert np.max(np.abs(back - x)) < 1e-14
+        assert np.array_equal(back, -back.conj().T)
+
+    def test_identity_residual_counts_hermitian_part(self):
+        s1 = HilbertSpace((2,))
+        sx = np.array([[0, 1], [1, 0]], dtype=complex)
+        sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
+        su2 = lie_closure([Operator(s1, sx), Operator(s1, sy)])
+        assert su2.dim == 3
+        assert span_residual(su2, np.eye(2)) == pytest.approx(np.sqrt(2.0), abs=1e-12)
+
+    def test_residual_of_a_general_matrix(self, rng):
+        # HS-orthogonal projection: |M|^2 = |residual|^2 + sum_k Re<B_k, M>^2
+        basis = lie_closure([H0, H1])
+        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        inside = np.einsum("kij,ij->k", basis.elements.conj(), m).real
+        expected = np.sqrt(np.linalg.norm(m) ** 2 - np.sum(inside**2))
+        assert span_residual(basis, m) == pytest.approx(expected, rel=1e-12)
+
+    def test_non_traceless_codimension_one_span_is_not_su(self):
+        sx = np.array([[0, 1], [1, 0]], dtype=complex)
+        sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
+        basis = LieBasis(2, np.stack([1j * sx, 1j * sy, 1j * np.eye(2)]) / np.sqrt(2.0))
+        v = controllability_verdict(basis)
+        assert v.dim == 3 and not v.contains_su and not v.equals_u

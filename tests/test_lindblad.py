@@ -12,7 +12,6 @@ from zenoforge.lindblad import (
     dissipator_matrix,
     dual_generator,
     propagate,
-    relaxation_report,
     spec_from_json,
     spec_to_json,
     steady_superprojector,
@@ -351,30 +350,6 @@ class TestDetectDfsProperties:
             assert np.max(np.abs(rotated_p - q.projector.matrix)) < 1e-8
 
 
-class TestRelaxationReport:
-    def test_amp_damping_rate(self):
-        rep = relaxation_report(amp_damping_spec(1.0))
-        assert rep.relaxation_time == pytest.approx(1.0)
-        assert rep.attractive
-
-    def test_dephasing_rate(self):
-        rep = relaxation_report(dephasing_spec(1.0))
-        assert rep.relaxation_time == pytest.approx(0.25)
-
-    def test_scaling_in_gamma(self):
-        base = relaxation_report(amp_damping_spec(1.0)).relaxation_time
-        scaled = relaxation_report(amp_damping_spec(4.0)).relaxation_time
-        assert scaled == pytest.approx(base / 4.0)
-
-    def test_zero_generator_rejected(self):
-        with pytest.raises(ValueError):
-            relaxation_report(LindbladSpec(zero(qubits(1))))
-
-    def test_unitary_generator_not_attractive(self):
-        rep = relaxation_report(LindbladSpec(pauli_on(qubits(1), 0, "x")))
-        assert not rep.attractive
-
-
 class TestSuperprojectorProperties:
     @settings(max_examples=30, deadline=None)
     @given(
@@ -400,7 +375,7 @@ class TestSuperprojectorProperties:
             p = steady_superprojector(spec).matrix
         except ValueError:
             p = None
-        assert relaxation_report(spec).attractive == (p is not None) == dissipative
+        assert (p is not None) == dissipative
         if p is None:
             return
         e = propagate(spec, 1.0).matrix
