@@ -209,8 +209,6 @@ def optimize(
     seed: int = 0,
     n_slices: int = 20,
     max_iterations: int = 500,
-    gradient_tol: float = 1e-8,
-    value_tol: float = 1e-12,
     amplitude_bound: float | None = None,
 ) -> OptimizationResult:
     """Multi-restart quasi-Newton minimization of the gate error.
@@ -264,8 +262,8 @@ def optimize(
             callback=callback,
             options={
                 "maxiter": max_iterations,
-                "gtol": gradient_tol,
-                "ftol": value_tol,
+                "gtol": 1e-8,
+                "ftol": 1e-12,
             },
         )
         total_evals += evals
@@ -298,13 +296,11 @@ def gamma_sweep(
     restarts: int = 10,
     seed: int = 0,
     n_slices: int = 20,
-    rho2: np.ndarray | None = None,
 ) -> list[SweepRow]:
     """Optimize at each noise strength and score the reduced gate error.
 
-    System 2 starts in the totally mixed state unless ``rho2`` is given;
-    the reduced error compares the system-1 map against the target's goal
-    unitary in squared HS norm.
+    System 2 starts in the totally mixed state; the reduced error compares
+    the system-1 map against the target's goal unitary in squared HS norm.
     """
     gammas = [float(g) for g in gammas]
     if not gammas:
@@ -321,9 +317,8 @@ def gamma_sweep(
         )
         d1 = goal_unitary.shape[0]
         d2 = system.spec.space.dim // d1
-        state2 = np.eye(d2) / d2 if rho2 is None else rho2
         e_total = propagate_schedule(system, result.best_schedule)
-        reduced = reduced_channel(e_total, state2)
+        reduced = reduced_channel(e_total, np.eye(d2) / d2)
         red_err = float(
             np.linalg.norm(reduced.matrix - unitary_superop(goal_unitary)) ** 2
         )

@@ -19,11 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lindblad import (
-    LindbladSpec,
-    detect_dfs,
-    steady_superprojector,
-)
+from .lindblad import LindbladSpec, detect_dfs
 from .ops import Operator
 
 __all__ = [
@@ -88,10 +84,10 @@ def lie_closure(generators, tol: float = 1e-6) -> LieBasis:
     new directions from the noise floor of deep commutator chains, which
     rises because elements accepted with small residuals amplify rounding
     error when normalized. Measured margins (smallest accepted / largest
-    rejected residual): 1.8e-4 / 8.5e-7 for the Table I chain at N=6
-    (dim 129), where the noise comes from commutators with the last
-    element, accepted at 1.8e-4; 1.6e-3 / 3.5e-16 for the 20-level atom
-    (dim 400).
+    rejected residual): 1.8e-4 / 1.9e-8 for the Table I chain at N=6
+    (dim 129) and 4.7e-4 / 1.3e-12 at N=5 (dim 40), on the controls from
+    ``zeno.superproject_hamiltonian``; 1.6e-3 / 3.5e-16 for the 20-level
+    atom (dim 400).
     """
     mats = [_as_matrix(g) for g in generators]
     if not mats:
@@ -202,9 +198,7 @@ class DFSLieReport:
     unital_verdict: ControllabilityVerdict | None
 
 
-def dfs_lie_dimension(
-    spec: LindbladSpec, controls, tol: float = 1e-6
-) -> DFSLieReport:
+def dfs_lie_dimension(spec: LindbladSpec, controls) -> DFSLieReport:
     """Lie dimensions of the projected control system over the DFS's.
 
     For every DFS block the controls are compressed to the block basis
@@ -217,7 +211,7 @@ def dfs_lie_dimension(
         nonzero = [h for h in hamiltonians if np.max(np.abs(h.matrix)) > 1e-12]
         if not nonzero:
             return ControllabilityVerdict(0, False, False)
-        return controllability_verdict(lie_closure(nonzero, tol=tol))
+        return controllability_verdict(lie_closure(nonzero))
 
     diss = spec.dissipative_part()
     dfs = detect_dfs(diss)
@@ -227,17 +221,8 @@ def dfs_lie_dimension(
     )
 
     unital_verdict = None
-    # D(1) = -2 sum_j gamma_j (Lj^dag Lj - Lj Lj^dag): cheap unitality test
-    defect = sum(
-        t.rate * (t.op.matrix.conj().T @ t.op.matrix - t.op.matrix @ t.op.matrix.conj().T)
-        for t in diss.terms
-    )
-    scale = max(
-        (t.rate * np.max(np.abs(t.op.matrix)) ** 2 for t in diss.terms), default=0.0
-    )
-    if diss.terms and np.max(np.abs(defect)) <= 1e-10 * max(1.0, scale):
-        projector = steady_superprojector(diss)
-        unital_verdict = verdict([superproject_hamiltonian(h, projector) for h in controls])
+    if diss.terms and diss.is_unital():
+        unital_verdict = verdict([superproject_hamiltonian(h, diss) for h in controls])
     return DFSLieReport(
         tuple(v.dim for v in block_verdicts),
         block_verdicts,

@@ -98,6 +98,14 @@ class LindbladSpec:
         """The same terms with the Hamiltonian dropped."""
         return LindbladSpec(zero(self.space), self.terms)
 
+    def is_unital(self) -> bool:
+        """Whether D(1) = -2 sum_j gamma_j [Lj^dag, Lj] vanishes, within 1e-10
+        of the largest gamma_j max|Lj|^2."""
+        jumps = [(t.rate, t.op.matrix) for t in self.terms]
+        defect = sum((r * (l.conj().T @ l - l @ l.conj().T) for r, l in jumps), 0)
+        scale = max((r * np.max(np.abs(l)) ** 2 for r, l in jumps), default=0.0)
+        return bool(np.max(np.abs(defect)) <= 1e-10 * max(1.0, scale))
+
 
 @dataclass(frozen=True)
 class Superoperator:
@@ -131,11 +139,6 @@ class Superoperator:
         tid = vec(np.eye(d))
         return bool(np.max(np.abs(self.matrix.conj().T @ tid - tid)) <= tol)
 
-    def is_unital(self, tol: float = 1e-9) -> bool:
-        d = self.space.dim
-        tid = vec(np.eye(d))
-        return bool(np.max(np.abs(self.matrix @ tid - tid)) <= tol)
-
 
 def dissipator_matrix(spec: LindbladSpec) -> Superoperator:
     """Vectorized matrix of the full generator -i[H, .] + D."""
@@ -166,42 +169,23 @@ def _kernel_tolerance(values: np.ndarray, tol: float) -> float:
     return tol * max(scale, 1.0)
 
 
-def _spectrum(gen: np.ndarray, tol: float):
-    """The one spectral analysis of a generator matrix: ``eigh`` when it is
-    self-adjoint, ``eigvals`` otherwise. Returns the orthonormal
-    eigenvectors (None unless self-adjoint), the mask of the eigenvalues
-    inside the zero cut ``_kernel_tolerance``, and whether the generator is
-    attractive: Re < -cut off the mask."""
-    scale = max(float(np.max(np.abs(gen))), 1.0)
-    if np.max(np.abs(gen - gen.conj().T)) <= 1e-12 * scale:
-        w, v = np.linalg.eigh((gen + gen.conj().T) / 2)
-    else:
-        w, v = np.linalg.eigvals(gen), None
-    cut = _kernel_tolerance(w, tol)
-    zero = np.abs(w) <= cut
-    return v, zero, bool(np.all(w[~zero].real < -cut))
-
-
 def steady_superprojector(spec: LindbladSpec, tol: float = 1e-9) -> Superoperator:
     """Spectral projection onto the kernel of the generator, along its range.
 
     Requires an attractive generator: zero eigenvalue semisimple, every
     other eigenvalue with strictly negative real part. The result is the
     infinite-time limit of ``propagate`` and satisfies P^2 = P, but is not
-    Hermitian as a matrix in general.
+    Hermitian as a matrix in general. Dense (d^2 x d^2); for a unital
+    dissipator ``zeno.superproject_hamiltonian`` applies P matrix-free.
     """
     gen = dissipator_matrix(spec).matrix
-    vectors, zero, attractive = _spectrum(gen, tol)
+    w = np.linalg.eigvals(gen)
+    cut = _kernel_tolerance(w, tol)
+    zero = np.abs(w) <= cut
     if not zero.any():
         raise ValueError("generator has no steady state")
-    if not attractive:
+    if not np.all(w[~zero].real < -cut):
         raise ValueError("generator is not attractive: nonzero eigenvalue with Re >= 0")
-    if vectors is not None:
-        # Self-adjoint generator: kernel projector is orthogonal and the
-        # zero eigenvalue is automatically semisimple.
-        vk = vectors[:, zero]
-        return Superoperator(spec.space, vk @ vk.conj().T)
-
     k = int(zero.sum())
     u, s, vh = np.linalg.svd(gen)
     # Semisimplicity: the kernel has the dimension k of the zero eigenvalue.

@@ -2,23 +2,24 @@
 
 In the strong-damping limit the dissipative semigroup acts like a
 projective measurement: dynamics is confined to the DFS blocks and
-generated there by the compressed Hamiltonians P_i H P_i. The coherent
-part is vectorized with the same row convention as `lindblad`.
+generated there by the compressed Hamiltonians P_i H P_i, or, for a unital
+dissipator, on the whole commutant of {Lj, Lj^dag} (Frigerio 1978) by P(H).
+The coherent part is vectorized with the same row convention as `lindblad`.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from .lindblad import (
     DFSDecomposition,
     LindbladSpec,
     Superoperator,
+    _kernel_tolerance,
     dissipator_matrix,
     hamiltonian_superop,
     steady_superprojector,
-    unvec,
-    vec,
 )
 from .ops import HilbertSpace, Operator, expm
 
@@ -47,22 +48,56 @@ def project_hamiltonian(h: Operator, dfs: DFSDecomposition, block: int) -> Opera
     return Operator(HilbertSpace((basis.shape[1],)), compressed)
 
 
-def superproject_hamiltonian(
-    h: Operator, projector: Superoperator, tol: float = 1e-10
-) -> Operator:
-    """Apply a steady-state superprojector to an operator.
+def superproject_hamiltonian(h: Operator, spec: LindbladSpec) -> Operator:
+    """P(H) under a unital dissipator: the generator of the projected
+    coherent dynamics over the whole steady-state manifold.
 
-    Only meaningful for unital dissipators, where P(H) generates the
-    projected coherent dynamics over the whole steady-state manifold;
-    unitality is checked through P(1) = 1.
+    For unital D, ker D is the commutant of {Lj, Lj^dag} (Frigerio, Commun.
+    Math. Phys. 63, 269 (1978)), so P is the HS-orthogonal projection onto
+    it and P(H) is the kernel component of H under the positive map
+    C = -(D + D^dag)/2 = sum_j gamma_j/2 ([Lj^dag, [Lj, .]] + [Lj, [Lj^dag, .]]).
+    For normal Lj its eigenvalues are the decay rates of D, so the zero cut
+    of ``steady_superprojector`` applies. Lanczos from H on C with full
+    re-orthogonalization finds P(H) from d x d products alone.
     """
-    if not projector.is_unital(tol):
-        raise ValueError("superprojector does not fix the identity: dissipator not unital")
-    out = unvec(projector.matrix @ vec(h.matrix), projector.space.dim)
-    defect = np.max(np.abs(out - out.conj().T))
-    if defect > 1e-8:
-        raise ValueError(f"projected operator is not Hermitian (defect {defect:.2e})")
-    return Operator(h.space, (out + out.conj().T) / 2)
+    if not h.is_hermitian(1e-10):
+        raise ValueError("hamiltonian is not Hermitian")
+    if not spec.is_unital():
+        raise ValueError("dissipator is not unital: P(H) is not a projection onto its commutant")
+    d = spec.space.dim
+    jumps = [(t.rate / 2, a) for t in spec.terms for a in (t.op.matrix, t.op.matrix.conj().T)]
+
+    def c_map(x: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(x)
+        for r, a in jumps:
+            inner = a @ x - x @ a
+            out += r * (a.conj().T @ inner - inner @ a.conj().T)
+        return (out + out.conj().T) / 2
+
+    x = (h.matrix + h.matrix.conj().T) / 2
+    norm = np.linalg.norm(x)
+    if norm == 0:
+        return Operator(h.space, x)
+    # Krylov rows stay exactly Hermitian, so their HS products are real:
+    # rounding left anti-Hermitian would escape re-orthogonalization and grow.
+    q = (x / norm).reshape(1, -1)
+    alphas, betas = [], []
+    while True:
+        w = c_map(q[-1].reshape(d, d)).reshape(-1)
+        alphas.append(np.vdot(q[-1], w).real)
+        for _ in range(2):
+            w = w - (q.conj() @ w).real @ q
+        beta = np.linalg.norm(w)
+        theta, s = scipy.linalg.eigh_tridiagonal(alphas, betas)
+        # P(H) is off by about beta over the smallest nonzero eigenvalue of
+        # C, so stop only once the Krylov space is invariant to rounding.
+        if beta <= _kernel_tolerance(theta, 1e-12) or len(q) == d * d:
+            break
+        betas.append(beta)
+        q = np.vstack([q, w / beta])
+    kernel = np.abs(theta) <= _kernel_tolerance(theta, 1e-9)
+    out = norm * (s[:, kernel] @ s[0, kernel]) @ q
+    return Operator(h.space, out.reshape(d, d))
 
 
 def zeno_product(

@@ -196,17 +196,16 @@ def test_superprojector_closed_forms():
 def test_heisenberg_projection_and_dual_action():
     for n in (3, 4):
         spec, drift, control = build_chain(CollectiveSpec(n))
-        projector = steady_superprojector(spec)
         space = qubits(n)
         heis_drift = sum(
             (1 / 3) * two_body(m, m + 1).realize(space) for m in range(n - 1)
         )
         heis_control = (1 / 3) * two_body(0, 1).realize(space)
         assert np.max(
-            np.abs(superproject_hamiltonian(drift, projector).matrix - heis_drift)
+            np.abs(superproject_hamiltonian(drift, spec).matrix - heis_drift)
         ) < 1e-8
         assert np.max(
-            np.abs(superproject_hamiltonian(control, projector).matrix - heis_control)
+            np.abs(superproject_hamiltonian(control, spec).matrix - heis_control)
         ) < 1e-8
 
     rates = (0.7, 1.2, 1.9)

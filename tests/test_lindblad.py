@@ -421,6 +421,25 @@ class TestUnitality:
         mat = dissipator_matrix(amp_damping_spec()).matrix
         assert np.max(np.abs(mat @ vec(np.eye(4)))) > 0.1
 
+    def test_is_unital_cases(self, rng):
+        space = HilbertSpace((3,))
+        mixture = LindbladSpec(
+            zero(space),
+            tuple(LindbladTerm(r, Operator(space, random_unitary(3, rng))) for r in (0.3, 1.7)),
+        )
+        jump = np.triu(rng.standard_normal((3, 3)), 1) + np.eye(3)  # not normal
+
+        def pair(rate_adj):
+            return LindbladSpec(zero(space), (
+                LindbladTerm(0.8, Operator(space, jump)),
+                LindbladTerm(rate_adj, Operator(space, jump.conj().T)),
+            ))
+
+        for spec in (collective_spec(3), dephasing_spec(), mixture, pair(0.8)):
+            assert spec.is_unital()
+        for spec in (amp_damping_spec(), pair(0.5)):
+            assert not spec.is_unital()
+
 
 class TestJsonRoundTrip:
     def test_round_trip(self):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zenoforge.lindblad import (
     LindbladSpec,
@@ -12,6 +14,7 @@ from zenoforge.lindblad import (
     unvec,
     vec,
 )
+from zenoforge.models import build_model
 from zenoforge.ops import (
     HilbertSpace,
     Operator,
@@ -29,6 +32,8 @@ from zenoforge.zeno import (
     strong_damping_error,
     zeno_product,
 )
+
+from conftest import random_hermitian, random_unitary
 
 S2 = qubits(2)
 H0 = pauli_on(S2, 0, "x") @ (pauli_on(S2, 1, "x") + pauli_on(S2, 1, "z"))
@@ -123,9 +128,8 @@ class TestProjectHamiltonian:
 
 class TestSuperprojectHamiltonian:
     def test_dephasing_values(self):
-        p = steady_superprojector(deph_spec())
-        out0 = superproject_hamiltonian(H0, p)
-        out1 = superproject_hamiltonian(H1, p)
+        out0 = superproject_hamiltonian(H0, deph_spec())
+        out1 = superproject_hamiltonian(H1, deph_spec())
         assert np.allclose(
             out0.matrix, (pauli_on(S2, 0, "x") @ pauli_on(S2, 1, "z")).matrix, atol=1e-10
         )
@@ -134,24 +138,126 @@ class TestSuperprojectHamiltonian:
         )
 
     def test_identity_is_fixed(self):
-        p = steady_superprojector(deph_spec())
-        assert np.allclose(superproject_hamiltonian(identity(S2), p).matrix, np.eye(4))
+        assert np.allclose(superproject_hamiltonian(identity(S2), deph_spec()).matrix, np.eye(4))
 
     def test_nonunital_rejected(self):
-        p = steady_superprojector(amp_spec())
         with pytest.raises(ValueError, match="unital"):
-            superproject_hamiltonian(H0, p)
+            superproject_hamiltonian(H0, amp_spec())
+
+    def test_nonhermitian_rejected(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            superproject_hamiltonian(Operator(S2, np.triu(np.ones((4, 4)))), deph_spec())
 
     def test_unital_abelian_matches_block_sum(self):
         # P(H) = sum_i P_i H P_i for the Abelian dephasing interaction algebra
-        p = steady_superprojector(deph_spec())
         dfs = detect_dfs(deph_spec())
         for h in (H0, H1):
-            lhs = superproject_hamiltonian(h, p).matrix
+            lhs = superproject_hamiltonian(h, deph_spec()).matrix
             rhs = sum(
                 b.projector.matrix @ h.matrix @ b.projector.matrix for b in dfs.blocks
             )
             assert np.max(np.abs(lhs - rhs)) < 1e-8
+
+
+def dense_superprojection(spec, h):
+    """Oracle: the dense steady superprojector applied to vec(h)."""
+    return unvec(steady_superprojector(spec).matrix @ vec(h.matrix))
+
+
+def random_unital_spec(d, kind, count, degenerate, g):
+    """Jump operators that make the dissipator unital: Hermitian, normal,
+    random unitaries, or a non-normal L paired with L^dag at equal rates.
+
+    Hermitian and normal spectra sit on a jittered grid, at least 0.6
+    apart: both P(H) paths lose about eps * |C| / gap digits to the
+    spectral gap of C, so near-degenerate levels would measure that
+    conditioning rather than the method. ``degenerate`` draws every
+    eigenvalue from two levels, so the commutant is larger than the
+    scalars."""
+    space = HilbertSpace((d,))
+
+    def spectrum(imag):
+        levels = g.permutation(d) + g.uniform(-0.2, 0.2, d)
+        if imag:
+            levels = levels + 1j * (g.permutation(d) + g.uniform(-0.2, 0.2, d))
+        return g.choice(levels[:2], d) if degenerate else levels
+
+    terms = []
+    for _ in range(count):
+        rate = g.uniform(0.2, 2.0)
+        if kind in ("hermitian", "normal"):
+            u = random_unitary(d, g)
+            ops = [u @ np.diag(spectrum(kind == "normal")) @ u.conj().T]
+        elif kind == "unitary-mixture":
+            ops = [random_unitary(d, g)]
+        else:  # pair
+            l = g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))
+            ops = [l, l.conj().T]
+        terms += [LindbladTerm(rate, Operator(space, m)) for m in ops]
+    return LindbladSpec(zero(space), tuple(terms))
+
+
+class TestSuperprojectAgainstDense:
+    @pytest.mark.parametrize(
+        "name, size",
+        [
+            ("two-qubit-dephasing", {}),
+            ("ising-chain", {"n_qubits": 3}),
+            ("ising-chain", {"n_qubits": 4}),
+        ],
+    )
+    def test_registered_unital_models(self, name, size):
+        desc = build_model(name, **size)
+        diss = desc.spec.dissipative_part()
+        for h in desc.controls:
+            out = superproject_hamiltonian(h, diss).matrix
+            assert np.max(np.abs(out - dense_superprojection(diss, h))) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 5),
+        st.sampled_from(["hermitian", "normal", "unitary-mixture", "pair"]),
+        st.integers(1, 3),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_random_unital_specs(self, d, kind, count, degenerate, seed):
+        g = np.random.default_rng(seed)
+        spec = random_unital_spec(d, kind, count, degenerate, g)
+        space = spec.space
+        assert spec.is_unital()
+        h = Operator(space, random_hermitian(d, g))
+        out = superproject_hamiltonian(h, spec).matrix
+        assert np.max(np.abs(out - dense_superprojection(spec, h))) < 1e-11
+        # idempotent, in the commutant of {Lj, Lj^dag}, fixes the identity
+        again = superproject_hamiltonian(Operator(space, out), spec).matrix
+        assert np.max(np.abs(again - out)) < 1e-10
+        for t in spec.terms:
+            for l in (t.op.matrix, t.op.matrix.conj().T):
+                assert np.max(np.abs(l @ out - out @ l)) < 1e-10
+        assert np.max(np.abs(superproject_hamiltonian(identity(space), spec).matrix - np.eye(d))) < 1e-12
+        # covariant: P_{U.U^dag}(U H U^dag) = U P(H) U^dag
+        u = random_unitary(d, g)
+        turned = LindbladSpec(
+            zero(space),
+            tuple(LindbladTerm(t.rate, Operator(space, u @ t.op.matrix @ u.conj().T)) for t in spec.terms),
+        )
+        lhs = superproject_hamiltonian(Operator(space, u @ h.matrix @ u.conj().T), turned).matrix
+        assert np.max(np.abs(lhs - u @ out @ u.conj().T)) < 1e-10
+
+    def test_small_gap_against_exact(self, rng):
+        # One Hermitian L: the commutant is the diagonal in L's eigenbasis.
+        # Levels 1 and 1.1 give C an eigenvalue 0.01 against 16, so a
+        # Krylov space only invariant to the zero cut loses about 1e-10.
+        space = HilbertSpace((5,))
+        u = random_unitary(5, rng)
+        l = u @ np.diag([0.0, 1.0, 1.1, 2.5, -1.5]) @ u.conj().T
+        spec = LindbladSpec(zero(space), (LindbladTerm(1.0, Operator(space, l)),))
+        for _ in range(5):
+            h = random_hermitian(5, rng)
+            exact = u @ np.diag(np.diag(u.conj().T @ h @ u)) @ u.conj().T
+            out = superproject_hamiltonian(Operator(space, h), spec).matrix
+            assert np.max(np.abs(out - exact)) < 1e-12
 
 
 class TestZenoProduct:
