@@ -5,24 +5,25 @@ the (self-dual) collective generator on nearest-neighbor couplings, the
 inductive generation schedule for rotationally symmetric two- and
 three-body operators, and the large-N dimension estimate.
 
-Symbolic operators are a thin tagged expression tree; identity checking is
-always done on dense realizations, never by term rewriting.
+Two- and three-body operators are named by their sites; every commutator
+identity is checked on their dense realizations, each built once per
+schedule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from functools import cache
+from itertools import combinations
 
 import numpy as np
 
 from .lindblad import LindbladSpec, LindbladTerm
-from .ops import HilbertSpace, Operator, commutator, pauli_on, qubits, zero
+from .ops import HilbertSpace, Operator, pauli_on, qubits, zero
 
 __all__ = [
     "CollectiveSpec",
-    "SymOp",
     "two_body",
     "three_body",
     "collective_spin",
@@ -36,18 +37,6 @@ __all__ = [
     "asymptotic_dim",
     "CommutatorIdentity",
 ]
-
-_EPSILON = {
-    perm: sign
-    for perm, sign in [
-        (("x", "y", "z"), 1),
-        (("y", "z", "x"), 1),
-        (("z", "x", "y"), 1),
-        (("x", "z", "y"), -1),
-        (("z", "y", "x"), -1),
-        (("y", "x", "z"), -1),
-    ]
-}
 
 
 @dataclass(frozen=True)
@@ -68,27 +57,8 @@ class CollectiveSpec:
             raise ValueError("at least one rate must be positive")
 
 
-class SymOp:
-    """Symbolic rotationally-symmetric operator with a dense realization."""
-
-    def realize(self, space: HilbertSpace) -> np.ndarray:
-        raise NotImplementedError
-
-    def __add__(self, other):
-        return _Sum(((1.0, self), (1.0, other)))
-
-    def __sub__(self, other):
-        return _Sum(((1.0, self), (-1.0, other)))
-
-    def __rmul__(self, coeff: float):
-        return _Sum(((float(coeff), self),))
-
-    def __matmul__(self, other):
-        return _Product((self, other))
-
-
 @dataclass(frozen=True)
-class two_body(SymOp):
+class two_body:
     """H_mn = sigma(m) . sigma(n), sites 0-based with m < n."""
 
     m: int
@@ -104,12 +74,9 @@ class two_body(SymOp):
             out += (pauli_on(space, self.m, axis) @ pauli_on(space, self.n, axis)).matrix
         return out
 
-    def __str__(self):
-        return f"H[{self.m},{self.n}]"
-
 
 @dataclass(frozen=True)
-class three_body(SymOp):
+class three_body:
     """H_ijk = sigma(i) . (sigma(j) x sigma(k)); odd permutations flip sign."""
 
     i: int
@@ -121,48 +88,17 @@ class three_body(SymOp):
             raise ValueError(f"need three distinct sites, got {(self.i, self.j, self.k)}")
 
     def realize(self, space: HilbertSpace) -> np.ndarray:
+        si, sj, sk = (
+            {axis: pauli_on(space, site, axis).matrix for axis in "xyz"}
+            for site in (self.i, self.j, self.k)
+        )
         out = np.zeros((space.dim, space.dim), dtype=complex)
-        for (a, b, c), sign in _EPSILON.items():
-            out += sign * (
-                pauli_on(space, self.i, a)
-                @ pauli_on(space, self.j, b)
-                @ pauli_on(space, self.k, c)
-            ).matrix
+        for a, b, c in ("xyz", "yzx", "zxy"):  # cyclic (a, b, c): eps_abc = 1
+            out += si[a] @ (sj[b] @ sk[c] - sj[c] @ sk[b])
         return out
 
     def sorted_key(self) -> tuple[int, int, int]:
         return tuple(sorted((self.i, self.j, self.k)))
-
-    def __str__(self):
-        return f"H[{self.i},{self.j},{self.k}]"
-
-
-@dataclass(frozen=True)
-class _Sum(SymOp):
-    terms: tuple[tuple[float, SymOp], ...]
-
-    def realize(self, space: HilbertSpace) -> np.ndarray:
-        out = np.zeros((space.dim, space.dim), dtype=complex)
-        for coeff, op in self.terms:
-            out += coeff * op.realize(space)
-        return out
-
-    def __str__(self):
-        return " + ".join(f"{c:g}*{op}" for c, op in self.terms)
-
-
-@dataclass(frozen=True)
-class _Product(SymOp):
-    factors: tuple[SymOp, ...]
-
-    def realize(self, space: HilbertSpace) -> np.ndarray:
-        out = np.eye(space.dim, dtype=complex)
-        for f in self.factors:
-            out = out @ f.realize(space)
-        return out
-
-    def __str__(self):
-        return "*".join(str(f) for f in self.factors)
 
 
 def collective_spin(space: HilbertSpace, axis: str) -> Operator:
@@ -234,24 +170,31 @@ def asymptotic_dim(n: int) -> float:
 
 @dataclass(frozen=True)
 class CommutatorIdentity:
-    """A dense-verified identity i[lhs_a, lhs_b] = rhs."""
+    """A dense-verified identity i[A, B] = C and the operators it gains."""
 
     label: str
-    lhs_a: SymOp
-    lhs_b: SymOp
-    rhs: SymOp
     residual: float
-    gained: tuple[SymOp, ...]
+    gained: tuple[two_body | three_body, ...]
 
 
-def _verify(label, a, b, rhs, space, gained, tol) -> CommutatorIdentity:
-    lhs = 1j * (
-        a.realize(space) @ b.realize(space) - b.realize(space) @ a.realize(space)
-    )
-    residual = float(np.max(np.abs(lhs - rhs.realize(space))))
+def _verify(label, a, b, rhs, gained, tol) -> CommutatorIdentity:
+    lhs = 1j * (a @ b - b @ a)
+    residual = float(np.max(np.abs(lhs - rhs)))
     if residual > tol:
         raise AssertionError(f"identity {label} fails dense check: {residual:.2e}")
-    return CommutatorIdentity(label, a, b, rhs, residual, tuple(gained))
+    return CommutatorIdentity(label, residual, tuple(gained))
+
+
+def _realizer(space: HilbertSpace):
+    """h(m, n) -> dense H_mn and h(i, j, k) -> dense H_ijk on ``space``,
+    each realized on first use and then reused."""
+
+    @cache
+    def h(*sites):
+        op = two_body(*sites) if len(sites) == 2 else three_body(*sites)
+        return op.realize(space)
+
+    return h
 
 
 def generate_inventory_schedule(n: int, tol: float = 1e-9) -> list[CommutatorIdentity]:
@@ -265,27 +208,23 @@ def generate_inventory_schedule(n: int, tol: float = 1e-9) -> list[CommutatorIde
     """
     if n < 3:
         raise ValueError("the schedule needs at least 3 qubits")
-    space = qubits(n)
-    ht0 = _Sum(tuple((1.0, two_body(m, m + 1)) for m in range(n - 1)))
-    ht1 = two_body(0, 1)
+    h = _realizer(qubits(n))
+    ht0 = sum(h(m, m + 1) for m in range(n - 1))
     out = []
 
     # Base case: everything on the first three qubits.
-    h01, h12, h02 = two_body(0, 1), two_body(1, 2), two_body(0, 2)
-    h012 = three_body(0, 1, 2)
     out.append(
-        _verify("i[ht0, ht1]", ht0, ht1, -2.0 * h012, space, (h012,), tol)
+        _verify("i[ht0, ht1]", ht0, h(0, 1), -2.0 * h(0, 1, 2), (three_body(0, 1, 2),), tol)
     )
-    first = _Sum(((4.0, h02), (-4.0, h12)))
-    out.append(_verify("i[H01, H012]", h01, h012, first, space, (), tol))
+    first = 4.0 * h(0, 2) - 4.0 * h(1, 2)
+    out.append(_verify("i[H01, H012]", h(0, 1), h(0, 1, 2), first, (), tol))
     out.append(
         _verify(
             "i[i[H01, H012], H012]",
             first,
-            h012,
-            _Sum(((16.0, h02), (16.0, h12), (-32.0, h01))),
-            space,
-            (h02, h12),
+            h(0, 1, 2),
+            16.0 * h(0, 2) + 16.0 * h(1, 2) - 32.0 * h(0, 1),
+            (two_body(0, 2), two_body(1, 2)),
             tol,
         )
     )
@@ -294,76 +233,62 @@ def generate_inventory_schedule(n: int, tol: float = 1e-9) -> list[CommutatorIde
     for new in range(3, n):
         prev, prev2 = new - 1, new - 2
         # Step 1: extend to the new qubit through the drift sum.
-        gained = three_body(prev2, prev, new)
         out.append(
             _verify(
                 f"step1 n={new}",
-                two_body(prev2, prev),
+                h(prev2, prev),
                 ht0,
-                _Sum(((-2.0, three_body(new - 3, prev2, prev)), (2.0, gained))),
-                space,
-                (gained,),
+                -2.0 * h(new - 3, prev2, prev) + 2.0 * h(prev2, prev, new),
+                (three_body(prev2, prev, new),),
                 tol,
             )
         )
         # Step 2: the two bonds touching the new qubit from its neighbors.
-        pair = _Sum(((4.0, two_body(prev2, new)), (-4.0, two_body(prev, new))))
+        pair = 4.0 * h(prev2, new) - 4.0 * h(prev, new)
         out.append(
-            _verify(f"step2a n={new}", two_body(prev2, prev), gained, pair, space, (), tol)
+            _verify(f"step2a n={new}", h(prev2, prev), h(prev2, prev, new), pair, (), tol)
         )
         out.append(
             _verify(
                 f"step2b n={new}",
                 pair,
-                gained,
-                _Sum(
-                    (
-                        (16.0, two_body(prev2, new)),
-                        (16.0, two_body(prev, new)),
-                        (-32.0, two_body(prev2, prev)),
-                    )
-                ),
-                space,
+                h(prev2, prev, new),
+                16.0 * h(prev2, new) + 16.0 * h(prev, new) - 32.0 * h(prev2, prev),
                 (two_body(prev2, new), two_body(prev, new)),
                 tol,
             )
         )
         # Step 3: walk the new bond down to qubit 0.
         for m in range(new - 3, -1, -1):
-            tb = three_body(m, m + 1, new)
             out.append(
                 _verify(
                     f"step3a n={new} m={m}",
-                    two_body(m, m + 1),
-                    two_body(m + 1, new),
-                    2.0 * tb,
-                    space,
-                    (tb,),
+                    h(m, m + 1),
+                    h(m + 1, new),
+                    2.0 * h(m, m + 1, new),
+                    (three_body(m, m + 1, new),),
                     tol,
                 )
             )
             out.append(
                 _verify(
                     f"step3b n={new} m={m}",
-                    two_body(m, m + 1),
-                    tb,
-                    _Sum(((4.0, two_body(m, new)), (-4.0, two_body(m + 1, new)))),
-                    space,
+                    h(m, m + 1),
+                    h(m, m + 1, new),
+                    4.0 * h(m, new) - 4.0 * h(m + 1, new),
                     (two_body(m, new),),
                     tol,
                 )
             )
         # Step 4: all remaining three-body operators touching the new qubit.
         for m1, m2 in combinations(range(new), 2):
-            tb = three_body(m1, m2, new)
             out.append(
                 _verify(
                     f"step4 n={new} ({m1},{m2})",
-                    two_body(m1, m2),
-                    two_body(m2, new),
-                    2.0 * tb,
-                    space,
-                    (tb,),
+                    h(m1, m2),
+                    h(m2, new),
+                    2.0 * h(m1, m2, new),
+                    (three_body(m1, m2, new),),
                     tol,
                 )
             )
@@ -384,33 +309,25 @@ def inventory(identities) -> tuple[set, set]:
     return twos, threes
 
 
-def four_body_identities(n: int, sites=(0, 1, 2, 3), tol: float = 1e-9):
+def four_body_identities(n: int, tol: float = 1e-9):
     """Dense checks that commutators only reach differences of four-body
-    operators: i[H_ij, H_jkl] and i[H_ijk, H_ij H_kl] for the given sites."""
+    operators: i[H_ij, H_jkl] and i[H_ijk, H_ij H_kl] on sites 0..3."""
     if n < 4:
         raise ValueError("need at least 4 qubits")
-    i, j, k, l = sites
-    space = qubits(n)
-    h = {pair: two_body(*sorted(pair)) for pair in combinations((i, j, k, l), 2)}
-    hij, hjk, hkl = h[(i, j)], h[(j, k)], h[(k, l)]
-    hik, hjl, hil = h[(i, k)], h[(j, l)], h[(i, l)]
-    hjkl = three_body(j, k, l)
-    hijk = three_body(i, j, k)
+    h = _realizer(qubits(n))
     first = _verify(
         "i[Hij, Hjkl]",
-        hij,
-        hjkl,
-        _Sum(((2.0, hik @ hjl), (-2.0, hil @ hjk))),
-        space,
+        h(0, 1),
+        h(1, 2, 3),
+        2.0 * (h(0, 2) @ h(1, 3)) - 2.0 * (h(0, 3) @ h(1, 2)),
         (),
         tol,
     )
     second = _verify(
         "i[Hijk, Hij Hkl]",
-        hijk,
-        hij @ hkl,
-        _Sum(((4.0, hjl), (-4.0, hil), (2.0, hil @ hjk), (-2.0, hik @ hjl))),
-        space,
+        h(0, 1, 2),
+        h(0, 1) @ h(2, 3),
+        4.0 * h(1, 3) - 4.0 * h(0, 3) + 2.0 * (h(0, 3) @ h(1, 2)) - 2.0 * (h(0, 2) @ h(1, 3)),
         (),
         tol,
     )

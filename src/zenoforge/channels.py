@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .lindblad import Superoperator, conjugation_superop, unvec, vec
+from .lindblad import Superoperator, conjugation_superop
 from .ops import HilbertSpace, Operator
 
 __all__ = [

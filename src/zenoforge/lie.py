@@ -32,6 +32,8 @@ __all__ = [
     "span_residual",
 ]
 
+_CLOSURE_TOL = 1e-6  # HS norm above which a residual is a new direction
+
 
 @dataclass(frozen=True)
 class LieBasis:
@@ -71,16 +73,16 @@ def _as_matrix(gen) -> np.ndarray:
     return np.asarray(gen, dtype=complex)
 
 
-def lie_closure(generators, tol: float = 1e-6) -> LieBasis:
+def lie_closure(generators) -> LieBasis:
     """Closure of Lie(i H_0, ..., i H_m) for Hermitian generators.
 
     Seeds are the orthonormalized i*H_k; pairs are then commuted
     breadth-first, projecting each candidate out of the current span and
-    keeping residuals whose HS norm exceeds ``tol``. Terminates when no
-    pair yields a new direction (or at the safety cap).
+    keeping residuals whose HS norm exceeds 1e-6 (``_CLOSURE_TOL``).
+    Terminates when no pair yields a new direction (or at the safety cap).
 
     Candidates are projected in u(d) coordinates, so Hermitian rounding
-    noise never enters the span. The default tolerance separates genuine
+    noise never enters the span. The tolerance separates genuine
     new directions from the noise floor of deep commutator chains, which
     rises because elements accepted with small residuals amplify rounding
     error when normalized. Measured margins (smallest accepted / largest
@@ -113,7 +115,7 @@ def lie_closure(generators, tol: float = 1e-6) -> LieBasis:
         for _ in range(2):  # MGS with one re-orthogonalization pass
             row = row - rows[:n].T @ (rows[:n] @ row)
         norm = np.linalg.norm(row)
-        if norm <= tol:
+        if norm <= _CLOSURE_TOL:
             return False
         if n >= cap:
             raise RuntimeError(f"closure exceeded the dimension cap {cap}")
@@ -136,7 +138,7 @@ def lie_closure(generators, tol: float = 1e-6) -> LieBasis:
         n0 = n
         block -= (block @ rows[:n0].T) @ rows[:n0]
         for c in block:
-            if np.linalg.norm(c) <= 0.5 * tol:
+            if np.linalg.norm(c) <= 0.5 * _CLOSURE_TOL:
                 continue  # conclusively in-span after one full pass
             try_add(c)
             if n >= cap:
@@ -174,16 +176,16 @@ class ControllabilityVerdict:
         )
 
 
-def controllability_verdict(basis: LieBasis, tol: float = 1e-7) -> ControllabilityVerdict:
+def controllability_verdict(basis: LieBasis) -> ControllabilityVerdict:
     """Check whether the closed algebra contains su(d) or equals u(d).
 
     su(d) is the traceless hyperplane of u(d), so a span inside u(d)
     contains it exactly when its dimension is d^2, or d^2 - 1 with every
-    element traceless (|Tr X| <= ``tol``).
+    element traceless (|Tr X| <= 1e-7).
     """
     full = basis.space_dim**2
     traces = np.trace(basis.elements, axis1=1, axis2=2)
-    traceless = basis.dim == full - 1 and bool(np.all(np.abs(traces) <= tol))
+    traceless = basis.dim == full - 1 and bool(np.all(np.abs(traces) <= 1e-7))
     return ControllabilityVerdict(basis.dim, basis.dim == full or traceless, basis.dim == full)
 
 

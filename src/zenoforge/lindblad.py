@@ -37,6 +37,9 @@ __all__ = [
     "spec_from_json",
 ]
 
+_ZERO_CUT = 1e-9  # relative cut below which a generator eigenvalue is zero
+_DFS_TOL = 1e-8  # DFS eigenspace, intersection and verification tolerance
+
 
 def vec(matrix: np.ndarray) -> np.ndarray:
     """Row-vectorize a d x d matrix into a length-d^2 vector."""
@@ -70,8 +73,8 @@ class LindbladTerm:
     op: Operator
 
     def __post_init__(self):
-        if not self.rate >= 0:  # NaN fails too
-            raise ValueError(f"rate must be non-negative, got {self.rate}")
+        if not 0 <= self.rate < np.inf:  # NaN fails too
+            raise ValueError(f"rate must be finite and non-negative, got {self.rate}")
 
 
 @dataclass(frozen=True)
@@ -169,7 +172,7 @@ def _kernel_tolerance(values: np.ndarray, tol: float) -> float:
     return tol * max(scale, 1.0)
 
 
-def steady_superprojector(spec: LindbladSpec, tol: float = 1e-9) -> Superoperator:
+def steady_superprojector(spec: LindbladSpec) -> Superoperator:
     """Spectral projection onto the kernel of the generator, along its range.
 
     Requires an attractive generator: zero eigenvalue semisimple, every
@@ -180,7 +183,7 @@ def steady_superprojector(spec: LindbladSpec, tol: float = 1e-9) -> Superoperato
     """
     gen = dissipator_matrix(spec).matrix
     w = np.linalg.eigvals(gen)
-    cut = _kernel_tolerance(w, tol)
+    cut = _kernel_tolerance(w, _ZERO_CUT)
     zero = np.abs(w) <= cut
     if not zero.any():
         raise ValueError("generator has no steady state")
@@ -189,7 +192,7 @@ def steady_superprojector(spec: LindbladSpec, tol: float = 1e-9) -> Superoperato
     k = int(zero.sum())
     u, s, vh = np.linalg.svd(gen)
     # Semisimplicity: the kernel has the dimension k of the zero eigenvalue.
-    if s[-k] > _kernel_tolerance(s, tol):
+    if s[-k] > _kernel_tolerance(s, _ZERO_CUT):
         raise ValueError("zero eigenvalue of the generator is not semisimple")
     right = vh[-k:].conj().T             # ker(M)
     left = u[:, -k:]                     # ker(M^H) = ran(M)^perp
@@ -278,7 +281,7 @@ def _cluster(values: np.ndarray, tol: float) -> list[complex]:
     return [complex(np.mean(g)) for g in out]
 
 
-def detect_dfs(spec: LindbladSpec, tol: float = 1e-8) -> DFSDecomposition:
+def detect_dfs(spec: LindbladSpec) -> DFSDecomposition:
     """Maximal orthogonal subspaces annihilated by the dissipative part.
 
     The Hamiltonian is ignored. Starting from the whole space, common
@@ -298,9 +301,9 @@ def detect_dfs(spec: LindbladSpec, tol: float = 1e-8) -> DFSDecomposition:
         refined: list[tuple[np.ndarray, tuple[complex, ...]]] = []
         for sub, lams in blocks:
             comp = sub.conj().T @ l @ sub
-            for lam in _cluster(np.linalg.eigvals(comp), 10 * tol):
+            for lam in _cluster(np.linalg.eigvals(comp), 10 * _DFS_TOL):
                 shifted = l - lam * np.eye(d)
-                cand = _intersect(sub, _null_space(shifted, tol), tol)
+                cand = _intersect(sub, _null_space(shifted, _DFS_TOL), _DFS_TOL)
                 if cand.shape[1] == 0:
                     continue
                 lam_refined = complex(np.trace(cand.conj().T @ l @ cand) / cand.shape[1])
@@ -312,14 +315,14 @@ def detect_dfs(spec: LindbladSpec, tol: float = 1e-8) -> DFSDecomposition:
     final: list[DFSBlock] = []
     for sub, lams in blocks:
         b = float(sum(r * abs(lam) ** 2 for r, lam in zip(rates, lams)))
-        sub = _intersect(sub, _null_space(g - b * np.eye(d), tol), tol)
+        sub = _intersect(sub, _null_space(g - b * np.eye(d), _DFS_TOL), _DFS_TOL)
         if sub.shape[1] == 0:
             continue
         # Verify the defining conditions on every basis vector.
         ok = all(
-            np.max(np.abs(l @ sub - lam * sub)) <= 10 * tol
+            np.max(np.abs(l @ sub - lam * sub)) <= 10 * _DFS_TOL
             for (_, l), lam in zip(active, lams)
-        ) and np.max(np.abs(g @ sub - b * sub)) <= 10 * tol
+        ) and np.max(np.abs(g @ sub - b * sub)) <= 10 * _DFS_TOL
         if not ok:
             continue
         sub = _canonical_basis(sub)
@@ -335,7 +338,7 @@ def detect_dfs(spec: LindbladSpec, tol: float = 1e-8) -> DFSDecomposition:
     final.sort(key=sort_key)
     for i, bi in enumerate(final):
         for bj in final[i + 1 :]:
-            if np.max(np.abs(bi.basis.conj().T @ bj.basis)) > 10 * tol:
+            if np.max(np.abs(bi.basis.conj().T @ bj.basis)) > 10 * _DFS_TOL:
                 raise ValueError("detected DFS blocks are not mutually orthogonal")
     return DFSDecomposition(spec.space, tuple(final))
 

@@ -16,6 +16,7 @@ from .lindblad import (
     DFSDecomposition,
     LindbladSpec,
     Superoperator,
+    _ZERO_CUT,
     _kernel_tolerance,
     dissipator_matrix,
     hamiltonian_superop,
@@ -57,7 +58,7 @@ def superproject_hamiltonian(h: Operator, spec: LindbladSpec) -> Operator:
     it and P(H) is the kernel component of H under the positive map
     C = -(D + D^dag)/2 = sum_j gamma_j/2 ([Lj^dag, [Lj, .]] + [Lj, [Lj^dag, .]]).
     For normal Lj its eigenvalues are the decay rates of D, so the zero cut
-    of ``steady_superprojector`` applies. Lanczos from H on C with full
+    of ``steady_superprojector``, ``_ZERO_CUT``, applies. Lanczos from H on C with full
     re-orthogonalization finds P(H) from d x d products alone.
     """
     if not h.is_hermitian(1e-10):
@@ -95,7 +96,7 @@ def superproject_hamiltonian(h: Operator, spec: LindbladSpec) -> Operator:
             break
         betas.append(beta)
         q = np.vstack([q, w / beta])
-    kernel = np.abs(theta) <= _kernel_tolerance(theta, 1e-9)
+    kernel = np.abs(theta) <= _kernel_tolerance(theta, _ZERO_CUT)
     out = norm * (s[:, kernel] @ s[0, kernel]) @ q
     return Operator(h.space, out.reshape(d, d))
 

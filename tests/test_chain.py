@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -125,6 +126,13 @@ class TestDualActionMatrix:
             assert np.max(np.abs(image - expected)) < 1e-9
 
 
+def swap(n, m, k):
+    """Permutation matrix exchanging qubits m and k, site 0 most significant."""
+    axes = list(range(n))
+    axes[m], axes[k] = k, m
+    return np.eye(2**n).reshape((2,) * n + (2**n,)).transpose(axes + [n]).reshape(2**n, 2**n)
+
+
 class TestSymOps:
     @pytest.mark.parametrize("n", [3, 4])
     def test_realizations_commute_with_collective_spins(self, n):
@@ -144,6 +152,26 @@ class TestSymOps:
         assert np.allclose(
             three_body(1, 2, 0).realize(space), three_body(0, 1, 2).realize(space)
         )
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_two_body_is_twice_swap_minus_one(self, n):
+        space = qubits(n)
+        for m, k in itertools.combinations(range(n), 2):
+            expected = 2.0 * swap(n, m, k) - np.eye(2**n)
+            assert np.array_equal(two_body(m, k).realize(space), expected)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_three_body_is_commutator_of_bonds(self, n):
+        # [H_ij, H_jk] = -2i H_ijk from [sigma_a, sigma_b] = 2i eps_abc sigma_c
+        space = qubits(n)
+        bond = {
+            (m, k): 2.0 * swap(n, m, k) - np.eye(2**n)
+            for m, k in itertools.permutations(range(n), 2)
+        }
+        for i, j, k in itertools.permutations(range(n), 3):
+            ij, jk = bond[(i, j)], bond[(j, k)]
+            expected = 0.5j * (ij @ jk - jk @ ij)
+            assert np.array_equal(three_body(i, j, k).realize(space), expected)
 
     def test_two_body_validates_order(self):
         with pytest.raises(ValueError):

@@ -277,9 +277,9 @@ def closed_generator_sets(desc, monkeypatch):
     sets = [list(desc.controls)]
     real_closure = lie.lie_closure
 
-    def recording_closure(generators, tol=1e-6):
+    def recording_closure(generators):
         sets.append(list(generators))
-        return real_closure(generators, tol=tol)
+        return real_closure(generators)
 
     with monkeypatch.context() as m:
         m.setattr(lie, "lie_closure", recording_closure)

@@ -475,3 +475,7 @@ class TestSuperoperatorType:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             LindbladTerm(-1.0, pauli_on(qubits(1), 0, "x"))
+
+    def test_infinite_rate_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            LindbladTerm(np.inf, pauli_on(qubits(1), 0, "x"))

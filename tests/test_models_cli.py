@@ -166,9 +166,14 @@ class TestCli:
             (["reproduce-table1", "--nmax", "0"], "nmax"),
             (["sweep", "--gammas", "1", "--target", "cnot", "--restarts", "1"], "cnot"),
             (["zeno-check", "--model", "ising-chain", "--gammas", "10"], "two-qubit"),
+            (["lie-dim", "--model", "ising-chain", "--n", "3", "--gamma", "inf"], "finite"),
+            (["dfs", "--model", "two-qubit-amp", "--gamma", "inf"], "finite"),
+            (["zeno-check", "--gammas", "inf"], "finite"),
+            (["sweep", "--gammas", "inf", "--restarts", "1", "--slices", "4"], "finite"),
         ],
         ids=["n-two-qubit-amp", "n-two-qubit-dephasing", "slices-0", "nmax-0",
-             "unknown-target", "damping-chain"],
+             "unknown-target", "damping-chain", "gamma-inf-lie-dim", "gamma-inf-dfs",
+             "gammas-inf-zeno-check", "gammas-inf-sweep"],
     )
     def test_bad_input_exits_one(self, capsys, argv, message):
         assert main(argv) == 1
@@ -328,6 +333,7 @@ class TestCli:
             (("target",), 7, "target"),
             (("etilde",), "bogus", "etilde"),
             (("amplitudes",), [[1e308, 0, 0], [0, 0, 0]], "not finite"),
+            (("system", "terms", 0, "rate"), float("inf"), "finite"),
         ],
     )
     def test_fidelity_rejects_malformed_job(self, tmp_path, capsys, path, value, message):
