@@ -1,10 +1,12 @@
 """Command-line surface: model reports, Table-I reproduction, pulse sweeps.
 
 JSON goes to stdout by default; tabular subcommands accept ``--csv PATH``
-(RFC-4180 with a header row, floats at 12 significant digits). Flags win
-over a ``--config`` JSON file, which wins over built-in defaults. A config
-key must name one of the subcommand's flags and hold a value of that flag's
-JSON type; malformed config or job input exits 1 with one ``error:`` line.
+(RFC-4180 with a header row, floats at 12 significant digits). Each flag
+declares its built-in default once, in ``build_parser``. The values of a
+``--config`` JSON file become that subcommand's defaults, so flags win over
+the config file, which wins over the built-in defaults. A config key must
+name one of the subcommand's flags and hold a value of that flag's JSON
+type; malformed config or job input exits 1 with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -68,29 +70,22 @@ _CONFIG_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number")}
 
 
 def _load_config(args):
-    if not args.config:
-        return {}
+    """The config file's values, each checked against its subcommand flag."""
     with open(args.config) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a JSON object")
+    flags = {a.dest: a for a in args.subparser._actions if a.dest not in ("help", "config")}
     for key, value in doc.items():
-        flag = args.config_flags.get(key)
+        flag = flags.get(key)
         if flag is None:
-            raise ValueError(f"unknown config key {key!r}; expected one of {sorted(args.config_flags)}")
+            raise ValueError(f"unknown config key {key!r}; expected one of {sorted(flags)}")
         kinds, what = _CONFIG_KINDS.get(flag.type, ((str,), "a string"))
         if isinstance(value, bool) or not isinstance(value, kinds):
             raise ValueError(f"config key {key!r} must be {what}, got {json.dumps(value)}")
         if flag.choices is not None and value not in flag.choices:
             raise ValueError(f"config key {key!r} must be one of {list(flag.choices)}")
     return doc
-
-
-def _merged(args, config, key, default):
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
-        return value
-    return config.get(key, default)
 
 
 # The build_model parameter that --n (or a config "n") sets; the two-qubit
@@ -112,11 +107,7 @@ def _model_from_args(name, n, gamma):
 
 
 def cmd_lie_dim(args) -> int:
-    config = _load_config(args)
-    name = _merged(args, config, "model", "ising-chain")
-    n = _merged(args, config, "n", None)
-    gamma = _merged(args, config, "gamma", None)
-    desc = _model_from_args(name, n, gamma)
+    desc = _model_from_args(args.model, args.n, args.gamma)
     report = dfs_lie_dimension(desc.spec, desc.controls)
     dim_nonoise = lie_closure(desc.controls).dim
     dim_dfs = (
@@ -134,11 +125,7 @@ def cmd_lie_dim(args) -> int:
 
 
 def cmd_dfs(args) -> int:
-    config = _load_config(args)
-    name = _merged(args, config, "model", "two-qubit-amp")
-    n = _merged(args, config, "n", None)
-    gamma = _merged(args, config, "gamma", None)
-    desc = _model_from_args(name, n, gamma)
+    desc = _model_from_args(args.model, args.n, args.gamma)
     decomposition = detect_dfs(desc.spec.dissipative_part())
     blocks = [
         {
@@ -148,21 +135,19 @@ def cmd_dfs(args) -> int:
         }
         for b in decomposition.blocks
     ]
-    print(json.dumps({"model": name, "blocks": blocks}))
+    print(json.dumps({"model": args.model, "blocks": blocks}))
     return 0
 
 
 def cmd_zeno_check(args) -> int:
-    config = _load_config(args)
-    name = _merged(args, config, "model", "two-qubit-amp")
-    gamma = _merged(args, config, "gamma", 1.0)
-    t = _merged(args, config, "t", 1.0)
-    steps = _merged(args, config, "steps", "1,2,4,8,16,32,64,128,256")
-    gammas = [float(v) for v in str(_merged(args, config, "gammas", "")).split(",") if v]
+    name, t = args.model, args.t
+    if not 0 <= t < np.inf:  # NaN fails too
+        raise ValueError(f"--t (config 't') must be finite and non-negative, got {t}")
+    gammas = [float(v) for v in args.gammas.split(",") if v]
     if gammas and not name.startswith("two-qubit"):
         # the strong-damping check reproduces the paper's two-qubit example only
         raise ValueError("strong-damping check supports the two-qubit models")
-    desc = _model_from_args(name, None, gamma)
+    desc = _model_from_args(name, None, args.gamma)
     diss = desc.spec.dissipative_part()
     projector = steady_superprojector(diss)
     generator = coherent_generator(desc.controls[0])
@@ -171,7 +156,7 @@ def cmd_zeno_check(args) -> int:
         @ projector.matrix
     )
     zeno_rows = []
-    for nstep in (int(v) for v in str(steps).split(",") if v):
+    for nstep in (int(v) for v in args.steps.split(",") if v):
         zp = zeno_product(projector, generator, t, nstep)
         zeno_rows.append([nstep, float(np.linalg.norm(zp.matrix - target, 2))])
     damping_rows = []
@@ -201,9 +186,7 @@ def _chain_dfs_lie_dim(n: int) -> int:
 
 
 def cmd_reproduce_table1(args) -> int:
-    config = _load_config(args)
-    nmax = int(_merged(args, config, "nmax", 6))
-    csv_path = _merged(args, config, "csv", "-")
+    nmax = args.nmax
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
     ns = list(range(1, nmax + 1))
@@ -229,7 +212,7 @@ def cmd_reproduce_table1(args) -> int:
         ["sum_dim_u"]
         + [str(sum(dfs_dimension(j, n) ** 2 for j in allowed_spins(n))) for n in ns]
     )
-    _write_csv(csv_path, header, rows)
+    _write_csv(args.csv, header, rows)
     return 0
 
 
@@ -264,26 +247,22 @@ def _sweep_target_builder(objective, goal_unitary, desc_name, etilde_mode):
 
 
 def cmd_sweep(args) -> int:
-    config = _load_config(args)
-    name = _merged(args, config, "model", "two-qubit-amp")
-    gammas = [float(v) for v in str(_merged(args, config, "gammas", "0.1,1,10,100")).split(",") if v]
-    target_name = _merged(args, config, "target", "hadamard")
-    objective = _merged(args, config, "objective", "eps2")
-    restarts = int(_merged(args, config, "restarts", 10))
-    seed = int(_merged(args, config, "seed", 0))
-    n_slices = int(_merged(args, config, "slices", 20))
-    etilde_mode = _merged(args, config, "etilde", "projector")
-    csv_path = _merged(args, config, "csv", "-")
-    if target_name != "hadamard":
-        raise ValueError(f"unknown target {target_name!r}; only 'hadamard' is registered")
+    name = args.model
+    if not name.startswith("two-qubit"):
+        # the gate study optimizes over the paper's two-qubit examples only
+        raise ValueError("sweep supports the two-qubit models")
+    if args.target != "hadamard":
+        raise ValueError(f"unknown target {args.target!r}; only 'hadamard' is registered")
+    gammas = [float(v) for v in args.gammas.split(",") if v]
     builder = _sweep_system_builder(name)
-    target_builder = _sweep_target_builder(objective, HADAMARD, name, etilde_mode)
+    target_builder = _sweep_target_builder(args.objective, HADAMARD, name, args.etilde)
     rows = gamma_sweep(
-        builder, gammas, target_builder, restarts=restarts, seed=seed, n_slices=n_slices
+        builder, gammas, target_builder,
+        restarts=args.restarts, seed=args.seed, n_slices=args.slices,
     )
     header = ["gamma", "best_eps", "reduced_error", "restarts", "iterations"]
     _write_csv(
-        csv_path,
+        args.csv,
         header,
         [
             [_fmt(r.gamma), _fmt(r.best_eps), _fmt(r.reduced_error), r.restarts, r.iterations]
@@ -347,57 +326,51 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help="JSON file with default flag values")
 
+    def add_common(p, func):
+        p.add_argument("--config", help="JSON file of defaults for this subcommand's flags")
+        p.set_defaults(func=func, subparser=p)
+
     p = sub.add_parser("lie-dim", help="Lie dimensions with and without noise")
-    add_common(p)
-    p.add_argument("--model", choices=MODEL_NAMES)
+    add_common(p, cmd_lie_dim)
+    p.add_argument("--model", choices=MODEL_NAMES, default="ising-chain")
     p.add_argument("--n", type=int, help="chain qubits / atom levels")
     p.add_argument("--gamma", type=float)
-    p.set_defaults(func=cmd_lie_dim)
 
     p = sub.add_parser("dfs", help="decoherence-free subspace report")
-    add_common(p)
-    p.add_argument("--model", choices=MODEL_NAMES)
+    add_common(p, cmd_dfs)
+    p.add_argument("--model", choices=MODEL_NAMES, default="two-qubit-amp")
     p.add_argument("--n", type=int)
     p.add_argument("--gamma", type=float)
-    p.set_defaults(func=cmd_dfs)
 
     p = sub.add_parser("zeno-check", help="Zeno product and strong-damping errors")
-    add_common(p)
-    p.add_argument("--model", choices=MODEL_NAMES)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--t", type=float)
-    p.add_argument("--steps", help="comma-separated step counts")
-    p.add_argument("--gammas", help="comma-separated rates for the damping bound")
-    p.set_defaults(func=cmd_zeno_check)
+    add_common(p, cmd_zeno_check)
+    p.add_argument("--model", choices=MODEL_NAMES, default="two-qubit-amp")
+    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--t", type=float, default=1.0)
+    p.add_argument("--steps", default="1,2,4,8,16,32,64,128,256",
+                   help="comma-separated step counts")
+    p.add_argument("--gammas", default="", help="comma-separated rates for the damping bound")
 
     p = sub.add_parser("reproduce-table1", help="DFS dimensions and Lie dims by chain size")
-    add_common(p)
-    p.add_argument("--nmax", type=int)
-    p.add_argument("--csv", help="output path ('-' for stdout)")
-    p.set_defaults(func=cmd_reproduce_table1)
+    add_common(p, cmd_reproduce_table1)
+    p.add_argument("--nmax", type=int, default=6)
+    p.add_argument("--csv", default="-", help="output path ('-' for stdout)")
 
     p = sub.add_parser("sweep", help="optimize gates across noise strengths")
-    add_common(p)
-    p.add_argument("--model", choices=MODEL_NAMES)
-    p.add_argument("--gammas", help="comma-separated noise strengths")
-    p.add_argument("--target", help="goal gate (hadamard)")
-    p.add_argument("--objective", choices=["eps1", "eps2"])
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--slices", type=int)
-    p.add_argument("--etilde", choices=["projector", "identity"])
-    p.add_argument("--csv", help="output path ('-' for stdout)")
-    p.set_defaults(func=cmd_sweep)
+    add_common(p, cmd_sweep)
+    p.add_argument("--model", choices=MODEL_NAMES, default="two-qubit-amp")
+    p.add_argument("--gammas", default="0.1,1,10,100", help="comma-separated noise strengths")
+    p.add_argument("--target", default="hadamard", help="goal gate (hadamard)")
+    p.add_argument("--objective", choices=["eps1", "eps2"], default="eps2")
+    p.add_argument("--restarts", type=int, default=10)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--slices", type=int, default=20)
+    p.add_argument("--etilde", choices=["projector", "identity"], default="projector")
+    p.add_argument("--csv", default="-", help="output path ('-' for stdout)")
 
     p = sub.add_parser("fidelity", help="one-shot gate-error report from a JSON job")
     p.add_argument("job", help="JSON job file")
-    p.set_defaults(func=cmd_fidelity)
-
-    # config files may set exactly the flags of their own subcommand
-    for p in sub.choices.values():
-        p.set_defaults(config_flags={
-            a.dest: a for a in p._actions if a.dest not in ("help", "config")
-        })
+    p.set_defaults(func=cmd_fidelity, config=None)
 
     return parser
 
@@ -406,6 +379,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config:
+            # the config's values replace the flag defaults; explicit flags still win
+            args.subparser.set_defaults(**_load_config(args))
+            args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -219,6 +219,10 @@ def optimize(
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
+    if n_slices < 1:
+        raise ValueError("a pulse schedule needs at least one slice")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if amplitude_bound is not None and amplitude_bound <= 0:
         raise ValueError("amplitude bound must be positive")
     m = system.n_controls
@@ -239,7 +243,6 @@ def optimize(
         if amplitude_bound is not None:
             x0 = np.clip(x0, -amplitude_bound, amplitude_bound)
         evals = 0
-        last: dict[bytes, float] = {}
         trace: list[float] = []
 
         def fun(x):
@@ -247,11 +250,10 @@ def optimize(
             evals += 1
             sched = PulseSchedule(system.total_time, x.reshape(m, n_slices))
             v, g = objective_and_gradient(system, sched, target)
-            last[x.tobytes()] = v
             return v, g.reshape(-1)
 
-        def callback(xk):
-            trace.append(last.get(xk.tobytes(), trace[-1] if trace else np.inf))
+        def callback(intermediate_result):
+            trace.append(intermediate_result.fun)
 
         res = scipy.optimize.minimize(
             fun,

@@ -161,8 +161,8 @@ def dissipator_matrix(spec: LindbladSpec) -> Superoperator:
 
 def propagate(spec: LindbladSpec, t: float) -> Superoperator:
     """The semigroup element exp(t L) for the generator of ``spec``."""
-    if t < 0:
-        raise ValueError(f"time must be non-negative, got {t}")
+    if not 0 <= t < np.inf:  # NaN fails too
+        raise ValueError(f"time must be finite and non-negative, got {t}")
     gen = dissipator_matrix(spec)
     return Superoperator(spec.space, expm(t * gen.matrix))
 

@@ -107,8 +107,8 @@ def zeno_product(
     """(P exp(K t/n) P)^n, the frequent-switching product at finite n."""
     if n < 1:
         raise ValueError("need at least one step")
-    if t < 0:
-        raise ValueError("time must be non-negative")
+    if not 0 <= t < np.inf:  # NaN fails too
+        raise ValueError(f"time must be finite and non-negative, got {t}")
     p = projector.matrix
     step = p @ expm(generator.matrix * (t / n)) @ p
     return Superoperator(projector.space, np.linalg.matrix_power(step, n))

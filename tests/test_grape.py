@@ -314,6 +314,14 @@ class TestOptimize:
         with pytest.raises(ValueError):
             optimize(system, Eps2Target(HADAMARD), amplitude_bound=-1.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, message", [({"n_slices": 0}, "slice"), ({"n_slices": -2}, "slice"),
+                            ({"seed": -1}, "seed")]
+    )
+    def test_rejects_bad_slices_and_seed(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            optimize(two_qubit_system(1.0), Eps2Target(HADAMARD), restarts=1, **kwargs)
+
 
 class TestGammaSweep:
     def test_rows_and_improvement(self):

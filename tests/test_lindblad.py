@@ -135,6 +135,11 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(amp_damping_spec(), -0.1)
 
+    @pytest.mark.parametrize("t", [np.inf, np.nan])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            propagate(amp_damping_spec(), t)
+
     @pytest.mark.parametrize("gt", [0.1, 1.0, 5.0])
     def test_two_qubit_amp_damping_closed_form(self, gt):
         gamma = 1.0

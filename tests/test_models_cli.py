@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zenoforge
-from zenoforge.cli import main
+from zenoforge.cli import build_parser, main
 from zenoforge.models import (
     HADAMARD,
     MODEL_NAMES,
@@ -170,10 +170,20 @@ class TestCli:
             (["dfs", "--model", "two-qubit-amp", "--gamma", "inf"], "finite"),
             (["zeno-check", "--gammas", "inf"], "finite"),
             (["sweep", "--gammas", "inf", "--restarts", "1", "--slices", "4"], "finite"),
+            (["zeno-check", "--t", "inf"], "--t"),
+            (["zeno-check", "--t", "nan"], "--t"),
+            (["sweep", "--gammas", "1", "--restarts", "1", "--slices", "-2"], "slice"),
+            (["sweep", "--gammas", "1", "--restarts", "1", "--slices", "3", "--seed", "-1"],
+             "seed"),
+            (["sweep", "--model", "n-level-atom", "--gammas", "1", "--restarts", "1"],
+             "two-qubit"),
+            (["sweep", "--model", "ising-chain", "--gammas", "1", "--restarts", "1"],
+             "two-qubit"),
         ],
         ids=["n-two-qubit-amp", "n-two-qubit-dephasing", "slices-0", "nmax-0",
              "unknown-target", "damping-chain", "gamma-inf-lie-dim", "gamma-inf-dfs",
-             "gammas-inf-zeno-check", "gammas-inf-sweep"],
+             "gammas-inf-zeno-check", "gammas-inf-sweep", "t-inf", "t-nan",
+             "slices-negative", "seed-negative", "sweep-atom", "sweep-chain"],
     )
     def test_bad_input_exits_one(self, capsys, argv, message):
         assert main(argv) == 1
@@ -201,6 +211,7 @@ class TestCli:
             (["zeno-check"], {"n": 3}, "n"),
             (["lie-dim"], {"config": "other.json"}, "config"),
             (["lie-dim"], {"model": "two-qubit-amp", "n": 5}, "n"),
+            (["zeno-check"], {"t": float("inf")}, "t"),
         ],
     )
     def test_bad_config_exits_one(self, tmp_path, capsys, argv, config, key):
@@ -210,6 +221,50 @@ class TestCli:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: ") and repr(key) in err[0]
+
+    # Per subcommand: a cheap value for every flag, and the built-in defaults
+    # that are not None.
+    _EVERY_FLAG = {
+        "lie-dim": {"model": "n-level-atom", "n": 3, "gamma": 2.0},
+        "dfs": {"model": "ising-chain", "n": 3, "gamma": 0.5},
+        "zeno-check": {"model": "two-qubit-dephasing", "gamma": 2.0, "t": 0.5,
+                       "steps": "1,3", "gammas": "10"},
+        "reproduce-table1": {"nmax": 3, "csv": "-"},
+        "sweep": {"model": "two-qubit-dephasing", "gammas": "1", "target": "hadamard",
+                  "objective": "eps1", "restarts": 1, "seed": 3, "slices": 3,
+                  "etilde": "identity", "csv": "-"},
+    }
+    _DEFAULTS = {
+        "lie-dim": {"model": "ising-chain"},
+        "dfs": {"model": "two-qubit-amp"},
+        "zeno-check": {"model": "two-qubit-amp", "gamma": 1.0, "t": 1.0,
+                       "steps": "1,2,4,8,16,32,64,128,256", "gammas": ""},
+        "reproduce-table1": {"nmax": 6, "csv": "-"},
+        "sweep": {"model": "two-qubit-amp", "gammas": "0.1,1,10,100", "target": "hadamard",
+                  "objective": "eps2", "restarts": 10, "seed": 0, "slices": 20,
+                  "etilde": "projector", "csv": "-"},
+    }
+
+    @pytest.mark.parametrize("command", list(_EVERY_FLAG))
+    def test_config_equals_flags(self, tmp_path, capsys, command):
+        def as_flags(values):
+            return [s for key, value in values.items() for s in (f"--{key}", str(value))]
+
+        values = self._EVERY_FLAG[command]
+        parser = build_parser()
+        sub = parser.parse_args([command]).subparser
+        assert set(values) == {a.dest for a in sub._actions} - {"help", "config"}
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps(values))
+        assert main([command, "--config", str(path)]) == 0
+        from_config = capsys.readouterr().out
+        assert main([command, *as_flags(values)]) == 0
+        assert capsys.readouterr().out == from_config != ""
+        # the defaults parse to the same namespace as no flags at all; the
+        # default sweep and Table I are too slow to run here
+        assert parser.parse_args([command]) == parser.parse_args(
+            [command, *as_flags(self._DEFAULTS[command])]
+        )
 
     def test_config_integer_for_float_flag(self, tmp_path, capsys):
         path = tmp_path / "conf.json"

@@ -308,6 +308,12 @@ class TestZenoProduct:
         with pytest.raises(ValueError):
             zeno_product(p, k, -1.0, 4)
 
+    @pytest.mark.parametrize("t", [np.inf, np.nan])
+    def test_non_finite_time_rejected(self, t):
+        p = steady_superprojector(amp_spec())
+        with pytest.raises(ValueError, match="finite"):
+            zeno_product(p, coherent_generator(H0), t, 4)
+
 
 class TestEq9BlockIdentity:
     def test_pkp_restricted_is_projected_commutator(self):
