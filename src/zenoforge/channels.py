@@ -57,9 +57,6 @@ class ChoiMatrix:
         j = self.matrix
         return bool(np.max(np.abs(j @ j - j)) <= tol)
 
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
-
 
 def _reshuffle(mat: np.ndarray, d: int) -> np.ndarray:
     """Entry permutation between superoperator and (unnormalized) Choi."""

@@ -85,7 +85,20 @@ def _load_config(args):
             raise ValueError(f"config key {key!r} must be {what}, got {json.dumps(value)}")
         if flag.choices is not None and value not in flag.choices:
             raise ValueError(f"config key {key!r} must be one of {list(flag.choices)}")
+        if flag.type is not None:
+            doc[key] = flag.type(value)  # a JSON 2 for a float flag becomes 2.0
     return doc
+
+
+def _parse_list(args, key, kind):
+    """The comma-separated values of flag ``key``, each converted by ``kind``."""
+    text = getattr(args, key)
+    try:
+        return [kind(v) for v in text.split(",") if v]
+    except ValueError:
+        raise ValueError(
+            f"--{key} (config {key!r}) must be comma-separated {kind.__name__} values, got {text!r}"
+        ) from None
 
 
 # The build_model parameter that --n (or a config "n") sets; the two-qubit
@@ -143,7 +156,7 @@ def cmd_zeno_check(args) -> int:
     name, t = args.model, args.t
     if not 0 <= t < np.inf:  # NaN fails too
         raise ValueError(f"--t (config 't') must be finite and non-negative, got {t}")
-    gammas = [float(v) for v in args.gammas.split(",") if v]
+    steps, gammas = _parse_list(args, "steps", int), _parse_list(args, "gammas", float)
     if gammas and not name.startswith("two-qubit"):
         # the strong-damping check reproduces the paper's two-qubit example only
         raise ValueError("strong-damping check supports the two-qubit models")
@@ -156,7 +169,7 @@ def cmd_zeno_check(args) -> int:
         @ projector.matrix
     )
     zeno_rows = []
-    for nstep in (int(v) for v in args.steps.split(",") if v):
+    for nstep in steps:
         zp = zeno_product(projector, generator, t, nstep)
         zeno_rows.append([nstep, float(np.linalg.norm(zp.matrix - target, 2))])
     damping_rows = []
@@ -253,7 +266,7 @@ def cmd_sweep(args) -> int:
         raise ValueError("sweep supports the two-qubit models")
     if args.target != "hadamard":
         raise ValueError(f"unknown target {args.target!r}; only 'hadamard' is registered")
-    gammas = [float(v) for v in args.gammas.split(",") if v]
+    gammas = _parse_list(args, "gammas", float)
     builder = _sweep_system_builder(name)
     target_builder = _sweep_target_builder(args.objective, HADAMARD, name, args.etilde)
     rows = gamma_sweep(
@@ -322,9 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Noise-induced controllability toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", help="JSON file with default flag values")
 
     def add_common(p, func):
         p.add_argument("--config", help="JSON file of defaults for this subcommand's flags")

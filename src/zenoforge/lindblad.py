@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 _ZERO_CUT = 1e-9  # relative cut below which a generator eigenvalue is zero
-_DFS_TOL = 1e-8  # DFS eigenspace, intersection and verification tolerance
+_DFS_TOL = 1e-8  # DFS null-space and verification tolerance
 
 
 def vec(matrix: np.ndarray) -> np.ndarray:
@@ -227,27 +227,9 @@ class DFSDecomposition:
         return tuple(b.dim for b in self.blocks)
 
 
-def _orthonormal_columns(cols: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    if cols.size == 0:
-        return cols.reshape(cols.shape[0], 0)
-    q, r = np.linalg.qr(cols)
-    diag = np.abs(np.diag(r))
-    return q[:, diag > _kernel_tolerance(diag, tol)]
-
 def _null_space(mat: np.ndarray, tol: float) -> np.ndarray:
-    _, s, vh = np.linalg.svd(mat)
+    _, s, vh = np.linalg.svd(mat, full_matrices=False)
     return vh[s <= _kernel_tolerance(s, tol)].conj().T
-
-
-def _intersect(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """Intersection of two column-orthonormal subspaces via principal angles."""
-    if a.shape[1] == 0 or b.shape[1] == 0:
-        return a[:, :0]
-    u, s, _ = np.linalg.svd(a.conj().T @ b)
-    keep = s >= 1.0 - tol
-    if not np.any(keep):
-        return a[:, :0]
-    return _orthonormal_columns(a @ u[:, : s.size][:, keep])
 
 
 def _canonical_basis(basis: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -284,38 +266,35 @@ def _cluster(values: np.ndarray, tol: float) -> list[complex]:
 def detect_dfs(spec: LindbladSpec) -> DFSDecomposition:
     """Maximal orthogonal subspaces annihilated by the dissipative part.
 
-    The Hamiltonian is ignored. Starting from the whole space, common
-    eigenspaces of the Lindblad operators are peeled off eigenvalue by
-    eigenvalue, then intersected with the G-eigenvector condition; every
+    The Hamiltonian is ignored. A DFS block is a common eigenspace of the
+    positive-rate Lindblad operators, L_j|psi> = c_j|psi>, on which
+    G = sum_j gamma_j L_j^dag L_j acts as b = sum_j gamma_j |c_j|^2.
+    Starting from the whole space, each block basis B is split eigenvalue
+    by eigenvalue into the null spaces of (L_j - c_j) B, one operator after
+    another, and then cut down to the null space of (G - b) B; every
     surviving block is verified against the defining conditions.
     """
     d = spec.space.dim
     active = [(t.rate, t.op.matrix) for t in spec.terms if t.rate > 0]
-    if not active:
-        eye = np.eye(d, dtype=complex)
-        block = DFSBlock(eye, Operator(spec.space, eye), (), 0.0)
-        return DFSDecomposition(spec.space, (block,))
-
     blocks: list[tuple[np.ndarray, tuple[complex, ...]]] = [(np.eye(d, dtype=complex), ())]
     for _, l in active:
         refined: list[tuple[np.ndarray, tuple[complex, ...]]] = []
         for sub, lams in blocks:
             comp = sub.conj().T @ l @ sub
             for lam in _cluster(np.linalg.eigvals(comp), 10 * _DFS_TOL):
-                shifted = l - lam * np.eye(d)
-                cand = _intersect(sub, _null_space(shifted, _DFS_TOL), _DFS_TOL)
+                cand = sub @ _null_space(l @ sub - lam * sub, _DFS_TOL)
                 if cand.shape[1] == 0:
                     continue
                 lam_refined = complex(np.trace(cand.conj().T @ l @ cand) / cand.shape[1])
                 refined.append((cand, lams + (lam_refined,)))
         blocks = refined
 
-    g = sum(r * (l.conj().T @ l) for r, l in active)
+    g = sum((r * (l.conj().T @ l) for r, l in active), np.zeros((d, d)))
     rates = [r for r, _ in active]
     final: list[DFSBlock] = []
     for sub, lams in blocks:
         b = float(sum(r * abs(lam) ** 2 for r, lam in zip(rates, lams)))
-        sub = _intersect(sub, _null_space(g - b * np.eye(d), _DFS_TOL), _DFS_TOL)
+        sub = sub @ _null_space(g @ sub - b * sub, _DFS_TOL)
         if sub.shape[1] == 0:
             continue
         # Verify the defining conditions on every basis vector.

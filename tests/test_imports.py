@@ -1,7 +1,9 @@
 """Every name a package module imports is used there or listed in its
-``__all__``. Package ``__init__`` files only re-export, so they are exempt."""
+``__all__``, and no module defines a function or class name twice in one
+block. Package ``__init__`` files only re-export, so they are exempt."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -43,3 +45,48 @@ def test_detector_flags_only_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def redefinitions(source: str) -> list[str]:
+    """Function and class names defined twice in one statement block; a
+    decorated definition (a property setter, an overload) is exempt."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        for field in ("body", "orelse", "finalbody"):
+            block = getattr(node, field, None)
+            if not isinstance(block, list):  # a lambda's or IfExp's body is an expression
+                continue
+            names = Counter(
+                stmt.name
+                for stmt in block
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and not stmt.decorator_list
+            )
+            found += [name for name, count in names.items() if count > 1]
+    return sorted(found)
+
+
+def test_detector_flags_only_redefined_names():
+    source = (
+        "def f(): pass\n"
+        "def f(): pass\n"
+        "class C:\n"
+        "    @property\n"
+        "    def x(self): return 1\n"
+        "    @x.setter\n"
+        "    def x(self, v): pass\n"
+        "def outer():\n"
+        "    def g(): pass\n"
+        "    def g(): pass\n"
+        "    def f(): pass\n"
+        "if True:\n"
+        "    def h(): pass\n"
+        "else:\n"
+        "    def h(): pass\n"
+    )
+    assert redefinitions(source) == ["f", "g"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_redefines_no_name(path):
+    assert redefinitions(path.read_text()) == []

@@ -291,6 +291,27 @@ class TestDetectDfs:
         dfs = detect_dfs(LindbladSpec(zero(qubits(1))))
         assert dfs.block_dims == (2,)
 
+    def test_zero_rate_term_whole_space(self):
+        s = qubits(1)
+        dfs = detect_dfs(LindbladSpec(zero(s), (LindbladTerm(0.0, lowering_on(s, 0)),)))
+        assert dfs.block_dims == (2,)
+        block = dfs.blocks[0]
+        assert np.allclose(block.basis, np.eye(2), atol=1e-12)
+        assert block.lindblad_eigenvalues == ()
+        assert block.damping_eigenvalue == 0.0
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-5, 1e-6])
+    def test_near_miss_kernel_keeps_exact_dfs(self, eps):
+        # span{|0>} is an exact DFS. ker L2 = span{|0>, |1> + eps|2>} is
+        # tilted by eps away from ker L1 = span{|0>, |1>}.
+        s = HilbertSpace((3,))
+        w = np.array([0.0, -eps, 1.0]) / np.sqrt(1.0 + eps**2)
+        l1 = Operator(s, np.diag([0.0, 0.0, 1.0]))
+        l2 = Operator(s, np.outer(np.eye(3)[2], w))
+        dfs = detect_dfs(LindbladSpec(zero(s), (LindbladTerm(1.0, l1), LindbladTerm(1.0, l2))))
+        assert dfs.block_dims == (1,)
+        assert np.allclose(np.abs(dfs.blocks[0].basis[:, 0]), [1.0, 0.0, 0.0], atol=1e-10)
+
     def test_hamiltonian_is_ignored(self, rng):
         s = qubits(2)
         spec = LindbladSpec(

@@ -179,11 +179,15 @@ class TestCli:
              "two-qubit"),
             (["sweep", "--model", "ising-chain", "--gammas", "1", "--restarts", "1"],
              "two-qubit"),
+            (["zeno-check", "--steps", "1,x"], "--steps (config 'steps')"),
+            (["sweep", "--gammas", "1,x", "--restarts", "1"], "--gammas (config 'gammas')"),
+            (["zeno-check", "--gammas", "x"], "--gammas (config 'gammas')"),
         ],
         ids=["n-two-qubit-amp", "n-two-qubit-dephasing", "slices-0", "nmax-0",
              "unknown-target", "damping-chain", "gamma-inf-lie-dim", "gamma-inf-dfs",
              "gammas-inf-zeno-check", "gammas-inf-sweep", "t-inf", "t-nan",
-             "slices-negative", "seed-negative", "sweep-atom", "sweep-chain"],
+             "slices-negative", "seed-negative", "sweep-atom", "sweep-chain",
+             "steps-not-int", "gammas-not-float-sweep", "gammas-not-float-zeno-check"],
     )
     def test_bad_input_exits_one(self, capsys, argv, message):
         assert main(argv) == 1
@@ -227,7 +231,7 @@ class TestCli:
     _EVERY_FLAG = {
         "lie-dim": {"model": "n-level-atom", "n": 3, "gamma": 2.0},
         "dfs": {"model": "ising-chain", "n": 3, "gamma": 0.5},
-        "zeno-check": {"model": "two-qubit-dephasing", "gamma": 2.0, "t": 0.5,
+        "zeno-check": {"model": "two-qubit-dephasing", "gamma": 2.0, "t": 2,
                        "steps": "1,3", "gammas": "10"},
         "reproduce-table1": {"nmax": 3, "csv": "-"},
         "sweep": {"model": "two-qubit-dephasing", "gammas": "1", "target": "hadamard",
