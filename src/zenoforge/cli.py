@@ -30,6 +30,7 @@ from .grape import (
 )
 from .lie import dfs_lie_dimension, lie_closure
 from .lindblad import (
+    _DFS_TOL,
     LindbladSpec,
     _array_from_json,
     _matrix_from_json,
@@ -140,11 +141,17 @@ def cmd_lie_dim(args) -> int:
 def cmd_dfs(args) -> int:
     desc = _model_from_args(args.model, args.n, args.gamma)
     decomposition = detect_dfs(desc.spec.dissipative_part())
+
+    def rounded(x):  # values below the DFS tolerance are exact zeros up to rounding
+        return 0.0 if abs(x) < _DFS_TOL else x
+
     blocks = [
         {
             "dim": b.dim,
-            "lindblad_eigenvalues": [[z.real, z.imag] for z in b.lindblad_eigenvalues],
-            "damping_eigenvalue": b.damping_eigenvalue,
+            "lindblad_eigenvalues": [
+                [rounded(z.real), rounded(z.imag)] for z in b.lindblad_eigenvalues
+            ],
+            "damping_eigenvalue": rounded(b.damping_eigenvalue),
         }
         for b in decomposition.blocks
     ]

@@ -2,10 +2,16 @@
 bilinear control systems.
 
 The total time is divided into equidistant slices with constant fields.
-One forward pass exponentiates the stack of slice generators
-A_k = dt (D + sum_l f_lk K_l) and multiplies the propagators into E_T. Exact
-gradients come from a backward costate sweep (adjoint-mode GRAPE) with one
-adjoint Frechet derivative (scipy's expm_frechet) per slice for all controls.
+Every generator here preserves Hermiticity, so in an orthonormal Hermitian
+operator basis {B_a} it is a real matrix: with Q the unitary whose columns
+are vec(B_a), D and the control superoperators K_l become the real
+Re(Q^H D Q) and Re(Q^H K_l Q), computed once per system. One forward pass
+exponentiates the real stack of slice generators A_k = dt (D + sum_l f_lk K_l)
+and multiplies the propagators; the targets see E_T = Q (E_{n-1} ... E_0) Q^H.
+Exact gradients come from a backward costate sweep (adjoint-mode GRAPE). The
+adjoint Frechet derivative L(A_k^T, W_k) of every slice is the upper-right
+block of expm([[A_k^T, W_k], [0, A_k^T]]) (Van Loan, IEEE TAC 23, 395 (1978)),
+taken by one batched expm over all slices.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import scipy.linalg
 import scipy.optimize
 
 from .channels import _eps2_weight, choi, reduced_channel, unitary_superop
+from .lie import _element
 from .lindblad import LindbladSpec, Superoperator, dissipator_matrix, hamiltonian_superop
 from .ops import Operator
 
@@ -66,10 +73,31 @@ class ControlSystem:
         return len(self.controls)
 
     @cached_property
-    def _generators(self) -> tuple[np.ndarray, np.ndarray]:
-        """The dissipator D and the stacked control superoperators K_l."""
-        controls = np.stack([hamiltonian_superop(c.matrix) for c in self.controls])
-        return dissipator_matrix(self.spec).matrix, controls
+    def _generators(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The basis change Q, the real dissipator D and the stacked real
+        control superoperators K_l in the Hermitian basis."""
+        d = self.spec.space.dim
+        # columns vec(B_a) for lie's orthonormal Hermitian basis B_a = -i _element(e_a):
+        # E_jj, (E_jk + E_kj)/sqrt2 and i(E_jk - E_kj)/sqrt2 for j < k
+        basis = np.stack([-1j * _element(e, d) for e in np.eye(d * d)], axis=-1)
+        basis = basis.reshape(d * d, d * d)
+        base = _to_real_basis(basis, dissipator_matrix(self.spec).matrix)
+        controls = np.stack(
+            [_to_real_basis(basis, hamiltonian_superop(c.matrix)) for c in self.controls]
+        )
+        return basis, base, controls
+
+
+def _to_real_basis(basis: np.ndarray, superop: np.ndarray) -> np.ndarray:
+    """Q^H S Q for a Hermiticity-preserving S, whose imaginary part is rounding."""
+    mat = basis.conj().T @ superop @ basis
+    # an overflowed (non-finite) generator passes here and fails the finiteness checks
+    if np.max(np.abs(mat.imag)) > 1e-12 * np.max(np.abs(mat)):
+        raise ValueError(
+            "generator does not preserve Hermiticity within 1e-12: "
+            "the Hamiltonian and the controls must be Hermitian"
+        )
+    return mat.real
 
 
 @dataclass(frozen=True)
@@ -107,25 +135,26 @@ def random_schedule(
 
 
 def _forward(system: ControlSystem, schedule: PulseSchedule):
-    """Stacked slice generators A_k, their exponentials E_k, the prefix
-    products P_k = E_{k-1} ... E_0 and the total map E_T."""
+    """Real stacked slice generators A_k, their exponentials E_k and the prefix
+    products P_k = E_{k-1} ... E_0 in the Hermitian basis, and the total map
+    E_T in the vec basis."""
     amps = schedule.amplitudes
     if amps.shape[0] != system.n_controls:
         raise ValueError(
             f"schedule has {amps.shape[0]} control rows, "
             f"system has {system.n_controls}"
         )
-    base, controls = system._generators
+    basis, base, controls = system._generators
     gens = schedule.slice_duration * (
         base + sum(f[:, None, None] * km for f, km in zip(amps, controls))
     )
     props = scipy.linalg.expm(gens)
     prefix = np.empty_like(props)
-    total = np.eye(base.shape[0], dtype=complex)
+    total = np.eye(base.shape[0])
     for k, prop in enumerate(props):
         prefix[k] = total
         total = prop @ total
-    return gens, props, prefix, total
+    return gens, props, prefix, basis @ total @ basis.conj().T
 
 
 def propagate_schedule(system: ControlSystem, schedule: PulseSchedule) -> Superoperator:
@@ -179,17 +208,23 @@ def objective_and_gradient(
     value, cograd = target.value_and_cograd(e_total)
     if not np.isfinite(props).all():  # an overflowing L-BFGS probe: no gradient
         return value, np.full(schedule.amplitudes.shape, np.nan)
-    # Costate G_k = S_k^T cograd with S_k = E_{n-1} ... E_{k+1}: d(value) =
-    # Re sum(W_k * dE_k) for W_k = G_k P_k^T, and <X, L(A, E)> = <L(A^H, X), E>
-    # turns this into dt Re sum(conj(L(A_k^H, conj W_k)) * K_l) for every l.
-    adjoints = np.empty_like(props)
-    costate = cograd
-    for k in range(schedule.n_slices - 1, -1, -1):
-        w = costate @ prefix[k].T
-        adjoints[k] = scipy.linalg.expm_frechet(gens[k].conj().T, w.conj(), compute_expm=False)
+    # In the Hermitian basis E_T = Q T Q^H with T real, so d(value) =
+    # sum(G * dT) for G = Re(Q^T cograd conj(Q)). Costate G_k = S_k^T G with
+    # S_k = E_{n-1} ... E_{k+1}: d(value) = sum(W_k * dE_k) for W_k = G_k P_k^T,
+    # and <W, L(A, X)> = <L(A^T, W), X> turns this into dt sum(K_l * L(A_k^T, W_k))
+    # for every l. L(A_k^T, W_k) is the upper-right block of the block-triangular
+    # exponential, for all slices in one expm.
+    basis, _, controls = system._generators
+    n, dim, _ = gens.shape
+    blocks = np.zeros((n, 2 * dim, 2 * dim))
+    blocks[:, :dim, :dim] = blocks[:, dim:, dim:] = gens.transpose(0, 2, 1)
+    costate = (basis.T @ cograd @ basis.conj()).real
+    for k in range(n - 1, -1, -1):
+        blocks[k, :dim, dim:] = costate @ prefix[k].T
         costate = props[k].T @ costate
-    grad = np.tensordot(system._generators[1], adjoints.conj(), axes=([1, 2], [1, 2]))
-    return value, schedule.slice_duration * grad.real
+    adjoints = scipy.linalg.expm(blocks)[:, :dim, dim:]
+    grad = controls.reshape(len(controls), -1) @ adjoints.reshape(n, -1).T
+    return value, schedule.slice_duration * grad
 
 
 @dataclass(frozen=True)

@@ -104,20 +104,11 @@ class Operator:
             raise ValueError(f"matrix shape {mat.shape} does not match dim {d}")
         object.__setattr__(self, "matrix", _frozen(mat))
 
-    def dagger(self) -> "Operator":
-        return Operator(self.space, self.matrix.conj().T)
-
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
 
     def is_hermitian(self, tol: float = 1e-10) -> bool:
         return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
-
-    def is_unitary(self, tol: float = 1e-9) -> bool:
-        d = self.space.dim
-        return bool(
-            np.max(np.abs(self.matrix @ self.matrix.conj().T - np.eye(d))) <= tol
-        )
 
     def __add__(self, other: "Operator") -> "Operator":
         self._check_space(other)

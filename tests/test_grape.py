@@ -4,6 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_hermitian
 from zenoforge import grape
 from zenoforge.channels import choi, epsilon2, superop_tensor, unitary_superop
 from zenoforge.grape import (
@@ -27,7 +28,7 @@ from zenoforge.lindblad import (
     vec,
 )
 from zenoforge.models import HADAMARD, build_model, qubit2_reset_superop
-from zenoforge.ops import lowering_on, pauli_on, qubits, zero
+from zenoforge.ops import HilbertSpace, Operator, lowering_on, pauli_on, qubits, zero
 
 S2 = qubits(2)
 H0 = pauli_on(S2, 0, "x") @ (pauli_on(S2, 1, "x") + pauli_on(S2, 1, "z"))
@@ -79,6 +80,32 @@ def forward_mode_kernel(system, schedule, target):
         for l in range(m):
             grad[l, k] = np.real(np.sum(cograd * (suffix[k] @ derivs[l, k] @ prefix[k])))
     return e_total, grad
+
+
+def complex_adjoint_kernel(system, schedule, target):
+    """The former complex adjoint-mode kernel, kept as a test oracle: dense
+    slice exponentials in the vec basis, a backward costate sweep and one
+    adjoint expm_frechet per slice. Returns (E_T, gradient)."""
+    base = dissipator_matrix(system.spec).matrix
+    controls = np.stack([hamiltonian_superop(c.matrix) for c in system.controls])
+    gens = schedule.slice_duration * (
+        base + sum(f[:, None, None] * km for f, km in zip(schedule.amplitudes, controls))
+    )
+    props = scipy.linalg.expm(gens)
+    prefix = np.empty_like(props)
+    e_total = np.eye(base.shape[0], dtype=complex)
+    for k, prop in enumerate(props):
+        prefix[k] = e_total
+        e_total = prop @ e_total
+    _, cograd = target.value_and_cograd(e_total)
+    adjoints = np.empty_like(props)
+    costate = cograd
+    for k in range(schedule.n_slices - 1, -1, -1):
+        w = costate @ prefix[k].T
+        adjoints[k] = scipy.linalg.expm_frechet(gens[k].conj().T, w.conj(), compute_expm=False)
+        costate = props[k].T @ costate
+    grad = np.tensordot(controls, adjoints.conj(), axes=([1, 2], [1, 2]))
+    return e_total, schedule.slice_duration * grad.real
 
 
 # a third control for the three-control cases
@@ -143,12 +170,74 @@ class TestPropagateSchedule:
         with pytest.raises(ValueError, match="not finite"):
             propagate_schedule(system, PulseSchedule(1.0, [[1e308, 0, 0], [0, 0, 0]]))
 
+    def test_overflowing_rate_reports_nonfinite_map(self):
+        # the overflowed generator must reach the finiteness check, not be
+        # mistaken for a non-Hermitian one
+        spec = LindbladSpec(zero(S2), (LindbladTerm(1e308, lowering_on(S2, 1)),))
+        system = ControlSystem((H0, H1), spec, 1.0)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+            propagate_schedule(system, PulseSchedule(1.0, np.zeros((2, 3))))
+
     def test_matches_dense_slice_product(self, rng):
         for name in ("two-qubit-amp", "two-qubit-dephasing", "no-terms"):
             system = model_system(name, 2.0, 3)
             sched = PulseSchedule(1.0, rng.uniform(-5, 5, (3, 7)))
             want, _ = forward_mode_kernel(system, sched, Eps2Target(HADAMARD))
-            assert np.array_equal(propagate_schedule(system, sched).matrix, want)
+            assert np.max(np.abs(propagate_schedule(system, sched).matrix - want)) <= 1e-13
+
+
+class TestHermitianBasis:
+    @staticmethod
+    def random_system(d, rng):
+        """Random Hamiltonian and jumps (Hermitian, generic non-Hermitian and
+        nilpotent non-normal), with one to three random Hermitian controls."""
+        space = HilbertSpace((d,))
+        ginibre = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        jumps = (random_hermitian(d, rng), ginibre, np.triu(ginibre, 1))
+        terms = tuple(
+            LindbladTerm(rate, Operator(space, jump))
+            for rate, jump in zip(rng.uniform(0.0, 3.0, 3), jumps)
+        )
+        spec = LindbladSpec(Operator(space, random_hermitian(d, rng)), terms)
+        controls = tuple(
+            Operator(space, random_hermitian(d, rng)) for _ in range(rng.integers(1, 4))
+        )
+        return ControlSystem(controls, spec, 1.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 5), st.integers(0, 2**32 - 1))
+    def test_generators_are_real_and_products_agree(self, d, seed):
+        rng = np.random.default_rng(seed)
+        system = self.random_system(d, rng)
+        basis, base, controls = system._generators
+        assert np.max(np.abs(basis.conj().T @ basis - np.eye(d * d))) <= 1e-14
+        supers = [dissipator_matrix(system.spec).matrix]
+        supers += [hamiltonian_superop(c.matrix) for c in system.controls]
+        for real, superop in zip([base, *controls], supers):
+            rotated = basis.conj().T @ superop @ basis
+            assert np.max(np.abs(rotated.imag)) <= 1e-12 * np.max(np.abs(rotated))
+            assert real.dtype == float and np.array_equal(real, rotated.real)
+        sched = PulseSchedule(1.0, rng.uniform(-3, 3, (system.n_controls, 6)))
+        want = np.eye(d * d, dtype=complex)
+        for k in range(sched.n_slices):
+            gen = supers[0] + sum(f * km for f, km in zip(sched.amplitudes[:, k], supers[1:]))
+            want = scipy.linalg.expm(sched.slice_duration * gen) @ want
+        assert np.max(np.abs(propagate_schedule(system, sched).matrix - want)) <= 1e-12
+
+    def test_kernel_arrays_are_real(self, rng):
+        system = two_qubit_system(1.0)
+        sched = PulseSchedule(1.0, rng.uniform(-1, 1, (2, 4)))
+        gens, props, prefix, _ = grape._forward(system, sched)
+        assert gens.dtype == props.dtype == prefix.dtype == float
+        assert objective_and_gradient(system, sched, Eps2Target(HADAMARD))[1].dtype == float
+
+    def test_non_hermitian_control_within_validation_rejected(self):
+        # accepted by the 1e-10 Hermiticity check, but its generator is not
+        # real in the Hermitian basis within 1e-12
+        skew = H0.matrix + 1e-11 * np.triu(np.ones((4, 4)), 1)
+        system = ControlSystem((Operator(S2, skew),), two_qubit_system(1.0).spec, 1.0)
+        with pytest.raises(ValueError, match="Hermitian"):
+            propagate_schedule(system, PulseSchedule(1.0, [[0.5]]))
 
 
 class TestGradients:
@@ -186,8 +275,9 @@ class TestGradients:
                 for scale in (1.0, 30.0):
                     amps = rng.uniform(-scale, scale, (n_controls, n_slices))
                     sched = PulseSchedule(1.0, amps)
-                    _, want = forward_mode_kernel(system, sched, target)
-                    assert_gradients_agree(objective_and_gradient(system, sched, target)[1], want)
+                    got = objective_and_gradient(system, sched, target)[1]
+                    for oracle in (forward_mode_kernel, complex_adjoint_kernel):
+                        assert_gradients_agree(got, oracle(system, sched, target)[1])
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -206,8 +296,9 @@ class TestGradients:
         amps = np.random.default_rng(seed).uniform(-scale, scale, (n_controls, n_slices))
         sched = PulseSchedule(1.0, amps)
         target = eps1_target() if use_eps1 else Eps2Target(HADAMARD)
-        _, want = forward_mode_kernel(system, sched, target)
-        assert_gradients_agree(objective_and_gradient(system, sched, target)[1], want)
+        got = objective_and_gradient(system, sched, target)[1]
+        for oracle in (forward_mode_kernel, complex_adjoint_kernel):
+            assert_gradients_agree(got, oracle(system, sched, target)[1])
 
     def test_overflowing_probe_gives_nan_without_raising(self):
         # L-BFGS line searches may probe such points; the optimizer backs off
@@ -266,7 +357,7 @@ class TestSharedForwardPass:
         assert np.max(np.abs(weak_map - strong_map)) > 0.1
         for system, got in ((weak, weak_map), (strong, strong_map)):
             want, _ = forward_mode_kernel(system, sched, Eps2Target(HADAMARD))
-            assert np.array_equal(got, want)
+            assert np.max(np.abs(got - want)) <= 1e-13
 
 
 class TestOptimize:

@@ -87,6 +87,13 @@ class TestCli:
         assert [b["dim"] for b in doc["blocks"]] == [2, 2]
         assert doc["blocks"][0]["lindblad_eigenvalues"] == [[-1.0, 0.0]]
 
+    def test_dfs_prints_exact_zeros(self, capsys):
+        # the chain's DFS block has only zero eigenvalues: no rounding noise
+        assert main(["dfs", "--model", "ising-chain", "--n", "4"]) == 0
+        (block,) = json.loads(capsys.readouterr().out)["blocks"]
+        values = [x for z in block["lindblad_eigenvalues"] for x in z]
+        assert values and all(x == 0.0 for x in values + [block["damping_eigenvalue"]])
+
     def test_reproduce_table1_small(self, capsys):
         assert main(["reproduce-table1", "--nmax", "3"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -332,6 +339,34 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert set(doc) == {"eps1", "eps2", "diamond_upper", "reduced_error", "nonphysical"}
         assert doc["eps2"] <= doc["eps1"] / 16 + 1e-9
+
+    def test_fidelity_job_on_six_levels(self, tmp_path, capsys):
+        # a qubit times a damped qutrit: d = 6 is no power of two
+        rng = np.random.default_rng(6)
+
+        def as_json(mat):
+            return [[[z.real, z.imag] for z in row] for row in np.asarray(mat, dtype=complex)]
+
+        def hermitian():
+            a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+            return a + a.conj().T
+
+        lowering = np.kron(np.eye(2), np.diag(np.sqrt([1.0, 2.0]), 1))
+        doc = {
+            "system": {
+                "dims": [2, 3],
+                "hamiltonian": as_json(np.zeros((6, 6))),
+                "terms": [{"rate": 2.0, "op": as_json(lowering)}],
+                "controls": [as_json(hermitian()), as_json(hermitian())],
+                "total_time": 1.0,
+            },
+            "amplitudes": [[0.3, -0.2, 0.7], [0.1, 0.4, -0.5]],
+            "target": "hadamard",
+            "etilde": "identity",
+        }
+        assert main(["fidelity", str(self._fidelity_job(tmp_path, None, doc))]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert all(np.isfinite(report[key]) for key in ("eps1", "eps2", "reduced_error"))
 
     @pytest.mark.parametrize(
         "target, message",
