@@ -123,15 +123,9 @@ def _model_from_args(name, n, gamma):
 def cmd_lie_dim(args) -> int:
     desc = _model_from_args(args.model, args.n, args.gamma)
     report = dfs_lie_dimension(desc.spec, desc.controls)
-    dim_nonoise = lie_closure(desc.controls).dim
-    dim_dfs = (
-        report.unital_dim
-        if report.unital_dim is not None
-        else sum(report.block_dims)
-    )
     doc = {
-        "dim_nonoise": dim_nonoise,
-        "dim_dfs": dim_dfs,
+        "dim_nonoise": lie_closure(desc.controls).dim,
+        "dim_dfs": report.verdict.dim,
         "block_dims": list(report.block_dims),
     }
     print(json.dumps(doc))
@@ -202,7 +196,7 @@ def _chain_dfs_lie_dim(n: int) -> int:
         heis = Operator(space, two_body(0, 1).realize(space) / 3.0)
         return lie_closure([heis, heis]).dim
     desc = build_model("ising-chain", n_qubits=n)
-    return dfs_lie_dimension(desc.spec, desc.controls).unital_dim
+    return dfs_lie_dimension(desc.spec, desc.controls).verdict.dim
 
 
 def cmd_reproduce_table1(args) -> int:

@@ -244,13 +244,11 @@ def optimize(
     seed: int = 0,
     n_slices: int = 20,
     max_iterations: int = 500,
-    amplitude_bound: float | None = None,
 ) -> OptimizationResult:
     """Multi-restart quasi-Newton minimization of the gate error.
 
     Deterministic given ``seed``: restart r draws its initial pulse from
     default_rng([seed, r]). Returns the best schedule over restarts.
-    ``amplitude_bound`` clips every amplitude to [-bound, +bound].
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -258,8 +256,6 @@ def optimize(
         raise ValueError("a pulse schedule needs at least one slice")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    if amplitude_bound is not None and amplitude_bound <= 0:
-        raise ValueError("amplitude bound must be positive")
     m = system.n_controls
     best_value = np.inf
     best_x = None
@@ -268,15 +264,9 @@ def optimize(
     total_iters = 0
     any_converged = False
 
-    bounds = None
-    if amplitude_bound is not None:
-        bounds = [(-amplitude_bound, amplitude_bound)] * (m * n_slices)
-
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
         x0 = random_schedule(system, n_slices, rng).amplitudes.reshape(-1)
-        if amplitude_bound is not None:
-            x0 = np.clip(x0, -amplitude_bound, amplitude_bound)
         evals = 0
         trace: list[float] = []
 
@@ -295,7 +285,6 @@ def optimize(
             x0,
             jac=True,
             method="L-BFGS-B",
-            bounds=bounds,
             callback=callback,
             options={
                 "maxiter": max_iterations,

@@ -18,6 +18,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .lindblad import LindbladSpec, detect_dfs
 from .ops import Operator
@@ -163,16 +164,10 @@ class ControllabilityVerdict:
     dim: int
     contains_su: bool
     equals_u: bool
-    block_dims: tuple[int, ...] = ()
 
     def to_json(self) -> str:
         return json.dumps(
-            {
-                "dim": self.dim,
-                "contains_su": self.contains_su,
-                "equals_u": self.equals_u,
-                "block_dims": list(self.block_dims),
-            }
+            {"dim": self.dim, "contains_su": self.contains_su, "equals_u": self.equals_u}
         )
 
 
@@ -191,43 +186,44 @@ def controllability_verdict(basis: LieBasis) -> ControllabilityVerdict:
 
 @dataclass(frozen=True)
 class DFSLieReport:
-    """Per-DFS-block closure dimensions, plus the full-space result for
-    unital dissipators."""
+    """The closure over the whole steady manifold, and one per DFS block."""
 
-    block_dims: tuple[int, ...]
+    verdict: ControllabilityVerdict
     block_verdicts: tuple[ControllabilityVerdict, ...]
-    unital_dim: int | None
-    unital_verdict: ControllabilityVerdict | None
+
+    @property
+    def block_dims(self) -> tuple[int, ...]:
+        return tuple(v.dim for v in self.block_verdicts)
 
 
 def dfs_lie_dimension(spec: LindbladSpec, controls) -> DFSLieReport:
     """Lie dimensions of the projected control system over the DFS's.
 
     For every DFS block the controls are compressed to the block basis
-    and closed there. If the dissipator is unital the superprojected
-    controls are additionally closed on the full space.
+    and closed there. The joint verdict closes P(H) for a unital
+    dissipator, and otherwise the block-diagonal sum of the compressions,
+    so that blocks the controls link count once; a single block's joint
+    verdict is its block verdict.
     """
     from .zeno import project_hamiltonian, superproject_hamiltonian
 
     def verdict(hamiltonians) -> ControllabilityVerdict:
-        nonzero = [h for h in hamiltonians if np.max(np.abs(h.matrix)) > 1e-12]
+        nonzero = [h for h in hamiltonians if np.max(np.abs(h)) > 1e-12]
         if not nonzero:
             return ControllabilityVerdict(0, False, False)
         return controllability_verdict(lie_closure(nonzero))
 
     diss = spec.dissipative_part()
     dfs = detect_dfs(diss)
-    block_verdicts = tuple(
-        verdict([project_hamiltonian(h, dfs, idx) for h in controls])
+    blocks = [
+        [project_hamiltonian(h, dfs, idx).matrix for h in controls]
         for idx in range(len(dfs.blocks))
-    )
-
-    unital_verdict = None
+    ]
+    block_verdicts = tuple(verdict(b) for b in blocks)
     if diss.terms and diss.is_unital():
-        unital_verdict = verdict([superproject_hamiltonian(h, diss) for h in controls])
-    return DFSLieReport(
-        tuple(v.dim for v in block_verdicts),
-        block_verdicts,
-        None if unital_verdict is None else unital_verdict.dim,
-        unital_verdict,
-    )
+        joint = verdict([superproject_hamiltonian(h, diss).matrix for h in controls])
+    elif len(blocks) == 1:
+        joint = block_verdicts[0]
+    else:
+        joint = verdict([scipy.linalg.block_diag(*parts) for parts in zip(*blocks)])
+    return DFSLieReport(joint, block_verdicts)

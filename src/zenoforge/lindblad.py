@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .ops import HilbertSpace, Operator, expm, zero
 
@@ -89,9 +90,19 @@ class LindbladSpec:
         if not self.hamiltonian.is_hermitian(1e-10):
             raise ValueError("hamiltonian is not Hermitian within 1e-10")
         d = self.space.dim
+        # every entry of the dissipator's matrix, of sum_j gamma_j Lj^dag Lj
+        # and of D(1) is at most the sum of 2 (d + 1) gamma_j max|Lj|^2
+        bound = 0.0
         for t in self.terms:
             if t.op.space.dim != d:
                 raise ValueError("all Lindblad terms must share the Hamiltonian's space")
+            with np.errstate(over="ignore", invalid="ignore"):
+                scale = np.max(np.abs(t.op.matrix), initial=0.0)
+                bound += 2 * (d + 1) * t.rate * scale**2
+            if not bound < np.inf:  # NaN fails too
+                raise ValueError(
+                    f"rate {t.rate:g} with max|L| = {scale:g} gives a non-finite Lindblad generator"
+                )
 
     @property
     def space(self) -> HilbertSpace:
@@ -182,22 +193,21 @@ def steady_superprojector(spec: LindbladSpec) -> Superoperator:
     dissipator ``zeno.superproject_hamiltonian`` applies P matrix-free.
     """
     gen = dissipator_matrix(spec).matrix
-    w = np.linalg.eigvals(gen)
+    w, left, right = scipy.linalg.eig(gen, left=True, right=True)
     cut = _kernel_tolerance(w, _ZERO_CUT)
     zero = np.abs(w) <= cut
     if not zero.any():
         raise ValueError("generator has no steady state")
     if not np.all(w[~zero].real < -cut):
         raise ValueError("generator is not attractive: nonzero eigenvalue with Re >= 0")
-    k = int(zero.sum())
-    u, s, vh = np.linalg.svd(gen)
-    # Semisimplicity: the kernel has the dimension k of the zero eigenvalue.
-    if s[-k] > _kernel_tolerance(s, _ZERO_CUT):
-        raise ValueError("zero eigenvalue of the generator is not semisimple")
-    right = vh[-k:].conj().T             # ker(M)
-    left = u[:, -k:]                     # ker(M^H) = ran(M)^perp
+    # P = R (L^H R)^-1 L^H from the unit right and left eigenvectors of the
+    # zero cluster. A defective zero eigenvalue leaves L^H R (nearly)
+    # singular, by its condition number or, as for an exact Jordan block,
+    # with every singular value small.
+    right, left = right[:, zero], left[:, zero]
     overlap = left.conj().T @ right
-    if np.linalg.cond(overlap) > 1e8:
+    s = np.linalg.svd(overlap, compute_uv=False)
+    if s[-1] <= _kernel_tolerance(s, 1e-8):
         raise ValueError("zero eigenvalue of the generator is not semisimple")
     proj = right @ np.linalg.solve(overlap, left.conj().T)
     return Superoperator(spec.space, proj)

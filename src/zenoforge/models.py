@@ -105,6 +105,7 @@ def build_model(name: str, **params) -> ModelDescriptor:
             "block_lie_dims": (3,),
             "block_contains_su": (True,),
             "unital": False,
+            "dfs_lie_dim": 3,
         }
         return ModelDescriptor(name, {"gamma": gamma}, spec, (drift, control), expected)
 
@@ -120,7 +121,7 @@ def build_model(name: str, **params) -> ModelDescriptor:
             "block_lie_dims": (3, 3),
             "block_contains_su": (True, True),
             "unital": True,
-            "unital_lie_dim": 3,
+            "dfs_lie_dim": 3,
         }
         return ModelDescriptor(name, {"gamma": gamma}, spec, (drift, control), expected)
 
@@ -136,6 +137,7 @@ def build_model(name: str, **params) -> ModelDescriptor:
             "block_lie_dims": (n_levels**2,),
             "block_equals_u": (True,),
             "unital": False,
+            "dfs_lie_dim": n_levels**2,
         }
         return ModelDescriptor(
             name,
@@ -153,7 +155,7 @@ def build_model(name: str, **params) -> ModelDescriptor:
         expected = {
             "nonoise_lie_dim": 2,
             "unital": True,
-            "unital_lie_dim": CHAIN_DFS_LIE_DIMS.get(n_qubits),
+            "dfs_lie_dim": CHAIN_DFS_LIE_DIMS.get(n_qubits),
         }
         return ModelDescriptor(
             name,
@@ -183,9 +185,8 @@ def validate_model(desc: ModelDescriptor) -> dict:
         derived["dfs_dims"] = dfs.block_dims
     report = dfs_lie_dimension(desc.spec, desc.controls)
     derived["block_lie_dims"] = report.block_dims
-    derived["unital"] = report.unital_dim is not None
-    if report.unital_dim is not None:
-        derived["unital_lie_dim"] = report.unital_dim
+    derived["unital"] = desc.spec.is_unital()
+    derived["dfs_lie_dim"] = report.verdict.dim
     if "block_contains_su" in desc.expected:
         derived["block_contains_su"] = tuple(
             v.contains_su for v in report.block_verdicts

@@ -151,7 +151,7 @@ def test_two_qubit_example():
 
     deph = LindbladSpec(zero(S2), (LindbladTerm(1.0, pauli_on(S2, 1, "z")),))
     report = dfs_lie_dimension(deph, [H0, H1])
-    assert report.unital_dim == 3
+    assert report.verdict.dim == 3
     assert report.block_dims == (3, 3)
     assert all(v.contains_su for v in report.block_verdicts)
 

@@ -14,7 +14,7 @@ from zenoforge.lie import (
     lie_closure,
     span_residual,
 )
-from zenoforge.lindblad import LindbladSpec, LindbladTerm
+from zenoforge.lindblad import LindbladSpec, LindbladTerm, detect_dfs
 from zenoforge.models import build_model
 from zenoforge.ops import (
     HilbertSpace,
@@ -156,9 +156,9 @@ class TestControllabilityVerdict:
     def test_json_round_trip(self):
         import json
 
-        v = ControllabilityVerdict(3, True, False, (3,))
+        v = ControllabilityVerdict(3, True, False)
         doc = json.loads(v.to_json())
-        assert doc == {"dim": 3, "contains_su": True, "equals_u": False, "block_dims": [3]}
+        assert doc == {"dim": 3, "contains_su": True, "equals_u": False}
 
 
 class TestDfsLieDimension:
@@ -167,15 +167,79 @@ class TestDfsLieDimension:
         report = dfs_lie_dimension(spec, [H0, H1])
         assert report.block_dims == (3,)
         assert report.block_verdicts[0].contains_su
-        assert report.unital_dim is None
+        assert report.verdict == report.block_verdicts[0]
 
     def test_dephasing_blocks_and_unital(self):
         spec = LindbladSpec(zero(S2), (LindbladTerm(1.0, pauli_on(S2, 1, "z")),))
         report = dfs_lie_dimension(spec, [H0, H1])
         assert report.block_dims == (3, 3)
         assert all(v.contains_su for v in report.block_verdicts)
-        assert report.unital_dim == 3
-        assert not report.unital_verdict.contains_su
+        assert report.verdict.dim == 3
+        assert not report.verdict.contains_su
+
+    def test_non_unital_without_dfs_has_empty_algebra(self):
+        s1 = HilbertSpace((2,))
+        low = lowering_on(s1, 0)
+        raising = Operator(s1, low.matrix.conj().T)
+        spec = LindbladSpec(zero(s1), (LindbladTerm(1.0, low), LindbladTerm(2.0, raising)))
+        report = dfs_lie_dimension(spec, [pauli_on(s1, 0, "x")])
+        assert report.block_dims == ()
+        assert report.verdict == ControllabilityVerdict(0, False, False)
+
+
+# Non-unital d = 5 spec with DFS blocks span{|0>, |1>} (L = 0) and
+# span{|2>, |3>} (L = 1); |4> decays into |0>.
+S5 = HilbertSpace((5,))
+_LINKED_JUMP = np.diag([0.0, 0.0, 1.0, 1.0, 0.0]) + np.outer(np.eye(5)[0], np.eye(5)[4])
+_LINKED_SPEC = LindbladSpec(zero(S5), (LindbladTerm(1.0, Operator(S5, _LINKED_JUMP)),))
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_Z = np.diag([1.0, -1.0]).astype(complex)
+
+
+def _on_blocks(first, second):
+    """The Hermitian first (+) second on the two DFS blocks, zero on |4>."""
+    m = np.zeros((5, 5), dtype=complex)
+    m[:2, :2], m[2:4, 2:4] = first, second
+    return Operator(S5, m)
+
+
+class TestLinkedBlocks:
+    """Goursat's lemma: controls that act alike on two simple blocks, up to
+    a unitary or a unitary with complex conjugation, generate one copy of
+    su(2) there, not two; block traces add a u(1) each."""
+
+    def test_spec_has_two_non_unital_blocks(self):
+        assert not _LINKED_SPEC.is_unital()
+        dfs = detect_dfs(_LINKED_SPEC)
+        assert dfs.block_dims == (2, 2)
+        assert np.array_equal(np.abs(dfs.blocks[0].basis), np.eye(5)[:, :2])
+        assert np.array_equal(np.abs(dfs.blocks[1].basis), np.eye(5)[:, 2:4])
+
+    @pytest.mark.parametrize(
+        "second, joint, blocks",
+        [
+            (lambda u: (_X, _Z), 3, (3, 3)),
+            (lambda u: (u @ _X @ u.conj().T, u @ _Z @ u.conj().T), 3, (3, 3)),
+            (lambda u: (-_X, -_Z), 3, (3, 3)),
+            (lambda u: (_X, 2 * _Z), 6, (3, 3)),
+        ],
+        ids=["same", "unitary", "conjugate", "unlinked"],
+    )
+    def test_linked_blocks_count_once(self, rng, second, joint, blocks):
+        x2, z2 = second(random_unitary(2, rng))
+        report = dfs_lie_dimension(_LINKED_SPEC, [_on_blocks(_X, x2), _on_blocks(_Z, z2)])
+        assert report.verdict.dim == joint
+        assert report.block_dims == blocks
+        assert all(v.contains_su for v in report.block_verdicts)
+
+    def test_block_traces_add_a_center(self):
+        eye = np.eye(2)
+        report = dfs_lie_dimension(
+            _LINKED_SPEC, [_on_blocks(_X, _X), _on_blocks(_Z + eye, _Z + eye)]
+        )
+        assert report.verdict.dim == 4
+        assert report.block_dims == (4, 4)
+        assert all(v.equals_u for v in report.block_verdicts)
 
 
 # The reference the d^2-coordinate closure and the dimension-count verdict
@@ -190,7 +254,7 @@ def _embed(mats: np.ndarray) -> np.ndarray:
 
 
 def oracle_closure(generators, tol=1e-6) -> LieBasis:
-    mats = [g.matrix for g in generators]
+    mats = [lie._as_matrix(g) for g in generators]
     d = mats[0].shape[0]
     cap = d * d
     elements = np.zeros((cap, d, d), dtype=complex)
@@ -284,7 +348,9 @@ def closed_generator_sets(desc, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(lie, "lie_closure", recording_closure)
         report = dfs_lie_dimension(desc.spec, desc.controls)
-    assert len(sets) == 1 + len(report.block_dims) + (report.unital_dim is not None)
+    # one closure per block, and the joint one unless a single block is reused
+    joint = len(report.block_dims) != 1 or desc.spec.is_unital()
+    assert len(sets) == 1 + len(report.block_dims) + joint
     return sets
 
 

@@ -1,8 +1,12 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zenoforge.lindblad as lindblad
 from zenoforge.lindblad import (
     LindbladSpec,
     LindbladTerm,
@@ -234,6 +238,22 @@ class TestSteadySuperprojector:
         unitary_only = LindbladSpec(pauli_on(s, 0, "z"))
         with pytest.raises(ValueError, match="attractive|steady"):
             steady_superprojector(unitary_only)
+
+    @pytest.mark.parametrize(
+        "generator, message",
+        [
+            (-np.eye(4), "no steady state"),
+            (np.diag([-1.0, -2.0, 0.0, 0.0]) + np.diag([0.0, 0.0, 1.0], 1), "not semisimple"),
+        ],
+        ids=["no-kernel", "jordan-block"],
+    )
+    def test_rejects_generator_without_semisimple_kernel(self, monkeypatch, generator, message):
+        # no Lindbladian has these spectra: substitute the generator matrix
+        monkeypatch.setattr(
+            lindblad, "dissipator_matrix", lambda spec: Superoperator(spec.space, generator)
+        )
+        with pytest.raises(ValueError, match=message):
+            steady_superprojector(LindbladSpec(zero(qubits(1))))
 
     def test_dfs_states_are_fixed_points(self):
         spec = amp_damping_spec()
@@ -505,3 +525,23 @@ class TestSuperoperatorType:
     def test_infinite_rate_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             LindbladTerm(np.inf, pauli_on(qubits(1), 0, "x"))
+
+    @pytest.mark.parametrize(
+        "rates, scale",
+        [((1e308,), 1.0), ((1e307,) * 3, 1.0), ((1.0,), 1e200), ((1.0,), np.nan)],
+        ids=["one-rate", "summed-rates", "large-operator", "nan-operator"],
+    )
+    def test_overflowing_rate_rejected_without_warning(self, rates, scale):
+        s = qubits(2)
+        terms = tuple(LindbladTerm(r, lowering_on(s, k % 2) * scale) for k, r in enumerate(rates))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = re.escape(f"rate {rates[-1]:g} ") + ".*non-finite"
+            with pytest.raises(ValueError, match=message):
+                LindbladSpec(zero(s), terms)
+
+    def test_largest_finite_rate_accepted(self):
+        # d = 4: the bound is 10 gamma max|L|^2
+        s = qubits(2)
+        spec = LindbladSpec(zero(s), (LindbladTerm(1e307, lowering_on(s, 1)),))
+        assert np.isfinite(dissipator_matrix(spec).matrix).all()

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,7 @@ class TestRegistry:
 
     def test_chain_self_validates(self):
         derived = validate_model(build_model("ising-chain", n_qubits=3))
-        assert derived["unital_lie_dim"] == 4
+        assert derived["dfs_lie_dim"] == 4
 
     def test_unknown_model(self):
         with pytest.raises(ValueError):
@@ -80,6 +81,29 @@ class TestCli:
         assert main(["lie-dim", "--model", "two-qubit-amp"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert set(doc) == {"dim_nonoise", "dim_dfs", "block_dims"}
+
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            (["--model", "two-qubit-amp"], '{"dim_nonoise": 2, "dim_dfs": 3, "block_dims": [3]}'),
+            (["--model", "two-qubit-dephasing"],
+             '{"dim_nonoise": 2, "dim_dfs": 3, "block_dims": [3, 3]}'),
+            *[(["--model", "n-level-atom", "--n", str(n)],
+               f'{{"dim_nonoise": 2, "dim_dfs": {n * n}, "block_dims": [{n * n}]}}')
+              for n in range(2, 7)],
+            (["--model", "ising-chain", "--n", "3"],
+             '{"dim_nonoise": 2, "dim_dfs": 4, "block_dims": []}'),
+            (["--model", "ising-chain", "--n", "4"],
+             '{"dim_nonoise": 2, "dim_dfs": 12, "block_dims": [4]}'),
+            (["--model", "ising-chain", "--n", "5"],
+             '{"dim_nonoise": 2, "dim_dfs": 40, "block_dims": []}'),
+        ],
+        ids=["two-qubit-amp", "two-qubit-dephasing", *[f"atom-{n}" for n in range(2, 7)],
+             "chain-3", "chain-4", "chain-5"],
+    )
+    def test_lie_dim_of_every_registered_model(self, capsys, argv, out):
+        assert main(["lie-dim", *argv]) == 0
+        assert capsys.readouterr().out == out + "\n"
 
     def test_dfs_report(self, capsys):
         assert main(["dfs", "--model", "two-qubit-dephasing"]) == 0
@@ -437,6 +461,30 @@ class TestCli:
         err = captured.err.strip().splitlines()
         assert captured.out == ""
         assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lie-dim", "--model", "n-level-atom", "--n", "3", "--gamma", "1e308"],
+            ["zeno-check", "--gammas", "1e308"],
+            ["sweep", "--gammas", "1e308", "--restarts", "1", "--slices", "4"],
+            ["fidelity", "identity"],
+            ["fidelity", "projector"],
+        ],
+        ids=["lie-dim", "zeno-check", "sweep", "fidelity-identity", "fidelity-projector"],
+    )
+    def test_overflowing_rate_exits_one_without_warning(self, tmp_path, capsys, argv):
+        if argv[0] == "fidelity":
+            doc = self._replaced(self._fidelity_doc(), ("system", "terms", 0, "rate"), 1e308)
+            doc["etilde"] = argv[1]
+            argv = ["fidelity", str(self._fidelity_job(tmp_path, None, doc))]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == "" and caught == []
+        assert len(err) == 1 and err[0].startswith("error: rate 1e+308 ")
 
     @settings(max_examples=60, deadline=None)
     @given(
