@@ -8,25 +8,34 @@ are vec(B_a), D and the control superoperators K_l become the real
 Re(Q^H D Q) and Re(Q^H K_l Q), computed once per system. One forward pass
 exponentiates the real stack of slice generators A_k = dt (D + sum_l f_lk K_l)
 and multiplies the propagators; the targets see E_T = Q (E_{n-1} ... E_0) Q^H.
-Exact gradients come from a backward costate sweep (adjoint-mode GRAPE). The
-adjoint Frechet derivative L(A_k^T, W_k) of every slice is the upper-right
-block of expm([[A_k^T, W_k], [0, A_k^T]]) (Van Loan, IEEE TAC 23, 395 (1978)),
-taken by one batched expm over all slices.
+Exact gradients come from a backward costate sweep (adjoint-mode GRAPE),
+which needs the adjoint Frechet derivative L(A_k^T, W_k) of every slice.
+Both stacks, the slice exponentials and these derivatives, come from one
+batched kernel: a degree-18 Taylor polynomial with scaling and squaring
+(Bader, Blanes & Casas, Mathematics 7, 1174 (2019)) whose Frechet derivative
+is carried through the same recurrences on dual numbers (Al-Mohy & Higham,
+SIAM J. Matrix Anal. Appl. 30, 1639 (2009)).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 
 from .channels import _eps2_weight, choi, reduced_channel, unitary_superop
 from .lie import _element
-from .lindblad import LindbladSpec, Superoperator, dissipator_matrix, hamiltonian_superop
+from .lindblad import (
+    LindbladSpec,
+    Superoperator,
+    _coherent_bound,
+    dissipator_matrix,
+    hamiltonian_superop,
+)
 from .ops import Operator
 
 __all__ = [
@@ -82,6 +91,8 @@ class ControlSystem:
         basis = np.stack([-1j * _element(e, d) for e in np.eye(d * d)], axis=-1)
         basis = basis.reshape(d * d, d * d)
         base = _to_real_basis(basis, dissipator_matrix(self.spec).matrix)
+        for l, c in enumerate(self.controls):
+            _coherent_bound(c, f"control {l}")
         controls = np.stack(
             [_to_real_basis(basis, hamiltonian_superop(c.matrix)) for c in self.controls]
         )
@@ -134,6 +145,77 @@ def random_schedule(
     return PulseSchedule(system.total_time, amps)
 
 
+# The degree-18 Taylor polynomial of exp in five products (Bader, Blanes &
+# Casas, Mathematics 7, 1174 (2019)): with A2 = A A, A3 = A2 A, A6 = A3 A3,
+# row i of _T18 holds the coefficients of A, A2, A3, A6 in B_(i+1), and
+# _T18_IDENTITY the identity parts of B3 and B4. Then A9 = B1 B5 + B4 and
+# T18(A) = B2 + (B3 + A9) A9.
+_T18 = np.array([
+    [-0.10036558103014462001, -0.00802924648241156960, -0.00089213849804572995, 0.0],
+    [0.39784974949964507614, 1.36783778460411719922, 0.49828962252538267755,
+     -0.00063789819459472330],
+    [1.68015813878906197182, 0.05717798464788655127, -0.00698210122488052084,
+     0.00003349750170860705],
+    [-0.06764045190713819075, 0.06759613017704596460, 0.02955525704293155274,
+     -0.00001391802575160607],
+    [0.0, -0.09233646193671185927, -0.01693649390020817171, -0.00001400867981820361],
+])
+_T18_IDENTITY = np.array([-10.9676396052962062593, -0.09043168323908105619])
+# T18 has a backward error below the unit roundoff while |A| <= _THETA18
+_THETA18 = 1.090863719290036
+
+
+def _dual_matmul(z1: np.ndarray, z2: np.ndarray, out: np.ndarray | None = None):
+    """Stacked product of z = [X] (plain) or z = [X, Y] (the dual X + eps Y):
+    (X1 + eps Y1)(X2 + eps Y2) = X1 X2 + eps (X1 Y2 + Y1 X2)."""
+    out = np.matmul(z1[0], z2, out=out)
+    if len(z1) == 2:
+        out[1] += z1[1] @ z2[0]
+    return out
+
+
+def _expm_stack(a: np.ndarray, e: np.ndarray | None = None):
+    """exp(A_k) of a real (n, m, m) stack; given E, (exp(A_k), L(A_k, E_k)).
+
+    One scaling 2^-s for the whole stack, then T18 and s squarings, all as
+    stacked matmuls. The Frechet derivative L is the eps part of the same
+    recurrences on dual numbers; with the same s it has the same backward
+    error bound (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 30, 1639
+    (2009)). A non-finite or overflowing stack comes out non-finite without a
+    numpy warning."""
+    n, m, _ = a.shape
+    with np.errstate(all="ignore"):
+        # One workspace for A, A2, A3, A6 and B1..B5, so that a call makes a
+        # single large allocation, which the heap keeps for the next call.
+        work = np.empty((9, 1 if e is None else 2, n, m, m))
+        pows, b = work[:4], work[4:]
+        pows[0, 0] = a
+        if e is not None:
+            pows[0, 1] = e
+        _dual_matmul(pows[0], pows[0], out=pows[1])
+        _dual_matmul(pows[1], pows[0], out=pows[2])
+        # alpha = max(|A2|^(1/2), |A3|^(1/3)) <= |A| bounds the backward error
+        # of T18 as |A| does (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
+        # 970 (2009), Thm 4.2); it is not finite when A is, or when A3 overflows.
+        norms = np.abs(pows[1:3, 0]).sum(axis=-2).max(axis=(1, 2))  # 1-norms
+        alpha = max(norms[0] ** 0.5, norms[1] ** (1 / 3))
+        if not np.isfinite(alpha):
+            nan = np.full(a.shape, np.nan)
+            return nan if e is None else (nan, nan)
+        s = math.ceil(math.log2(alpha / _THETA18)) if alpha > _THETA18 else 0
+        for k in range(3):
+            np.ldexp(pows[k], -s * (k + 1), out=pows[k])
+        _dual_matmul(pows[2], pows[2], out=pows[3])
+        np.matmul(_T18, pows.reshape(4, -1), out=b.reshape(5, -1))
+        diagonals = b.reshape(5, -1, n, m * m)[2:4, 0, :, :: m + 1]
+        diagonals += _T18_IDENTITY[:, None, None]
+        a9 = _dual_matmul(b[0], b[4]) + b[3]
+        z = b[1] + _dual_matmul(b[2] + a9, a9)
+        for _ in range(s):
+            z = _dual_matmul(z, z)
+    return z[0] if e is None else (z[0], z[1])
+
+
 def _forward(system: ControlSystem, schedule: PulseSchedule):
     """Real stacked slice generators A_k, their exponentials E_k and the prefix
     products P_k = E_{k-1} ... E_0 in the Hermitian basis, and the total map
@@ -148,7 +230,7 @@ def _forward(system: ControlSystem, schedule: PulseSchedule):
     gens = schedule.slice_duration * (
         base + sum(f[:, None, None] * km for f, km in zip(amps, controls))
     )
-    props = scipy.linalg.expm(gens)
+    props = _expm_stack(gens)
     prefix = np.empty_like(props)
     total = np.eye(base.shape[0])
     for k, prop in enumerate(props):
@@ -212,17 +294,15 @@ def objective_and_gradient(
     # sum(G * dT) for G = Re(Q^T cograd conj(Q)). Costate G_k = S_k^T G with
     # S_k = E_{n-1} ... E_{k+1}: d(value) = sum(W_k * dE_k) for W_k = G_k P_k^T,
     # and <W, L(A, X)> = <L(A^T, W), X> turns this into dt sum(K_l * L(A_k^T, W_k))
-    # for every l. L(A_k^T, W_k) is the upper-right block of the block-triangular
-    # exponential, for all slices in one expm.
+    # for every l.
     basis, _, controls = system._generators
-    n, dim, _ = gens.shape
-    blocks = np.zeros((n, 2 * dim, 2 * dim))
-    blocks[:, :dim, :dim] = blocks[:, dim:, dim:] = gens.transpose(0, 2, 1)
+    n = len(gens)
+    weights = np.empty_like(gens)
     costate = (basis.T @ cograd @ basis.conj()).real
     for k in range(n - 1, -1, -1):
-        blocks[k, :dim, dim:] = costate @ prefix[k].T
+        weights[k] = costate @ prefix[k].T
         costate = props[k].T @ costate
-    adjoints = scipy.linalg.expm(blocks)[:, :dim, dim:]
+    adjoints = _expm_stack(gens.transpose(0, 2, 1), weights)[1]
     grad = controls.reshape(len(controls), -1) @ adjoints.reshape(n, -1).T
     return value, schedule.slice_duration * grad
 

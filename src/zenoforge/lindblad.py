@@ -68,6 +68,17 @@ def hamiltonian_superop(h: np.ndarray) -> np.ndarray:
     return -1j * (np.kron(h, eye) - np.kron(eye, h.T))
 
 
+def _coherent_bound(h: Operator, name: str) -> float:
+    """2 max|H|, the largest entry -i[H, .] can have; raises ValueError naming
+    the operator when that is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.max(np.abs(h.matrix), initial=0.0)
+        bound = 2 * scale
+    if not bound < np.inf:  # NaN fails too
+        raise ValueError(f"{name} with max|H| = {scale:g} makes the generator not finite")
+    return bound
+
+
 @dataclass(frozen=True)
 class LindbladTerm:
     rate: float
@@ -90,9 +101,10 @@ class LindbladSpec:
         if not self.hamiltonian.is_hermitian(1e-10):
             raise ValueError("hamiltonian is not Hermitian within 1e-10")
         d = self.space.dim
-        # every entry of the dissipator's matrix, of sum_j gamma_j Lj^dag Lj
-        # and of D(1) is at most the sum of 2 (d + 1) gamma_j max|Lj|^2
-        bound = 0.0
+        # every entry of -i[H, .] is at most 2 max|H|; every entry of the
+        # dissipator's matrix, of sum_j gamma_j Lj^dag Lj and of D(1) is at
+        # most that plus the sum of 2 (d + 1) gamma_j max|Lj|^2
+        bound = _coherent_bound(self.hamiltonian, "hamiltonian")
         for t in self.terms:
             if t.op.space.dim != d:
                 raise ValueError("all Lindblad terms must share the Hamiltonian's space")

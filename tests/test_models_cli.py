@@ -486,6 +486,25 @@ class TestCli:
         assert captured.out == "" and caught == []
         assert len(err) == 1 and err[0].startswith("error: rate 1e+308 ")
 
+    @pytest.mark.parametrize(
+        "path, name",
+        [(("system", "hamiltonian"), "hamiltonian"), (("system", "controls", 1), "control 1")],
+        ids=["hamiltonian", "control"],
+    )
+    def test_overflowing_coherent_part_exits_one_without_warning(
+        self, tmp_path, capsys, path, name
+    ):
+        # every entry is finite, but -i[H, .] has entries 1e308 - (-1e308)
+        big = [[[z, 0.0] for z in row] for row in np.diag([1e308, 1e308, -1e308, -1e308])]
+        doc = self._replaced(self._fidelity_doc(), path, big)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["fidelity", str(self._fidelity_job(tmp_path, None, doc))]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == "" and caught == []
+        assert len(err) == 1 and err[0] == f"error: {name} with max|H| = 1e+308 makes the generator not finite"
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.sampled_from([
