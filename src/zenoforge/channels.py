@@ -30,6 +30,7 @@ __all__ = [
     "epsilon1",
     "epsilon2",
     "reduced_channel",
+    "reduced_error",
     "diamond_upper",
     "gate_error_report",
     "random_cptp_superop",
@@ -118,25 +119,20 @@ def epsilon1(target: Superoperator | np.ndarray, goal: Superoperator | np.ndarra
 
 def _eps2_weight(goal_unitary: np.ndarray, d: int) -> np.ndarray:
     """1 - S (J(U_G) (x) 1_2) S^T for a goal unitary on system 1 of a
-    d-dimensional system; eps2 = Tr{J^2(E_T) times this weight}."""
+    d-dimensional system; eps2 = Tr{J^2(E_T) times this weight}. The swap S
+    is the one ``superop_tensor`` applies by reshaping."""
     d1 = goal_unitary.shape[0]
     d2 = d // d1
     ju = choi(unitary_superop(goal_unitary)).matrix
-    s = system_swap(d1, d2)
-    return np.eye(d * d) - s @ np.kron(ju, np.eye(d2 * d2)) @ s.T
+    return np.eye(d * d) - superop_tensor(ju, d1, np.eye(d2 * d2), d2)
 
 
-def epsilon2(
-    target: Superoperator | np.ndarray,
-    goal_unitary: Operator | np.ndarray,
-    return_flag: bool = False,
-):
+def epsilon2(target: Superoperator | np.ndarray, goal_unitary: Operator | np.ndarray) -> float:
     """Choi-based lower bound on eps1/d^2 for a factorized unitary goal.
 
     eps2 = Tr{J^2(E_T) (1 - S (J(U_G) (x) 1_2) S^T)}; zero exactly when the
     target factorizes into the goal unitary on system 1 times anything on
-    system 2. When ``return_flag`` is set, also reports whether Tr J^2
-    exceeded 1 (a non-CP input object).
+    system 2. System 1 is the first factor of d = d1 d2, with d1 = dim(U_G).
     """
     mat = target.matrix if isinstance(target, Superoperator) else np.asarray(target)
     u = goal_unitary.matrix if isinstance(goal_unitary, Operator) else np.asarray(goal_unitary)
@@ -145,12 +141,7 @@ def epsilon2(
     if d < d1 or d % d1 != 0:
         raise ValueError(f"total dim {d} does not factor over system-1 dim {d1}")
     jt = choi(mat).matrix
-    jt2 = jt @ jt
-    value = float(np.real(np.trace(jt2 @ _eps2_weight(u, d))))
-    if return_flag:
-        nonphysical = bool(np.real(np.trace(jt2)) > 1 + 1e-9)
-        return value, nonphysical
-    return value
+    return float(np.real(np.trace(jt @ jt @ _eps2_weight(u, d))))
 
 
 def reduced_channel(target: Superoperator, rho2: np.ndarray) -> Superoperator:
@@ -166,6 +157,16 @@ def reduced_channel(target: Superoperator, rho2: np.ndarray) -> Superoperator:
     return Superoperator(
         HilbertSpace((d1,)), m1.reshape(d1 * d1, d1 * d1)
     )
+
+
+def reduced_error(target: Superoperator, goal_unitary: Operator | np.ndarray) -> float:
+    """The reduced gate error ||Tr_2{E_T(rho1 (x) 1/d2)} - U_G||_HS^2: the
+    system-1 map with system 2 in the totally mixed state against the goal
+    unitary's superoperator."""
+    u = goal_unitary.matrix if isinstance(goal_unitary, Operator) else np.asarray(goal_unitary)
+    d2 = target.space.dim // u.shape[0]
+    reduced = reduced_channel(target, np.eye(d2) / d2)
+    return float(np.linalg.norm(reduced.matrix - unitary_superop(u)) ** 2)
 
 
 def diamond_upper(target, goal) -> float:
@@ -199,23 +200,22 @@ class GateErrorReport:
 
 
 def gate_error_report(
-    target: Superoperator,
-    goal_unitary: Operator | np.ndarray,
-    etilde: np.ndarray,
-    rho2: np.ndarray,
+    target: Superoperator, goal_unitary: Operator | np.ndarray, etilde: np.ndarray
 ) -> GateErrorReport:
-    """Evaluate eps1 (against U_G (x) etilde), eps2, the diamond bound,
-    and the reduced gate error at the given system-2 state."""
+    """eps1 against U_G (x) etilde, eps2, the diamond bound d sqrt(eps1) and
+    the reduced gate error, for a goal unitary on system 1, the first factor
+    of d = d1 d2 with d1 = dim(U_G). ``nonphysical`` flags Tr J^2(E_T) > 1,
+    which no channel reaches."""
     u = goal_unitary.matrix if isinstance(goal_unitary, Operator) else np.asarray(goal_unitary)
     d1 = u.shape[0]
     d = target.space.dim
     d2 = d // d1
     goal = superop_tensor(unitary_superop(u), d1, np.asarray(etilde), d2)
     e1 = epsilon1(target, goal)
-    e2, flag = epsilon2(target, u, return_flag=True)
-    reduced = reduced_channel(target, rho2)
-    red_err = float(np.linalg.norm(reduced.matrix - unitary_superop(u)) ** 2)
-    return GateErrorReport(e1, e2, d * np.sqrt(e1), red_err, flag)
+    e2 = epsilon2(target, u)
+    jt = choi(target).matrix
+    nonphysical = bool(np.real(np.trace(jt @ jt)) > 1 + 1e-9)
+    return GateErrorReport(e1, e2, d * np.sqrt(e1), reduced_error(target, u), nonphysical)
 
 
 def random_cptp_superop(d: int, rng: np.random.Generator, n_kraus: int = 4) -> np.ndarray:

@@ -247,19 +247,6 @@ def _etilde(mode, spec: LindbladSpec, d2: int) -> np.ndarray:
     raise ValueError("etilde must be 'identity' or 'projector'")
 
 
-def _sweep_target_builder(objective, goal_unitary, desc_name, etilde_mode):
-    def build(system: ControlSystem):
-        if objective == "eps2":
-            return Eps2Target(goal_unitary)
-        d1 = goal_unitary.shape[0]
-        d2 = system.spec.space.dim // d1
-        etilde = _etilde(etilde_mode, build_model(desc_name, gamma=1.0).spec, d2)
-        goal = superop_tensor(unitary_superop(goal_unitary), d1, etilde, d2)
-        return Eps1Target(goal, goal_unitary)
-
-    return build
-
-
 def cmd_sweep(args) -> int:
     name = args.model
     if not name.startswith("two-qubit"):
@@ -268,10 +255,14 @@ def cmd_sweep(args) -> int:
     if args.target != "hadamard":
         raise ValueError(f"unknown target {args.target!r}; only 'hadamard' is registered")
     gammas = _parse_list(args, "gammas", float)
-    builder = _sweep_system_builder(name)
-    target_builder = _sweep_target_builder(args.objective, HADAMARD, name, args.etilde)
+    if args.objective == "eps2":
+        target = Eps2Target(HADAMARD)
+    else:
+        # both models are two qubits, and the reset of qubit 2 does not depend on the rate
+        etilde = _etilde(args.etilde, build_model(name).spec, 2)
+        target = Eps1Target(superop_tensor(unitary_superop(HADAMARD), 2, etilde, 2), HADAMARD)
     rows = gamma_sweep(
-        builder, gammas, target_builder,
+        _sweep_system_builder(name), gammas, target,
         restarts=args.restarts, seed=args.seed, n_slices=args.slices,
     )
     header = ["gamma", "best_eps", "reduced_error", "restarts", "iterations"]
@@ -286,13 +277,16 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _check_goal(goal: np.ndarray, dim: int):
-    """A fidelity goal must be a unitary on the first tensor factor."""
+def _check_goal(goal: np.ndarray, d1: int):
+    """A fidelity goal must be a unitary on the first tensor factor, of dimension d1."""
     if goal.ndim != 2 or goal.shape[0] != goal.shape[1]:
         raise ValueError(f"target must be a square matrix, got shape {goal.shape}")
     n = goal.shape[0]
-    if n < 2 or dim % n:
-        raise ValueError(f"target size {n} must be at least 2 and divide the system dimension {dim}")
+    if n < 2 or n != d1:
+        raise ValueError(
+            f"target must be at least 2x2 and act on the first tensor factor, of dimension {d1}; "
+            f"got size {n}"
+        )
     if not np.max(np.abs(goal @ goal.conj().T - np.eye(n))) <= 1e-8:  # NaN fails too
         raise ValueError("target is not unitary within 1e-8")
 
@@ -300,6 +294,15 @@ def _check_goal(goal: np.ndarray, dim: int):
 def cmd_fidelity(args) -> int:
     with open(args.job) as fh:
         job = json.load(fh)
+    try:
+        report = _fidelity_report(job)
+    except KeyError as exc:
+        raise ValueError(f"job is missing key {exc.args[0]!r}") from None
+    print(report.to_json())
+    return 0
+
+
+def _fidelity_report(job):
     if not isinstance(job, dict) or not isinstance(job["system"], dict):
         raise ValueError("a job and its 'system' must be JSON objects")
     sys_doc = job["system"]
@@ -319,15 +322,10 @@ def cmd_fidelity(args) -> int:
         goal_unitary = HADAMARD
     else:
         goal_unitary = _matrix_from_json(target, "target")
-    _check_goal(goal_unitary, spec.space.dim)
-    d1 = goal_unitary.shape[0]
-    d2 = spec.space.dim // d1
-    etilde = _etilde(job.get("etilde", "identity"), spec, d2)
-    e_total = propagate_schedule(system, schedule)
-    rho2 = np.eye(d2) / d2
-    report = gate_error_report(e_total, goal_unitary, etilde, rho2)
-    print(report.to_json())
-    return 0
+    d1 = spec.space.factor_dims[0]
+    _check_goal(goal_unitary, d1)
+    etilde = _etilde(job.get("etilde", "identity"), spec, spec.space.dim // d1)
+    return gate_error_report(propagate_schedule(system, schedule), goal_unitary, etilde)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,7 +393,7 @@ def main(argv=None) -> int:
             args.subparser.set_defaults(**_load_config(args))
             args = parser.parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 import scipy.optimize
 
-from .channels import _eps2_weight, choi, reduced_channel, unitary_superop
+from .channels import _eps2_weight, choi, reduced_error
 from .lie import _element
 from .lindblad import (
     LindbladSpec,
@@ -240,10 +240,19 @@ def _forward(system: ControlSystem, schedule: PulseSchedule):
 
 
 def propagate_schedule(system: ControlSystem, schedule: PulseSchedule) -> Superoperator:
-    """Ordered product of slice exponentials exp(dt (K(f_k) + D))."""
-    total = _forward(system, schedule)[3]
-    if not np.all(np.isfinite(total)):
-        raise ValueError("propagated map is not finite: amplitudes too large")
+    """Ordered product of slice exponentials exp(dt (K(f_k) + D)).
+
+    The product must be a channel, and no entry of a channel's matrix exceeds
+    1 in modulus: |<i|E(|k><l|)|j>| <= ||E(|k><l|)||_1 <= 1. A larger or
+    non-finite entry means the slice exponentials lost all accuracy."""
+    gens, _, _, total = _forward(system, schedule)
+    largest = np.max(np.abs(total))
+    if not largest <= 1 + 1e-8:  # NaN fails too
+        raise ValueError(
+            f"propagated map is not finite or not a channel (max|E_T| = {largest:g}) "
+            f"for slice generators up to max|A| = {np.max(np.abs(gens)):g}: "
+            "the Hamiltonian, the controls or the amplitudes are too large"
+        )
     return Superoperator(system.spec.space, total)
 
 
@@ -398,37 +407,27 @@ class SweepRow:
 def gamma_sweep(
     system_builder: Callable[[float], ControlSystem],
     gammas,
-    target_builder: Callable[[ControlSystem], object],
+    target,
     restarts: int = 10,
     seed: int = 0,
     n_slices: int = 20,
 ) -> list[SweepRow]:
-    """Optimize at each noise strength and score the reduced gate error.
+    """Optimize ``target`` at each noise strength and score the best schedule
+    by ``channels.reduced_error`` against the target's goal unitary.
 
-    System 2 starts in the totally mixed state; the reduced error compares
-    the system-1 map against the target's goal unitary in squared HS norm.
+    The target (Eps1Target or Eps2Target) is the same at every gamma; it must
+    carry the goal unitary on system 1.
     """
     gammas = [float(g) for g in gammas]
     if not gammas:
         raise ValueError("gamma list must be non-empty")
+    if target.goal_unitary is None:
+        raise ValueError("sweep target must carry the goal unitary")
     rows = []
     for gamma in gammas:
-        system = system_builder(float(gamma))
-        target = target_builder(system)
-        goal_unitary = target.goal_unitary
-        if goal_unitary is None:
-            raise ValueError("sweep target must carry the goal unitary")
-        result = optimize(
-            system, target, restarts=restarts, seed=seed, n_slices=n_slices
-        )
-        d1 = goal_unitary.shape[0]
-        d2 = system.spec.space.dim // d1
+        system = system_builder(gamma)
+        result = optimize(system, target, restarts=restarts, seed=seed, n_slices=n_slices)
         e_total = propagate_schedule(system, result.best_schedule)
-        reduced = reduced_channel(e_total, np.eye(d2) / d2)
-        red_err = float(
-            np.linalg.norm(reduced.matrix - unitary_superop(goal_unitary)) ** 2
-        )
-        rows.append(
-            SweepRow(float(gamma), result.best_value, red_err, restarts, result.iterations)
-        )
+        red_err = reduced_error(e_total, target.goal_unitary)
+        rows.append(SweepRow(gamma, result.best_value, red_err, restarts, result.iterations))
     return rows

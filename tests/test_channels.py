@@ -3,6 +3,7 @@ import pytest
 
 from zenoforge.channels import (
     ChoiMatrix,
+    _eps2_weight,
     GateErrorReport,
     choi,
     diamond_upper,
@@ -11,6 +12,7 @@ from zenoforge.channels import (
     gate_error_report,
     random_cptp_superop,
     reduced_channel,
+    reduced_error,
     superop_from_choi,
     superop_tensor,
     system_swap,
@@ -127,11 +129,20 @@ class TestEpsilon2:
                 assert e2 <= bound + 1e-10
 
     def test_nonphysical_flag(self, rng):
-        scaled = 1.7 * unitary_superop(random_unitary(4, rng))
-        _, flag = epsilon2(scaled, np.eye(2), return_flag=True)
-        assert flag
-        _, flag = epsilon2(unitary_superop(random_unitary(4, rng)), np.eye(2), return_flag=True)
-        assert not flag
+        scaled = Superoperator(qubits(2), 1.7 * unitary_superop(random_unitary(4, rng)))
+        assert gate_error_report(scaled, np.eye(2), np.eye(4)).nonphysical
+        unitary = Superoperator(qubits(2), unitary_superop(random_unitary(4, rng)))
+        assert not gate_error_report(unitary, np.eye(2), np.eye(4)).nonphysical
+
+    @pytest.mark.parametrize("d1, d2", [(2, 1), (2, 2), (2, 3), (3, 2), (4, 2)])
+    def test_weight_matches_swap_product(self, rng, d1, d2):
+        # the paper's 1 - S (J(U_G) (x) 1) S^T with the dense swap as the oracle
+        u = random_unitary(d1, rng)
+        ju = choi(unitary_superop(u)).matrix
+        s = system_swap(d1, d2)
+        d = d1 * d2
+        oracle = np.eye(d * d) - s @ np.kron(ju, np.eye(d2 * d2)) @ s.T
+        assert np.array_equal(_eps2_weight(u, d), oracle)
 
     def test_non_bipartite_rejected(self):
         with pytest.raises(ValueError):
@@ -165,6 +176,19 @@ class TestReducedChannel:
         et = Superoperator(qubits(2), random_cptp_superop(4, rng))
         with pytest.raises(ValueError):
             reduced_channel(et, np.eye(3))
+
+    def test_reduced_error_by_partial_trace(self, rng):
+        # column (k, l) of the reduced map is Tr_2 E(|k><l| (x) 1/2), traced by hand
+        et = Superoperator(HilbertSpace((3, 2)), random_cptp_superop(6, rng))
+        u = random_unitary(3, rng)
+        columns = []
+        for k in range(3):
+            for l in range(3):
+                rho = np.kron(np.outer(np.eye(3)[k], np.eye(3)[l]), np.eye(2) / 2)
+                out = (et.matrix @ vec(rho)).reshape(3, 2, 3, 2)
+                columns.append(vec(np.einsum("aibi->ab", out)))
+        expected = np.linalg.norm(np.stack(columns, axis=1) - unitary_superop(u)) ** 2
+        assert reduced_error(et, u) == pytest.approx(expected, rel=1e-12)
 
 
 def unitary_pair_diamond_distance(u, v):
@@ -210,7 +234,7 @@ class TestGateErrorReport:
         et = Superoperator(qubits(2), random_cptp_superop(4, rng))
         ug = random_unitary(2, rng)
         etilde = random_cptp_superop(2, rng)
-        report = gate_error_report(et, ug, etilde, np.eye(2) / 2)
+        report = gate_error_report(et, ug, etilde)
         doc = json.loads(report.to_json())
         assert set(doc) == {"eps1", "eps2", "diamond_upper", "reduced_error", "nonphysical"}
         assert doc["eps1"] >= 0
@@ -224,7 +248,7 @@ class TestGateErrorReport:
         et = Superoperator(
             qubits(2), superop_tensor(unitary_superop(u), 2, unitary_superop(v), 2)
         )
-        report = gate_error_report(et, u, unitary_superop(v), np.eye(2) / 2)
+        report = gate_error_report(et, u, unitary_superop(v))
         assert report.eps1 == pytest.approx(0.0, abs=1e-12)
         assert report.eps2 == pytest.approx(0.0, abs=1e-12)
         assert report.reduced_error == pytest.approx(0.0, abs=1e-12)

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from conftest import random_hermitian
 from zenoforge import grape
-from zenoforge.channels import choi, epsilon2, superop_tensor, unitary_superop
+from zenoforge.channels import (
+    choi,
+    epsilon2,
+    gate_error_report,
+    superop_tensor,
+    unitary_superop,
+)
 from zenoforge.grape import (
     ControlSystem,
     Eps1Target,
@@ -542,7 +548,7 @@ class TestGammaSweep:
         rows = gamma_sweep(
             lambda g: two_qubit_system(g),
             [0.0, 20.0],
-            lambda system: Eps2Target(HADAMARD),
+            Eps2Target(HADAMARD),
             restarts=2,
             seed=9,
             n_slices=8,
@@ -551,6 +557,18 @@ class TestGammaSweep:
         assert rows[1].reduced_error < rows[0].reduced_error
         assert all(r.restarts == 2 for r in rows)
 
+    def test_reduced_error_matches_gate_error_report(self):
+        system = two_qubit_system(5.0)
+        target = Eps2Target(HADAMARD)
+        [row] = gamma_sweep(lambda g: system, [5.0], target, restarts=1, seed=4, n_slices=6)
+        best = optimize(system, target, restarts=1, seed=4, n_slices=6).best_schedule
+        report = gate_error_report(propagate_schedule(system, best), HADAMARD, np.eye(4))
+        assert row.reduced_error == report.reduced_error
+
     def test_empty_gammas_rejected(self):
         with pytest.raises(ValueError):
-            gamma_sweep(lambda g: two_qubit_system(g), [], lambda s: Eps2Target(HADAMARD))
+            gamma_sweep(lambda g: two_qubit_system(g), [], Eps2Target(HADAMARD))
+
+    def test_target_without_goal_unitary_rejected(self):
+        with pytest.raises(ValueError, match="goal unitary"):
+            gamma_sweep(lambda g: two_qubit_system(g), [1.0], Eps1Target(np.eye(16)))

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -399,14 +400,42 @@ class TestCli:
             ([[[1, 0], [1, 0]], [[1, 0], [1, 0]]], "not unitary"),
             ([[[1, 0], [0, 0]]], "square"),
             ([[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]], "not unitary"),
-            ([[[float(i == j), 0.0] for j in range(3)] for i in range(3)], "divide"),
+            ([[[float(i == j), 0.0] for j in range(3)] for i in range(3)], "first tensor factor"),
+            ([[[float(i == j), 0.0] for j in range(4)] for i in range(4)], "first tensor factor"),
         ],
-        ids=["1x1", "non-unitary", "non-square", "nan", "size-3"],
+        ids=["1x1", "non-unitary", "non-square", "nan", "size-3", "whole-system"],
     )
     def test_fidelity_rejects_bad_goal(self, tmp_path, capsys, target, message):
         assert main(["fidelity", str(self._fidelity_job(tmp_path, target))]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+    @pytest.mark.parametrize("etilde", ["identity", "projector"])
+    def test_fidelity_goal_must_fit_the_first_factor(self, tmp_path, capsys, etilde):
+        # a qutrit times a damped qubit: the Hadamard divides d = 6 but is no
+        # unitary on the first factor
+        def as_json(mat):
+            return [[[z.real, z.imag] for z in row] for row in np.asarray(mat, dtype=complex)]
+
+        lowering = np.kron(np.eye(3), [[0.0, 1.0], [0.0, 0.0]])
+        doc = {
+            "system": {
+                "dims": [3, 2],
+                "hamiltonian": as_json(np.zeros((6, 6))),
+                "terms": [{"rate": 2.0, "op": as_json(lowering)}],
+                "controls": [as_json(np.diag(np.arange(6.0)))],
+            },
+            "amplitudes": [[0.3, -0.2]],
+            "target": "hadamard",
+            "etilde": etilde,
+        }
+        assert main(["fidelity", str(self._fidelity_job(tmp_path, None, doc))]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: target must be at least 2x2 and act on the first tensor factor, "
+            "of dimension 3; got size 2\n"
+        )
 
     @staticmethod
     def _replaced(doc, path, value):
@@ -452,6 +481,12 @@ class TestCli:
             (("etilde",), "bogus", "etilde"),
             (("amplitudes",), [[1e308, 0, 0], [0, 0, 0]], "not finite"),
             (("system", "terms", 0, "rate"), float("inf"), "finite"),
+            (("amplitudes",), _DELETE, "job is missing key 'amplitudes'"),
+            (("system",), _DELETE, "job is missing key 'system'"),
+            (("system", "dims"), _DELETE, "job is missing key 'dims'"),
+            (("system", "hamiltonian"), _DELETE, "job is missing key 'hamiltonian'"),
+            (("system", "terms"), _DELETE, "job is missing key 'terms'"),
+            (("system", "controls"), _DELETE, "job is missing key 'controls'"),
         ],
     )
     def test_fidelity_rejects_malformed_job(self, tmp_path, capsys, path, value, message):
@@ -505,6 +540,34 @@ class TestCli:
         assert captured.out == "" and caught == []
         assert len(err) == 1 and err[0] == f"error: {name} with max|H| = 1e+308 makes the generator not finite"
 
+    @pytest.mark.parametrize(
+        "path", [("system", "hamiltonian"), ("system", "controls", 0)], ids=["hamiltonian", "control"]
+    )
+    def test_huge_coherent_part_exits_one_without_warning(self, tmp_path, capsys, path):
+        # finite generators whose slice exponentials lose all accuracy: the
+        # propagated map is no channel (or not finite) and must not be scored
+        big = [[[z, 0.0] for z in row] for row in np.diag([1e20, 1e20, -1e20, -1e20])]
+        doc = self._replaced(self._fidelity_doc(), path, big)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["fidelity", str(self._fidelity_job(tmp_path, None, doc))]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == "" and caught == []
+        assert len(err) == 1 and err[0].startswith("error: propagated map is not finite")
+        assert "max|A| = " in err[0] and "the Hamiltonian, the controls or the amplitudes" in err[0]
+
+    @pytest.mark.parametrize("rate", [1e10, 1e15, 1e20])
+    @pytest.mark.parametrize("etilde", ["identity", "projector"])
+    def test_huge_rates_still_score(self, tmp_path, capsys, rate, etilde):
+        doc = self._replaced(self._fidelity_doc(), ("system", "terms", 0, "rate"), rate)
+        doc["etilde"] = etilde
+        assert main(["fidelity", str(self._fidelity_job(tmp_path, None, doc))]) == 0
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert captured.err == "" and not report["nonphysical"]
+        assert all(np.isfinite(report[key]) for key in ("eps1", "eps2", "reduced_error"))
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.sampled_from([
@@ -541,6 +604,15 @@ class TestCli:
             job = f"{tmp}/job.json"
             with open(job, "w") as fh:
                 json.dump(doc, fh)
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                assert main(["fidelity", job]) in (0, 1)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["fidelity", job])
+        assert code in (0, 1)
+        if code == 0:
+            # a scored job prints finite numbers and nothing else
+            report = json.loads(out.getvalue())
+            assert err.getvalue() == ""
+            assert all(
+                math.isfinite(report[key])
+                for key in ("eps1", "eps2", "diamond_upper", "reduced_error")
+            )
