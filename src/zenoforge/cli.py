@@ -217,15 +217,19 @@ def cmd_reproduce_table1(args) -> int:
                 row.append("")
         rows.append(row)
     dims = {n: _chain_dfs_lie_dim(n) for n in ns}
+    sum_u = {n: sum(dfs_dimension(j, n) ** 2 for j in allowed_spins(n)) for n in ns}
+    for n in ns:
+        if dims[n] > sum_u[n]:
+            raise ValueError(
+                f"N={n}: dim_L_DFS {dims[n]} exceeds sum_dim_u {sum_u[n]}, "
+                "the dimension of the sum of u(d_J) that holds the projected controls"
+            )
     rows.append(["dim_L_DFS"] + [str(dims[n]) for n in ns])
     rows.append(
         ["sum_dim_su"]
         + [str(sum(dfs_dimension(j, n) ** 2 - 1 for j in allowed_spins(n))) for n in ns]
     )
-    rows.append(
-        ["sum_dim_u"]
-        + [str(sum(dfs_dimension(j, n) ** 2 for j in allowed_spins(n))) for n in ns]
-    )
+    rows.append(["sum_dim_u"] + [str(sum_u[n]) for n in ns])
     _write_csv(args.csv, header, rows)
     return 0
 

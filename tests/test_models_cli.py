@@ -128,6 +128,29 @@ class TestCli:
         assert table["sum_dim_su"] == ["0", "0", "3"]
         assert table["sum_dim_u"] == ["1", "2", "5"]
 
+    @pytest.mark.parametrize("n, dim, bound", [(3, 6, 5), (4, 15, 14)])
+    def test_reproduce_table1_refuses_dim_above_sum_dim_u(self, monkeypatch, capsys, n, dim, bound):
+        # the projected controls lie in the sum of u(d_J): dim_L_DFS <= sum_dim_u
+        real = zenoforge.cli._chain_dfs_lie_dim
+        monkeypatch.setattr(
+            zenoforge.cli, "_chain_dfs_lie_dim", lambda k: dim if k == n else real(k)
+        )
+        assert main(["reproduce-table1", "--nmax", "4"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        err = err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: N={n}: dim_L_DFS {dim} ")
+        assert f"sum_dim_u {bound}" in err[0]
+
+    def test_reproduce_table1_accepts_dim_at_sum_dim_u(self, monkeypatch, capsys):
+        real = zenoforge.cli._chain_dfs_lie_dim
+        monkeypatch.setattr(
+            zenoforge.cli, "_chain_dfs_lie_dim", lambda k: 5 if k == 3 else real(k)
+        )
+        assert main(["reproduce-table1", "--nmax", "3"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[-3].split(",")[1:] == ["0", "1", "5"]
+
     def test_zeno_check(self, capsys):
         assert main([
             "zeno-check", "--model", "two-qubit-amp", "--steps", "1,4", "--gammas", "10",
