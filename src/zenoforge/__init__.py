@@ -33,6 +33,7 @@ from .lie import (
     controllability_verdict,
     dfs_lie_dimension,
     lie_closure,
+    lie_verdict,
 )
 from .lindblad import (
     DFSBlock,

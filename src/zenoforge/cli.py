@@ -28,7 +28,7 @@ from .grape import (
     gamma_sweep,
     propagate_schedule,
 )
-from .lie import dfs_lie_dimension, lie_closure
+from .lie import dfs_lie_dimension, lie_verdict
 from .lindblad import (
     _DFS_TOL,
     LindbladSpec,
@@ -124,7 +124,7 @@ def cmd_lie_dim(args) -> int:
     desc = _model_from_args(args.model, args.n, args.gamma)
     report = dfs_lie_dimension(desc.spec, desc.controls)
     doc = {
-        "dim_nonoise": lie_closure(desc.controls).dim,
+        "dim_nonoise": lie_verdict(desc.controls).dim,
         "dim_dfs": report.verdict.dim,
         "block_dims": list(report.block_dims),
     }
@@ -191,10 +191,10 @@ def _chain_dfs_lie_dim(n: int) -> int:
     """dim of the projected-control Lie algebra; degenerate rows for n < 3."""
     if n == 1:
         return 0
-    if n == 2:
+    if n == 2:  # P(Z0 Z1) = sigma_0 . sigma_1 / 3, closed as it is
         space = qubits(2)
         heis = Operator(space, two_body(0, 1).realize(space) / 3.0)
-        return lie_closure([heis, heis]).dim
+        return lie_verdict([heis]).dim
     desc = build_model("ising-chain", n_qubits=n)
     return dfs_lie_dimension(desc.spec, desc.controls).verdict.dim
 

@@ -1,31 +1,49 @@
-"""Numerical dynamical Lie-algebra closure and controllability verdicts.
+"""Dynamical Lie-algebra closures and controllability verdicts.
 
 The dynamical Lie algebra is the REAL span of i*(Hamiltonians) and their
-iterated commutators, i.e. a subspace of u(d), the d^2-dimensional real
-space of anti-Hermitian matrices. Every element X = iH is held as its d^2
-real coordinates in an orthonormal basis of u(d): diag(H), sqrt(2) Re H[j<k]
-and sqrt(2) Im H[j<k]. The Euclidean dot product of two coordinate vectors
-is the Hilbert-Schmidt product Re Tr(X^dag Y), and a matrix rebuilt from
-coordinates is exactly anti-Hermitian. Elements are kept orthonormal by
-modified Gram-Schmidt with a re-orthogonalization pass, and candidates are
-generated breadth-first (each new element is commuted with everything that
-precedes it).
+iterated commutators, a subspace of u(d). Its real dimension equals the
+complex dimension of the complex Lie algebra that the Hamiltonians generate
+(u(d) is a real form of gl(d, C)), and that is the dimension over Q(i)
+when the inputs are Gaussian rationals, as floats are.
 
-A round costs one product per commutator pair, since for anti-Hermitian x
-and E, (E x)^dag = x E and so [x, E] = (E x)^dag - E x, and one GEMM that
-screens the round's candidates against the span by Pythagoras before any
-MGS pass (see ``lie_closure`` for the margins).
+``dfs_lie_dimension`` takes every printed dimension and verdict from the
+exact closure over F_p of ``exact``: the inputs (controls, rates, Lindblad
+operators) are read as exact dyadic rationals, P(H) and the DFS
+compressions are computed from them mod p, and no tolerance decides
+anything. Each of the two fixed primes gives a lower bound of the rational
+dimension; a first prime that reaches the structural bound (d^2, or
+d^2 - 1 when every generator's trace is exactly 0) proves the dimension,
+and otherwise the larger of the two is reported. A real Lie subalgebra of
+u(d) of dimension d^2 - 1 is su(d), so the dimension alone decides the
+verdict.
+
+``lie_closure`` is the float closure, for callers that need the elements
+themselves (``span_residual``). Every element X = iH is held as its d^2
+real coordinates in an orthonormal basis of u(d): diag(H), sqrt(2) Re
+H[j<k] and sqrt(2) Im H[j<k]. The Euclidean dot product of two coordinate
+vectors is the Hilbert-Schmidt product Re Tr(X^dag Y), and a matrix rebuilt
+from coordinates is exactly anti-Hermitian. Elements are kept orthonormal
+by modified Gram-Schmidt with a re-orthogonalization pass at tolerance
+1e-6, and candidates are generated breadth-first (each new element is
+commuted with everything that precedes it). A round costs one product per
+commutator pair, since for anti-Hermitian x and E, (E x)^dag = x E and so
+[x, E] = (E x)^dag - E x, and one GEMM that screens the round's candidates
+against the span by Pythagoras before any MGS pass (see ``lie_closure`` for
+the margins).
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
 
+from . import exact
 from .lindblad import LindbladSpec, detect_dfs
 from .ops import Operator
 
@@ -36,6 +54,7 @@ __all__ = [
     "lie_closure",
     "controllability_verdict",
     "dfs_lie_dimension",
+    "lie_verdict",
     "span_residual",
 ]
 
@@ -126,7 +145,11 @@ def lie_closure(generators) -> LieBasis:
     breadth-first (element i with every earlier element), and a candidate
     whose residual outside the current span has HS norm above 1e-6
     (``_CLOSURE_TOL``) is accepted after two MGS passes. Terminates when no
-    pair yields a new direction (or at the safety cap).
+    pair yields a new direction (or at the safety cap d^2). Generators
+    traceless to 1e-10 of their largest entry generate at most su(d), so a
+    closure of them that passes d^2 - 1 has accepted rounding noise and
+    raises ValueError; the traceless 20x20 J=2 block of the N=8 chain does.
+    Printed dimensions come from the exact ``dfs_lie_dimension`` instead.
 
     Each round makes its candidates [x, E_j] = Q_j^dag - Q_j from the one
     product Q_j = E_j x per pair (``_commutator_coordinates``), and screens
@@ -165,6 +188,7 @@ def lie_closure(generators) -> LieBasis:
     if all(np.max(np.abs(m)) < 1e-14 for m in mats):
         raise ValueError("need at least one nonzero generator")
     cap = d * d
+    bound = cap - all(abs(np.trace(m)) <= 1e-10 * max(1.0, np.max(np.abs(m))) for m in mats)
 
     elements = np.zeros((cap, d, d), dtype=complex)
     rows = np.zeros((cap, d * d))
@@ -189,6 +213,14 @@ def lie_closure(generators) -> LieBasis:
     for m in mats:
         try_add(_coordinates(1j * m))
 
+    def closed() -> LieBasis:
+        if n > bound:
+            raise ValueError(
+                f"the float closure of traceless generators reached dimension {n} > d^2 - 1 = "
+                f"{bound}: it accepted rounding noise"
+            )
+        return LieBasis(d, elements[:n].copy())
+
     skip = (0.5 * _CLOSURE_TOL) ** 2
     i = 1
     while i < n:
@@ -198,9 +230,9 @@ def lie_closure(generators) -> LieBasis:
         for c in block[residual2 > skip]:
             try_add(c)
             if n >= cap:
-                return LieBasis(d, elements[:n].copy())
+                return closed()
         i += 1
-    return LieBasis(d, elements[:n].copy())
+    return closed()
 
 
 def span_residual(basis: LieBasis, matrix: np.ndarray) -> float:
@@ -226,17 +258,20 @@ class ControllabilityVerdict:
         )
 
 
+def _verdict(dim: int, d: int) -> ControllabilityVerdict:
+    return ControllabilityVerdict(dim, dim > 0 and dim >= d * d - 1, dim > 0 and dim == d * d)
+
+
 def controllability_verdict(basis: LieBasis) -> ControllabilityVerdict:
     """Check whether the closed algebra contains su(d) or equals u(d).
 
-    su(d) is the traceless hyperplane of u(d), so a span inside u(d)
-    contains it exactly when its dimension is d^2, or d^2 - 1 with every
-    element traceless (|Tr X| <= 1e-7).
+    The dimension decides: u(d) has dimension d^2, and su(d) is the only
+    Lie subalgebra of u(d) of dimension d^2 - 1. (su(d) is compact and
+    simple, so it has no subalgebra of codimension 1; the algebra's
+    projection onto su(d) is then onto and one to one, and its graph over
+    su(d) = [su(d), su(d)] has no trace part.)
     """
-    full = basis.space_dim**2
-    traces = np.trace(basis.elements, axis1=1, axis2=2)
-    traceless = basis.dim == full - 1 and bool(np.all(np.abs(traces) <= 1e-7))
-    return ControllabilityVerdict(basis.dim, basis.dim == full or traceless, basis.dim == full)
+    return _verdict(basis.dim, basis.space_dim)
 
 
 @dataclass(frozen=True)
@@ -251,34 +286,131 @@ class DFSLieReport:
         return tuple(v.dim for v in self.block_verdicts)
 
 
-def dfs_lie_dimension(spec: LindbladSpec, controls) -> DFSLieReport:
-    """Lie dimensions of the projected control system over the DFS's.
+def _exact_verdict(d: int, generators_at, traceless: bool = False) -> ControllabilityVerdict:
+    """The verdict of the Lie algebra whose generators' images in F_p are
+    ``generators_at(p)``, closed by ``exact.closure_dimension``.
 
-    For every DFS block the controls are compressed to the block basis
-    and closed there. The joint verdict closes P(H) for a unital
-    dissipator, and otherwise the block-diagonal sum of the compressions,
-    so that blocks the controls link count once; a single block's joint
-    verdict is its block verdict.
+    Each prime gives a lower bound of the dimension over Q, which is at
+    most d^2, or d^2 - 1 when every generator's trace is exactly 0
+    (``traceless``, known only for float inputs and P(H)). A first prime
+    that reaches that bound proves the dimension; below it, the second prime
+    runs and the larger dimension is reported.
     """
-    from .zeno import project_hamiltonian, superproject_hamiltonian
+    proof = d * d - traceless
+    dim = 0
+    for p in exact.PRIMES:
+        gens = [g for g in generators_at(p) if g.any()]
+        if gens:
+            dim = max(dim, exact.closure_dimension(gens, exact.field(p)))
+        if dim == proof:
+            break
+    return _verdict(dim, d)
 
-    def verdict(hamiltonians) -> ControllabilityVerdict:
-        nonzero = [h for h in hamiltonians if np.max(np.abs(h)) > 1e-12]
-        if not nonzero:
-            return ControllabilityVerdict(0, False, False)
-        return controllability_verdict(lie_closure(nonzero))
 
+def _hermitian(control) -> np.ndarray:
+    m = _as_matrix(control)
+    if np.max(np.abs(m - m.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(m))):
+        raise ValueError("controls must be Hermitian")
+    return (m + m.conj().T) / 2  # exactly Hermitian
+
+
+def _traceless(mats) -> bool:
+    """Whether every trace is exactly 0 (fsum rounds the exact sum once)."""
+    return all(
+        math.fsum(np.diagonal(m).real) == 0 and math.fsum(np.diagonal(m).imag) == 0
+        for m in mats
+    )
+
+
+def _rational(x: float) -> Fraction:
+    """The rational nearest x with a denominator of at most 2^16."""
+    return Fraction(x).limit_denominator(1 << 16)
+
+
+def _block_basis(block, jumps, f: exact.Field) -> np.ndarray:
+    """The block's span as the null space mod p of the stacked Lj - c_j and
+    G - b, G = sum_j gamma_j Lj^dag Lj. Each c_j is read as a rational from
+    the float label, b = sum_j gamma_j |c_j|^2 exactly; the null space must
+    have the block's dimension."""
+    d = block.basis.shape[0]
+    labels = [(_rational(z.real), _rational(z.imag)) for z in block.lindblad_eigenvalues]
+    b = sum(Fraction(r) * (re * re + im * im) for (r, _), (re, im) in zip(jumps, labels))
+    ls = f.map(np.reshape([l for _, l in jumps], (-1, d, d)))
+    lds = f.map(np.reshape([l.conj().T for _, l in jumps], (-1, d, d)))
+    g = np.tensordot(f.map(np.array([r for r, _ in jumps])), f.mm(lds, ls), axes=1)
+    cs = np.array([f.scalar(re, im) for re, im in labels]).reshape(-1, 1, 1)
+    rows = np.vstack([*(ls - cs * np.eye(d)), g - f.scalar(b) * np.eye(d)])
+    v = exact.null_space(rows, f)
+    if v.shape[1] != block.dim:
+        raise ValueError(
+            f"a DFS block of dimension {block.dim} has an exact eigenspace of dimension "
+            f"{v.shape[1]} mod {f.p} for its labels "
+            + ", ".join(f"{re} + {im}i" for re, im in labels)
+        )
+    return v
+
+
+def dfs_lie_dimension(spec: LindbladSpec, controls) -> DFSLieReport:
+    """Exact Lie dimensions of the projected control system over the DFS's.
+
+    Every dimension and verdict comes from the closure over F_p
+    (``_exact_verdict``), on exact images of the inputs, never on rounded
+    floats. For every DFS block the controls are compressed with the
+    orthogonal left inverse, (V^dag V)^-1 V^dag H V, where V spans the
+    block's exact eigenspace (``_block_basis``); ``detect_dfs`` supplies
+    only the block dimensions and labels. The joint verdict closes P(H) for
+    a unital dissipator (``exact.superproject``), and otherwise the
+    block-diagonal sum of the compressions, so that blocks the controls
+    link count once; a single block's joint verdict is its block verdict.
+
+    The floats are taken for the exact rationals they are. A control that
+    was rounded, such as u X u^dag for a float unitary u, is a different
+    matrix from the one it approximates, and generates its own algebra,
+    often the generic one. Labels that read as no rational with a
+    denominator up to 2^16, or a prime at which a denominator vanishes,
+    raise ValueError.
+    """
     diss = spec.dissipative_part()
     dfs = detect_dfs(diss)
-    blocks = [
-        [project_hamiltonian(h, dfs, idx).matrix for h in controls]
-        for idx in range(len(dfs.blocks))
-    ]
-    block_verdicts = tuple(verdict(b) for b in blocks)
-    if diss.terms and diss.is_unital():
-        joint = verdict([superproject_hamiltonian(h, diss).matrix for h in controls])
-    elif len(blocks) == 1:
+    d = spec.space.dim
+    hs = np.reshape([_hermitian(c) for c in controls], (-1, d, d))
+    jumps = [(t.rate, t.op.matrix) for t in diss.terms if t.rate > 0]
+
+    @functools.cache
+    def blocks_at(p):
+        f = exact.field(p)
+        out = []
+        for block in dfs.blocks:
+            v, w = _block_basis(block, jumps, f), _block_basis(block, jumps, f.conjugate)
+            out.append([exact.compress(h, v, w, f) for h in f.map(hs)])
+        return out
+
+    block_verdicts = tuple(
+        _exact_verdict(block.dim, lambda p, k=k: blocks_at(p)[k])
+        for k, block in enumerate(dfs.blocks)
+    )
+    if jumps and diss.is_unital():
+        joint = _exact_verdict(
+            d,
+            lambda p: exact.superproject(exact.field(p).map(hs), jumps, exact.field(p)),
+            _traceless(hs),  # Tr P(H) = Tr H
+        )
+    elif len(dfs.blocks) == 1:
         joint = block_verdicts[0]
+    elif not dfs.blocks:
+        joint = _verdict(0, 0)  # no steady manifold to control
     else:
-        joint = verdict([scipy.linalg.block_diag(*parts) for parts in zip(*blocks)])
+        joint = _exact_verdict(
+            sum(dfs.block_dims),
+            lambda p: [scipy.linalg.block_diag(*parts) for parts in zip(*blocks_at(p))],
+        )
     return DFSLieReport(joint, block_verdicts)
+
+
+def lie_verdict(hamiltonians) -> ControllabilityVerdict:
+    """The exact verdict of Lie(i H_0, ..., i H_m) for Hermitian generators,
+    read as the exact rationals their floats are (see ``dfs_lie_dimension``)."""
+    hs = np.array([_hermitian(h) for h in hamiltonians])
+    if not hs.size:
+        raise ValueError("need at least one generator")
+    return _exact_verdict(hs.shape[1], lambda p: exact.field(p).map(hs), _traceless(hs))

@@ -17,7 +17,7 @@ from .lindblad import (
     LindbladTerm,
     steady_superprojector,
 )
-from .lie import dfs_lie_dimension, lie_closure
+from .lie import dfs_lie_dimension, lie_verdict
 from .ops import HilbertSpace, Operator, lowering_on, pauli_on, qubits, zero
 
 __all__ = [
@@ -178,7 +178,7 @@ def validate_model(desc: ModelDescriptor) -> dict:
     from .lindblad import detect_dfs
 
     derived = {}
-    derived["nonoise_lie_dim"] = lie_closure(desc.controls).dim
+    derived["nonoise_lie_dim"] = lie_verdict(desc.controls).dim
     dfs = detect_dfs(desc.spec.dissipative_part())
     if "dfs_count" in desc.expected:
         derived["dfs_count"] = len(dfs.blocks)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from zenoforge.lie import (
 )
 from zenoforge.lindblad import LindbladSpec, LindbladTerm, detect_dfs
 from zenoforge.models import build_model
+from zenoforge.zeno import project_hamiltonian, superproject_hamiltonian
 from zenoforge.ops import (
     HilbertSpace,
     Operator,
@@ -195,6 +197,9 @@ _LINKED_JUMP = np.diag([0.0, 0.0, 1.0, 1.0, 0.0]) + np.outer(np.eye(5)[0], np.ey
 _LINKED_SPEC = LindbladSpec(zero(S5), (LindbladTerm(1.0, Operator(S5, _LINKED_JUMP)),))
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.diag([1.0, -1.0]).astype(complex)
+# A unitary with dyadic entries, so that u X u^dag is exact in floats and the
+# exact closure sees the linked blocks as linked.
+_U = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]]) @ np.diag([1, 1j])
 
 
 def _on_blocks(first, second):
@@ -219,15 +224,15 @@ class TestLinkedBlocks:
     @pytest.mark.parametrize(
         "second, joint, blocks",
         [
-            (lambda u: (_X, _Z), 3, (3, 3)),
-            (lambda u: (u @ _X @ u.conj().T, u @ _Z @ u.conj().T), 3, (3, 3)),
-            (lambda u: (-_X, -_Z), 3, (3, 3)),
-            (lambda u: (_X, 2 * _Z), 6, (3, 3)),
+            ((_X, _Z), 3, (3, 3)),
+            ((_U @ _X @ _U.conj().T, _U @ _Z @ _U.conj().T), 3, (3, 3)),
+            ((-_X, -_Z), 3, (3, 3)),
+            ((_X, 2 * _Z), 6, (3, 3)),
         ],
         ids=["same", "unitary", "conjugate", "unlinked"],
     )
-    def test_linked_blocks_count_once(self, rng, second, joint, blocks):
-        x2, z2 = second(random_unitary(2, rng))
+    def test_linked_blocks_count_once(self, second, joint, blocks):
+        x2, z2 = second
         report = dfs_lie_dimension(_LINKED_SPEC, [_on_blocks(_X, x2), _on_blocks(_Z, z2)])
         assert report.verdict.dim == joint
         assert report.block_dims == blocks
@@ -337,22 +342,45 @@ def assert_matches_oracle(generators):
     assert controllability_verdict(basis) == oracle_verdict(reference)
 
 
-def closed_generator_sets(desc, monkeypatch):
-    """The controls, then every generator set ``dfs_lie_dimension`` closes."""
-    sets = [list(desc.controls)]
-    real_closure = lie.lie_closure
+def float_generator_sets(desc):
+    """The controls, then the float generator sets of the closures
+    ``dfs_lie_dimension`` makes exactly, in its order: each DFS block's
+    compressions, and the joint set unless a single block is reused (P(H)
+    for a unital dissipator, otherwise the block-diagonal sums); zero
+    generators dropped."""
+    diss = desc.spec.dissipative_part()
+    dfs = detect_dfs(diss)
+    blocks = [
+        [project_hamiltonian(h, dfs, k).matrix for h in desc.controls]
+        for k in range(len(dfs.blocks))
+    ]
+    sets = [[h.matrix for h in desc.controls], *blocks]
+    if diss.terms and diss.is_unital():
+        sets.append([superproject_hamiltonian(h, diss).matrix for h in desc.controls])
+    elif len(blocks) > 1:
+        sets.append([scipy.linalg.block_diag(*parts) for parts in zip(*blocks)])
+    sets = [[h for h in s if np.max(np.abs(h)) > 1e-12] for s in sets]
+    assert all(sets)
+    return sets
 
-    def recording_closure(generators):
-        sets.append(list(generators))
-        return real_closure(generators)
+
+def closed_generator_sets(desc, monkeypatch):
+    """The controls, then every float generator set whose closure
+    ``dfs_lie_dimension`` makes exactly, each with its exact verdict."""
+    verdicts = []
+    real_verdict = lie._exact_verdict
+
+    def recording_verdict(*args):
+        verdicts.append(real_verdict(*args))
+        return verdicts[-1]
 
     with monkeypatch.context() as m:
-        m.setattr(lie, "lie_closure", recording_closure)
-        report = dfs_lie_dimension(desc.spec, desc.controls)
-    # one closure per block, and the joint one unless a single block is reused
-    joint = len(report.block_dims) != 1 or desc.spec.is_unital()
-    assert len(sets) == 1 + len(report.block_dims) + joint
-    return sets
+        m.setattr(lie, "_exact_verdict", recording_verdict)
+        lie.lie_verdict(desc.controls)
+        dfs_lie_dimension(desc.spec, desc.controls)
+    sets = float_generator_sets(desc)
+    assert len(sets) == len(verdicts)
+    return list(zip(sets, verdicts))
 
 
 # Atom sizes at which the 2d^2 reference lets Hermitian rounding noise into
@@ -377,13 +405,13 @@ class TestAgainstOracle:
         "name, params", MODELS_UP_TO_16, ids=[f"{m}-{p}" for m, p in MODELS_UP_TO_16]
     )
     def test_registered_models(self, name, params, monkeypatch):
-        for generators in closed_generator_sets(build_model(name, **params), monkeypatch):
+        for generators, _ in closed_generator_sets(build_model(name, **params), monkeypatch):
             assert_matches_oracle(generators)
 
     @pytest.mark.parametrize("n_levels", REFERENCE_LEAKS)
     def test_atom_sizes_where_the_reference_leaks(self, n_levels, monkeypatch):
         desc = build_model("n-level-atom", n_levels=n_levels)
-        controls, block = closed_generator_sets(desc, monkeypatch)
+        (controls, _), (block, _) = closed_generator_sets(desc, monkeypatch)
         assert_matches_oracle(controls)
         basis = lie_closure(block)
         reference = oracle_closure(block)
@@ -487,14 +515,21 @@ class TestAgainstMgsReference:
         "name, params", REFERENCE_CASES, ids=[f"{m}-{p}" for m, p in REFERENCE_CASES]
     )
     def test_same_closure_as_the_reference(self, name, params, monkeypatch):
-        for generators in closed_generator_sets(build_model(name, **params), monkeypatch):
+        for generators, exact_verdict in closed_generator_sets(build_model(name, **params), monkeypatch):
             basis, reference = lie_closure(generators), mgs_reference(generators)
             assert basis.dim == reference.dim
             assert span_gap(basis, reference) < 1e-7
             assert controllability_verdict(basis) == controllability_verdict(reference)
+            assert exact_verdict == controllability_verdict(reference)
             # the same accept decisions in the same order give the same
             # elements (measured: 1.1e-12 at chain N=5, 2.2e-16 on the atoms)
             assert np.max(np.abs(basis.elements - reference.elements)) < 1e-9
+
+    def test_table1_n6_exact_verdicts_match_the_reference(self, monkeypatch):
+        desc = build_model("ising-chain", n_qubits=6)
+        for generators, exact_verdict in closed_generator_sets(desc, monkeypatch):
+            assert exact_verdict == controllability_verdict(mgs_reference(generators))
+        assert exact_verdict.dim == 129  # the last pair is P(H)'s
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 2**32 - 1))
@@ -563,9 +598,13 @@ class TestCoordinates:
         expected = np.sqrt(np.linalg.norm(m) ** 2 - np.sum(inside**2))
         assert span_residual(basis, m) == pytest.approx(expected, rel=1e-12)
 
-    def test_non_traceless_codimension_one_span_is_not_su(self):
+    def test_non_traceless_generators_of_su2_close_to_u2(self):
+        # su(d) is the only Lie subalgebra of u(d) of dimension d^2 - 1, so
+        # the verdict reads the dimension alone: a trace lifts su(2) to u(2)
+        s1 = HilbertSpace((2,))
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
         sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-        basis = LieBasis(2, np.stack([1j * sx, 1j * sy, 1j * np.eye(2)]) / np.sqrt(2.0))
-        v = controllability_verdict(basis)
-        assert v.dim == 3 and not v.contains_su and not v.equals_u
+        gens = [Operator(s1, sx), Operator(s1, sy + np.eye(2))]
+        v = controllability_verdict(lie_closure(gens))
+        assert v == ControllabilityVerdict(4, True, True)
+        assert lie.lie_verdict(gens) == v
