@@ -164,49 +164,31 @@ def _eliminate(c: np.ndarray, f: Field) -> tuple[np.ndarray, np.ndarray]:
     return np.vstack([first, second]), np.concatenate([p1, p2])
 
 
-def _support(s: np.ndarray) -> np.ndarray:
-    """Flat indices of the entries that some product of the matrices s may
-    make nonzero: the generators' pattern, closed under products. Every
-    bracket lies in the associative algebra they generate, so the closure
-    needs these coordinates only (the S_z-conserving blocks, a quarter of
-    them, for the Table I chain)."""
-    pattern = s.any(axis=0)
-    while True:
-        grown = pattern | (pattern.astype(float) @ pattern.astype(float) > 0)
-        if np.array_equal(grown, pattern):
-            return np.flatnonzero(pattern)
-        pattern = grown
-
-
 def closure_dimension(generators, f: Field) -> int:
     """Dimension over F_p of the Lie algebra generated by (d, d) matrices.
 
     The algebra is spanned by the generators S and their right-normed
     brackets [s_1, [s_2, ... s_k]], so each round commutes only S with the
     directions that the previous round added (about 2 dim products in all)
-    and adds the survivors as a block, on the coordinates of ``_support``.
-    It stops when a round adds nothing or the span reaches d^2, or d^2 - 1
-    when every trace is 0 mod p.
+    and adds the survivors as a block. It stops when a round adds nothing
+    or the span reaches d^2, or d^2 - 1 when every trace is 0 mod p.
     """
     s = np.stack(list(generators))
     g, d, _ = s.shape
     traceless = not _mod(np.trace(s, axis1=1, axis2=2), f.p).any()
     bound = d * d - traceless
-    support = _support(s)
-    basis = Echelon(f, support.size)
-    new = basis.add(s.reshape(g, d * d)[:, support])
+    basis = Echelon(f, d * d)
+    new = basis.add(s.reshape(g, d * d))
     stacked = s.reshape(g * d, d)  # the generators one above the other
     side = s.transpose(1, 0, 2).reshape(d, g * d)  # the generators side by side
     while new.shape[0] and basis.pivots.size < bound:
         m = new.shape[0]
-        x = np.zeros((m, d * d))
-        x[:, support] = new
-        x = x.reshape(m, d, d)
+        x = new.reshape(m, d, d)
         # one reduction of s x - x s: 2 d (p/2 + 1)^2 < 2^53 for d < 2^14
         sx = (stacked @ x.transpose(1, 0, 2).reshape(d, m * d)).reshape(g, d, m, d)
         xs = (x.reshape(m * d, d) @ side).reshape(m, d, g, d)
         comm = (sx.transpose(0, 2, 1, 3) - xs.transpose(2, 0, 1, 3)).reshape(g * m, d * d)
-        new = basis.add(_mod(comm[:, support], f.p))
+        new = basis.add(_mod(comm, f.p))
     return int(basis.pivots.size)
 
 
@@ -239,21 +221,32 @@ def compress(h: np.ndarray, v: np.ndarray, w: np.ndarray, f: Field) -> np.ndarra
     return f.mm(_inverse(gram, f), f.mm(w.T, f.mm(h, v)))
 
 
-def superproject(hs, jumps, f: Field) -> list[np.ndarray]:
+def superproject(hs, jumps, f: Field) -> tuple[list[np.ndarray], tuple[int, ...]]:
     """P(H) = nu(C) H / nu(0) for each image H in ``hs`` under a unital
     dissipator, where t nu(t) is the minimal polynomial of H under
-    C = sum_j gamma_j/2 ([Lj^dag, [Lj, .]] + [Lj, [Lj^dag, .]]), so that
-    nu(C) H keeps the kernel component alone.
+    C = sum_j gamma_j ([Lj^dag, [Lj, .]] + [Lj, [Lj^dag, .]]), so that
+    nu(C) H keeps the kernel component alone; and the Krylov length of
+    each H, the degree of its minimal polynomial.
 
-    ``jumps`` are (gamma_j, Lj) as floats. Raises when nu(0) vanishes mod p.
-    The Krylov vectors are row-reduced with an identity block beside them,
-    which records each row's combination, so the first dependency gives the
+    ``jumps`` are (gamma_j, Lj) with exact rational rates and float Lj.
+    C is -2 (D + D^dag) for the dissipator D, and a common factor of C or
+    of the rates leaves P(H) unchanged. Raises when a rate or nu(0)
+    vanishes mod p. The Krylov
+    vectors are row-reduced with an identity block beside them, which
+    records each row's combination, so the first dependency gives the
     minimal polynomial's coefficients.
+
+    A dependency over Q reduces to one mod p, so the Krylov length mod p
+    is at most the rational one, and where the two are equal the result is
+    the image of the rational P(H). A shorter length gives another matrix
+    and no error, so callers compare the lengths of two primes.
     """
     p = f.p
     ls = f.map(np.stack([l for _, l in jumps]))
     lds = f.map(np.stack([l.conj().T for _, l in jumps]))
-    rates = _mod(f.map(np.array([r for r, _ in jumps])) * f.scalar(Fraction(1, 2)), p)
+    rates = np.array([f.scalar(Fraction(r)) for r, _ in jumps], dtype=float)
+    if not rates.all():
+        raise ValueError(f"a rate vanishes mod {p}: P(H) has no exact image there")
 
     def ad(a, x):  # one reduction: 2 d (p/2 + 1)^2 < 2^53 for d < 2^14
         return _mod(a @ x - x @ a, p)
@@ -262,7 +255,7 @@ def superproject(hs, jumps, f: Field) -> list[np.ndarray]:
         terms = ad(lds, ad(ls, x)) + ad(ls, ad(lds, x))
         return _mod(np.tensordot(rates, terms, axes=1), p)
 
-    out = []
+    out, lengths = [], []
     for h in hs:
         d = h.shape[0]
         n = d * d
@@ -280,6 +273,7 @@ def superproject(hs, jumps, f: Field) -> list[np.ndarray]:
             krylov.add(reduced)
             vectors.append(x.reshape(n))
             x = c_map(x)
+        lengths.append(len(vectors))
         if a[0]:  # 0 is no root: H has no kernel component
             out.append(np.zeros((d, d)))
             continue
@@ -287,4 +281,4 @@ def superproject(hs, jumps, f: Field) -> list[np.ndarray]:
             raise ValueError(f"nu(0) vanishes mod {p}: P(H) has no exact image there")
         nu = _mod(a[1:] * f.inverse(a[1]), p)
         out.append(f.mm(nu[None], np.array(vectors))[0].reshape(d, d))
-    return out
+    return out, tuple(lengths)

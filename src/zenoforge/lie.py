@@ -10,12 +10,16 @@ when the inputs are Gaussian rationals, as floats are.
 exact closure over F_p of ``exact``: the inputs (controls, rates, Lindblad
 operators) are read as exact dyadic rationals, P(H) and the DFS
 compressions are computed from them mod p, and no tolerance decides
-anything. Each of the two fixed primes gives a lower bound of the rational
-dimension; a first prime that reaches the structural bound (d^2, or
-d^2 - 1 when every generator's trace is exactly 0) proves the dimension,
-and otherwise the larger of the two is reported. A real Lie subalgebra of
-u(d) of dimension d^2 - 1 is su(d), so the dimension alone decides the
-verdict.
+anything. At a prime whose generators are the images of the rational
+ones, the closure's dimension is a lower bound of the rational dimension,
+so a first prime that reaches the structural bound (d^2, or d^2 - 1 when
+every generator's trace is exactly 0) proves the dimension; otherwise the
+second prime runs and the larger of the two is reported. The images are
+checked where they are computed: a DFS block's null space must have the
+block's dimension, and P(H) needs the same Krylov length at both primes,
+since a prime can only shorten it (a check, not a proof: a Krylov space
+shortened at both primes alike would pass). A real Lie subalgebra of u(d)
+of dimension d^2 - 1 is su(d), so the dimension alone decides the verdict.
 
 ``lie_closure`` is the float closure, for callers that need the elements
 themselves (``span_residual``). Every element X = iH is held as its d^2
@@ -25,11 +29,7 @@ vectors is the Hilbert-Schmidt product Re Tr(X^dag Y), and a matrix rebuilt
 from coordinates is exactly anti-Hermitian. Elements are kept orthonormal
 by modified Gram-Schmidt with a re-orthogonalization pass at tolerance
 1e-6, and candidates are generated breadth-first (each new element is
-commuted with everything that precedes it). A round costs one product per
-commutator pair, since for anti-Hermitian x and E, (E x)^dag = x E and so
-[x, E] = (E x)^dag - E x, and one GEMM that screens the round's candidates
-against the span by Pythagoras before any MGS pass (see ``lie_closure`` for
-the margins).
+commuted with everything that precedes it).
 """
 
 from __future__ import annotations
@@ -82,23 +82,6 @@ def _upper(d: int) -> tuple[np.ndarray, np.ndarray]:
     return j, k
 
 
-@functools.lru_cache(maxsize=None)
-def _gather(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Index arrays (p, q) into the real view F of a flat d x d complex Q,
-    and their weights (s, t), such that F[p] s + F[q] t are the coordinates
-    of Q^dag - Q: -2 Im Q_aa, then -sqrt(2) (Im Q_ab + Im Q_ba) and
-    sqrt(2) (Re Q_ab - Re Q_ba) for a < b."""
-    j, k = _upper(d)
-    diag, ab, ba = np.arange(d) * (d + 1), j * d + k, k * d + j
-    p = np.concatenate([2 * diag + 1, 2 * ab + 1, 2 * ab])
-    q = np.concatenate([2 * diag + 1, 2 * ba + 1, 2 * ba])
-    r2, sizes = np.sqrt(2.0), [d, j.size, j.size]
-    s, t = np.repeat([-1.0, -r2, r2], sizes), np.repeat([-1.0, -r2, -r2], sizes)
-    for a in (p, q, s, t):
-        a.setflags(write=False)
-    return p, q, s, t
-
-
 def _coordinates(mats: np.ndarray) -> np.ndarray:
     """Coordinates of the anti-Hermitian parts iH of (..., d, d) matrices:
     diag(H), sqrt(2) Re H[j<k], sqrt(2) Im H[j<k], shape (..., d^2)."""
@@ -119,19 +102,6 @@ def _element(coords: np.ndarray, d: int) -> np.ndarray:
     return 1j * h
 
 
-def _commutator_coordinates(earlier: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Coordinates of [x, E_j] for anti-Hermitian x and each E_j of the
-    (i, d, d) stack ``earlier``, shape (i, d^2). As (E_j x)^dag = x E_j,
-    [x, E_j] = Q_j^dag - Q_j with Q_j = E_j x: one product per pair, all of
-    them in one batched matmul, and the coordinates gathered from Q's real
-    view. (One tall (i d, d) GEMM is about 5 % faster on the 20-level atom,
-    but its threaded BLAS call touches some 8 MB more memory.)"""
-    i, d, _ = earlier.shape
-    f = (earlier @ x).view(float).reshape(i, 2 * d * d)
-    p, q, s, t = _gather(d)
-    return f[:, p] * s + f[:, q] * t
-
-
 def _as_matrix(gen) -> np.ndarray:
     if isinstance(gen, Operator):
         return gen.matrix
@@ -142,39 +112,23 @@ def lie_closure(generators) -> LieBasis:
     """Closure of Lie(i H_0, ..., i H_m) for Hermitian generators.
 
     Seeds are the orthonormalized i*H_k; pairs are then commuted
-    breadth-first (element i with every earlier element), and a candidate
-    whose residual outside the current span has HS norm above 1e-6
-    (``_CLOSURE_TOL``) is accepted after two MGS passes. Terminates when no
-    pair yields a new direction (or at the safety cap d^2). Generators
-    traceless to 1e-10 of their largest entry generate at most su(d), so a
-    closure of them that passes d^2 - 1 has accepted rounding noise and
-    raises ValueError; the traceless 20x20 J=2 block of the N=8 chain does.
-    Printed dimensions come from the exact ``dfs_lie_dimension`` instead.
-
-    Each round makes its candidates [x, E_j] = Q_j^dag - Q_j from the one
-    product Q_j = E_j x per pair (``_commutator_coordinates``), and screens
-    them with one GEMM, coef = C R^T against the span R as of the round's
-    start: by Pythagoras the residual^2 is |c|^2 - |coef|^2, and a
-    candidate with residual^2 <= (tol/2)^2 is skipped. Only survivors reach
-    the MGS passes, as raw candidates. A skipped candidate would be
-    rejected there too unless the Pythagorean residual^2 erred by more than
-    tol^2 - (tol/2)^2 = 7.5e-13; the largest error measured against the
-    explicitly projected residual^2 was 4.4e-16, over every candidate of
-    the atom at n = 2..20 and of the Table I chain at N = 3..6.
+    breadth-first, projecting each candidate out of the current span and
+    keeping residuals whose HS norm exceeds 1e-6 (``_CLOSURE_TOL``).
+    Terminates when no pair yields a new direction (or at the safety cap).
+    Generators traceless to 1e-10 of their largest entry generate at most
+    su(d), so a closure of them that passes d^2 - 1 has accepted rounding
+    noise and raises ValueError; the traceless 20x20 J=2 block of the N=8
+    chain does. Printed dimensions come from the exact ``dfs_lie_dimension``.
 
     Candidates are projected in u(d) coordinates, so Hermitian rounding
     noise never enters the span. The tolerance separates genuine
     new directions from the noise floor of deep commutator chains, which
     rises because elements accepted with small residuals amplify rounding
     error when normalized. Measured margins (smallest accepted / largest
-    rejected residual, a skipped candidate counted by its projected
-    residual): 1.8e-4 / 2.2e-8 for the Table I chain at N=6 (dim 129) and
-    4.7e-4 / 1.3e-12 at N=5 (dim 40), on the controls from
-    ``zeno.superproject_hamiltonian``; 1.6e-3 / 3.7e-16 for the 20-level
-    atom (dim 400). The smallest accepted residuals equal those of the
-    loop with two products per pair and a per-candidate projection, kept
-    as ``mgs_reference`` in the tests; its elements agree with these to
-    1.1e-8 at N=6 and 2.2e-16 on the atom.
+    rejected residual): 1.8e-4 / 1.9e-8 for the Table I chain at N=6
+    (dim 129) and 4.7e-4 / 1.3e-12 at N=5 (dim 40), on the controls from
+    ``zeno.superproject_hamiltonian``; 1.6e-3 / 3.5e-16 for the 20-level
+    atom (dim 400).
     """
     mats = [_as_matrix(g) for g in generators]
     if not mats:
@@ -210,9 +164,6 @@ def lie_closure(generators) -> LieBasis:
         n += 1
         return True
 
-    for m in mats:
-        try_add(_coordinates(1j * m))
-
     def closed() -> LieBasis:
         if n > bound:
             raise ValueError(
@@ -221,13 +172,22 @@ def lie_closure(generators) -> LieBasis:
             )
         return LieBasis(d, elements[:n].copy())
 
-    skip = (0.5 * _CLOSURE_TOL) ** 2
+    for m in mats:
+        try_add(_coordinates(1j * m))
+
     i = 1
     while i < n:
-        block = _commutator_coordinates(elements[:i], elements[i])
-        coef = block @ rows[:n].T
-        residual2 = np.einsum("ij,ij->i", block, block) - np.einsum("ij,ij->i", coef, coef)
-        for c in block[residual2 > skip]:
+        x = elements[i]
+        earlier = elements[:i]
+        commutators = x[None] @ earlier - earlier @ x[None]
+        block = _coordinates(commutators)
+        # batch-project against the basis as of this round, then finish
+        # candidates that survive one pass individually
+        n0 = n
+        block -= (block @ rows[:n0].T) @ rows[:n0]
+        for c in block:
+            if np.linalg.norm(c) <= 0.5 * _CLOSURE_TOL:
+                continue  # conclusively in-span after one full pass
             try_add(c)
             if n >= cap:
                 return closed()
@@ -265,7 +225,10 @@ def _verdict(dim: int, d: int) -> ControllabilityVerdict:
 def controllability_verdict(basis: LieBasis) -> ControllabilityVerdict:
     """Check whether the closed algebra contains su(d) or equals u(d).
 
-    The dimension decides: u(d) has dimension d^2, and su(d) is the only
+    ``basis`` must span a Lie algebra, as ``lie_closure`` returns; for a
+    span that is not closed under commutators, such as {i sx, i sy, i 1}
+    of dimension 3 = 2^2 - 1, the verdict still reads the dimension alone
+    and means nothing. The dimension decides: u(d) has dimension d^2, and su(d) is the only
     Lie subalgebra of u(d) of dimension d^2 - 1. (su(d) is compact and
     simple, so it has no subalgebra of codimension 1; the algebra's
     projection onto su(d) is then onto and one to one, and its graph over
@@ -290,11 +253,12 @@ def _exact_verdict(d: int, generators_at, traceless: bool = False) -> Controllab
     """The verdict of the Lie algebra whose generators' images in F_p are
     ``generators_at(p)``, closed by ``exact.closure_dimension``.
 
-    Each prime gives a lower bound of the dimension over Q, which is at
-    most d^2, or d^2 - 1 when every generator's trace is exactly 0
-    (``traceless``, known only for float inputs and P(H)). A first prime
-    that reaches that bound proves the dimension; below it, the second prime
-    runs and the larger dimension is reported.
+    When the generators are the images of rational ones, each prime gives
+    a lower bound of the dimension over Q, which is at most d^2, or
+    d^2 - 1 when every generator's trace is exactly 0 (``traceless``, known
+    only for float inputs and P(H)). A first prime that reaches that bound
+    proves the dimension; below it, the second prime runs and the larger
+    dimension is reported.
     """
     proof = d * d - traceless
     dim = 0
@@ -322,6 +286,33 @@ def _traceless(mats) -> bool:
     )
 
 
+def _coprime(rates) -> list[int]:
+    """The rates divided by their exact greatest common divisor: coprime
+    integers. Neither P(H) nor a DFS block changes with a common factor of
+    the rates, so the rates' scale cannot make them vanish mod p."""
+    rates = [Fraction(r) for r in rates]
+    common = Fraction(
+        math.gcd(*(r.numerator for r in rates)), math.lcm(*(r.denominator for r in rates))
+    )
+    return [int(r / common) for r in rates]
+
+
+def _superprojected(hs, jumps) -> dict[int, list[np.ndarray]]:
+    """P(H) at each prime (``exact.superproject``). A prime can shorten a
+    Krylov space, which gives another matrix and no error, so the Krylov
+    lengths at the two primes must agree, or this raises ValueError."""
+    out, lengths = {}, {}
+    for p in exact.PRIMES:
+        f = exact.field(p)
+        out[p], lengths[p] = exact.superproject(f.map(hs), jumps, f)
+    if len(set(lengths.values())) > 1:
+        raise ValueError(
+            "the Krylov lengths of the controls under the dissipator differ between primes: "
+            + ", ".join(f"{list(n)} mod {p}" for p, n in lengths.items())
+        )
+    return out
+
+
 def _rational(x: float) -> Fraction:
     """The rational nearest x with a denominator of at most 2^16."""
     return Fraction(x).limit_denominator(1 << 16)
@@ -337,7 +328,8 @@ def _block_basis(block, jumps, f: exact.Field) -> np.ndarray:
     b = sum(Fraction(r) * (re * re + im * im) for (r, _), (re, im) in zip(jumps, labels))
     ls = f.map(np.reshape([l for _, l in jumps], (-1, d, d)))
     lds = f.map(np.reshape([l.conj().T for _, l in jumps], (-1, d, d)))
-    g = np.tensordot(f.map(np.array([r for r, _ in jumps])), f.mm(lds, ls), axes=1)
+    rates = np.array([f.scalar(Fraction(r)) for r, _ in jumps], dtype=float)
+    g = np.tensordot(rates, f.mm(lds, ls), axes=1)
     cs = np.array([f.scalar(re, im) for re, im in labels]).reshape(-1, 1, 1)
     rows = np.vstack([*(ls - cs * np.eye(d)), g - f.scalar(b) * np.eye(d)])
     v = exact.null_space(rows, f)
@@ -362,19 +354,23 @@ def dfs_lie_dimension(spec: LindbladSpec, controls) -> DFSLieReport:
     a unital dissipator (``exact.superproject``), and otherwise the
     block-diagonal sum of the compressions, so that blocks the controls
     link count once; a single block's joint verdict is its block verdict.
+    The rates enter divided by their greatest common divisor (``_coprime``),
+    which changes neither P(H) nor a block.
 
     The floats are taken for the exact rationals they are. A control that
     was rounded, such as u X u^dag for a float unitary u, is a different
     matrix from the one it approximates, and generates its own algebra,
-    often the generic one. Labels that read as no rational with a
-    denominator up to 2^16, or a prime at which a denominator vanishes,
-    raise ValueError.
+    often the generic one. ValueError is raised by labels that read as no
+    rational with a denominator up to 2^16, by a prime at which a
+    denominator or a rate vanishes, and by Krylov lengths of P(H) that
+    differ between the primes.
     """
     diss = spec.dissipative_part()
     dfs = detect_dfs(diss)
     d = spec.space.dim
     hs = np.reshape([_hermitian(c) for c in controls], (-1, d, d))
-    jumps = [(t.rate, t.op.matrix) for t in diss.terms if t.rate > 0]
+    terms = [t for t in diss.terms if t.rate > 0]
+    jumps = list(zip(_coprime([t.rate for t in terms]), [t.op.matrix for t in terms]))
 
     @functools.cache
     def blocks_at(p):
@@ -390,11 +386,8 @@ def dfs_lie_dimension(spec: LindbladSpec, controls) -> DFSLieReport:
         for k, block in enumerate(dfs.blocks)
     )
     if jumps and diss.is_unital():
-        joint = _exact_verdict(
-            d,
-            lambda p: exact.superproject(exact.field(p).map(hs), jumps, exact.field(p)),
-            _traceless(hs),  # Tr P(H) = Tr H
-        )
+        projected = _superprojected(hs, jumps)
+        joint = _exact_verdict(d, projected.get, _traceless(hs))  # Tr P(H) = Tr H
     elif len(dfs.blocks) == 1:
         joint = block_verdicts[0]
     elif not dfs.blocks:

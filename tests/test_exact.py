@@ -15,6 +15,7 @@ from zenoforge import exact
 from zenoforge.chain import CollectiveSpec, build_chain, collective_spin, two_body
 from zenoforge.lie import ControllabilityVerdict, dfs_lie_dimension, lie_closure
 from zenoforge.lindblad import LindbladSpec, LindbladTerm
+from zenoforge.models import build_model
 from zenoforge.ops import HilbertSpace, Operator, qubits, zero
 
 P0, P1 = exact.PRIMES
@@ -124,25 +125,6 @@ class TestClosureDimension:
         pair = [s @ np.diag(a) @ s_inv, s @ np.diag(b) @ s_inv]
         assert all(dim_at(p, pair) == 2 for p in exact.PRIMES)
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
-    def test_support_of_block_generators_keeps_the_dimension(self, a, b, count, seed):
-        # generators on two diagonal blocks keep every bracket inside them
-        g = np.random.default_rng(seed)
-        d = a + b
-        mats = [integer_hermitian(d, g) for _ in range(count)]
-        for m in mats:
-            m[:a, a:] = m[a:, :a] = 0
-        everywhere = lambda s: np.arange(s.shape[1] * s.shape[2])  # noqa: E731
-        for p in exact.PRIMES:
-            f = exact.field(p)
-            gens = [f.map(m) for m in mats]
-            assert exact._support(np.stack(gens)).size <= a * a + b * b
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(exact, "_support", everywhere)
-                dense = exact.closure_dimension(gens, f)
-            assert exact.closure_dimension(gens, f) == dense
-
     def test_lie_verdict_of_plain_generators(self):
         space = qubits(2)
         heis = Operator(space, two_body(0, 1).realize(space) / 3.0)
@@ -178,7 +160,8 @@ class TestSuperproject:
         jumps = [(t.rate, t.op.matrix) for t in spec.terms]
         for p in exact.PRIMES:
             f = exact.field(p)
-            got = exact.superproject([f.map(drift.matrix), f.map(control.matrix)], jumps, f)
+            got, lengths = exact.superproject([f.map(drift.matrix), f.map(control.matrix)], jumps, f)
+            assert lengths == (2, 2)  # C has one nonzero eigenvalue on each
             third = f.scalar(Fraction(1, 3))
             for out, bonds in zip(got, heisenberg_bonds(n)):
                 assert not ((out - f.map(bonds) * third) % p).any()
@@ -198,6 +181,51 @@ class TestSuperproject:
         with pytest.raises(ValueError, match="mod 5"):
             dfs_lie_dimension(spec, [Operator(space, h)])
 
+    @pytest.mark.parametrize("gamma", [0.3, float(P0), float(P0 * P1)])
+    def test_a_common_rate_changes_no_dimension(self, gamma):
+        # a common factor of the rates is divided out, so a rate of P0 or
+        # P0 P1 vanishes at no prime
+        for n in (3, 4):
+            at = lambda g: build_model("ising-chain", n_qubits=n, gammas=(g,) * 3)  # noqa: E731
+            one, scaled = at(1.0), at(gamma)
+            got = dfs_lie_dimension(scaled.spec, scaled.controls)
+            want = dfs_lie_dimension(one.spec, one.controls)
+            assert got.verdict == want.verdict
+            if gamma < 1e8:  # the float detect_dfs loses the N=4 block at rates from 1e8 on
+                assert got.block_verdicts == want.block_verdicts
+
+    def test_generic_controls_under_a_rate_of_p0(self):
+        # generic controls generate u(4); P(H) keeps u(2) + u(2) for either rate
+        g = np.random.default_rng(0)
+        hs = [integer_hermitian(4, g) / 8 for _ in range(2)]
+        for gamma in (1.0, float(P0)):
+            desc = build_model("two-qubit-dephasing", gamma=gamma)
+            controls = [Operator(desc.spec.space, h) for h in hs]
+            report = dfs_lie_dimension(desc.spec, controls)
+            assert report.verdict == ControllabilityVerdict(8, False, False)
+            assert report.block_dims == (4, 4)
+
+    def test_a_rate_that_vanishes_mod_a_prime_raises(self):
+        desc = build_model("ising-chain", n_qubits=3, gammas=(1.0, float(P0), 1.0))
+        with pytest.raises(ValueError, match=f"a rate vanishes mod {P0}"):
+            dfs_lie_dimension(desc.spec, desc.controls)
+
+    def test_krylov_lengths_must_agree_between_primes(self, monkeypatch):
+        # rates (2, 3, 4) on the N=3 chain: C has the eigenvalues 0 and
+        # 18 +- 2 sqrt(3) on Z0 Z1, whose product 312 = 24 * 13 vanishes
+        # mod 13, where the Krylov space of H shrinks from 3 to 2 with
+        # nu(0) = 3; the P(H) it gives is no image of the rational one
+        spec, drift, control = build_chain(CollectiveSpec(3, 2.0, 3.0, 4.0))
+        jumps = [(t.rate, t.op.matrix) for t in spec.terms]
+        lengths = {}
+        for p in (13, P0):
+            f = exact.field(p)
+            _, lengths[p] = exact.superproject([f.map(drift.matrix)], jumps, f)
+        assert lengths == {13: (2,), P0: (3,)}
+        monkeypatch.setattr(exact, "PRIMES", (13, P0))
+        with pytest.raises(ValueError, match="Krylov lengths .* differ between primes"):
+            dfs_lie_dimension(spec, [drift, control])
+
     def test_singular_gram_raises(self):
         f = exact.field(5)
         v = np.array([[1.0], [2.0]])  # V^dag V = 5
@@ -207,8 +235,6 @@ class TestSuperproject:
 
 class TestDfsLabels:
     def test_wrong_label_fails_with_one_line(self, monkeypatch):
-        from zenoforge.models import build_model
-
         desc = build_model("two-qubit-dephasing")
         monkeypatch.setattr(lie, "_rational", lambda x: Fraction(x).limit_denominator(1) + Fraction(1, 2))
         with pytest.raises(ValueError, match="exact eigenspace of dimension 0") as info:
