@@ -15,13 +15,25 @@ batched kernel: a degree-18 Taylor polynomial with scaling and squaring
 (Bader, Blanes & Casas, Mathematics 7, 1174 (2019)) whose Frechet derivative
 is carried through the same recurrences on dual numbers (Al-Mohy & Higham,
 SIAM J. Matrix Anal. Appl. 30, 1639 (2009)).
+
+Each L-BFGS-B restart runs with one thread in every loaded OpenBLAS: its
+products are too small for a second thread to pay, which would only spin.
+``gamma_sweep`` spends the other cores on its independent (gamma, restart)
+jobs instead: a spawn pool with one worker per core of the affinity mask,
+results gathered in job order, so the rows are those of ``optimize`` at
+each gamma. One job or one usable core runs in this process. As with every
+spawn pool, a script that calls ``gamma_sweep`` must guard its entry point
+with ``if __name__ == "__main__":``.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -326,49 +338,77 @@ class OptimizationResult:
     iterations: int
 
 
-def optimize(
-    system: ControlSystem,
-    target,
-    restarts: int = 10,
-    seed: int = 0,
-    n_slices: int = 20,
-    max_iterations: int = 500,
+# the thread-count setters of plain OpenBLAS, scipy-openblas and its 64-bit
+# integer build; each getter has the same name with "get"
+_BLAS_THREAD_SETTERS = (
+    "openblas_set_num_threads",
+    "scipy_openblas_set_num_threads",
+    "scipy_openblas_set_num_threads64_",
+)
+
+
+@cache
+def _blas_thread_controls() -> tuple[tuple[Callable, Callable], ...]:
+    """The thread-count setter and getter of every OpenBLAS mapped into this
+    process; none off Linux or with another BLAS."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line}
+    except OSError:
+        return ()
+    controls = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_THREAD_SETTERS:
+            setter = getattr(lib, name, None)
+            getter = getattr(lib, name.replace("_set_", "_get_"), None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                controls.append((setter, getter))
+    return tuple(controls)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with one thread in every OpenBLAS, then restore each
+    library's previous count. L-BFGS-B's small products gain nothing from a
+    second thread, which only spins."""
+    controls = _blas_thread_controls()
+    previous = [getter() for _, getter in controls]
+    for setter, _ in controls:
+        setter(1)
+    try:
+        yield
+    finally:
+        for (setter, _), count in zip(controls, previous):
+            setter(count)
+
+
+def _restart(
+    system: ControlSystem, target, seed: int, r: int, n_slices: int, max_iterations: int
 ) -> OptimizationResult:
-    """Multi-restart quasi-Newton minimization of the gate error.
-
-    Deterministic given ``seed``: restart r draws its initial pulse from
-    default_rng([seed, r]). Returns the best schedule over restarts.
-    """
-    if restarts < 1:
-        raise ValueError("need at least one restart")
-    if n_slices < 1:
-        raise ValueError("a pulse schedule needs at least one slice")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    """One L-BFGS-B run from the initial pulse drawn by default_rng([seed, r])."""
     m = system.n_controls
-    best_value = np.inf
-    best_x = None
-    traces = []
-    total_evals = 0
-    total_iters = 0
-    any_converged = False
+    rng = np.random.default_rng([seed, r])
+    x0 = random_schedule(system, n_slices, rng).amplitudes.reshape(-1)
+    evals = 0
+    trace: list[float] = []
 
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        x0 = random_schedule(system, n_slices, rng).amplitudes.reshape(-1)
-        evals = 0
-        trace: list[float] = []
+    def fun(x):
+        nonlocal evals
+        evals += 1
+        sched = PulseSchedule(system.total_time, x.reshape(m, n_slices))
+        v, g = objective_and_gradient(system, sched, target)
+        return v, g.reshape(-1)
 
-        def fun(x):
-            nonlocal evals
-            evals += 1
-            sched = PulseSchedule(system.total_time, x.reshape(m, n_slices))
-            v, g = objective_and_gradient(system, sched, target)
-            return v, g.reshape(-1)
+    def callback(intermediate_result):
+        trace.append(intermediate_result.fun)
 
-        def callback(intermediate_result):
-            trace.append(intermediate_result.fun)
-
+    with _one_blas_thread():
         res = scipy.optimize.minimize(
             fun,
             x0,
@@ -381,18 +421,80 @@ def optimize(
                 "ftol": 1e-12,
             },
         )
-        total_evals += evals
-        total_iters += int(res.nit)
-        any_converged = any_converged or bool(res.success)
-        traces.append(tuple(trace))
-        if res.fun < best_value:
-            best_value = float(res.fun)
-            best_x = res.x
-
-    best = PulseSchedule(system.total_time, best_x.reshape(m, n_slices))
+    schedule = PulseSchedule(system.total_time, res.x.reshape(m, n_slices))
     return OptimizationResult(
-        best, best_value, tuple(traces), total_evals, any_converged, total_iters
+        schedule, float(res.fun), (tuple(trace),), evals, bool(res.success), int(res.nit)
     )
+
+
+def _best(runs: list[OptimizationResult]) -> OptimizationResult:
+    """The first run with the lowest value, with the traces and totals of all."""
+    best_value, best = np.inf, None
+    for run in runs:
+        if run.best_value < best_value:
+            best_value, best = run.best_value, run
+    return OptimizationResult(
+        best.best_schedule,
+        best_value,
+        tuple(trace for run in runs for trace in run.traces),
+        sum(run.n_evaluations for run in runs),
+        any(run.converged for run in runs),
+        sum(run.iterations for run in runs),
+    )
+
+
+_MAX_ITERATIONS = 500  # L-BFGS-B iterations per restart
+
+
+def _check_restarts(restarts: int, seed: int, n_slices: int):
+    if restarts < 1:
+        raise ValueError("need at least one restart")
+    if n_slices < 1:
+        raise ValueError("a pulse schedule needs at least one slice")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+
+
+def optimize(
+    system: ControlSystem,
+    target,
+    restarts: int = 10,
+    seed: int = 0,
+    n_slices: int = 20,
+    max_iterations: int = _MAX_ITERATIONS,
+) -> OptimizationResult:
+    """Multi-restart quasi-Newton minimization of the gate error.
+
+    Deterministic given ``seed``: restart r draws its initial pulse from
+    default_rng([seed, r]). Returns the best schedule over restarts.
+    """
+    _check_restarts(restarts, seed, n_slices)
+    return _best([
+        _restart(system, target, seed, r, n_slices, max_iterations) for r in range(restarts)
+    ])
+
+
+def _run_restarts(jobs: list[tuple]) -> list[OptimizationResult]:
+    """``_restart(*job)`` for every job, in job order: on a spawn pool with
+    one worker per usable core, or in this process for one job or one core.
+
+    A worker's exception is raised here with its own type, once the pool has
+    cancelled the jobs not yet started and joined its workers."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cores, len(jobs))
+    if workers <= 1:
+        return [_restart(*job) for job in jobs]
+    # imported here, so that importing zenoforge loads no process machinery
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
+        futures = [pool.submit(_restart, *job) for job in jobs]
+        try:
+            return [future.result() for future in futures]
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 @dataclass(frozen=True)
@@ -416,17 +518,22 @@ def gamma_sweep(
     by ``channels.reduced_error`` against the target's goal unitary.
 
     The target (Eps1Target or Eps2Target) is the same at every gamma; it must
-    carry the goal unitary on system 1.
+    carry the goal unitary on system 1. Every (gamma, restart) pair is one
+    independent job; the rows equal those of ``optimize`` at each gamma.
     """
     gammas = [float(g) for g in gammas]
     if not gammas:
         raise ValueError("gamma list must be non-empty")
     if target.goal_unitary is None:
         raise ValueError("sweep target must carry the goal unitary")
+    _check_restarts(restarts, seed, n_slices)
+    systems = [system_builder(gamma) for gamma in gammas]
+    jobs = [(system, target, seed, r, n_slices, _MAX_ITERATIONS) for system in systems
+            for r in range(restarts)]
+    runs = _run_restarts(jobs)
     rows = []
-    for gamma in gammas:
-        system = system_builder(gamma)
-        result = optimize(system, target, restarts=restarts, seed=seed, n_slices=n_slices)
+    for k, (gamma, system) in enumerate(zip(gammas, systems)):
+        result = _best(runs[k * restarts : (k + 1) * restarts])
         e_total = propagate_schedule(system, result.best_schedule)
         red_err = reduced_error(e_total, target.goal_unitary)
         rows.append(SweepRow(gamma, result.best_value, red_err, restarts, result.iterations))

@@ -37,14 +37,14 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
 
 from . import exact
-from .lindblad import LindbladSpec, detect_dfs
+from .lindblad import DFSDecomposition, LindbladSpec, detect_dfs
 from .ops import Operator
 
 __all__ = [
@@ -239,10 +239,12 @@ def controllability_verdict(basis: LieBasis) -> ControllabilityVerdict:
 
 @dataclass(frozen=True)
 class DFSLieReport:
-    """The closure over the whole steady manifold, and one per DFS block."""
+    """The closure over the whole steady manifold, one per DFS block, and
+    the blocks themselves."""
 
     verdict: ControllabilityVerdict
     block_verdicts: tuple[ControllabilityVerdict, ...]
+    dfs: DFSDecomposition = field(compare=False)
 
     @property
     def block_dims(self) -> tuple[int, ...]:
@@ -397,7 +399,7 @@ def dfs_lie_dimension(spec: LindbladSpec, controls) -> DFSLieReport:
             sum(dfs.block_dims),
             lambda p: [scipy.linalg.block_diag(*parts) for parts in zip(*blocks_at(p))],
         )
-    return DFSLieReport(joint, block_verdicts)
+    return DFSLieReport(joint, block_verdicts, dfs)
 
 
 def lie_verdict(hamiltonians) -> ControllabilityVerdict:

@@ -312,18 +312,20 @@ def detect_dfs(spec: LindbladSpec) -> DFSDecomposition:
         blocks = refined
 
     g = sum((r * (l.conj().T @ l) for r, l in active), np.zeros((d, d)))
+    # G's rounding grows with the rates, so its cut and check are relative to max|G|
+    g_scale = max(1.0, float(np.max(np.abs(g))))
     rates = [r for r, _ in active]
     final: list[DFSBlock] = []
     for sub, lams in blocks:
         b = float(sum(r * abs(lam) ** 2 for r, lam in zip(rates, lams)))
-        sub = sub @ _null_space(g @ sub - b * sub, _DFS_TOL)
+        sub = sub @ _null_space((g @ sub - b * sub) / g_scale, _DFS_TOL)
         if sub.shape[1] == 0:
             continue
         # Verify the defining conditions on every basis vector.
         ok = all(
             np.max(np.abs(l @ sub - lam * sub)) <= 10 * _DFS_TOL
             for (_, l), lam in zip(active, lams)
-        ) and np.max(np.abs(g @ sub - b * sub)) <= 10 * _DFS_TOL
+        ) and np.max(np.abs(g @ sub - b * sub)) <= 10 * _DFS_TOL * g_scale
         if not ok:
             continue
         sub = _canonical_basis(sub)

@@ -175,15 +175,11 @@ def _check_no_extra(params: dict):
 
 def validate_model(desc: ModelDescriptor) -> dict:
     """Re-derive the descriptor's expected results; raises on mismatch."""
-    from .lindblad import detect_dfs
-
     derived = {}
     derived["nonoise_lie_dim"] = lie_verdict(desc.controls).dim
-    dfs = detect_dfs(desc.spec.dissipative_part())
-    if "dfs_count" in desc.expected:
-        derived["dfs_count"] = len(dfs.blocks)
-        derived["dfs_dims"] = dfs.block_dims
     report = dfs_lie_dimension(desc.spec, desc.controls)
+    derived["dfs_count"] = len(report.dfs.blocks)
+    derived["dfs_dims"] = report.dfs.block_dims
     derived["block_lie_dims"] = report.block_dims
     derived["unital"] = desc.spec.is_unital()
     derived["dfs_lie_dim"] = report.verdict.dim

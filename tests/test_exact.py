@@ -191,8 +191,7 @@ class TestSuperproject:
             got = dfs_lie_dimension(scaled.spec, scaled.controls)
             want = dfs_lie_dimension(one.spec, one.controls)
             assert got.verdict == want.verdict
-            if gamma < 1e8:  # the float detect_dfs loses the N=4 block at rates from 1e8 on
-                assert got.block_verdicts == want.block_verdicts
+            assert got.block_verdicts == want.block_verdicts
 
     def test_generic_controls_under_a_rate_of_p0(self):
         # generic controls generate u(4); P(H) keeps u(2) + u(2) for either rate

@@ -1,4 +1,10 @@
+import concurrent.futures
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +18,7 @@ from zenoforge.channels import (
     choi,
     epsilon2,
     gate_error_report,
+    reduced_error,
     superop_tensor,
     unitary_superop,
 )
@@ -543,7 +550,101 @@ class TestOptimize:
             optimize(two_qubit_system(1.0), Eps2Target(HADAMARD), restarts=1, **kwargs)
 
 
+BLAS = grape._blas_thread_controls()
+needs_openblas = pytest.mark.skipif(
+    not BLAS, reason="no OpenBLAS is loaded in this process, so there is no thread count to cap"
+)
+
+
+def blas_counts():
+    return [getter() for _, getter in BLAS]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every OpenBLAS at 2 threads for the test, whatever the machine's default."""
+    before = blas_counts()
+    for setter, _ in BLAS:
+        setter(2)
+    yield
+    for (setter, _), count in zip(BLAS, before):
+        setter(count)
+
+
+@needs_openblas
+class TestOneBlasThread:
+    def test_every_library_reads_one_thread_inside(self, two_blas_threads):
+        with grape._one_blas_thread():
+            assert blas_counts() == [1] * len(BLAS)
+
+    def test_previous_counts_come_back(self, two_blas_threads):
+        with grape._one_blas_thread():
+            pass
+        assert blas_counts() == [2] * len(BLAS)
+        with pytest.raises(RuntimeError, match="body"):
+            with grape._one_blas_thread():
+                raise RuntimeError("body")
+        assert blas_counts() == [2] * len(BLAS)
+
+    def test_nothing_found_is_a_no_op(self, two_blas_threads, monkeypatch):
+        monkeypatch.setattr(grape, "_blas_thread_controls", lambda: ())
+        with grape._one_blas_thread():
+            assert blas_counts() == [2] * len(BLAS)
+
+
+CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The process pools that gamma_sweep opens during the test."""
+    made = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return made
+
+
 class TestGammaSweep:
+    def test_rows_equal_in_process_optimize(self, pools):
+        target = Eps2Target(HADAMARD)
+        rows = gamma_sweep(two_qubit_system, [1.0, 20.0], target, restarts=2, seed=9, n_slices=6)
+        assert len(pools) == (CORES > 1)  # 4 jobs: a pool whenever there are two cores
+        for row, gamma in zip(rows, [1.0, 20.0]):
+            system = two_qubit_system(gamma)
+            result = optimize(system, target, restarts=2, seed=9, n_slices=6)
+            assert row.best_eps == result.best_value
+            assert row.iterations == result.iterations
+            e_total = propagate_schedule(system, result.best_schedule)
+            assert row.reduced_error == reduced_error(e_total, HADAMARD)
+
+    def test_no_worker_outlives_the_sweep(self, pools):
+        gamma_sweep(two_qubit_system, [1.0, 20.0], Eps2Target(HADAMARD), restarts=1, n_slices=4)
+        assert multiprocessing.active_children() == []
+        # at a rate of 1e200 the first L-BFGS-B step overflows the amplitudes
+        with pytest.raises(ValueError, match="amplitudes must be finite") as info:
+            gamma_sweep(two_qubit_system, [1.0, 1e200], Eps2Target(HADAMARD), restarts=2,
+                        n_slices=4)
+        assert multiprocessing.active_children() == []
+        if CORES > 1:
+            assert len(pools) == 2
+            assert "Traceback" in str(info.value.__cause__)  # raised in a worker
+
+    def test_worker_error_ends_the_cli_with_one_line(self):
+        src = str(Path(grape.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-m", "zenoforge", "sweep", "--model", "two-qubit-amp",
+             "--gammas", "1,1e200", "--restarts", "1", "--slices", "4"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300,
+        )
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert out.stderr.splitlines() == ["error: amplitudes must be finite"]
+
     def test_rows_and_improvement(self):
         rows = gamma_sweep(
             lambda g: two_qubit_system(g),

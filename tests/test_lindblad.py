@@ -340,6 +340,14 @@ class TestDetectDfs:
         )
         assert detect_dfs(spec).block_dims == (2,)
 
+    @pytest.mark.parametrize("gamma", [1.0, 1e6, 1e8, 1e10, 1.1e12])
+    def test_common_rate_keeps_the_chain_block(self, gamma):
+        # G's rounding grows with the rates; from 1e8 on it exceeds an absolute cut
+        desc = build_model("ising-chain", n_qubits=4, gammas=(gamma,) * 3)
+        dfs = detect_dfs(desc.spec.dissipative_part())
+        assert dfs.block_dims == (2,)
+        assert dfs.blocks[0].damping_eigenvalue == pytest.approx(0.0, abs=1e-8 * gamma)
+
 
 # Registered models with d <= 32 and their frozen DFS block dimensions.
 FROZEN_DFS = [

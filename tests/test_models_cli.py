@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zenoforge
+import zenoforge.lie as lie
 from zenoforge.cli import build_parser, main
 from zenoforge.models import (
     HADAMARD,
@@ -41,6 +42,20 @@ class TestRegistry:
     def test_chain_self_validates(self):
         derived = validate_model(build_model("ising-chain", n_qubits=3))
         assert derived["dfs_lie_dim"] == 4
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_validation_detects_the_dfs_once(self, name, monkeypatch):
+        calls = []
+        original = lie.detect_dfs
+
+        def counting(spec):
+            calls.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(lie, "detect_dfs", counting)
+        derived = validate_model(build_model(name))
+        assert len(calls) == 1
+        assert derived["dfs_dims"] == original(build_model(name).spec.dissipative_part()).block_dims
 
     def test_unknown_model(self):
         with pytest.raises(ValueError):
