@@ -520,6 +520,8 @@ def gamma_sweep(
     The target (Eps1Target or Eps2Target) is the same at every gamma; it must
     carry the goal unitary on system 1. Every (gamma, restart) pair is one
     independent job; the rows equal those of ``optimize`` at each gamma.
+    The builder runs here; the systems and the target reach the pool's
+    workers by pickle.
     """
     gammas = [float(g) for g in gammas]
     if not gammas:

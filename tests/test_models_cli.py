@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import zenoforge
 import zenoforge.lie as lie
+import zenoforge.lindblad as lindblad
 from zenoforge.cli import build_parser, main
 from zenoforge.models import (
     HADAMARD,
@@ -52,7 +53,8 @@ class TestRegistry:
             calls.append(spec)
             return original(spec)
 
-        monkeypatch.setattr(lie, "detect_dfs", counting)
+        for module in (lindblad, lie):
+            monkeypatch.setattr(module, "detect_dfs", counting)
         derived = validate_model(build_model(name))
         assert len(calls) == 1
         assert derived["dfs_dims"] == original(build_model(name).spec.dissipative_part()).block_dims
