@@ -45,7 +45,7 @@ import scipy.linalg
 
 from . import exact
 from .lindblad import DFSDecomposition, LindbladSpec, detect_dfs
-from .ops import Operator
+from .ops import hermitian
 
 __all__ = [
     "LieBasis",
@@ -102,12 +102,6 @@ def _element(coords: np.ndarray, d: int) -> np.ndarray:
     return 1j * h
 
 
-def _as_matrix(gen) -> np.ndarray:
-    if isinstance(gen, Operator):
-        return gen.matrix
-    return np.asarray(gen, dtype=complex)
-
-
 def lie_closure(generators) -> LieBasis:
     """Closure of Lie(i H_0, ..., i H_m) for Hermitian generators.
 
@@ -130,15 +124,12 @@ def lie_closure(generators) -> LieBasis:
     ``zeno.superproject_hamiltonian``; 1.6e-3 / 3.5e-16 for the 20-level
     atom (dim 400).
     """
-    mats = [_as_matrix(g) for g in generators]
+    mats = [hermitian(g, f"generator {k}") for k, g in enumerate(generators)]
     if not mats:
         raise ValueError("need at least one generator")
     d = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (d, d):
-            raise ValueError("generators must share one space")
-        if np.max(np.abs(m - m.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(m))):
-            raise ValueError("generators must be Hermitian")
+    if any(m.shape != (d, d) for m in mats):
+        raise ValueError("generators must share one space")
     if all(np.max(np.abs(m)) < 1e-14 for m in mats):
         raise ValueError("need at least one nonzero generator")
     cap = d * d
@@ -202,8 +193,8 @@ def span_residual(basis: LieBasis, matrix: np.ndarray) -> float:
     rows = _coordinates(basis.elements)
     coords = _coordinates(x)
     resid = coords - rows.T @ (rows @ coords)
-    hermitian = np.linalg.norm(x + x.conj().T) / 2
-    return float(np.hypot(np.linalg.norm(resid), hermitian))
+    hermitian_norm = np.linalg.norm(x + x.conj().T) / 2
+    return float(np.hypot(np.linalg.norm(resid), hermitian_norm))
 
 
 @dataclass(frozen=True)
@@ -271,13 +262,6 @@ def _exact_verdict(d: int, generators_at, traceless: bool = False) -> Controllab
         if dim == proof:
             break
     return _verdict(dim, d)
-
-
-def _hermitian(control) -> np.ndarray:
-    m = _as_matrix(control)
-    if np.max(np.abs(m - m.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(m))):
-        raise ValueError("controls must be Hermitian")
-    return (m + m.conj().T) / 2  # exactly Hermitian
 
 
 def _traceless(mats) -> bool:
@@ -370,7 +354,7 @@ def dfs_lie_dimension(spec: LindbladSpec, controls) -> DFSLieReport:
     diss = spec.dissipative_part()
     dfs = detect_dfs(diss)
     d = spec.space.dim
-    hs = np.reshape([_hermitian(c) for c in controls], (-1, d, d))
+    hs = np.reshape([hermitian(c, f"control {k}") for k, c in enumerate(controls)], (-1, d, d))
     terms = [t for t in diss.terms if t.rate > 0]
     jumps = list(zip(_coprime([t.rate for t in terms]), [t.op.matrix for t in terms]))
 
@@ -405,7 +389,7 @@ def dfs_lie_dimension(spec: LindbladSpec, controls) -> DFSLieReport:
 def lie_verdict(hamiltonians) -> ControllabilityVerdict:
     """The exact verdict of Lie(i H_0, ..., i H_m) for Hermitian generators,
     read as the exact rationals their floats are (see ``dfs_lie_dimension``)."""
-    hs = np.array([_hermitian(h) for h in hamiltonians])
+    hs = np.array([hermitian(h, f"generator {k}") for k, h in enumerate(hamiltonians)])
     if not hs.size:
         raise ValueError("need at least one generator")
     return _exact_verdict(hs.shape[1], lambda p: exact.field(p).map(hs), _traceless(hs))

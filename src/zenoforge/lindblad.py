@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .ops import HilbertSpace, Operator, expm, zero
+from .ops import HilbertSpace, Operator, expm, hermitian, zero
 
 __all__ = [
     "LindbladTerm",
@@ -91,15 +91,16 @@ class LindbladTerm:
 
 @dataclass(frozen=True)
 class LindbladSpec:
-    """A Hamiltonian (possibly zero) plus weighted Lindblad operators."""
+    """A Hamiltonian (possibly zero), kept as its exact Hermitian part
+    (``ops.hermitian``), plus weighted Lindblad operators."""
 
     hamiltonian: Operator
     terms: tuple[LindbladTerm, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
-        if not self.hamiltonian.is_hermitian(1e-10):
-            raise ValueError("hamiltonian is not Hermitian within 1e-10")
+        h = self.hamiltonian
+        object.__setattr__(self, "hamiltonian", Operator(h.space, hermitian(h, "hamiltonian")))
         d = self.space.dim
         # every entry of -i[H, .] is at most 2 max|H|; every entry of the
         # dissipator's matrix, of sum_j gamma_j Lj^dag Lj and of D(1) is at

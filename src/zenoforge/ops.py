@@ -27,6 +27,7 @@ __all__ = [
     "lowering_on",
     "raising_on",
     "tensor",
+    "hermitian",
     "commutator",
     "hs_inner",
     "hs_norm",
@@ -107,9 +108,6 @@ class Operator:
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
 
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
-
     def __add__(self, other: "Operator") -> "Operator":
         self._check_space(other)
         return Operator(self.space, self.matrix + other.matrix)
@@ -142,14 +140,27 @@ class DensityMatrix(Operator):
 
     def __post_init__(self):
         super().__post_init__()
-        mat = self.matrix
+        mat = hermitian(self, "density matrix")
+        object.__setattr__(self, "matrix", _frozen(mat))
         if abs(np.trace(mat) - 1.0) > 1e-10:
             raise ValueError(f"trace {np.trace(mat)} is not 1")
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-10:
-            raise ValueError("density matrix is not Hermitian")
-        eigs = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
+        eigs = np.linalg.eigvalsh(mat)
         if eigs.min() < -1e-10:
             raise ValueError(f"negative eigenvalue {eigs.min()}")
+
+
+def hermitian(a, name: str) -> np.ndarray:
+    """The exact Hermitian part A/2 + A^dag/2 of an Operator or a square
+    array A. The one Hermiticity rule of the package: max|A - A^dag| must be
+    at most 1e-10 max(1, max|A|), or ValueError names ``name``; NaN fails.
+    Halving before adding keeps entries near the largest float finite."""
+    mat = np.asarray(a.matrix if isinstance(a, Operator) else a, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        skew = np.max(np.abs(mat - mat.conj().T), initial=0.0)
+        scale = np.max(np.abs(mat), initial=0.0)
+    if not skew <= 1e-10 * max(1.0, scale):
+        raise ValueError(f"{name} is not Hermitian within 1e-10 of its largest entry")
+    return mat / 2 + mat.conj().T / 2
 
 
 def identity(space: HilbertSpace) -> Operator:

@@ -22,7 +22,7 @@ from .lindblad import (
     hamiltonian_superop,
     steady_superprojector,
 )
-from .ops import HilbertSpace, Operator, expm
+from .ops import HilbertSpace, Operator, expm, hermitian
 
 __all__ = [
     "coherent_generator",
@@ -40,12 +40,11 @@ def coherent_generator(h: Operator) -> Superoperator:
 
 def project_hamiltonian(h: Operator, dfs: DFSDecomposition, block: int) -> Operator:
     """P_i H P_i compressed to the block's orthonormal basis."""
-    if not h.is_hermitian(1e-10):
-        raise ValueError("hamiltonian is not Hermitian")
+    mat = hermitian(h, "hamiltonian")
     if not 0 <= block < len(dfs.blocks):
         raise ValueError(f"block {block} out of range ({len(dfs.blocks)} blocks)")
     basis = dfs.blocks[block].basis
-    compressed = basis.conj().T @ h.matrix @ basis
+    compressed = basis.conj().T @ mat @ basis
     return Operator(HilbertSpace((basis.shape[1],)), compressed)
 
 
@@ -61,8 +60,7 @@ def superproject_hamiltonian(h: Operator, spec: LindbladSpec) -> Operator:
     of ``steady_superprojector``, ``_ZERO_CUT``, applies. Lanczos from H on C with full
     re-orthogonalization finds P(H) from d x d products alone.
     """
-    if not h.is_hermitian(1e-10):
-        raise ValueError("hamiltonian is not Hermitian")
+    x = hermitian(h, "hamiltonian")
     if not spec.is_unital():
         raise ValueError("dissipator is not unital: P(H) is not a projection onto its commutant")
     d = spec.space.dim
@@ -75,7 +73,6 @@ def superproject_hamiltonian(h: Operator, spec: LindbladSpec) -> Operator:
             out += r * (a.conj().T @ inner - inner @ a.conj().T)
         return (out + out.conj().T) / 2
 
-    x = (h.matrix + h.matrix.conj().T) / 2
     norm = np.linalg.norm(x)
     if norm == 0:
         return Operator(h.space, x)

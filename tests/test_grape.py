@@ -43,7 +43,15 @@ from zenoforge.lindblad import (
     vec,
 )
 from zenoforge.models import HADAMARD, build_model, qubit2_reset_superop
-from zenoforge.ops import HilbertSpace, Operator, lowering_on, pauli_on, qubits, zero
+from zenoforge.ops import (
+    HilbertSpace,
+    Operator,
+    hermitian,
+    lowering_on,
+    pauli_on,
+    qubits,
+    zero,
+)
 
 S2 = qubits(2)
 H0 = pauli_on(S2, 0, "x") @ (pauli_on(S2, 1, "x") + pauli_on(S2, 1, "z"))
@@ -263,13 +271,19 @@ class TestHermitianBasis:
         assert gens.dtype == props.dtype == prefix.dtype == float
         assert objective_and_gradient(system, sched, Eps2Target(HADAMARD))[1].dtype == float
 
-    def test_non_hermitian_control_within_validation_rejected(self):
-        # accepted by the 1e-10 Hermiticity check, but its generator is not
-        # real in the Hermitian basis within 1e-12
+    def test_control_within_tolerance_propagates_as_its_hermitian_part(self):
         skew = H0.matrix + 1e-11 * np.triu(np.ones((4, 4)), 1)
-        system = ControlSystem((Operator(S2, skew),), two_qubit_system(1.0).spec, 1.0)
-        with pytest.raises(ValueError, match="Hermitian"):
-            propagate_schedule(system, PulseSchedule(1.0, [[0.5]]))
+        spec, sched = two_qubit_system(1.0).spec, PulseSchedule(1.0, [[0.5]])
+        maps = [
+            propagate_schedule(ControlSystem((Operator(S2, c),), spec, 1.0), sched).matrix
+            for c in (skew, hermitian(skew, "control 0"))
+        ]
+        assert np.array_equal(*maps)
+
+    def test_control_beyond_tolerance_rejected_by_name(self):
+        skew = H0.matrix + 1e-9 * np.max(np.abs(H0.matrix)) * np.triu(np.ones((4, 4)), 1)
+        with pytest.raises(ValueError, match="control 0 .*Hermitian"):
+            ControlSystem((Operator(S2, skew),), two_qubit_system(1.0).spec, 1.0)
 
 
 class TestExpmStack:
@@ -644,6 +658,23 @@ class TestGammaSweep:
         assert out.returncode == 1
         assert out.stdout == ""
         assert out.stderr.splitlines() == ["error: amplitudes must be finite"]
+
+    @pytest.mark.skipif(CORES < 2, reason="one usable core: the sweep runs in process")
+    def test_dead_worker_ends_the_cli_with_one_line(self, tmp_path):
+        # a spawn child cannot re-import a main module read from stdin, so it dies
+        script = (
+            "import sys\nfrom zenoforge.cli import main\n"
+            'sys.exit(main(["sweep", "--gammas", "1,2", "--restarts", "1", "--slices", "3"]))\n'
+        )
+        src = str(Path(grape.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-"], input=script, capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": src}, timeout=300,
+        )
+        errors = [line for line in out.stderr.splitlines() if line.startswith("error:")]
+        assert out.returncode == 1 and out.stdout == ""
+        assert len(errors) == 1 and "worker process died" in errors[0]
+        assert 'if __name__ == "__main__":' in errors[0]
 
     def test_rows_and_improvement(self):
         rows = gamma_sweep(

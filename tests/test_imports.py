@@ -1,6 +1,7 @@
 """Every name a package module imports is used there or listed in its
-``__all__``, and no module defines a function or class name twice in one
-block. Package ``__init__`` files only re-export, so they are exempt."""
+``__all__``, no module defines a function or class name twice in one
+block, and no module but ``ops`` decides whether a matrix is Hermitian.
+Package ``__init__`` files only re-export, so they are exempt."""
 
 import ast
 from collections import Counter
@@ -90,3 +91,48 @@ def test_detector_flags_only_redefined_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_redefines_no_name(path):
     assert redefinitions(path.read_text()) == []
+
+
+def _adjoint_of(node):
+    """E for an expression ``E.conj().T`` or ``E.T.conj()``, else None."""
+    if isinstance(node, ast.Attribute) and node.attr == "T":
+        call = node.value
+        if isinstance(call, ast.Call) and not call.args and isinstance(call.func, ast.Attribute):
+            return call.func.value if call.func.attr == "conj" else None
+    if isinstance(node, ast.Call) and not node.args and isinstance(node.func, ast.Attribute):
+        inner = node.func.value
+        if node.func.attr == "conj" and isinstance(inner, ast.Attribute) and inner.attr == "T":
+            return inner.value
+    return None
+
+
+def hermiticity_checks(source: str) -> list[int]:
+    """Lines that subtract ``E.conj().T`` from the same expression E, or the
+    reverse: a Hermiticity decision, which ``ops.hermitian`` alone makes."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+            for a, b in ((node.left, node.right), (node.right, node.left)):
+                e = _adjoint_of(b)
+                if e is not None and ast.dump(e) == ast.dump(a):
+                    found.append(node.lineno)
+                    break
+    return found
+
+
+def test_detector_flags_only_hermiticity_checks():
+    source = (
+        "skew = m - m.conj().T\n"
+        "skew = x.T.conj() - x\n"
+        "skew = (a @ b).conj().T - a @ b\n"
+        "part = m + m.conj().T\n"
+        "other = m - n.conj().T\n"
+        "unitary = u @ u.conj().T - eye\n"
+        "defect = l.conj().T @ l - l @ l.conj().T\n"
+    )
+    assert hermiticity_checks(source) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "ops.py"], ids=lambda p: p.name)
+def test_only_ops_decides_hermiticity(path):
+    assert hermiticity_checks(path.read_text()) == []

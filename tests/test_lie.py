@@ -259,7 +259,7 @@ def _embed(mats: np.ndarray) -> np.ndarray:
 
 
 def oracle_closure(generators, tol=1e-6) -> LieBasis:
-    mats = [lie._as_matrix(g) for g in generators]
+    mats = [np.asarray(getattr(g, "matrix", g), dtype=complex) for g in generators]
     d = mats[0].shape[0]
     cap = d * d
     elements = np.zeros((cap, d, d), dtype=complex)

@@ -580,6 +580,24 @@ class TestCli:
         assert captured.out == "" and caught == []
         assert len(err) == 1 and err[0] == f"error: {name} with max|H| = 1e+308 makes the generator not finite"
 
+    @pytest.mark.parametrize("skew, code", [(5e-11, 0), (1e-6, 1)])
+    def test_fidelity_job_with_skewed_control(self, tmp_path, capsys, skew, code):
+        # within 1e-10 of its largest entry the control is scored as its
+        # Hermitian part; beyond it the one error line names the control
+        doc = self._fidelity_doc()
+        control = doc["system"]["controls"][1]
+        for j, row in enumerate(control):
+            for entry in row[j + 1 :]:
+                entry[0] += skew
+        assert main(["fidelity", str(self._fidelity_job(tmp_path, None, doc))]) == code
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        if code == 0:
+            assert err == [] and set(json.loads(captured.out)) >= {"eps1", "eps2"}
+        else:
+            assert captured.out == "" and len(err) == 1
+            assert err[0].startswith("error: control 1 is not Hermitian within 1e-10")
+
     @pytest.mark.parametrize(
         "path", [("system", "hamiltonian"), ("system", "controls", 0)], ids=["hamiltonian", "control"]
     )
