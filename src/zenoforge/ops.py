@@ -155,6 +155,8 @@ def hermitian(a, name: str) -> np.ndarray:
     at most 1e-10 max(1, max|A|), or ValueError names ``name``; NaN fails.
     Halving before adding keeps entries near the largest float finite."""
     mat = np.asarray(a.matrix if isinstance(a, Operator) else a, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"{name} must be a square matrix, got shape {mat.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         skew = np.max(np.abs(mat - mat.conj().T), initial=0.0)
         scale = np.max(np.abs(mat), initial=0.0)

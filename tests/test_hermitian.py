@@ -63,3 +63,10 @@ def test_largest_float_stays_finite_and_nan_fails():
     assert np.array_equal(hermitian(big, "hamiltonian"), big)
     with pytest.raises(ValueError, match="^control 1 is not Hermitian"):
         hermitian(np.diag([np.nan, 0.0]), "control 1")
+
+
+def test_non_square_input_is_named():
+    with pytest.raises(ValueError, match="^generator 0 must be a square matrix"):
+        lie_closure([np.ones((2, 3))])
+    with pytest.raises(ValueError, match="^generator 0 must be a square matrix"):
+        lie_verdict([np.ones((2, 3))])
