@@ -27,14 +27,7 @@ from .grape import (
     optimize,
     propagate_schedule,
 )
-from .lie import (
-    ControllabilityVerdict,
-    LieBasis,
-    controllability_verdict,
-    dfs_lie_dimension,
-    lie_closure,
-    lie_verdict,
-)
+from .lie import ControllabilityVerdict, dfs_lie_dimension, lie_verdict
 from .lindblad import (
     DFSBlock,
     DFSDecomposition,

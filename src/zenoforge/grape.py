@@ -21,9 +21,9 @@ products are too small for a second thread to pay, which would only spin.
 ``gamma_sweep`` spends the other cores on its independent (gamma, restart)
 jobs instead: a spawn pool with one worker per core of the affinity mask,
 results gathered in job order, so the rows are those of ``optimize`` at
-each gamma. One job or one usable core runs in this process. As with every
-spawn pool, a script that calls ``gamma_sweep`` must guard its entry point
-with ``if __name__ == "__main__":``.
+each gamma. One job, one usable core or a script read from stdin runs in
+this process. As with every spawn pool, a script file that calls
+``gamma_sweep`` must guard its entry point with ``if __name__ == "__main__":``.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -40,7 +41,6 @@ import numpy as np
 import scipy.optimize
 
 from .channels import _eps2_weight, choi, reduced_error
-from .lie import _element
 from .lindblad import (
     LindbladSpec,
     Superoperator,
@@ -99,10 +99,13 @@ class ControlSystem:
         """The basis change Q, the real dissipator D and the stacked real
         control superoperators K_l in the Hermitian basis."""
         d = self.spec.space.dim
-        # columns vec(B_a) for lie's orthonormal Hermitian basis B_a = -i _element(e_a):
+        # Q: columns vec(B_a) (row-major) of the orthonormal Hermitian basis
         # E_jj, (E_jk + E_kj)/sqrt2 and i(E_jk - E_kj)/sqrt2 for j < k
-        basis = np.stack([-1j * _element(e, d) for e in np.eye(d * d)], axis=-1)
-        basis = basis.reshape(d * d, d * d)
+        units = np.eye(d * d).reshape(d, d, d * d)  # units[j, k] = vec(E_jk)
+        j, k = np.triu_indices(d, 1)
+        sym, asym = units[j, k] + units[k, j], units[j, k] - units[k, j]
+        parts = [units[range(d), range(d)], sym / np.sqrt(2.0), 1j * asym / np.sqrt(2.0)]
+        basis = np.concatenate(parts).T.copy()
         base = _to_real_basis(basis, dissipator_matrix(self.spec).matrix)
         for l, c in enumerate(self.controls):
             _coherent_bound(c, f"control {l}")
@@ -471,14 +474,16 @@ def optimize(
 
 def _run_restarts(jobs: list[tuple]) -> list[OptimizationResult]:
     """``_restart(*job)`` for every job, in job order: on a spawn pool with
-    one worker per usable core, or in this process for one job or one core.
+    one worker per usable core, or in this process for one job, one core or
+    a main module with no file (read from stdin), which a child cannot import.
 
     A worker's exception is raised here with its own type, once the pool has
     cancelled the jobs not yet started and joined its workers; a worker that
     dies raises OSError."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cores, len(jobs))
-    if workers <= 1:
+    main = getattr(sys.modules["__main__"], "__file__", None)
+    if workers <= 1 or (main is not None and not os.path.isfile(main)):
         return [_restart(*job) for job in jobs]
     # imported here, so that importing zenoforge loads no process machinery
     import multiprocessing

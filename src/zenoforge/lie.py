@@ -20,16 +20,6 @@ block's dimension, and P(H) needs the same Krylov length at both primes,
 since a prime can only shorten it (a check, not a proof: a Krylov space
 shortened at both primes alike would pass). A real Lie subalgebra of u(d)
 of dimension d^2 - 1 is su(d), so the dimension alone decides the verdict.
-
-``lie_closure`` is the float closure, for callers that need the elements
-themselves (``span_residual``). Every element X = iH is held as its d^2
-real coordinates in an orthonormal basis of u(d): diag(H), sqrt(2) Re
-H[j<k] and sqrt(2) Im H[j<k]. The Euclidean dot product of two coordinate
-vectors is the Hilbert-Schmidt product Re Tr(X^dag Y), and a matrix rebuilt
-from coordinates is exactly anti-Hermitian. Elements are kept orthonormal
-by modified Gram-Schmidt with a re-orthogonalization pass at tolerance
-1e-6, and candidates are generated breadth-first (each new element is
-commuted with everything that precedes it).
 """
 
 from __future__ import annotations
@@ -47,154 +37,7 @@ from . import exact
 from .lindblad import DFSDecomposition, LindbladSpec, detect_dfs
 from .ops import hermitian
 
-__all__ = [
-    "LieBasis",
-    "ControllabilityVerdict",
-    "DFSLieReport",
-    "lie_closure",
-    "controllability_verdict",
-    "dfs_lie_dimension",
-    "lie_verdict",
-    "span_residual",
-]
-
-_CLOSURE_TOL = 1e-6  # HS norm above which a residual is a new direction
-
-
-@dataclass(frozen=True)
-class LieBasis:
-    """HS-orthonormal anti-Hermitian matrices spanning a real Lie algebra."""
-
-    space_dim: int
-    elements: np.ndarray  # (n, d, d)
-
-    @property
-    def dim(self) -> int:
-        return self.elements.shape[0]
-
-
-@functools.lru_cache(maxsize=None)
-def _upper(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices (j, k), j < k, of a d x d matrix's upper triangle."""
-    j, k = np.triu_indices(d, 1)
-    j.setflags(write=False)
-    k.setflags(write=False)
-    return j, k
-
-
-def _coordinates(mats: np.ndarray) -> np.ndarray:
-    """Coordinates of the anti-Hermitian parts iH of (..., d, d) matrices:
-    diag(H), sqrt(2) Re H[j<k], sqrt(2) Im H[j<k], shape (..., d^2)."""
-    d = mats.shape[-1]
-    h = (mats.conj().swapaxes(-1, -2) - mats) * 0.5j
-    j, k = _upper(d)
-    upper = np.sqrt(2.0) * h[..., j, k]
-    diag = np.diagonal(h, axis1=-2, axis2=-1).real
-    return np.concatenate([diag, upper.real, upper.imag], axis=-1)
-
-
-def _element(coords: np.ndarray, d: int) -> np.ndarray:
-    """The anti-Hermitian d x d matrix with the given coordinates."""
-    j, k = _upper(d)
-    h = np.diag(coords[:d]).astype(complex)
-    h[j, k] = (coords[d : d + j.size] + 1j * coords[d + j.size :]) / np.sqrt(2.0)
-    h[k, j] = h[j, k].conj()
-    return 1j * h
-
-
-def lie_closure(generators) -> LieBasis:
-    """Closure of Lie(i H_0, ..., i H_m) for Hermitian generators.
-
-    Seeds are the orthonormalized i*H_k; pairs are then commuted
-    breadth-first, projecting each candidate out of the current span and
-    keeping residuals whose HS norm exceeds 1e-6 (``_CLOSURE_TOL``).
-    Terminates when no pair yields a new direction (or at the safety cap).
-    Generators traceless to 1e-10 of their largest entry generate at most
-    su(d), so a closure of them that passes d^2 - 1 has accepted rounding
-    noise and raises ValueError; the traceless 20x20 J=2 block of the N=8
-    chain does. Printed dimensions come from the exact ``dfs_lie_dimension``.
-
-    Candidates are projected in u(d) coordinates, so Hermitian rounding
-    noise never enters the span. The tolerance separates genuine
-    new directions from the noise floor of deep commutator chains, which
-    rises because elements accepted with small residuals amplify rounding
-    error when normalized. Measured margins (smallest accepted / largest
-    rejected residual): 1.8e-4 / 1.9e-8 for the Table I chain at N=6
-    (dim 129) and 4.7e-4 / 1.3e-12 at N=5 (dim 40), on the controls from
-    ``zeno.superproject_hamiltonian``; 1.6e-3 / 3.5e-16 for the 20-level
-    atom (dim 400).
-    """
-    mats = [hermitian(g, f"generator {k}") for k, g in enumerate(generators)]
-    if not mats:
-        raise ValueError("need at least one generator")
-    d = mats[0].shape[0]
-    if any(m.shape != (d, d) for m in mats):
-        raise ValueError("generators must share one space")
-    if all(np.max(np.abs(m)) < 1e-14 for m in mats):
-        raise ValueError("need at least one nonzero generator")
-    cap = d * d
-    bound = cap - all(abs(np.trace(m)) <= 1e-10 * max(1.0, np.max(np.abs(m))) for m in mats)
-
-    elements = np.zeros((cap, d, d), dtype=complex)
-    rows = np.zeros((cap, d * d))
-    n = 0
-
-    def try_add(row: np.ndarray) -> bool:
-        nonlocal n
-        if np.linalg.norm(row) < 1e-14:
-            return False
-        for _ in range(2):  # MGS with one re-orthogonalization pass
-            row = row - rows[:n].T @ (rows[:n] @ row)
-        norm = np.linalg.norm(row)
-        if norm <= _CLOSURE_TOL:
-            return False
-        if n >= cap:
-            raise RuntimeError(f"closure exceeded the dimension cap {cap}")
-        rows[n] = row / norm
-        elements[n] = _element(rows[n], d)
-        n += 1
-        return True
-
-    def closed() -> LieBasis:
-        if n > bound:
-            raise ValueError(
-                f"the float closure of traceless generators reached dimension {n} > d^2 - 1 = "
-                f"{bound}: it accepted rounding noise"
-            )
-        return LieBasis(d, elements[:n].copy())
-
-    for m in mats:
-        try_add(_coordinates(1j * m))
-
-    i = 1
-    while i < n:
-        x = elements[i]
-        earlier = elements[:i]
-        commutators = x[None] @ earlier - earlier @ x[None]
-        block = _coordinates(commutators)
-        # batch-project against the basis as of this round, then finish
-        # candidates that survive one pass individually
-        n0 = n
-        block -= (block @ rows[:n0].T) @ rows[:n0]
-        for c in block:
-            if np.linalg.norm(c) <= 0.5 * _CLOSURE_TOL:
-                continue  # conclusively in-span after one full pass
-            try_add(c)
-            if n >= cap:
-                return closed()
-        i += 1
-    return closed()
-
-
-def span_residual(basis: LieBasis, matrix: np.ndarray) -> float:
-    """HS norm of the component of ``matrix`` outside the basis span: the
-    anti-Hermitian part's residual, combined with the whole Hermitian part."""
-    x = np.asarray(matrix, dtype=complex)
-    rows = _coordinates(basis.elements)
-    coords = _coordinates(x)
-    resid = coords - rows.T @ (rows @ coords)
-    hermitian_norm = np.linalg.norm(x + x.conj().T) / 2
-    return float(np.hypot(np.linalg.norm(resid), hermitian_norm))
+__all__ = ["ControllabilityVerdict", "DFSLieReport", "dfs_lie_dimension", "lie_verdict"]
 
 
 @dataclass(frozen=True)
@@ -210,22 +53,12 @@ class ControllabilityVerdict:
 
 
 def _verdict(dim: int, d: int) -> ControllabilityVerdict:
+    """The verdict of a Lie subalgebra of u(d) of dimension ``dim``: u(d) has
+    dimension d^2, and su(d) is the only one of dimension d^2 - 1 (su(d) is
+    compact and simple, so it has no subalgebra of codimension 1; the
+    algebra's projection onto su(d) is then onto and one to one, and its
+    graph over su(d) = [su(d), su(d)] has no trace part)."""
     return ControllabilityVerdict(dim, dim > 0 and dim >= d * d - 1, dim > 0 and dim == d * d)
-
-
-def controllability_verdict(basis: LieBasis) -> ControllabilityVerdict:
-    """Check whether the closed algebra contains su(d) or equals u(d).
-
-    ``basis`` must span a Lie algebra, as ``lie_closure`` returns; for a
-    span that is not closed under commutators, such as {i sx, i sy, i 1}
-    of dimension 3 = 2^2 - 1, the verdict still reads the dimension alone
-    and means nothing. The dimension decides: u(d) has dimension d^2, and su(d) is the only
-    Lie subalgebra of u(d) of dimension d^2 - 1. (su(d) is compact and
-    simple, so it has no subalgebra of codimension 1; the algebra's
-    projection onto su(d) is then onto and one to one, and its graph over
-    su(d) = [su(d), su(d)] has no trace part.)
-    """
-    return _verdict(basis.dim, basis.space_dim)
 
 
 @dataclass(frozen=True)
@@ -328,6 +161,20 @@ def _block_basis(block, jumps, f: exact.Field) -> np.ndarray:
     return v
 
 
+def _staged(mats, name: str, d: int | None = None) -> np.ndarray:
+    """The exact Hermitian parts (``ops.hermitian``) of ``mats``, named
+    "<name> k", stacked (n, d, d); each must be d x d, d the first's size
+    unless given."""
+    hs = [hermitian(m, f"{name} {k}") for k, m in enumerate(mats)]
+    if d is None and not hs:
+        raise ValueError(f"need at least one {name}")
+    d = hs[0].shape[0] if d is None else d
+    for k, h in enumerate(hs):
+        if h.shape != (d, d):
+            raise ValueError(f"{name} {k} has shape {h.shape}, not ({d}, {d})")
+    return np.reshape(hs, (-1, d, d))
+
+
 def dfs_lie_dimension(spec: LindbladSpec, controls) -> DFSLieReport:
     """Exact Lie dimensions of the projected control system over the DFS's.
 
@@ -346,15 +193,15 @@ def dfs_lie_dimension(spec: LindbladSpec, controls) -> DFSLieReport:
     The floats are taken for the exact rationals they are. A control that
     was rounded, such as u X u^dag for a float unitary u, is a different
     matrix from the one it approximates, and generates its own algebra,
-    often the generic one. ValueError is raised by labels that read as no
-    rational with a denominator up to 2^16, by a prime at which a
-    denominator or a rate vanishes, and by Krylov lengths of P(H) that
-    differ between the primes.
+    often the generic one. ValueError is raised by a control that is not
+    d x d, by labels that read as no rational with a denominator up to 2^16,
+    by a prime at which a denominator or a rate vanishes, and by Krylov
+    lengths of P(H) that differ between the primes.
     """
     diss = spec.dissipative_part()
     dfs = detect_dfs(diss)
     d = spec.space.dim
-    hs = np.reshape([hermitian(c, f"control {k}") for k, c in enumerate(controls)], (-1, d, d))
+    hs = _staged(controls, "control", d)
     terms = [t for t in diss.terms if t.rate > 0]
     jumps = list(zip(_coprime([t.rate for t in terms]), [t.op.matrix for t in terms]))
 
@@ -389,7 +236,5 @@ def dfs_lie_dimension(spec: LindbladSpec, controls) -> DFSLieReport:
 def lie_verdict(hamiltonians) -> ControllabilityVerdict:
     """The exact verdict of Lie(i H_0, ..., i H_m) for Hermitian generators,
     read as the exact rationals their floats are (see ``dfs_lie_dimension``)."""
-    hs = np.array([hermitian(h, f"generator {k}") for k, h in enumerate(hamiltonians)])
-    if not hs.size:
-        raise ValueError("need at least one generator")
+    hs = _staged(hamiltonians, "generator")
     return _exact_verdict(hs.shape[1], lambda p: exact.field(p).map(hs), _traceless(hs))

@@ -14,6 +14,12 @@ def random_hermitian(d, rng):
     return (a + a.conj().T) / 2
 
 
+def integer_hermitian(d, rng, scale=3):
+    """A Hermitian matrix with Gaussian-integer entries, exact in floats."""
+    a = rng.integers(-scale, scale + 1, (d, d)) + 1j * rng.integers(-scale, scale + 1, (d, d))
+    return (a + a.conj().T).astype(complex)
+
+
 def random_unitary(d, rng):
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(a)

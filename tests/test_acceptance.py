@@ -36,7 +36,7 @@ from zenoforge.channels import (
 from zenoforge.cli import main as cli_main
 from zenoforge.grape import Eps1Target, Eps2Target, PulseSchedule, objective_and_gradient
 from zenoforge.grape import ControlSystem
-from zenoforge.lie import controllability_verdict, dfs_lie_dimension, lie_closure
+from zenoforge.lie import dfs_lie_dimension, lie_verdict
 from zenoforge.lindblad import (
     LindbladSpec,
     LindbladTerm,
@@ -135,7 +135,7 @@ def test_table1(table1_run):
 
 @criterion(2, "two-qubit example: no-noise dim 2, DFS span, projected su(2), dephasing dims")
 def test_two_qubit_example():
-    assert lie_closure([H0, H1]).dim == 2
+    assert lie_verdict([H0, H1]).dim == 2
 
     amp = amp_spec()
     dfs = detect_dfs(amp)
@@ -144,9 +144,8 @@ def test_two_qubit_example():
     assert np.max(np.abs(dfs.blocks[0].basis[[1, 3], :])) < 1e-10
 
     projected = [project_hamiltonian(h, dfs, 0) for h in (H0, H1)]
-    basis = lie_closure(projected)
-    assert basis.dim == 3
-    verdict = controllability_verdict(basis)
+    verdict = lie_verdict(projected)
+    assert verdict.dim == 3
     assert verdict.contains_su and not verdict.equals_u
 
     deph = LindbladSpec(zero(S2), (LindbladTerm(1.0, pauli_on(S2, 1, "z")),))

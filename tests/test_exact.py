@@ -1,22 +1,23 @@
 """The exact closure over F_p: the float -> F_p map, row reduction, the
 closure's invariances, P(H) by the Krylov minimal polynomial, exact DFS
-compressions, and the N=8 J=2 block that float MGS gets wrong."""
+compressions, and the N=8 J=2 block, whose exact closure is su(20)."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zenoforge.lie as lie
 from zenoforge import exact
 from zenoforge.chain import CollectiveSpec, build_chain, collective_spin, two_body
-from zenoforge.lie import ControllabilityVerdict, dfs_lie_dimension, lie_closure
+from zenoforge.lie import ControllabilityVerdict, dfs_lie_dimension
 from zenoforge.lindblad import LindbladSpec, LindbladTerm
 from zenoforge.models import build_model
 from zenoforge.ops import HilbertSpace, Operator, qubits, zero
+
+from conftest import integer_hermitian
 
 P0, P1 = exact.PRIMES
 
@@ -32,11 +33,6 @@ def unimodular(d, g):
     lower = np.tril(g.integers(-2, 3, (d, d)), -1) + np.eye(d, dtype=int)
     s = upper @ lower
     return s.astype(float), np.rint(np.linalg.inv(s))
-
-
-def integer_hermitian(d, g, scale=3):
-    a = g.integers(-scale, scale + 1, (d, d)) + 1j * g.integers(-scale, scale + 1, (d, d))
-    return (a + a.conj().T).astype(complex)
 
 
 def dim_at(p, mats):
@@ -242,9 +238,8 @@ class TestDfsLabels:
 
 
 def j2_block(n=8, j=2):
-    """Float generators of the chain's J=2 block at N=8: P(H) of drift and
-    control compressed to the highest-weight space ker S+ with S_z = J,
-    through an orthonormal float basis."""
+    """The chain's space at N=8 and the stacked S+ and S_z - J, whose
+    common null space is the J=2 highest-weight space."""
     space = qubits(n)
     s_plus = (collective_spin(space, "x") + 1j * collective_spin(space, "y")).matrix
     s_z = collective_spin(space, "z").matrix
@@ -271,11 +266,3 @@ class TestN8J2Block:
             assert not (np.trace(np.stack(gens), axis1=1, axis2=2) % p).any()
             assert exact.closure_dimension(gens, exact.field(p)) == 399
         assert lie._exact_verdict(20, generators_at) == ControllabilityVerdict(399, True, False)
-
-    def test_float_closure_raises_instead_of_400(self):
-        space, stacked = j2_block()
-        v = scipy.linalg.null_space(stacked)
-        block = HilbertSpace((20,))
-        gens = [Operator(block, v.conj().T @ h @ v / 3) for h in heisenberg_bonds(8)]
-        with pytest.raises(ValueError, match="reached dimension 400 > d\\^2 - 1 = 399"):
-            lie_closure(gens)

@@ -607,6 +607,12 @@ class TestOneBlasThread:
 
 
 CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+SRC = str(Path(grape.__file__).resolve().parents[1])
+# a script that runs a small sweep through the CLI, with no entry-point guard
+SWEEP_SCRIPT = (
+    "import sys\nfrom zenoforge.cli import main\n"
+    'sys.exit(main(["sweep", "--gammas", "1,2", "--restarts", "1", "--slices", "3"]))'
+)
 
 
 @pytest.fixture
@@ -649,11 +655,10 @@ class TestGammaSweep:
             assert "Traceback" in str(info.value.__cause__)  # raised in a worker
 
     def test_worker_error_ends_the_cli_with_one_line(self):
-        src = str(Path(grape.__file__).resolve().parents[1])
         out = subprocess.run(
             [sys.executable, "-m", "zenoforge", "sweep", "--model", "two-qubit-amp",
              "--gammas", "1,1e200", "--restarts", "1", "--slices", "4"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=300,
         )
         assert out.returncode == 1
         assert out.stdout == ""
@@ -661,20 +666,31 @@ class TestGammaSweep:
 
     @pytest.mark.skipif(CORES < 2, reason="one usable core: the sweep runs in process")
     def test_dead_worker_ends_the_cli_with_one_line(self, tmp_path):
-        # a spawn child cannot re-import a main module read from stdin, so it dies
-        script = (
-            "import sys\nfrom zenoforge.cli import main\n"
-            'sys.exit(main(["sweep", "--gammas", "1,2", "--restarts", "1", "--slices", "3"]))\n'
-        )
-        src = str(Path(grape.__file__).resolve().parents[1])
+        # a spawn child re-imports an unguarded script, whose sweep then fails
+        # to start a pool of its own during bootstrapping, so the child dies
+        script = tmp_path / "unguarded.py"
+        script.write_text(SWEEP_SCRIPT)
         out = subprocess.run(
-            [sys.executable, "-"], input=script, capture_output=True, text=True, cwd=tmp_path,
-            env={**os.environ, "PYTHONPATH": src}, timeout=300,
+            [sys.executable, str(script)], capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": SRC}, timeout=300,
         )
         errors = [line for line in out.stderr.splitlines() if line.startswith("error:")]
         assert out.returncode == 1 and out.stdout == ""
         assert len(errors) == 1 and "worker process died" in errors[0]
         assert 'if __name__ == "__main__":' in errors[0]
+
+    def test_guarded_script_from_stdin_prints_the_sweep(self, tmp_path):
+        # a spawn child could not re-import <stdin>, so its jobs run in process
+        guarded = SWEEP_SCRIPT.replace("sys.exit", 'if __name__ == "__main__":\n    sys.exit')
+        env = {**os.environ, "PYTHONPATH": SRC}
+        stdin = subprocess.run([sys.executable, "-"], input=guarded, capture_output=True,
+                               text=True, cwd=tmp_path, env=env, timeout=300)
+        command = subprocess.run([sys.executable, "-c", SWEEP_SCRIPT], capture_output=True,
+                                 text=True, cwd=tmp_path, env=env, timeout=300)
+        assert stdin.returncode == command.returncode == 0
+        assert stdin.stderr == ""
+        assert stdin.stdout == command.stdout
+        assert stdin.stdout.startswith("gamma,best_eps,reduced_error,restarts,iterations\n")
 
     def test_rows_and_improvement(self):
         rows = gamma_sweep(

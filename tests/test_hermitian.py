@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_hermitian
 from zenoforge.grape import ControlSystem, PulseSchedule, propagate_schedule
-from zenoforge.lie import dfs_lie_dimension, lie_closure, lie_verdict
+from zenoforge.lie import dfs_lie_dimension, lie_verdict
 from zenoforge.lindblad import LindbladSpec, detect_dfs
 from zenoforge.models import build_model
 from zenoforge.ops import HilbertSpace, Operator, hermitian, pauli_on, qubits
@@ -29,7 +29,6 @@ ENTRY_POINTS = {
     "ControlSystem": _propagated,
     "project_hamiltonian": lambda h: project_hamiltonian(h, detect_dfs(AMP), 0),
     "superproject_hamiltonian": lambda h: superproject_hamiltonian(h, DEPHASING),
-    "lie_closure": lambda h: lie_closure([h]),
     "lie_verdict": lambda h: lie_verdict([h]),
     "dfs_lie_dimension": lambda h: dfs_lie_dimension(AMP, [h]),
 }
@@ -66,7 +65,5 @@ def test_largest_float_stays_finite_and_nan_fails():
 
 
 def test_non_square_input_is_named():
-    with pytest.raises(ValueError, match="^generator 0 must be a square matrix"):
-        lie_closure([np.ones((2, 3))])
     with pytest.raises(ValueError, match="^generator 0 must be a square matrix"):
         lie_verdict([np.ones((2, 3))])
