@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zenoforge.exact as exact
 import zenoforge.lie as lie
 from zenoforge.lie import ControllabilityVerdict, dfs_lie_dimension, lie_verdict
 from zenoforge.lindblad import LindbladSpec, LindbladTerm, detect_dfs
@@ -361,20 +362,28 @@ def float_generator_sets(desc):
     return sets
 
 
-def closed_generator_sets(desc, monkeypatch):
-    """The controls, then every float generator set whose closure
-    ``dfs_lie_dimension`` makes exactly, each with its exact verdict."""
-    verdicts = []
+def exact_closures(desc, monkeypatch):
+    """Every closure that ``lie_verdict`` of the controls and then
+    ``dfs_lie_dimension`` make, as (d, generators_at, verdict): the
+    arguments of ``lie._exact_verdict`` and what it returned."""
+    closures = []
     real_verdict = lie._exact_verdict
 
-    def recording_verdict(*args):
-        verdicts.append(real_verdict(*args))
-        return verdicts[-1]
+    def recording_verdict(d, generators_at, *rest):
+        closures.append((d, generators_at, real_verdict(d, generators_at, *rest)))
+        return closures[-1][2]
 
     with monkeypatch.context() as m:
         m.setattr(lie, "_exact_verdict", recording_verdict)
         lie.lie_verdict(desc.controls)
         dfs_lie_dimension(desc.spec, desc.controls)
+    return closures
+
+
+def closed_generator_sets(desc, monkeypatch):
+    """The controls, then every float generator set whose closure
+    ``dfs_lie_dimension`` makes exactly, each with its exact verdict."""
+    verdicts = [verdict for _, _, verdict in exact_closures(desc, monkeypatch)]
     sets = float_generator_sets(desc)
     assert len(sets) == len(verdicts)
     return list(zip(sets, verdicts))
@@ -457,3 +466,26 @@ class TestExactAgainstOracle:
         space = HilbertSpace((d,))
         gens = [Operator(space, m) for m in mats]
         assert_matches_oracle(gens, lie_verdict(gens))
+
+
+# Every registered model up to the 20-level atom and the Table I chain at
+# N = 6, the sizes the oracle leaks at included.
+PRIME_CASES = [
+    *FLOAT_CASES,
+    *[("n-level-atom", {"n_levels": n}) for n in REFERENCE_LEAKS],
+    ("ising-chain", {"n_qubits": 6}),
+]
+
+
+class TestEachPrime:
+    """A first prime that reaches the structural bound proves the dimension,
+    and the second prime's images are then never closed: a fault in them
+    would change no printed number. On every registered model each prime
+    alone reaches the reported dimension."""
+
+    @pytest.mark.parametrize("name, params", PRIME_CASES, ids=[f"{m}-{p}" for m, p in PRIME_CASES])
+    def test_registered_models(self, name, params, monkeypatch):
+        for d, generators_at, verdict in exact_closures(build_model(name, **params), monkeypatch):
+            for p in exact.PRIMES:
+                gens = [g for g in generators_at(p) if g.any()]
+                assert exact.closure_dimension(gens, exact.field(p)) == verdict.dim, (d, p)
