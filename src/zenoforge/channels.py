@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .lindblad import Superoperator, conjugation_superop
 from .ops import HilbertSpace, Operator
@@ -23,17 +22,14 @@ __all__ = [
     "ChoiMatrix",
     "GateErrorReport",
     "choi",
-    "superop_from_choi",
     "unitary_superop",
     "superop_tensor",
-    "system_swap",
     "epsilon1",
     "epsilon2",
     "reduced_channel",
     "reduced_error",
     "diamond_upper",
     "gate_error_report",
-    "random_cptp_superop",
 ]
 
 
@@ -59,13 +55,6 @@ class ChoiMatrix:
         return bool(np.max(np.abs(j @ j - j)) <= tol)
 
 
-def _reshuffle(mat: np.ndarray, d: int) -> np.ndarray:
-    """Entry permutation between superoperator and (unnormalized) Choi."""
-    return np.ascontiguousarray(
-        mat.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    )
-
-
 def choi(channel: Superoperator | np.ndarray) -> ChoiMatrix:
     """Normalized Choi matrix of a superoperator."""
     mat = channel.matrix if isinstance(channel, Superoperator) else np.asarray(channel)
@@ -73,12 +62,8 @@ def choi(channel: Superoperator | np.ndarray) -> ChoiMatrix:
     d = round(n**0.5)
     if mat.shape != (n, n) or d * d != n:
         raise ValueError(f"superoperator must be d^2 x d^2, got {mat.shape}")
-    return ChoiMatrix(d, _reshuffle(mat, d) / d)
-
-
-def superop_from_choi(j: ChoiMatrix) -> np.ndarray:
-    """Inverse of ``choi``; reshuffle is an involution."""
-    return _reshuffle(j.matrix, j.dim) * j.dim
+    # the entry permutation between superoperator and (unnormalized) Choi
+    return ChoiMatrix(d, mat.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(n, n) / d)
 
 
 def unitary_superop(u: Operator | np.ndarray) -> np.ndarray:
@@ -93,19 +78,6 @@ def superop_tensor(m1: np.ndarray, d1: int, m2: np.ndarray, d2: int) -> np.ndarr
     k = k.reshape(d1, d1, d2, d2, d1, d1, d2, d2)
     k = k.transpose(0, 2, 1, 3, 4, 6, 5, 7)
     return np.ascontiguousarray(k.reshape((d1 * d2) ** 2, (d1 * d2) ** 2))
-
-
-def system_swap(d1: int, d2: int) -> np.ndarray:
-    """Permutation taking (H1, H1', H2, H2') into (H1, H2, H1', H2').
-
-    This is the swap appearing in J(Phi1 (x) Phi2) = S (J1 (x) J2) S^T.
-    """
-    total = (d1 * d2) ** 2
-    source = np.arange(total).reshape(d1, d1, d2, d2)
-    order = source.transpose(0, 2, 1, 3).reshape(-1)
-    s = np.zeros((total, total))
-    s[np.arange(total), order] = 1.0
-    return s
 
 
 def epsilon1(target: Superoperator | np.ndarray, goal: Superoperator | np.ndarray) -> float:
@@ -216,16 +188,3 @@ def gate_error_report(
     jt = choi(target).matrix
     nonphysical = bool(np.real(np.trace(jt @ jt)) > 1 + 1e-9)
     return GateErrorReport(e1, e2, d * np.sqrt(e1), reduced_error(target, u), nonphysical)
-
-
-def random_cptp_superop(d: int, rng: np.random.Generator, n_kraus: int = 4) -> np.ndarray:
-    """Random CPTP superoperator from a Gaussian Kraus set, completed to
-    trace preservation by the inverse square root of sum K^dag K."""
-    kraus = rng.standard_normal((n_kraus, d, d)) + 1j * rng.standard_normal((n_kraus, d, d))
-    total = np.einsum("kij,kil->jl", kraus.conj(), kraus)
-    correction = np.linalg.inv(scipy.linalg.sqrtm(total).astype(complex))
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for k in kraus:
-        fixed = k @ correction
-        out += conjugation_superop(fixed, fixed.conj().T)
-    return out

@@ -38,7 +38,6 @@ from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
-import scipy.optimize
 
 from .channels import _eps2_weight, choi, reduced_error
 from .lindblad import (
@@ -390,6 +389,10 @@ def _restart(
     system: ControlSystem, target, seed: int, r: int, n_slices: int, max_iterations: int
 ) -> OptimizationResult:
     """One L-BFGS-B run from the initial pulse drawn by default_rng([seed, r])."""
+    # before the first _one_blas_thread(): its scan of the mapped OpenBLAS
+    # libraries is cached, and scipy's own is mapped only once scipy loads
+    import scipy.optimize
+
     m = system.n_controls
     rng = np.random.default_rng([seed, r])
     x0 = random_schedule(system, n_slices, rng).amplitudes.reshape(-1)

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from . import exact
 from .lindblad import DFSDecomposition, LindbladSpec, detect_dfs
@@ -226,6 +225,8 @@ def dfs_lie_dimension(spec: LindbladSpec, controls) -> DFSLieReport:
     elif not dfs.blocks:
         joint = _verdict(0, 0)  # no steady manifold to control
     else:
+        import scipy.linalg
+
         joint = _exact_verdict(
             sum(dfs.block_dims),
             lambda p: [scipy.linalg.block_diag(*parts) for parts in zip(*blocks_at(p))],

@@ -15,7 +15,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .ops import HilbertSpace, Operator, expm, hermitian, zero
 
@@ -205,6 +204,8 @@ def steady_superprojector(spec: LindbladSpec) -> Superoperator:
     Hermitian as a matrix in general. Dense (d^2 x d^2); for a unital
     dissipator ``zeno.superproject_hamiltonian`` applies P matrix-free.
     """
+    import scipy.linalg
+
     gen = dissipator_matrix(spec).matrix
     w, left, right = scipy.linalg.eig(gen, left=True, right=True)
     cut = _kernel_tolerance(w, _ZERO_CUT)

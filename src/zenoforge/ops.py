@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from math import prod
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "HilbertSpace",
@@ -25,7 +24,6 @@ __all__ = [
     "zero",
     "pauli_on",
     "lowering_on",
-    "raising_on",
     "tensor",
     "hermitian",
     "commutator",
@@ -193,11 +191,6 @@ def lowering_on(space: HilbertSpace, site: int) -> Operator:
     return 0.5 * (pauli_on(space, site, "x") - 1j * pauli_on(space, site, "y"))
 
 
-def raising_on(space: HilbertSpace, site: int) -> Operator:
-    """(sigma_x + i sigma_y)/2 on ``site``: maps |0> to |1>."""
-    return 0.5 * (pauli_on(space, site, "x") + 1j * pauli_on(space, site, "y"))
-
-
 def tensor(a: Operator, b: Operator) -> Operator:
     space = HilbertSpace(a.space.factor_dims + b.space.factor_dims)
     return Operator(space, np.kron(a.matrix, b.matrix))
@@ -227,4 +220,6 @@ def expm(a):
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix has non-finite entries")
+    import scipy.linalg
+
     return scipy.linalg.expm(mat)

@@ -10,7 +10,6 @@ The coherent part is vectorized with the same row convention as `lindblad`.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .lindblad import (
     DFSDecomposition,
@@ -76,6 +75,8 @@ def superproject_hamiltonian(h: Operator, spec: LindbladSpec) -> Operator:
     norm = np.linalg.norm(x)
     if norm == 0:
         return Operator(h.space, x)
+    import scipy.linalg
+
     # Krylov rows stay exactly Hermitian, so their HS products are real:
     # rounding left anti-Hermitian would escape re-orthogonalization and grow.
     q = (x / norm).reshape(1, -1)

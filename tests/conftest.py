@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from zenoforge.ops import HilbertSpace, Operator
+from zenoforge.channels import ChoiMatrix
+from zenoforge.lindblad import conjugation_superop
+from zenoforge.ops import HilbertSpace, Operator, pauli_on
 
 
 @pytest.fixture
@@ -34,3 +37,41 @@ def random_density(d, rng):
 
 def as_op(matrix):
     return Operator(HilbertSpace((matrix.shape[0],)), matrix)
+
+
+def raising_on(space: HilbertSpace, site: int) -> Operator:
+    """(sigma_x + i sigma_y)/2 on ``site``: maps |0> to |1>."""
+    return 0.5 * (pauli_on(space, site, "x") + 1j * pauli_on(space, site, "y"))
+
+
+def random_cptp_superop(d: int, rng: np.random.Generator, n_kraus: int = 4) -> np.ndarray:
+    """Random CPTP superoperator from a Gaussian Kraus set, completed to
+    trace preservation by the inverse square root of sum K^dag K."""
+    kraus = rng.standard_normal((n_kraus, d, d)) + 1j * rng.standard_normal((n_kraus, d, d))
+    total = np.einsum("kij,kil->jl", kraus.conj(), kraus)
+    correction = np.linalg.inv(scipy.linalg.sqrtm(total).astype(complex))
+    out = np.zeros((d * d, d * d), dtype=complex)
+    for k in kraus:
+        fixed = k @ correction
+        out += conjugation_superop(fixed, fixed.conj().T)
+    return out
+
+
+def superop_from_choi(j: ChoiMatrix) -> np.ndarray:
+    """Inverse of ``channels.choi``: the same entry permutation, an
+    involution, times d."""
+    d = j.dim
+    return j.matrix.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d) * d
+
+
+def system_swap(d1: int, d2: int) -> np.ndarray:
+    """Permutation taking (H1, H1', H2, H2') into (H1, H2, H1', H2').
+
+    This is the swap appearing in J(Phi1 (x) Phi2) = S (J1 (x) J2) S^T.
+    """
+    total = (d1 * d2) ** 2
+    source = np.arange(total).reshape(d1, d1, d2, d2)
+    order = source.transpose(0, 2, 1, 3).reshape(-1)
+    s = np.zeros((total, total))
+    s[np.arange(total), order] = 1.0
+    return s

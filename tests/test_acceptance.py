@@ -26,13 +26,7 @@ from zenoforge.chain import (
     two_body,
 )
 from zenoforge.chain import inventory
-from zenoforge.channels import (
-    choi,
-    random_cptp_superop,
-    superop_tensor,
-    system_swap,
-    unitary_superop,
-)
+from zenoforge.channels import choi, superop_tensor, unitary_superop
 from zenoforge.cli import main as cli_main
 from zenoforge.grape import Eps1Target, Eps2Target, PulseSchedule, objective_and_gradient
 from zenoforge.grape import ControlSystem
@@ -57,7 +51,7 @@ from zenoforge.zeno import (
     zeno_product,
 )
 
-from conftest import random_unitary
+from conftest import random_cptp_superop, random_unitary, system_swap
 
 
 def criterion(number, description):

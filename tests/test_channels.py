@@ -10,18 +10,15 @@ from zenoforge.channels import (
     epsilon1,
     epsilon2,
     gate_error_report,
-    random_cptp_superop,
     reduced_channel,
     reduced_error,
-    superop_from_choi,
     superop_tensor,
-    system_swap,
     unitary_superop,
 )
 from zenoforge.lindblad import Superoperator, vec
 from zenoforge.ops import HilbertSpace, qubits
 
-from conftest import random_unitary
+from conftest import random_cptp_superop, random_unitary, superop_from_choi, system_swap
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 

@@ -606,8 +606,36 @@ class TestOneBlasThread:
             assert blas_counts() == [2] * len(BLAS)
 
 
-CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 SRC = str(Path(grape.__file__).resolve().parents[1])
+# a fresh process whose first BLAS scan is the one an optimizer restart makes
+FIRST_SCAN_SCRIPT = """
+from zenoforge import grape
+from zenoforge.grape import ControlSystem, Eps2Target, optimize
+from zenoforge.models import HADAMARD, build_model
+
+assert grape._blas_thread_controls.cache_info().currsize == 0
+desc = build_model("two-qubit-amp")
+optimize(ControlSystem(desc.controls, desc.spec, 1.0), Eps2Target(HADAMARD), restarts=1,
+         n_slices=4)
+cached = grape._blas_thread_controls()
+grape._blas_thread_controls.cache_clear()
+assert len(cached) == len(grape._blas_thread_controls()), cached
+with grape._one_blas_thread():
+    assert [getter() for _, getter in cached] == [1] * len(cached)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="no /proc/self/maps to scan")
+def test_blas_scan_in_a_restart_sees_scipys_openblas():
+    """scipy's OpenBLAS is mapped only once scipy is imported, and the scan
+    is cached, so _restart imports scipy.optimize before its first scan."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", FIRST_SCAN_SCRIPT], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 0, out.stderr
+
+
+CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 # a script that runs a small sweep through the CLI, with no entry-point guard
 SWEEP_SCRIPT = (
     "import sys\nfrom zenoforge.cli import main\n"

@@ -1,13 +1,20 @@
 """Every name a package module imports is used there or listed in its
 ``__all__``, no module defines a function or class name twice in one
 block, and no module but ``ops`` decides whether a matrix is Hermitian.
-Package ``__init__`` files only re-export, so they are exempt."""
+Package ``__init__`` files only re-export, so they are exempt. scipy is
+imported only inside the functions that call it, so the commands that need
+none of it never load it."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from zenoforge.models import MODEL_NAMES
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "zenoforge"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -136,3 +143,41 @@ def test_detector_flags_only_hermiticity_checks():
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "ops.py"], ids=lambda p: p.name)
 def test_only_ops_decides_hermiticity(path):
     assert hermiticity_checks(path.read_text()) == []
+
+
+def scipy_modules_after(argvs) -> list[str]:
+    """The scipy modules loaded in a fresh process by ``import zenoforge``
+    and then ``cli.main`` on each argv, every one of which must exit 0."""
+    script = (
+        "import contextlib, io, sys\n"
+        "import zenoforge\n"
+        "from zenoforge import cli\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout.split()
+
+
+def test_table1_lie_dim_and_dfs_load_no_scipy():
+    argvs = [
+        ["reproduce-table1", "--nmax", "4"],
+        ["lie-dim", "--model", "n-level-atom", "--n", "6"],
+        ["lie-dim", "--model", "two-qubit-amp"],
+    ] + [["dfs", "--model", name] for name in MODEL_NAMES]
+    assert scipy_modules_after(argvs) == []
+
+
+def test_zeno_check_loads_scipy_linalg_but_not_optimize():
+    loaded = scipy_modules_after([["zeno-check", "--steps", "1,4", "--gammas", "10"]])
+    assert "scipy.linalg" in loaded
+    assert not [m for m in loaded if m.split(".")[:2] == ["scipy", "optimize"]]

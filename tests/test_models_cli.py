@@ -168,6 +168,27 @@ class TestCli:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[-3].split(",")[1:] == ["0", "1", "5"]
 
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (MemoryError(), "error: out of memory"),
+            (
+                MemoryError("Unable to allocate 318. MiB"),
+                "error: out of memory: Unable to allocate 318. MiB",
+            ),
+        ],
+        ids=["bare", "numpy-message"],
+    )
+    def test_out_of_memory_ends_in_one_error_line(self, monkeypatch, capsys, exc, line):
+        def exhausted(n):
+            raise exc
+
+        monkeypatch.setattr(zenoforge.cli, "_chain_dfs_lie_dim", exhausted)
+        assert main(["reproduce-table1", "--nmax", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [line]
+
     def test_zeno_check(self, capsys):
         assert main([
             "zeno-check", "--model", "two-qubit-amp", "--steps", "1,4", "--gammas", "10",

@@ -15,12 +15,11 @@ from zenoforge.ops import (
     lowering_on,
     pauli_on,
     qubits,
-    raising_on,
     tensor,
     zero,
 )
 
-from conftest import as_op, random_hermitian, random_unitary
+from conftest import as_op, raising_on, random_hermitian, random_unitary
 
 
 class TestHilbertSpace:
