@@ -9,36 +9,38 @@ Re(Q^H D Q) and Re(Q^H K_l Q), computed once per system. One forward pass
 exponentiates the real stack of slice generators A_k = dt (D + sum_l f_lk K_l)
 and multiplies the propagators; the targets see E_T = Q (E_{n-1} ... E_0) Q^H.
 Exact gradients come from a backward costate sweep (adjoint-mode GRAPE),
-which needs the adjoint Frechet derivative L(A_k^T, W_k) of every slice.
-Both stacks, the slice exponentials and these derivatives, come from one
-batched kernel: a degree-18 Taylor polynomial with scaling and squaring
-(Bader, Blanes & Casas, Mathematics 7, 1174 (2019)) whose Frechet derivative
-is carried through the same recurrences on dual numbers (Al-Mohy & Higham,
-SIAM J. Matrix Anal. Appl. 30, 1639 (2009)).
+which needs the adjoint Frechet derivative L(A_k^T, W_k) = L(A_k, W_k^T)^T
+of every slice. The forward kernel, a degree-18 Taylor polynomial with
+scaling and squaring over the whole stack (Bader, Blanes & Casas,
+Mathematics 7, 1174 (2019)), keeps its intermediates on a tape: the scaled
+powers, the polynomial's products and every squaring. The Frechet pass is
+the eps half of the same recurrences on A + eps E, read off that tape with
+the forward's scaling (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 30,
+1639 (2009)), so no plain product is computed twice. Tape and pass share
+one allocation per evaluation.
 
-Each L-BFGS-B restart runs with one thread in every loaded OpenBLAS: its
-products are too small for a second thread to pay, which would only spin.
-``gamma_sweep`` spends the other cores on its independent (gamma, restart)
-jobs instead: a spawn pool with one worker per core of the affinity mask,
-results gathered in job order, so the rows are those of ``optimize`` at
-each gamma. One job, one usable core or a script read from stdin runs in
+Each L-BFGS-B restart runs with one thread in every loaded OpenBLAS
+(``blas.one_thread``): its products are too small for a second thread to
+pay, which would only spin. ``gamma_sweep`` spends the other cores on its
+independent (gamma, restart) jobs instead: a spawn pool with one worker per
+core of the affinity mask, results gathered in job order, so the rows are
+those of ``optimize`` at each gamma. One job, one usable core or a script read from stdin runs in
 this process. As with every spawn pool, a script file that calls
 ``gamma_sweep`` must guard its entry point with ``if __name__ == "__main__":``.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cache, cached_property
-from typing import Callable
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import blas
 from .channels import _eps2_weight, choi, reduced_error
 from .lindblad import (
     LindbladSpec,
@@ -174,61 +176,104 @@ _T18_IDENTITY = np.array([-10.9676396052962062593, -0.09043168323908105619])
 _THETA18 = 1.090863719290036
 
 
-def _dual_matmul(z1: np.ndarray, z2: np.ndarray, out: np.ndarray | None = None):
-    """Stacked product of z = [X] (plain) or z = [X, Y] (the dual X + eps Y):
-    (X1 + eps Y1)(X2 + eps Y2) = X1 X2 + eps (X1 Y2 + Y1 X2)."""
-    out = np.matmul(z1[0], z2, out=out)
-    if len(z1) == 2:
-        out[1] += z1[1] @ z2[0]
-    return out
+# The tape's (n, m, m) slots in order: the scaled powers A, A2, A3, A6,
+# B1..B5, A9, C = B3 + A9, Z_0 = T18(A) and its s squarings Z_1..Z_s; the
+# Frechet pass's own slots follow.
+_B, _A9, _C, _Z0 = 4, 9, 10, 11
+_EPS_SLOTS = 14  # dA..dA6, dB1..dB5, dA9, dC, two dZ and one product
 
 
-def _expm_stack(a: np.ndarray, e: np.ndarray | None = None):
-    """exp(A_k) of a real (n, m, m) stack; given E, (exp(A_k), L(A_k, E_k)).
+class _Tape(NamedTuple):
+    """The intermediates of exp(A_k) over a stack, in ``work``: the one
+    allocation of an evaluation, (_Z0 + 1 + s + _EPS_SLOTS, n, m, m)."""
+
+    work: np.ndarray
+    s: int
+
+    @property
+    def exp(self) -> np.ndarray:
+        return self.work[_Z0 + self.s]
+
+
+def _expm_stack(a: np.ndarray) -> _Tape:
+    """exp(A_k) of a real (n, m, m) stack, with the tape that ``_frechet_stack``
+    reads.
 
     One scaling 2^-s for the whole stack, then T18 and s squarings, all as
-    stacked matmuls. The Frechet derivative L is the eps part of the same
-    recurrences on dual numbers; with the same s it has the same backward
-    error bound (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 30, 1639
-    (2009)). A non-finite or overflowing stack comes out non-finite without a
-    numpy warning."""
+    stacked matmuls into one workspace, sized once s is known. A single
+    allocation per call is deliberate: the heap keeps one block for the
+    next call, while a dozen separate arrays of this size make glibc trim
+    and regrow the heap, a page fault per 4 KB on every evaluation. A
+    non-finite or overflowing stack comes out non-finite without a numpy
+    warning."""
     n, m, _ = a.shape
     with np.errstate(all="ignore"):
-        # One workspace for A, A2, A3, A6 and B1..B5, so that a call makes a
-        # single large allocation, which the heap keeps for the next call.
-        work = np.empty((9, 1 if e is None else 2, n, m, m))
-        pows, b = work[:4], work[4:]
-        pows[0, 0] = a
-        if e is not None:
-            pows[0, 1] = e
-        _dual_matmul(pows[0], pows[0], out=pows[1])
-        _dual_matmul(pows[1], pows[0], out=pows[2])
+        a2 = a @ a
+        a3 = a2 @ a
         # alpha = max(|A2|^(1/2), |A3|^(1/3)) <= |A| bounds the backward error
         # of T18 as |A| does (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
         # 970 (2009), Thm 4.2); it is not finite when A is, or when A3 overflows.
-        norms = np.abs(pows[1:3, 0]).sum(axis=-2).max(axis=(1, 2))  # 1-norms
-        alpha = max(norms[0] ** 0.5, norms[1] ** (1 / 3))
+        alpha = max(
+            np.abs(a2).sum(axis=-2).max() ** 0.5, np.abs(a3).sum(axis=-2).max() ** (1 / 3)
+        )
         if not np.isfinite(alpha):
-            nan = np.full(a.shape, np.nan)
-            return nan if e is None else (nan, nan)
+            return _Tape(np.full((_Z0 + 1 + _EPS_SLOTS, n, m, m), np.nan), 0)
         s = math.ceil(math.log2(alpha / _THETA18)) if alpha > _THETA18 else 0
-        for k in range(3):
-            np.ldexp(pows[k], -s * (k + 1), out=pows[k])
-        _dual_matmul(pows[2], pows[2], out=pows[3])
+        work = np.empty((_Z0 + 1 + s + _EPS_SLOTS, n, m, m))
+        pows, b, z = work[:_B], work[_B:_A9], work[_Z0 : _Z0 + s + 1]
+        for k, power in enumerate((a, a2, a3)):
+            np.ldexp(power, -s * (k + 1), out=pows[k])
+        np.matmul(pows[2], pows[2], out=pows[3])
         np.matmul(_T18, pows.reshape(4, -1), out=b.reshape(5, -1))
-        diagonals = b.reshape(5, -1, n, m * m)[2:4, 0, :, :: m + 1]
-        diagonals += _T18_IDENTITY[:, None, None]
-        a9 = _dual_matmul(b[0], b[4]) + b[3]
-        z = b[1] + _dual_matmul(b[2] + a9, a9)
-        for _ in range(s):
-            z = _dual_matmul(z, z)
-    return z[0] if e is None else (z[0], z[1])
+        b.reshape(5, n, m * m)[2:4, :, :: m + 1] += _T18_IDENTITY[:, None, None]
+        a9, c = work[_A9], work[_C]
+        np.matmul(b[0], b[4], out=a9)
+        a9 += b[3]
+        np.add(b[2], a9, out=c)
+        np.matmul(c, a9, out=z[0])
+        z[0] += b[1]
+        for j in range(s):
+            np.matmul(z[j], z[j], out=z[j + 1])
+    return _Tape(work, s)
+
+
+def _frechet_stack(tape: _Tape, e: np.ndarray) -> np.ndarray:
+    """L(A_k, E_k), the Frechet derivatives of exp at the stack of ``tape``
+    in the directions E_k: a view into the tape's workspace.
+
+    This is the eps part of the forward recurrences on A + eps E: every
+    product X1 X2 becomes X1 Y2 + Y1 X2 with X1, X2 read from the tape, so
+    no plain product, norm or scaling is computed again. With the forward
+    pass's s it has the backward error bound of exp (Al-Mohy & Higham, SIAM
+    J. Matrix Anal. Appl. 30, 1639 (2009))."""
+    x, s = tape.work, tape.s
+    eps = x[_Z0 + 1 + s :]
+    dpows, db, da9, dc, dz, tmp = eps[:4], eps[4:9], eps[9], eps[10], eps[11:13], eps[13]
+
+    def product(x1, y1, x2, y2, out):  # out = X1 Y2 + Y1 X2
+        np.matmul(x1, y2, out=out)
+        out += np.matmul(y1, x2, out=tmp)
+
+    with np.errstate(all="ignore"):
+        np.ldexp(e, -s, out=dpows[0])
+        product(x[0], dpows[0], x[0], dpows[0], dpows[1])
+        product(x[1], dpows[1], x[0], dpows[0], dpows[2])
+        product(x[2], dpows[2], x[2], dpows[2], dpows[3])
+        np.matmul(_T18, dpows.reshape(4, -1), out=db.reshape(5, -1))
+        product(x[_B], db[0], x[_B + 4], db[4], da9)
+        da9 += db[3]
+        np.add(db[2], da9, out=dc)
+        product(x[_C], dc, x[_A9], da9, dz[0])
+        dz[0] += db[1]
+        for j in range(s):
+            product(x[_Z0 + j], dz[j % 2], x[_Z0 + j], dz[j % 2], dz[(j + 1) % 2])
+    return dz[s % 2]
 
 
 def _forward(system: ControlSystem, schedule: PulseSchedule):
-    """Real stacked slice generators A_k, their exponentials E_k and the prefix
-    products P_k = E_{k-1} ... E_0 in the Hermitian basis, and the total map
-    E_T in the vec basis."""
+    """Real stacked slice generators A_k, the tape of their exponentials E_k
+    and the prefix products P_k = E_{k-1} ... E_0 in the Hermitian basis,
+    and the total map E_T in the vec basis."""
     amps = schedule.amplitudes
     if amps.shape[0] != system.n_controls:
         raise ValueError(
@@ -236,16 +281,17 @@ def _forward(system: ControlSystem, schedule: PulseSchedule):
             f"system has {system.n_controls}"
         )
     basis, base, controls = system._generators
-    gens = schedule.slice_duration * (
-        base + sum(f[:, None, None] * km for f, km in zip(amps, controls))
-    )
-    props = _expm_stack(gens)
-    prefix = np.empty_like(props)
-    total = np.eye(base.shape[0])
-    for k, prop in enumerate(props):
-        prefix[k] = total
-        total = prop @ total
-    return gens, props, prefix, basis @ total @ basis.conj().T
+    n, dim = amps.shape[1], base.shape[0]
+    # every slice's dt (D + sum_l f_lk K_l) in one GEMM
+    gens = (amps.T @ controls.reshape(len(controls), -1)).reshape(n, dim, dim)
+    gens += base
+    gens *= schedule.slice_duration
+    tape = _expm_stack(gens)
+    prefix = np.empty((n + 1, dim, dim))
+    prefix[0] = np.eye(dim)
+    for k, prop in enumerate(tape.exp):
+        np.matmul(prop, prefix[k], out=prefix[k + 1])
+    return gens, tape, prefix[:n], basis @ prefix[n] @ basis.conj().T
 
 
 def propagate_schedule(system: ControlSystem, schedule: PulseSchedule) -> Superoperator:
@@ -304,24 +350,26 @@ def objective_and_gradient(
     system: ControlSystem, schedule: PulseSchedule, target
 ) -> tuple[float, np.ndarray]:
     """Objective and its exact gradient w.r.t. every slice amplitude."""
-    gens, props, prefix, e_total = _forward(system, schedule)
+    gens, tape, prefix, e_total = _forward(system, schedule)
     value, cograd = target.value_and_cograd(e_total)
+    props = tape.exp
     if not np.isfinite(props).all():  # an overflowing L-BFGS probe: no gradient
         return value, np.full(schedule.amplitudes.shape, np.nan)
     # In the Hermitian basis E_T = Q T Q^H with T real, so d(value) =
     # sum(G * dT) for G = Re(Q^T cograd conj(Q)). Costate G_k = S_k^T G with
     # S_k = E_{n-1} ... E_{k+1}: d(value) = sum(W_k * dE_k) for W_k = G_k P_k^T,
     # and <W, L(A, X)> = <L(A^T, W), X> turns this into dt sum(K_l * L(A_k^T, W_k))
-    # for every l.
+    # for every l. L(A^T, W) = L(A, W^T)^T, so the Frechet pass runs on the
+    # forward tape in the directions W_k^T = P_k G_k^T, and the transpose
+    # moves onto K_l. The costates are kept transposed: G_(k-1)^T = G_k^T E_k.
     basis, _, controls = system._generators
     n = len(gens)
-    weights = np.empty_like(gens)
-    costate = (basis.T @ cograd @ basis.conj()).real
-    for k in range(n - 1, -1, -1):
-        weights[k] = costate @ prefix[k].T
-        costate = props[k].T @ costate
-    adjoints = _expm_stack(gens.transpose(0, 2, 1), weights)[1]
-    grad = controls.reshape(len(controls), -1) @ adjoints.reshape(n, -1).T
+    costates = np.empty_like(prefix)
+    costates[-1] = (basis.T @ cograd @ basis.conj()).real.T
+    for k in range(n - 1, 0, -1):
+        np.matmul(costates[k], props[k], out=costates[k - 1])
+    adjoints = _frechet_stack(tape, np.matmul(prefix, costates))
+    grad = controls.transpose(0, 2, 1).reshape(len(controls), -1) @ adjoints.reshape(n, -1).T
     return value, schedule.slice_duration * grad
 
 
@@ -335,62 +383,11 @@ class OptimizationResult:
     iterations: int
 
 
-# the thread-count setters of plain OpenBLAS, scipy-openblas and its 64-bit
-# integer build; each getter has the same name with "get"
-_BLAS_THREAD_SETTERS = (
-    "openblas_set_num_threads",
-    "scipy_openblas_set_num_threads",
-    "scipy_openblas_set_num_threads64_",
-)
-
-
-@cache
-def _blas_thread_controls() -> tuple[tuple[Callable, Callable], ...]:
-    """The thread-count setter and getter of every OpenBLAS mapped into this
-    process; none off Linux or with another BLAS."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = {line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line}
-    except OSError:
-        return ()
-    controls = []
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in _BLAS_THREAD_SETTERS:
-            setter = getattr(lib, name, None)
-            getter = getattr(lib, name.replace("_set_", "_get_"), None)
-            if setter is not None and getter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                controls.append((setter, getter))
-    return tuple(controls)
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the body with one thread in every OpenBLAS, then restore each
-    library's previous count. L-BFGS-B's small products gain nothing from a
-    second thread, which only spins."""
-    controls = _blas_thread_controls()
-    previous = [getter() for _, getter in controls]
-    for setter, _ in controls:
-        setter(1)
-    try:
-        yield
-    finally:
-        for (setter, _), count in zip(controls, previous):
-            setter(count)
-
-
 def _restart(
     system: ControlSystem, target, seed: int, r: int, n_slices: int, max_iterations: int
 ) -> OptimizationResult:
     """One L-BFGS-B run from the initial pulse drawn by default_rng([seed, r])."""
-    # before the first _one_blas_thread(): its scan of the mapped OpenBLAS
-    # libraries is cached, and scipy's own is mapped only once scipy loads
+    # before one_thread(), so that its scan sees scipy's own OpenBLAS
     import scipy.optimize
 
     m = system.n_controls
@@ -409,7 +406,7 @@ def _restart(
     def callback(intermediate_result):
         trace.append(intermediate_result.fun)
 
-    with _one_blas_thread():
+    with blas.one_thread():
         res = scipy.optimize.minimize(
             fun,
             x0,

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import exact
+from . import blas, exact
 from .lindblad import DFSDecomposition, LindbladSpec, detect_dfs
 from .ops import hermitian
 
@@ -87,12 +87,13 @@ def _exact_verdict(d: int, generators_at, traceless: bool = False) -> Controllab
     """
     proof = d * d - traceless
     dim = 0
-    for p in exact.PRIMES:
-        gens = [g for g in generators_at(p) if g.any()]
-        if gens:
-            dim = max(dim, exact.closure_dimension(gens, exact.field(p)))
-        if dim == proof:
-            break
+    with blas.one_thread():  # a second BLAS thread only spins on these products
+        for p in exact.PRIMES:
+            gens = [g for g in generators_at(p) if g.any()]
+            if gens:
+                dim = max(dim, exact.closure_dimension(gens, exact.field(p)))
+            if dim == proof:
+                break
     return _verdict(dim, d)
 
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_hermitian
-from zenoforge import grape
+from zenoforge import blas, grape
 from zenoforge.channels import (
     choi,
     epsilon2,
@@ -53,6 +53,7 @@ from zenoforge.ops import (
     zero,
 )
 
+SRC = str(Path(grape.__file__).resolve().parents[1])
 S2 = qubits(2)
 H0 = pauli_on(S2, 0, "x") @ (pauli_on(S2, 1, "x") + pauli_on(S2, 1, "z"))
 H1 = pauli_on(S2, 0, "y") @ (pauli_on(S2, 1, "x") - pauli_on(S2, 1, "z"))
@@ -267,8 +268,8 @@ class TestHermitianBasis:
     def test_kernel_arrays_are_real(self, rng):
         system = two_qubit_system(1.0)
         sched = PulseSchedule(1.0, rng.uniform(-1, 1, (2, 4)))
-        gens, props, prefix, _ = grape._forward(system, sched)
-        assert gens.dtype == props.dtype == prefix.dtype == float
+        gens, tape, prefix, _ = grape._forward(system, sched)
+        assert gens.dtype == tape.work.dtype == prefix.dtype == float
         assert objective_and_gradient(system, sched, Eps2Target(HADAMARD))[1].dtype == float
 
     def test_control_within_tolerance_propagates_as_its_hermitian_part(self):
@@ -286,8 +287,16 @@ class TestHermitianBasis:
             ControlSystem((Operator(S2, skew),), two_qubit_system(1.0).spec, 1.0)
 
 
+def expm_and_frechet(a, e):
+    """exp(A_k) from the forward kernel and L(A_k, E_k) from the Frechet pass
+    over its tape."""
+    tape = grape._expm_stack(a)
+    return tape.exp, grape._frechet_stack(tape, e)
+
+
 class TestExpmStack:
-    """grape._expm_stack against scipy.linalg.expm and the Van Loan block.
+    """grape._expm_stack and grape._frechet_stack against scipy.linalg.expm
+    and the Van Loan block.
 
     The kernel scales by 2^-s, with s the smallest s >= 0 that brings
     alpha = max(|A^2|^(1/2), |A^3|^(1/3)) down to theta_18. The stacks are
@@ -312,10 +321,8 @@ class TestExpmStack:
     @staticmethod
     def assert_matches_oracles(a, e, ratio):
         tol = 400 * 2.0**-53 * max(1.0, ratio)
-        exp, frechet = grape._expm_stack(a, e)
-        want = scipy.linalg.expm(a)
-        assert relative_error(exp, want) <= tol
-        assert relative_error(grape._expm_stack(a), want) <= tol
+        exp, frechet = expm_and_frechet(a, e)
+        assert relative_error(exp, scipy.linalg.expm(a)) <= tol
         assert relative_error(frechet, van_loan_frechet(a, e)) <= tol
 
     @settings(max_examples=60, deadline=None)
@@ -347,16 +354,33 @@ class TestExpmStack:
         a = g - g.transpose(0, 2, 1) if kind == "skew" else -g @ g.transpose(0, 2, 1)
         self.assert_matches_oracles(self.scaled(a, ratio), rng.standard_normal((n, m, m)), ratio)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 20),
+        st.sampled_from([4, 9, 16, 36]),
+        st.sampled_from([0.5, 1.0, 2.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_adjoint_is_transposed_pass(self, n, m, ratio, seed):
+        # the gradient's L(A^T, W) = L(A, W^T)^T, from the tape of A
+        rng = np.random.default_rng(seed)
+        a = self.scaled(rng.standard_normal((n, m, m)), ratio)
+        w = rng.standard_normal((n, m, m))
+        tape = grape._expm_stack(a)
+        got = grape._frechet_stack(tape, w.transpose(0, 2, 1)).transpose(0, 2, 1)
+        want = van_loan_frechet(a.transpose(0, 2, 1), w)
+        assert relative_error(got, want) <= 400 * 2.0**-53 * max(1.0, ratio)
+
     def test_diagonal_stack_at_theta(self):
         # exp of a diagonal is exact to an ulp: the truncation error of T18
         # at the edge alpha = theta_18 must stay at the rounding level
         lam = grape._THETA18 * np.array([-1.0, -0.5, 0.5, 1.0])
-        exp = grape._expm_stack(np.diag(lam)[None])[0]
+        exp = grape._expm_stack(np.diag(lam)[None]).exp[0]
         assert relative_error(exp, np.diag(np.exp(lam))) <= 8 * 2.0**-53
 
     def test_zero_stack(self, rng):
         e = rng.standard_normal((3, 4, 4))
-        exp, frechet = grape._expm_stack(np.zeros((3, 4, 4)), e)
+        exp, frechet = expm_and_frechet(np.zeros((3, 4, 4)), e)
         assert np.array_equal(exp, np.broadcast_to(np.eye(4), (3, 4, 4)))
         assert relative_error(frechet, e) <= 2.0**-52  # L(0, E) = E
 
@@ -380,7 +404,7 @@ class TestExpmStack:
             for k in range(1, 2 * m)
             for j in range(max(0, k - m), min(k, m))
         )
-        exp, frechet = grape._expm_stack(a, e)
+        exp, frechet = expm_and_frechet(a, e)
         assert relative_error(exp, scale * exp_n) <= 4e-14
         assert relative_error(frechet, scale * frechet_n) <= 4e-14
 
@@ -388,21 +412,22 @@ class TestExpmStack:
     def test_nonfinite_stack_or_overflowing_cube_is_nan(self, entry):
         a = np.zeros((2, 4, 4))
         a[1, 2, 2] = entry
-        exp, frechet = grape._expm_stack(a, np.ones_like(a))
+        exp, frechet = expm_and_frechet(a, np.ones_like(a))
         assert np.isnan(exp).all() and np.isnan(frechet).all()
-        assert np.isnan(grape._expm_stack(a)).all()
 
     def test_overflowing_exponential_is_not_finite(self):
         a = np.zeros((1, 4, 4))
         a[0, 2, 2] = 1e17  # e^(1e17) overflows in the squarings
-        exp, frechet = grape._expm_stack(a, np.ones_like(a))
+        exp, frechet = expm_and_frechet(a, np.ones_like(a))
         assert not np.isfinite(exp).all() and not np.isfinite(frechet).all()
 
     def test_strong_damping_after_many_squarings(self):
         # s = 67: the damped direction underflows to 0, the others stay exact
         a = np.zeros((1, 4, 4))
         a[0, 2, 2] = -1e20
-        assert np.array_equal(grape._expm_stack(a)[0], np.diag([1.0, 1.0, 0.0, 1.0]))
+        tape = grape._expm_stack(a)
+        assert tape.s == 67
+        assert np.array_equal(tape.exp[0], np.diag([1.0, 1.0, 0.0, 1.0]))
 
 
 class TestGradients:
@@ -525,6 +550,46 @@ class TestSharedForwardPass:
             assert np.max(np.abs(got - want)) <= 1e-13
 
 
+# A fresh process: 200 evaluations on the sweep-amp system (two-qubit-amp,
+# gamma 1, 20 slices) at amplitudes whose slice exponentials take s = 4
+# squarings; prints the minor page faults per evaluation.
+PAGE_FAULT_SCRIPT = """
+import resource
+import numpy as np
+from zenoforge import grape
+from zenoforge.grape import ControlSystem, Eps2Target, PulseSchedule, objective_and_gradient
+from zenoforge.models import HADAMARD, build_model
+
+desc = build_model("two-qubit-amp", gamma=1.0)
+system = ControlSystem(desc.controls, desc.spec, 1.0)
+target = Eps2Target(HADAMARD)
+rng = np.random.default_rng(0)
+schedules = [PulseSchedule(1.0, rng.uniform(-40.0, 40.0, (2, 20))) for _ in range(10)]
+assert {grape._expm_stack(grape._forward(system, s)[0]).s for s in schedules} == {4}
+for sched in schedules:
+    objective_and_gradient(system, sched, target)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for k in range(200):
+    objective_and_gradient(system, schedules[k % 10], target)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 200)
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="glibc's heap trimming is what this guards"
+)
+def test_evaluations_reuse_their_heap():
+    """An evaluation allocates its tape once. Held in a dozen separate
+    arrays, the tape makes glibc trim and regrow the heap on every call: 268
+    minor page faults per evaluation, against 0.005 in one allocation."""
+    pytest.importorskip("resource")
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", PAGE_FAULT_SCRIPT], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout) <= 20
+
+
 class TestOptimize:
     def test_deterministic_given_seed(self):
         system = two_qubit_system(10.0)
@@ -564,7 +629,7 @@ class TestOptimize:
             optimize(two_qubit_system(1.0), Eps2Target(HADAMARD), restarts=1, **kwargs)
 
 
-BLAS = grape._blas_thread_controls()
+BLAS = blas.thread_controls()
 needs_openblas = pytest.mark.skipif(
     not BLAS, reason="no OpenBLAS is loaded in this process, so there is no thread count to cap"
 )
@@ -588,51 +653,92 @@ def two_blas_threads():
 @needs_openblas
 class TestOneBlasThread:
     def test_every_library_reads_one_thread_inside(self, two_blas_threads):
-        with grape._one_blas_thread():
+        with blas.one_thread():
             assert blas_counts() == [1] * len(BLAS)
 
     def test_previous_counts_come_back(self, two_blas_threads):
-        with grape._one_blas_thread():
+        with blas.one_thread():
             pass
         assert blas_counts() == [2] * len(BLAS)
         with pytest.raises(RuntimeError, match="body"):
-            with grape._one_blas_thread():
+            with blas.one_thread():
                 raise RuntimeError("body")
         assert blas_counts() == [2] * len(BLAS)
 
     def test_nothing_found_is_a_no_op(self, two_blas_threads, monkeypatch):
-        monkeypatch.setattr(grape, "_blas_thread_controls", lambda: ())
-        with grape._one_blas_thread():
+        monkeypatch.setattr(blas, "thread_controls", lambda: ())
+        with blas.one_thread():
             assert blas_counts() == [2] * len(BLAS)
 
 
-SRC = str(Path(grape.__file__).resolve().parents[1])
-# a fresh process whose first BLAS scan is the one an optimizer restart makes
-FIRST_SCAN_SCRIPT = """
-from zenoforge import grape
+# A fresh process, started with two threads in every OpenBLAS, that checks
+# inside every evaluation of an optimizer restart that each OpenBLAS then
+# mapped (scipy's too, which loads with the restart) reads one thread, by a
+# scan of its own. The preamble runs first.
+RESTART_SCAN_SCRIPT = """
+from zenoforge import blas, grape
 from zenoforge.grape import ControlSystem, Eps2Target, optimize
 from zenoforge.models import HADAMARD, build_model
 
-assert grape._blas_thread_controls.cache_info().currsize == 0
+
+def mapped_counts():
+    with open("/proc/self/maps") as fh:
+        paths = sorted({{line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line}})
+    return {{path: [getter() for _, getter in blas._controls_of(path)] for path in paths}}
+
+
+{preamble}
+seen = []
+evaluate = grape.objective_and_gradient
+
+
+def recording(*args):
+    seen.append(mapped_counts())
+    return evaluate(*args)
+
+
+grape.objective_and_gradient = recording
 desc = build_model("two-qubit-amp")
 optimize(ControlSystem(desc.controls, desc.spec, 1.0), Eps2Target(HADAMARD), restarts=1,
          n_slices=4)
-cached = grape._blas_thread_controls()
-grape._blas_thread_controls.cache_clear()
-assert len(cached) == len(grape._blas_thread_controls()), cached
-with grape._one_blas_thread():
-    assert [getter() for _, getter in cached] == [1] * len(cached)
+assert seen and all(c == [1] for counts in seen for c in counts.values()), seen
+assert all(c == [2] for c in mapped_counts().values()), mapped_counts()
+"""
+# an exact Lie closure, which caps BLAS threads too, before scipy is imported
+CLOSURE_FIRST = """
+import sys
+from zenoforge.lie import lie_verdict
+from zenoforge.ops import PAULI
+assert lie_verdict([PAULI["x"], PAULI["y"]]).dim == 3
+assert "scipy" not in sys.modules
 """
 
 
-@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="no /proc/self/maps to scan")
-def test_blas_scan_in_a_restart_sees_scipys_openblas():
-    """scipy's OpenBLAS is mapped only once scipy is imported, and the scan
-    is cached, so _restart imports scipy.optimize before its first scan."""
+def run_restart_scan(preamble):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", FIRST_SCAN_SCRIPT], capture_output=True,
-                         text=True, env={**os.environ, "PYTHONPATH": path})
+    script = RESTART_SCAN_SCRIPT.format(preamble=preamble)
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "2"}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
+
+
+needs_maps = pytest.mark.skipif(
+    not Path("/proc/self/maps").exists(), reason="no /proc/self/maps to scan"
+)
+
+
+@needs_maps
+def test_blas_scan_in_a_restart_sees_scipys_openblas():
+    """scipy's OpenBLAS is mapped only once scipy is imported, so a restart
+    imports scipy.optimize before its scan."""
+    run_restart_scan("")
+
+
+@needs_maps
+def test_blas_scan_after_a_closure_sees_scipys_openblas():
+    """A scan made by an earlier closure, before scipy was loaded, must not
+    stand in for the restart's own."""
+    run_restart_scan(CLOSURE_FIRST)
 
 
 CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
