@@ -213,9 +213,10 @@ def _expm_stack(a: np.ndarray) -> _Tape:
         # alpha = max(|A2|^(1/2), |A3|^(1/3)) <= |A| bounds the backward error
         # of T18 as |A| does (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
         # 970 (2009), Thm 4.2); it is not finite when A is, or when A3 overflows.
-        alpha = max(
-            np.abs(a2).sum(axis=-2).max() ** 0.5, np.abs(a3).sum(axis=-2).max() ** (1 / 3)
-        )
+        # The 1-norms' column sums come from a product with ones, which is
+        # several times faster than numpy's sum over the middle axis.
+        ones = np.ones(m)
+        alpha = max((ones @ np.abs(a2)).max() ** 0.5, (ones @ np.abs(a3)).max() ** (1 / 3))
         if not np.isfinite(alpha):
             return _Tape(np.full((_Z0 + 1 + _EPS_SLOTS, n, m, m), np.nan), 0)
         s = math.ceil(math.log2(alpha / _THETA18)) if alpha > _THETA18 else 0
@@ -289,8 +290,8 @@ def _forward(system: ControlSystem, schedule: PulseSchedule):
     tape = _expm_stack(gens)
     prefix = np.empty((n + 1, dim, dim))
     prefix[0] = np.eye(dim)
-    for k, prop in enumerate(tape.exp):
-        np.matmul(prop, prefix[k], out=prefix[k + 1])
+    for k, prop in enumerate(tape.exp):  # np.dot: a third of matmul's call overhead
+        np.dot(prop, prefix[k], out=prefix[k + 1])
     return gens, tape, prefix[:n], basis @ prefix[n] @ basis.conj().T
 
 
@@ -367,7 +368,7 @@ def objective_and_gradient(
     costates = np.empty_like(prefix)
     costates[-1] = (basis.T @ cograd @ basis.conj()).real.T
     for k in range(n - 1, 0, -1):
-        np.matmul(costates[k], props[k], out=costates[k - 1])
+        np.dot(costates[k], props[k], out=costates[k - 1])
     adjoints = _frechet_stack(tape, np.matmul(prefix, costates))
     grad = controls.transpose(0, 2, 1).reshape(len(controls), -1) @ adjoints.reshape(n, -1).T
     return value, schedule.slice_duration * grad
