@@ -1,9 +1,10 @@
 """One BLAS thread for a block of small products.
 
-GRAPE's L-BFGS-B restarts and the exact Lie closures multiply matrices too
-small for a second OpenBLAS thread to pay: it only spins, doubling the CPU
-time at unchanged wall time. ``one_thread`` caps every OpenBLAS mapped into
-the process at one thread for its body and restores each library's count.
+GRAPE's L-BFGS-B restarts and the exact Lie closures (up to d = 64)
+multiply matrices too small for a second OpenBLAS thread to pay: it only
+spins, doubling the CPU time at unchanged wall time. ``one_thread`` caps
+every OpenBLAS mapped into the process at one thread for its body and
+restores each library's count.
 
 numpy and scipy each ship their own OpenBLAS, and scipy's is mapped only
 when scipy is imported, so every entry re-reads ``/proc/self/maps``; only

@@ -24,9 +24,10 @@ Each L-BFGS-B restart runs with one thread in every loaded OpenBLAS
 pay, which would only spin. ``gamma_sweep`` spends the other cores on its
 independent (gamma, restart) jobs instead: a spawn pool with one worker per
 core of the affinity mask, results gathered in job order, so the rows are
-those of ``optimize`` at each gamma. One job, one usable core or a script read from stdin runs in
-this process. As with every spawn pool, a script file that calls
-``gamma_sweep`` must guard its entry point with ``if __name__ == "__main__":``.
+those of ``optimize`` at each gamma. One job, one usable core or a script
+read from stdin runs in this process. As with every spawn pool, a script
+file that calls ``gamma_sweep`` must guard its entry point with
+``if __name__ == "__main__":``.
 """
 
 from __future__ import annotations

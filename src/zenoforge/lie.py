@@ -87,7 +87,7 @@ def _exact_verdict(d: int, generators_at, traceless: bool = False) -> Controllab
     """
     proof = d * d - traceless
     dim = 0
-    with blas.one_thread():  # a second BLAS thread only spins on these products
+    with blas.one_thread():  # up to d = 64 a second BLAS thread only spins here
         for p in exact.PRIMES:
             gens = [g for g in generators_at(p) if g.any()]
             if gens:

@@ -580,8 +580,9 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 200)
 )
 def test_evaluations_reuse_their_heap():
     """An evaluation allocates its tape once. Held in a dozen separate
-    arrays, the tape makes glibc trim and regrow the heap on every call: 268
-    minor page faults per evaluation, against 0.005 in one allocation."""
+    arrays, the tape makes glibc trim and regrow the heap on every call: a
+    copy built that way took 268 minor page faults per evaluation on Linux
+    x86-64 with glibc, against 0.005 with one allocation."""
     pytest.importorskip("resource")
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", PAGE_FAULT_SCRIPT], capture_output=True,
@@ -674,7 +675,7 @@ class TestOneBlasThread:
 # A fresh process, started with two threads in every OpenBLAS, that checks
 # inside every evaluation of an optimizer restart that each OpenBLAS then
 # mapped (scipy's too, which loads with the restart) reads one thread, by a
-# scan of its own. The preamble runs first.
+# scan of its own. PREAMBLE runs before the restart.
 RESTART_SCAN_SCRIPT = """
 from zenoforge import blas, grape
 from zenoforge.grape import ControlSystem, Eps2Target, optimize
@@ -683,11 +684,11 @@ from zenoforge.models import HADAMARD, build_model
 
 def mapped_counts():
     with open("/proc/self/maps") as fh:
-        paths = sorted({{line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line}})
-    return {{path: [getter() for _, getter in blas._controls_of(path)] for path in paths}}
+        paths = sorted({line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line})
+    return {path: [getter() for _, getter in blas._controls_of(path)] for path in paths}
 
 
-{preamble}
+PREAMBLE
 seen = []
 evaluate = grape.objective_and_gradient
 
@@ -716,7 +717,7 @@ assert "scipy" not in sys.modules
 
 def run_restart_scan(preamble):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    script = RESTART_SCAN_SCRIPT.format(preamble=preamble)
+    script = RESTART_SCAN_SCRIPT.replace("PREAMBLE", preamble)
     env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "2"}
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
