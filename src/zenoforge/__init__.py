@@ -59,7 +59,6 @@ from .zeno import (
     coherent_generator,
     project_hamiltonian,
     strong_damping_error,
-    superproject_hamiltonian,
     zeno_product,
 )
 

@@ -7,15 +7,16 @@ every OpenBLAS mapped into the process at one thread for its body and
 restores each library's count.
 
 numpy and scipy each ship their own OpenBLAS, and scipy's is mapped only
-when scipy is imported, so every entry re-reads ``/proc/self/maps``; only
-the library handles are cached, per path.
+when scipy is imported, so ``/proc/self/maps`` is read again once the size
+of ``sys.modules`` changes; the library handles are cached per path.
 """
 
 from __future__ import annotations
 
 import ctypes
+import sys
 from contextlib import contextmanager
-from functools import cache
+from functools import cache, lru_cache
 from typing import Callable
 
 __all__ = ["one_thread", "thread_controls"]
@@ -51,6 +52,11 @@ def _controls_of(path: str) -> tuple[tuple[Callable, Callable], ...]:
 def thread_controls() -> tuple[tuple[Callable, Callable], ...]:
     """The thread-count setter and getter of every OpenBLAS mapped into this
     process now; none off Linux or with another BLAS."""
+    return _mapped_controls(len(sys.modules))
+
+
+@lru_cache(maxsize=1)
+def _mapped_controls(modules: int) -> tuple[tuple[Callable, Callable], ...]:
     try:
         with open("/proc/self/maps") as fh:
             paths = {line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line}

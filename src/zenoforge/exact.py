@@ -22,6 +22,7 @@ the conjugated float input, or computed again in the conjugate embedding
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -221,64 +222,128 @@ def compress(h: np.ndarray, v: np.ndarray, w: np.ndarray, f: Field) -> np.ndarra
     return f.mm(_inverse(gram, f), f.mm(w.T, f.mm(h, v)))
 
 
-def superproject(hs, jumps, f: Field) -> tuple[list[np.ndarray], tuple[int, ...]]:
-    """P(H) = nu(C) H / nu(0) for each image H in ``hs`` under a unital
-    dissipator, where t nu(t) is the minimal polynomial of H under
-    C = sum_j gamma_j ([Lj^dag, [Lj, .]] + [Lj, [Lj^dag, .]]), so that
-    nu(C) H keeps the kernel component alone; and the Krylov length of
-    each H, the degree of its minimal polynomial.
-
-    ``jumps`` are (gamma_j, Lj) with exact rational rates and float Lj.
-    C is -2 (D + D^dag) for the dissipator D, and a common factor of C or
-    of the rates leaves P(H) unchanged. Raises when a rate or nu(0)
-    vanishes mod p. The Krylov
-    vectors are row-reduced with an identity block beside them, which
-    records each row's combination, so the first dependency gives the
-    minimal polynomial's coefficients.
-
-    A dependency over Q reduces to one mod p, so the Krylov length mod p
-    is at most the rational one, and where the two are equal the result is
-    the image of the rational P(H). A shorter length gives another matrix
-    and no error, so callers compare the lengths of two primes.
-    """
-    p = f.p
-    ls = f.map(np.stack([l for _, l in jumps]))
+def _krylov(hs, jumps, f: Field):
+    """C's Krylov run mod p (``superproject``) on the image of hs[j], as a
+    function of j: the vectors up to their first dependency, rows (k, d^2),
+    and its coefficients a_0 .. a_k = 1, which an identity block records."""
+    hs, ls = f.map(hs), f.map(np.stack([l for _, l in jumps]))
     lds = f.map(np.stack([l.conj().T for _, l in jumps]))
     rates = np.array([f.scalar(Fraction(r)) for r, _ in jumps], dtype=float)
     if not rates.all():
-        raise ValueError(f"a rate vanishes mod {p}: P(H) has no exact image there")
+        raise ValueError(f"a rate vanishes mod {f.p}: P(H) has no exact image there")
 
     def ad(a, x):  # one reduction: 2 d (p/2 + 1)^2 < 2^53 for d < 2^14
-        return _mod(a @ x - x @ a, p)
+        return _mod(a @ x - x @ a, f.p)
 
-    def c_map(x):
-        terms = ad(lds, ad(ls, x)) + ad(ls, ad(lds, x))
-        return _mod(np.tensordot(rates, terms, axes=1), p)
-
-    out, lengths = [], []
-    for h in hs:
-        d = h.shape[0]
-        n = d * d
+    def run(j: int) -> tuple[np.ndarray, np.ndarray]:
+        n = hs[j].size
         krylov = Echelon(f, 2 * n + 1)
-        vectors = []
-        x = h
+        vectors, x = [], hs[j]
         while True:
             k = len(vectors)
             row = np.zeros((1, 2 * n + 1))
             row[0, :n], row[0, n + k] = x.reshape(n), 1.0
             reduced = krylov.reduce(row)
             if not reduced[0, :n].any():
-                a = reduced[0, n : n + k + 1]  # sum_i a_i C^i H = 0 with a_k = 1
-                break
+                return np.reshape(vectors, (k, n)), reduced[0, n : n + k + 1]
             krylov.add(reduced)
             vectors.append(x.reshape(n))
-            x = c_map(x)
-        lengths.append(len(vectors))
-        if a[0]:  # 0 is no root: H has no kernel component
-            out.append(np.zeros((d, d)))
-            continue
-        if not a[1]:
-            raise ValueError(f"nu(0) vanishes mod {p}: P(H) has no exact image there")
-        nu = _mod(a[1:] * f.inverse(a[1]), p)
-        out.append(f.mm(nu[None], np.array(vectors))[0].reshape(d, d))
-    return out, tuple(lengths)
+            x = _mod(np.tensordot(rates, ad(lds, ad(ls, x)) + ad(ls, ad(lds, x)), axes=1), f.p)
+
+    return run
+
+
+def _wang(u: int, m: int) -> Fraction | None:
+    """The rational r/t with |r|, |t| <= sqrt(m/2) and r = u t (mod m), which
+    is unique, or None (P. S. Wang, SYMSAC '81, 212 (1981))."""
+    bound = math.isqrt(m // 2)
+    r0, r1, t0, t1 = m, u % m, 0, 1
+    while r1 > bound:
+        r0, r1, t0, t1 = r1, r0 % r1, t1, t0 - r0 // r1 * t1
+    return Fraction(r1, t1) if abs(t1) <= bound and math.gcd(r1, t1) == 1 else None
+
+
+def _exponent(x: np.ndarray) -> int:
+    """The least k >= 0 for which x 2^k has Gaussian-integer entries."""
+    parts = np.unique(np.stack([np.real(x), np.imag(x)])).tolist()
+    return max(v.as_integer_ratio()[1].bit_length() - 1 for v in parts)
+
+
+def _primes():
+    """``PRIMES``, then the other primes = 1 (mod 4) below 2^20, largest first."""
+    yield from PRIMES
+    for p in range(2**20 - 3, 5, -4):
+        if p not in PRIMES and all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
+            yield p
+
+
+# nu takes about as many bits as the inputs' exact rationals multiply up to:
+# rates near 2^52 take 12 primes, a random float jump thousands of bits. Each
+# prime is another Krylov run, so no proof is sought past some 640 bits.
+_MAX_PRIMES = 32
+
+
+def superproject(hs, jumps) -> tuple[dict[int, list[np.ndarray]], list[list[Fraction]]]:
+    """P(H) = nu(C) H / nu(0) under a unital dissipator for each exactly
+    Hermitian float H in ``hs``, t nu(t) the minimal polynomial of H under
+    C = sum_j gamma_j ([Lj^dag, [Lj, .]] + [Lj, [Lj^dag, .]]): nu(C) H is the
+    component in ker C, the commutant of {Lj, Lj^dag} (Frigerio 1978). Returns
+    the images mod ``PRIMES`` and each minimal polynomial over Q, a_0 .. a_k
+    = 1, proven; ``jumps`` are (gamma_j, Lj), the rates exact rationals.
+
+    The proof. A prime only shortens a Krylov space, so the lengths must
+    agree. C is self-adjoint, so the a_i are rational: CRT joins them and
+    ``_wang`` reads them back as n_i / n. With integer maps H_Z = 2^e H and
+    C_Z = s C, T = sum_i n_i s^(k-i) C_Z^i H_Z vanishes mod each prime and,
+    being Hermitian, in the conjugate embedding too, so each prime divides
+    both parts of its entries. Those are at most B = s^k 2^e max|H| sum_i
+    |n_i| c^i, c = sum_j 2 gamma_j (rowsum Lj + colsum Lj)^2, as ||[A, X]||_max
+    <= (rowsum A + colsum A) ||X||_max; B below half the primes' product, a
+    bit spared for rounding, gives T = 0. Further primes run until it does.
+    Raises when a rate or nu(0) vanishes mod ``PRIMES``, when Krylov lengths
+    differ, and past ``_MAX_PRIMES`` primes.
+    """
+    rates, ls = [Fraction(r) for r, _ in jumps], np.stack([l for _, l in jumps])
+    log_s = 2 * _exponent(ls) + math.log2(math.lcm(*(r.denominator for r in rates)))
+    sums = np.abs(ls).sum(1).max(1) + np.abs(ls).sum(2).max(1)  # colsum Lj + rowsum Lj
+    c = sum(2 * r * Fraction(x) ** 2 for r, x in zip(rates, sums.tolist()))
+    log_c = math.log2(c.numerator or 1) - math.log2(c.denominator)  # c, max|H| = 0: T = 0
+    krylov_at = functools.cache(lambda p: _krylov(hs, jumps, field(p)))  # mapped once per prime
+    images, minimal = {p: [] for p in PRIMES}, []
+    for k, h in enumerate(hs):
+        log_h = _exponent(h) + math.log2(np.abs(h).max() or 1)
+        krylov = {}
+        for p in _primes():
+            if len(krylov) == _MAX_PRIMES:
+                raise ValueError(f"P(H) of control {k} is not proven by {_MAX_PRIMES} primes")
+            krylov[p] = krylov_at(p)(k)
+            lengths = [len(a) - 1 for _, a in krylov.values()]
+            if len(set(lengths)) > 1:
+                raise ValueError(
+                    f"the Krylov lengths of control {k} under the dissipator differ between "
+                    "primes: " + ", ".join(f"{n} mod {q}" for q, n in zip(krylov, lengths))
+                )
+            if len(krylov) < len(PRIMES):
+                continue
+            m = math.prod(krylov)
+            crt = [m // q * pow(m // q, -1, q) for q in krylov]
+            residues = zip(*(a.astype(int).tolist() for _, a in krylov.values()))
+            if None in (mu := [_wang(sum(x * y for x, y in zip(xs, crt)), m) for xs in residues]):
+                continue
+            n = math.lcm(*(x.denominator for x in mu))
+            log_b = lengths[0] * log_s + log_h + math.log2(len(mu)) + max(
+                math.log2(abs(x.numerator) * n // x.denominator) + i * log_c
+                for i, x in enumerate(mu)
+                if x
+            )
+            if log_b < math.log2(m) - 2:
+                break
+        minimal.append(mu)
+        for p in PRIMES:
+            vectors, a = krylov[p]
+            if not (mu[0] or a[1]):
+                raise ValueError(f"nu(0) vanishes mod {p}: P(H) has no exact image there")
+            # mu(0) != 0: 0 is no root, H has no kernel component and P(H) = 0
+            nu = np.zeros(len(vectors)) if mu[0] else _mod(a[1:] * field(p).inverse(a[1]), p)
+            images[p].append(field(p).mm(nu[None], vectors)[0].reshape(h.shape))
+    return images, minimal

@@ -16,10 +16,10 @@ so a first prime that reaches the structural bound (d^2, or d^2 - 1 when
 every generator's trace is exactly 0) proves the dimension; otherwise the
 second prime runs and the larger of the two is reported. The images are
 checked where they are computed: a DFS block's null space must have the
-block's dimension, and P(H) needs the same Krylov length at both primes,
-since a prime can only shorten it (a check, not a proof: a Krylov space
-shortened at both primes alike would pass). A real Lie subalgebra of u(d)
-of dimension d^2 - 1 is su(d), so the dimension alone decides the verdict.
+block's dimension, and P(H) comes with a proof of its Krylov minimal
+polynomial over Q (``exact.superproject``), so its images at the two
+primes are those of the rational P(H). A real Lie subalgebra of u(d) of
+dimension d^2 - 1 is su(d), so the dimension alone decides the verdict.
 """
 
 from __future__ import annotations
@@ -116,22 +116,6 @@ def _coprime(rates) -> list[int]:
     return [int(r / common) for r in rates]
 
 
-def _superprojected(hs, jumps) -> dict[int, list[np.ndarray]]:
-    """P(H) at each prime (``exact.superproject``). A prime can shorten a
-    Krylov space, which gives another matrix and no error, so the Krylov
-    lengths at the two primes must agree, or this raises ValueError."""
-    out, lengths = {}, {}
-    for p in exact.PRIMES:
-        f = exact.field(p)
-        out[p], lengths[p] = exact.superproject(f.map(hs), jumps, f)
-    if len(set(lengths.values())) > 1:
-        raise ValueError(
-            "the Krylov lengths of the controls under the dissipator differ between primes: "
-            + ", ".join(f"{list(n)} mod {p}" for p, n in lengths.items())
-        )
-    return out
-
-
 def _rational(x: float) -> Fraction:
     """The rational nearest x with a denominator of at most 2^16."""
     return Fraction(x).limit_denominator(1 << 16)
@@ -195,8 +179,8 @@ def dfs_lie_dimension(spec: LindbladSpec, controls) -> DFSLieReport:
     matrix from the one it approximates, and generates its own algebra,
     often the generic one. ValueError is raised by a control that is not
     d x d, by labels that read as no rational with a denominator up to 2^16,
-    by a prime at which a denominator or a rate vanishes, and by Krylov
-    lengths of P(H) that differ between the primes.
+    by a prime at which a denominator or a rate vanishes, and by a P(H)
+    that ``exact.superproject`` cannot prove.
     """
     diss = spec.dissipative_part()
     dfs = detect_dfs(diss)
@@ -219,7 +203,7 @@ def dfs_lie_dimension(spec: LindbladSpec, controls) -> DFSLieReport:
         for k, block in enumerate(dfs.blocks)
     )
     if jumps and diss.is_unital():
-        projected = _superprojected(hs, jumps)
+        projected, _ = exact.superproject(hs, jumps)
         joint = _exact_verdict(d, projected.get, _traceless(hs))  # Tr P(H) = Tr H
     elif len(dfs.blocks) == 1:
         joint = block_verdicts[0]

@@ -201,8 +201,8 @@ def steady_superprojector(spec: LindbladSpec) -> Superoperator:
     Requires an attractive generator: zero eigenvalue semisimple, every
     other eigenvalue with strictly negative real part. The result is the
     infinite-time limit of ``propagate`` and satisfies P^2 = P, but is not
-    Hermitian as a matrix in general. Dense (d^2 x d^2); for a unital
-    dissipator ``zeno.superproject_hamiltonian`` applies P matrix-free.
+    Hermitian as a matrix in general. Dense (d^2 x d^2): the float oracle of
+    ``exact.superproject``'s P(H) for a unital dissipator.
     """
     import scipy.linalg
 

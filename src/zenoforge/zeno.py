@@ -3,7 +3,7 @@
 In the strong-damping limit the dissipative semigroup acts like a
 projective measurement: dynamics is confined to the DFS blocks and
 generated there by the compressed Hamiltonians P_i H P_i, or, for a unital
-dissipator, on the whole commutant of {Lj, Lj^dag} (Frigerio 1978) by P(H).
+dissipator, on the commutant of {Lj, Lj^dag} by P(H) (``exact.superproject``).
 The coherent part is vectorized with the same row convention as `lindblad`.
 """
 
@@ -15,8 +15,6 @@ from .lindblad import (
     DFSDecomposition,
     LindbladSpec,
     Superoperator,
-    _ZERO_CUT,
-    _kernel_tolerance,
     dissipator_matrix,
     hamiltonian_superop,
     steady_superprojector,
@@ -26,7 +24,6 @@ from .ops import HilbertSpace, Operator, expm, hermitian
 __all__ = [
     "coherent_generator",
     "project_hamiltonian",
-    "superproject_hamiltonian",
     "zeno_product",
     "strong_damping_error",
 ]
@@ -45,58 +42,6 @@ def project_hamiltonian(h: Operator, dfs: DFSDecomposition, block: int) -> Opera
     basis = dfs.blocks[block].basis
     compressed = basis.conj().T @ mat @ basis
     return Operator(HilbertSpace((basis.shape[1],)), compressed)
-
-
-def superproject_hamiltonian(h: Operator, spec: LindbladSpec) -> Operator:
-    """P(H) under a unital dissipator: the generator of the projected
-    coherent dynamics over the whole steady-state manifold.
-
-    For unital D, ker D is the commutant of {Lj, Lj^dag} (Frigerio, Commun.
-    Math. Phys. 63, 269 (1978)), so P is the HS-orthogonal projection onto
-    it and P(H) is the kernel component of H under the positive map
-    C = -(D + D^dag)/2 = sum_j gamma_j/2 ([Lj^dag, [Lj, .]] + [Lj, [Lj^dag, .]]).
-    For normal Lj its eigenvalues are the decay rates of D, so the zero cut
-    of ``steady_superprojector``, ``_ZERO_CUT``, applies. Lanczos from H on C with full
-    re-orthogonalization finds P(H) from d x d products alone.
-    """
-    x = hermitian(h, "hamiltonian")
-    if not spec.is_unital():
-        raise ValueError("dissipator is not unital: P(H) is not a projection onto its commutant")
-    d = spec.space.dim
-    jumps = [(t.rate / 2, a) for t in spec.terms for a in (t.op.matrix, t.op.matrix.conj().T)]
-
-    def c_map(x: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(x)
-        for r, a in jumps:
-            inner = a @ x - x @ a
-            out += r * (a.conj().T @ inner - inner @ a.conj().T)
-        return (out + out.conj().T) / 2
-
-    norm = np.linalg.norm(x)
-    if norm == 0:
-        return Operator(h.space, x)
-    import scipy.linalg
-
-    # Krylov rows stay exactly Hermitian, so their HS products are real:
-    # rounding left anti-Hermitian would escape re-orthogonalization and grow.
-    q = (x / norm).reshape(1, -1)
-    alphas, betas = [], []
-    while True:
-        w = c_map(q[-1].reshape(d, d)).reshape(-1)
-        alphas.append(np.vdot(q[-1], w).real)
-        for _ in range(2):
-            w = w - (q.conj() @ w).real @ q
-        beta = np.linalg.norm(w)
-        theta, s = scipy.linalg.eigh_tridiagonal(alphas, betas)
-        # P(H) is off by about beta over the smallest nonzero eigenvalue of
-        # C, so stop only once the Krylov space is invariant to rounding.
-        if beta <= _kernel_tolerance(theta, 1e-12) or len(q) == d * d:
-            break
-        betas.append(beta)
-        q = np.vstack([q, w / beta])
-    kernel = np.abs(theta) <= _kernel_tolerance(theta, _ZERO_CUT)
-    out = norm * (s[:, kernel] @ s[0, kernel]) @ q
-    return Operator(h.space, out.reshape(d, d))
 
 
 def zeno_product(

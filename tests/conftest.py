@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from zenoforge import exact
+from zenoforge.chain import two_body
 from zenoforge.channels import ChoiMatrix
-from zenoforge.lindblad import conjugation_superop
-from zenoforge.ops import HilbertSpace, Operator, pauli_on
+from zenoforge.lindblad import conjugation_superop, steady_superprojector, unvec, vec
+from zenoforge.ops import HilbertSpace, Operator, pauli_on, qubits
 
 
 @pytest.fixture
@@ -75,3 +77,36 @@ def system_swap(d1: int, d2: int) -> np.ndarray:
     s = np.zeros((total, total))
     s[np.arange(total), order] = 1.0
     return s
+
+
+def dense_superprojection(spec, h):
+    """Oracle: the dense steady superprojector applied to vec(h)."""
+    return unvec(steady_superprojector(spec).matrix @ vec(getattr(h, "matrix", h)))
+
+
+def proven_superprojection(spec, h):
+    """P(H) = nu(C) H / nu(0) in floats, with the minimal polynomial t nu(t)
+    of H under C that ``exact.superproject`` proves: each exact coefficient
+    is rounded once, and the Krylov vectors C^i H are formed in floats."""
+    jumps = [(t.rate, t.op.matrix) for t in spec.terms]
+    x = np.asarray(getattr(h, "matrix", h), dtype=complex)
+    _, (mu,) = exact.superproject([x], jumps)
+    out = np.zeros_like(x)
+    if mu[0]:  # 0 is no root: no kernel component
+        return out
+
+    def ad(a, x):
+        return a @ x - x @ a
+
+    for a in mu[1:]:
+        out = out + float(a / mu[1]) * x
+        x = sum(r * (ad(l.conj().T, ad(l, x)) + ad(l, ad(l.conj().T, x))) for r, l in jumps)
+    return out
+
+
+def heisenberg_bonds(n):
+    """3 P(H) for the chain's drift and control, as integer matrices:
+    P(Z_i Z_i+1) = sigma_i . sigma_i+1 / 3."""
+    space = qubits(n)
+    drift = sum(two_body(i, i + 1).realize(space) for i in range(n - 1))
+    return drift, two_body(0, 1).realize(space)

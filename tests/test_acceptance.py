@@ -10,10 +10,12 @@ import json
 import math
 import time
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from zenoforge import exact
 from zenoforge.chain import (
     CollectiveSpec,
     allowed_spins,
@@ -47,11 +49,10 @@ from zenoforge.zeno import (
     coherent_generator,
     project_hamiltonian,
     strong_damping_error,
-    superproject_hamiltonian,
     zeno_product,
 )
 
-from conftest import random_cptp_superop, random_unitary, system_swap
+from conftest import dense_superprojection, random_cptp_superop, random_unitary, system_swap
 
 
 def criterion(number, description):
@@ -185,6 +186,13 @@ def test_superprojector_closed_forms():
     assert np.max(np.abs(steady_superprojector(desc.spec).matrix - analytic)) < 1e-8
 
 
+def qubit_swap(n, m):
+    """The permutation matrix that swaps qubits m and m+1 of n."""
+    axes = list(range(n))
+    axes[m], axes[m + 1] = m + 1, m
+    return np.eye(2**n).reshape((2,) * n + (2**n,)).transpose(axes + [n]).reshape(2**n, 2**n)
+
+
 @criterion(5, "Ising-to-Heisenberg projection at N=3,4 and the 3x3 dual action")
 def test_heisenberg_projection_and_dual_action():
     for n in (3, 4):
@@ -194,12 +202,18 @@ def test_heisenberg_projection_and_dual_action():
             (1 / 3) * two_body(m, m + 1).realize(space) for m in range(n - 1)
         )
         heis_control = (1 / 3) * two_body(0, 1).realize(space)
-        assert np.max(
-            np.abs(superproject_hamiltonian(drift, spec).matrix - heis_drift)
-        ) < 1e-8
-        assert np.max(
-            np.abs(superproject_hamiltonian(control, spec).matrix - heis_control)
-        ) < 1e-8
+        assert np.max(np.abs(dense_superprojection(spec, drift) - heis_drift)) < 1e-8
+        assert np.max(np.abs(dense_superprojection(spec, control) - heis_control)) < 1e-8
+        # exactly: the proven images of P(Z_m Z_m+1) are (2 SWAP - 1)/3
+        jumps = [(t.rate, t.op.matrix) for t in spec.terms]
+        for m in range(n - 1):
+            bond = (pauli_on(space, m, "z") @ pauli_on(space, m + 1, "z")).matrix
+            images, minimal = exact.superproject([bond], jumps)
+            assert minimal == [[0, -12, 1]]
+            for p in exact.PRIMES:
+                f = exact.field(p)
+                heisenberg = f.map(2 * qubit_swap(n, m) - np.eye(2**n)) * f.scalar(Fraction(1, 3))
+                assert not ((images[p][0] - heisenberg) % p).any()
 
     rates = (0.7, 1.2, 1.9)
     spec, _, _ = build_chain(CollectiveSpec(3, *rates))

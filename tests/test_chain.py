@@ -26,7 +26,8 @@ from zenoforge.lindblad import (
     vec,
 )
 from zenoforge.ops import commutator, hs_norm, pauli_on, qubits
-from zenoforge.zeno import superproject_hamiltonian
+
+from conftest import dense_superprojection
 
 
 class TestBuildChain:
@@ -234,9 +235,5 @@ class TestHeisenbergProjection:
             (1 / 3) * two_body(m, m + 1).realize(space) for m in range(n - 1)
         )
         heis_control = (1 / 3) * two_body(0, 1).realize(space)
-        assert np.max(
-            np.abs(superproject_hamiltonian(drift, spec).matrix - heis_drift)
-        ) < 1e-8
-        assert np.max(
-            np.abs(superproject_hamiltonian(control, spec).matrix - heis_control)
-        ) < 1e-8
+        assert np.max(np.abs(dense_superprojection(spec, drift) - heis_drift)) < 1e-8
+        assert np.max(np.abs(dense_superprojection(spec, control) - heis_control)) < 1e-8

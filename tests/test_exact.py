@@ -17,7 +17,12 @@ from zenoforge.lindblad import LindbladSpec, LindbladTerm
 from zenoforge.models import build_model
 from zenoforge.ops import HilbertSpace, Operator, qubits, zero
 
-from conftest import integer_hermitian
+from conftest import (
+    dense_superprojection,
+    heisenberg_bonds,
+    integer_hermitian,
+    proven_superprojection,
+)
 
 P0, P1 = exact.PRIMES
 
@@ -141,25 +146,17 @@ class TestClosureDimension:
         assert calls == [P0, P0]
 
 
-def heisenberg_bonds(n):
-    """3 P(H) for the chain's drift and control, as integer matrices:
-    P(Z_i Z_i+1) = sigma_i . sigma_i+1 / 3."""
-    space = qubits(n)
-    drift = sum(two_body(i, i + 1).realize(space) for i in range(n - 1))
-    return drift, two_body(0, 1).realize(space)
-
-
 class TestSuperproject:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_matches_the_closed_form_exactly(self, n):
         spec, drift, control = build_chain(CollectiveSpec(n))
         jumps = [(t.rate, t.op.matrix) for t in spec.terms]
+        images, minimal = exact.superproject([drift.matrix, control.matrix], jumps)
+        assert minimal == [[0, -12, 1]] * 2  # C has the one nonzero eigenvalue 12 on each
         for p in exact.PRIMES:
             f = exact.field(p)
-            got, lengths = exact.superproject([f.map(drift.matrix), f.map(control.matrix)], jumps, f)
-            assert lengths == (2, 2)  # C has one nonzero eigenvalue on each
             third = f.scalar(Fraction(1, 3))
-            for out, bonds in zip(got, heisenberg_bonds(n)):
+            for out, bonds in zip(images[p], heisenberg_bonds(n)):
                 assert not ((out - f.map(bonds) * third) % p).any()
 
     def test_vanishing_denominators_raise(self, monkeypatch):
@@ -168,12 +165,11 @@ class TestSuperproject:
         # so does V^dag V = 5 for the eigenvector V = (2, 1) of a DFS block
         space = HilbertSpace((2,))
         jump, h = np.array([[3.0, 2.0], [2.0, 0.0]]), np.diag([1.0, 0.0])
-        f = exact.field(5)
-        with pytest.raises(ValueError, match="nu\\(0\\) vanishes mod 5"):
-            exact.superproject([f.map(h)], [(1.0, jump)], f)
         spec = LindbladSpec(zero(space), (LindbladTerm(1.0, Operator(space, jump)),))
         assert dfs_lie_dimension(spec, [Operator(space, h)]).verdict.dim == 1
         monkeypatch.setattr(exact, "PRIMES", (5,))
+        with pytest.raises(ValueError, match="nu\\(0\\) vanishes mod 5"):
+            exact.superproject([h], [(1.0, jump)])
         with pytest.raises(ValueError, match="mod 5"):
             dfs_lie_dimension(spec, [Operator(space, h)])
 
@@ -215,11 +211,51 @@ class TestSuperproject:
         lengths = {}
         for p in (13, P0):
             f = exact.field(p)
-            _, lengths[p] = exact.superproject([f.map(drift.matrix)], jumps, f)
-        assert lengths == {13: (2,), P0: (3,)}
+            lengths[p] = len(exact._krylov([drift.matrix], jumps, f)(0)[1]) - 1
+        assert lengths == {13: 2, P0: 3}
         monkeypatch.setattr(exact, "PRIMES", (13, P0))
         with pytest.raises(ValueError, match="Krylov lengths .* differ between primes"):
             dfs_lie_dimension(spec, [drift, control])
+
+    def test_a_wrong_coefficient_is_rejected_with_one_line(self, monkeypatch):
+        # a candidate that agrees with every residue but is wrong over Q, as
+        # Wang's reconstruction gives when the true coefficients are too
+        # large for the primes so far: only the bound rejects it, at each
+        # prime, up to the cap
+        real = exact._wang
+        monkeypatch.setattr(exact, "_wang", lambda u, m: real(u, m) + m)
+        desc = build_model("two-qubit-dephasing")
+        with pytest.raises(ValueError, match=f"not proven by {exact._MAX_PRIMES} primes") as info:
+            dfs_lie_dimension(desc.spec, desc.controls)
+        assert "\n" not in str(info.value)
+
+    def test_float_rates_give_the_parent_verdict(self, monkeypatch):
+        # the rates 0.7, 1.2 and 1.9 are coprime integers near 2^52 after
+        # division by their common factor, so nu's coefficients have some
+        # 180 bits: from fewer primes Wang reads wrong candidates, which the
+        # bound must reject; the closure primes run first
+        primes = []
+        real = exact._krylov
+        monkeypatch.setattr(exact, "_krylov", lambda h, j, f: primes.append(f.p) or real(h, j, f))
+        desc = build_model("ising-chain", n_qubits=3, gammas=(0.7, 1.2, 1.9))
+        report = dfs_lie_dimension(desc.spec, desc.controls)
+        assert report.verdict == ControllabilityVerdict(4, False, False)
+        assert report.block_dims == ()
+        assert primes[:2] == list(exact.PRIMES) and len(primes) > len(exact.PRIMES)
+        for h in desc.controls:
+            got = proven_superprojection(desc.spec, h)
+            assert np.max(np.abs(got - dense_superprojection(desc.spec, h))) < 1e-12
+
+    def test_registered_models_need_no_further_prime(self, monkeypatch):
+        # every unital model proves its P(H) from the two closure primes
+        primes = set()
+        real = exact._krylov
+        monkeypatch.setattr(exact, "_krylov", lambda h, j, f: primes.add(f.p) or real(h, j, f))
+        for desc in [build_model("two-qubit-dephasing")] + [
+            build_model("ising-chain", n_qubits=n) for n in (3, 4, 5, 6)
+        ]:
+            dfs_lie_dimension(desc.spec, desc.controls)
+        assert primes == set(exact.PRIMES)
 
     def test_singular_gram_raises(self):
         f = exact.field(5)

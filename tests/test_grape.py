@@ -742,6 +742,20 @@ def test_blas_scan_after_a_closure_sees_scipys_openblas():
     run_restart_scan(CLOSURE_FIRST)
 
 
+@needs_maps
+def test_blas_scan_is_kept_until_a_module_is_imported(monkeypatch):
+    """A second entry with no new import does not read the maps again; an
+    import, which may map another OpenBLAS, does."""
+    first = blas.thread_controls()
+    reads = []
+    monkeypatch.setattr(blas, "open", lambda *a: reads.append(a) or open(*a), raising=False)
+    assert blas.thread_controls() == first
+    assert reads == []
+    monkeypatch.setitem(sys.modules, "zenoforge_scan_probe", sys.modules["zenoforge.blas"])
+    assert blas.thread_controls() == first
+    assert reads == [("/proc/self/maps",)]
+
+
 CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 # a script that runs a small sweep through the CLI, with no entry-point guard
 SWEEP_SCRIPT = (

@@ -11,11 +11,11 @@ from zenoforge.lie import dfs_lie_dimension, lie_verdict
 from zenoforge.lindblad import LindbladSpec, detect_dfs
 from zenoforge.models import build_model
 from zenoforge.ops import HilbertSpace, Operator, hermitian, pauli_on, qubits
-from zenoforge.zeno import project_hamiltonian, superproject_hamiltonian
+from zenoforge.zeno import project_hamiltonian
 
 S2 = qubits(2)
 AMP = build_model("two-qubit-amp").spec
-DEPHASING = build_model("two-qubit-dephasing").spec  # unital, for P(H)
+DEPHASING = build_model("two-qubit-dephasing").spec  # unital: the joint closure takes P(H)
 
 
 def _propagated(h: Operator):
@@ -28,9 +28,11 @@ ENTRY_POINTS = {
     "LindbladSpec": lambda h: LindbladSpec(h, AMP.terms),
     "ControlSystem": _propagated,
     "project_hamiltonian": lambda h: project_hamiltonian(h, detect_dfs(AMP), 0),
-    "superproject_hamiltonian": lambda h: superproject_hamiltonian(h, DEPHASING),
     "lie_verdict": lambda h: lie_verdict([h]),
     "dfs_lie_dimension": lambda h: dfs_lie_dimension(AMP, [h]),
+    # the full-mantissa Hermitian part of the skewed control needs primes
+    # beyond the two closure primes to prove its P(H)
+    "dfs_lie_dimension_unital": lambda h: dfs_lie_dimension(DEPHASING, [h]),
 }
 
 

@@ -11,7 +11,7 @@ import zenoforge.lie as lie
 from zenoforge.lie import ControllabilityVerdict, dfs_lie_dimension, lie_verdict
 from zenoforge.lindblad import LindbladSpec, LindbladTerm, detect_dfs
 from zenoforge.models import build_model
-from zenoforge.zeno import project_hamiltonian, superproject_hamiltonian
+from zenoforge.zeno import project_hamiltonian
 from zenoforge.ops import (
     HilbertSpace,
     Operator,
@@ -21,7 +21,12 @@ from zenoforge.ops import (
     zero,
 )
 
-from conftest import integer_hermitian, random_hermitian
+from conftest import (
+    dense_superprojection,
+    heisenberg_bonds,
+    integer_hermitian,
+    random_hermitian,
+)
 
 S2 = qubits(2)
 H0 = pauli_on(S2, 0, "x") @ (pauli_on(S2, 1, "x") + pauli_on(S2, 1, "z"))
@@ -344,8 +349,9 @@ def float_generator_sets(desc):
     """The controls, then the float generator sets of the closures
     ``dfs_lie_dimension`` makes exactly, in its order: each DFS block's
     compressions, and the joint set unless a single block is reused (P(H)
-    for a unital dissipator, otherwise the block-diagonal sums); zero
-    generators dropped."""
+    for a unital dissipator, from the dense oracle up to d = 16 and from
+    the closed form sigma_m . sigma_m+1 / 3 for the larger chains;
+    otherwise the block-diagonal sums); zero generators dropped."""
     diss = desc.spec.dissipative_part()
     dfs = detect_dfs(diss)
     blocks = [
@@ -354,7 +360,10 @@ def float_generator_sets(desc):
     ]
     sets = [[h.matrix for h in desc.controls], *blocks]
     if diss.terms and diss.is_unital():
-        sets.append([superproject_hamiltonian(h, diss).matrix for h in desc.controls])
+        if diss.space.dim <= 16:
+            sets.append([dense_superprojection(diss, h) for h in desc.controls])
+        else:
+            sets.append([b / 3 for b in heisenberg_bonds(desc.params["n_qubits"])])
     elif len(blocks) > 1:
         sets.append([scipy.linalg.block_diag(*parts) for parts in zip(*blocks)])
     sets = [[h for h in s if np.max(np.abs(h)) > 1e-12] for s in sets]

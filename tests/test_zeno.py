@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zenoforge import exact
 from zenoforge.lindblad import (
     LindbladSpec,
     LindbladTerm,
@@ -14,6 +16,7 @@ from zenoforge.lindblad import (
     unvec,
     vec,
 )
+from zenoforge.lie import dfs_lie_dimension
 from zenoforge.models import build_model
 from zenoforge.ops import (
     HilbertSpace,
@@ -28,12 +31,17 @@ from zenoforge.ops import (
 from zenoforge.zeno import (
     coherent_generator,
     project_hamiltonian,
-    superproject_hamiltonian,
     strong_damping_error,
     zeno_product,
 )
 
-from conftest import random_hermitian, random_unitary
+from conftest import (
+    dense_superprojection,
+    integer_hermitian,
+    proven_superprojection,
+    random_hermitian,
+    random_unitary,
+)
 
 S2 = qubits(2)
 H0 = pauli_on(S2, 0, "x") @ (pauli_on(S2, 1, "x") + pauli_on(S2, 1, "z"))
@@ -127,41 +135,40 @@ class TestProjectHamiltonian:
 
 
 class TestSuperprojectHamiltonian:
+    """P(H) from the minimal polynomial that ``exact.superproject`` proves."""
+
     def test_dephasing_values(self):
-        out0 = superproject_hamiltonian(H0, deph_spec())
-        out1 = superproject_hamiltonian(H1, deph_spec())
-        assert np.allclose(
-            out0.matrix, (pauli_on(S2, 0, "x") @ pauli_on(S2, 1, "z")).matrix, atol=1e-10
-        )
-        assert np.allclose(
-            out1.matrix, -(pauli_on(S2, 0, "y") @ pauli_on(S2, 1, "z")).matrix, atol=1e-10
-        )
+        out0 = proven_superprojection(deph_spec(), H0)
+        out1 = proven_superprojection(deph_spec(), H1)
+        assert np.allclose(out0, (pauli_on(S2, 0, "x") @ pauli_on(S2, 1, "z")).matrix, atol=1e-10)
+        assert np.allclose(out1, -(pauli_on(S2, 0, "y") @ pauli_on(S2, 1, "z")).matrix, atol=1e-10)
 
     def test_identity_is_fixed(self):
-        assert np.allclose(superproject_hamiltonian(identity(S2), deph_spec()).matrix, np.eye(4))
+        assert np.allclose(proven_superprojection(deph_spec(), identity(S2)), np.eye(4))
 
-    def test_nonunital_rejected(self):
-        with pytest.raises(ValueError, match="unital"):
-            superproject_hamiltonian(H0, amp_spec())
+    def test_nonunital_rejected(self, monkeypatch):
+        # a non-unital dissipator never reaches P(H): its joint closure is
+        # the single DFS block's
+        def refuse(hs, jumps):
+            raise AssertionError("P(H) taken under a non-unital dissipator")
+
+        monkeypatch.setattr(exact, "superproject", refuse)
+        report = dfs_lie_dimension(amp_spec(), [H0, H1])
+        assert report.verdict == report.block_verdicts[0]
 
     def test_nonhermitian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            superproject_hamiltonian(Operator(S2, np.triu(np.ones((4, 4)))), deph_spec())
+            dfs_lie_dimension(deph_spec(), [Operator(S2, np.triu(np.ones((4, 4))))])
 
     def test_unital_abelian_matches_block_sum(self):
         # P(H) = sum_i P_i H P_i for the Abelian dephasing interaction algebra
         dfs = detect_dfs(deph_spec())
         for h in (H0, H1):
-            lhs = superproject_hamiltonian(h, deph_spec()).matrix
+            lhs = proven_superprojection(deph_spec(), h)
             rhs = sum(
                 b.projector.matrix @ h.matrix @ b.projector.matrix for b in dfs.blocks
             )
             assert np.max(np.abs(lhs - rhs)) < 1e-8
-
-
-def dense_superprojection(spec, h):
-    """Oracle: the dense steady superprojector applied to vec(h)."""
-    return unvec(steady_superprojector(spec).matrix @ vec(h.matrix))
 
 
 def random_unital_spec(d, kind, count, degenerate, g):
@@ -207,10 +214,12 @@ class TestSuperprojectAgainstDense:
         ],
     )
     def test_registered_unital_models(self, name, size):
+        # every registered unital model up to d = 16: the proven nu, applied
+        # in floats, against the dense oracle
         desc = build_model(name, **size)
         diss = desc.spec.dissipative_part()
-        for h in desc.controls:
-            out = superproject_hamiltonian(h, diss).matrix
+        for h in (*desc.controls, identity(desc.spec.space)):
+            out = proven_superprojection(diss, h)
             assert np.max(np.abs(out - dense_superprojection(diss, h))) < 1e-12
 
     @settings(max_examples=60, deadline=None)
@@ -222,42 +231,46 @@ class TestSuperprojectAgainstDense:
         st.integers(0, 2**32 - 1),
     )
     def test_random_unital_specs(self, d, kind, count, degenerate, seed):
+        # the dense oracle's P(H) under random float jumps, whose exact nu
+        # has thousands of bits: idempotent, in the commutant of
+        # {Lj, Lj^dag}, fixing the identity, and covariant
         g = np.random.default_rng(seed)
         spec = random_unital_spec(d, kind, count, degenerate, g)
         space = spec.space
         assert spec.is_unital()
         h = Operator(space, random_hermitian(d, g))
-        out = superproject_hamiltonian(h, spec).matrix
-        assert np.max(np.abs(out - dense_superprojection(spec, h))) < 1e-11
-        # idempotent, in the commutant of {Lj, Lj^dag}, fixes the identity
-        again = superproject_hamiltonian(Operator(space, out), spec).matrix
+        out = dense_superprojection(spec, h)
+        again = dense_superprojection(spec, out)
         assert np.max(np.abs(again - out)) < 1e-10
         for t in spec.terms:
             for l in (t.op.matrix, t.op.matrix.conj().T):
                 assert np.max(np.abs(l @ out - out @ l)) < 1e-10
-        assert np.max(np.abs(superproject_hamiltonian(identity(space), spec).matrix - np.eye(d))) < 1e-12
+        assert np.max(np.abs(dense_superprojection(spec, identity(space)) - np.eye(d))) < 1e-12
         # covariant: P_{U.U^dag}(U H U^dag) = U P(H) U^dag
         u = random_unitary(d, g)
         turned = LindbladSpec(
             zero(space),
             tuple(LindbladTerm(t.rate, Operator(space, u @ t.op.matrix @ u.conj().T)) for t in spec.terms),
         )
-        lhs = superproject_hamiltonian(Operator(space, u @ h.matrix @ u.conj().T), turned).matrix
+        lhs = dense_superprojection(turned, Operator(space, u @ h.matrix @ u.conj().T))
         assert np.max(np.abs(lhs - u @ out @ u.conj().T)) < 1e-10
 
     def test_small_gap_against_exact(self, rng):
         # One Hermitian L: the commutant is the diagonal in L's eigenbasis.
-        # Levels 1 and 1.1 give C an eigenvalue 0.01 against 16, so a
-        # Krylov space only invariant to the zero cut loses about 1e-10.
-        space = HilbertSpace((5,))
-        u = random_unitary(5, rng)
-        l = u @ np.diag([0.0, 1.0, 1.1, 2.5, -1.5]) @ u.conj().T
-        spec = LindbladSpec(zero(space), (LindbladTerm(1.0, Operator(space, l)),))
+        # Levels 1 and 1.125 give C the eigenvalue 1/64 against 16, which a
+        # float cut must tell from 0; the exact P(H) is the closed form. U,
+        # Hadamard/2 beside a 1 with its rows permuted, is orthogonal and
+        # dyadic, so L and the closed form are exact in floats.
+        hadamard = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2
+        u = scipy.linalg.block_diag(hadamard, 1.0)[rng.permutation(5)]
+        l = u @ np.diag([0.0, 1.0, 1.125, 2.5, -1.5]) @ u.T
+        assert np.array_equal(u @ u.T, np.eye(5))
         for _ in range(5):
-            h = random_hermitian(5, rng)
-            exact = u @ np.diag(np.diag(u.conj().T @ h @ u)) @ u.conj().T
-            out = superproject_hamiltonian(Operator(space, h), spec).matrix
-            assert np.max(np.abs(out - exact)) < 1e-12
+            h = integer_hermitian(5, rng) / 4
+            closed = u @ np.diag(np.diag(u.T @ h @ u)) @ u.T
+            images, _ = exact.superproject([h], [(1.0, l)])
+            for p in exact.PRIMES:
+                assert not ((images[p][0] - exact.field(p).map(closed)) % p).any()
 
 
 class TestZenoProduct:
