@@ -7,11 +7,18 @@ entry a + ib becomes a + i b exactly, and so does every product,
 commutator and linear combination built from it.
 
 Elements of F_p are held as float64 integers of magnitude at most p/2 + 1.
-The fixed primes are below 2^20, so a dot product of up to 2^15 such
-terms stays below 2^53, and one float64 GEMM is exact in any summation
-order; longer dot products are split (``Field.mm``). A result is reduced by
-x - rint(x / p) p, which is exact below 2^53 and some 100 times faster than
+A dot product of ``_terms(p)`` such terms, plus one more entry, stays
+below 2^53 (2^15 - 1 terms at the fixed primes, which are below 2^20; 7
+near 2^26), so one float64 GEMM is exact in any summation order; every
+product goes through ``_submul``, c -= a @ b in place, which splits longer
+dot products and reduces c after each part. A result is reduced by x -
+rint(x / p) p, which is exact below 2^53 and some 100 times faster than
 ``np.fmod``.
+
+Row reduction is one engine, ``Echelon``: it keeps only the non-pivot
+columns of its rows and updates them in place. ``closure_dimension``,
+``null_space``, ``compress``'s Gram inverse and ``superproject``'s Krylov
+runs all use it.
 
 Conjugation is not a map of F_p into itself. Where a conjugate is needed,
 as for V^dag in a compression or L^dag in the dissipator, it is mapped from
@@ -50,13 +57,41 @@ def _powers_of_two(p: int) -> np.ndarray:
     return _mod(np.array([pow(2, k, p) for k in range(_KMIN, 972)], dtype=float), p)
 
 
-def _mod(x: np.ndarray, p: int) -> np.ndarray:
+def _mod(x: np.ndarray, p: int, scratch: np.ndarray | None = None) -> np.ndarray:
     """The residue of x mod p of magnitude at most p/2 + 1, for |x| < 2^53:
-    rint(x / p) is off by at most one, and only next to a half-integer."""
-    q = np.multiply(x, 1.0 / p, out=np.empty(np.shape(x)))
+    rint(x / p) is off by at most one, and only next to a half-integer. In
+    place in x through ``scratch``, an array of x's shape, when it is given."""
+    q = np.multiply(x, 1.0 / p, out=np.empty(np.shape(x)) if scratch is None else scratch)
     np.rint(q, out=q)
     q *= p
-    return np.subtract(x, q, out=q)
+    return np.subtract(x, q, out=q if scratch is None else x)
+
+
+@functools.cache
+def _terms(p: int) -> int:
+    """How many products of entries of magnitude at most p/2 + 1 a dot
+    product may sum, on top of one such entry, and stay below 2^53."""
+    return 2**53 // (p // 2 + 2) ** 2 - 1
+
+
+def _submul(c: np.ndarray, a: np.ndarray, b: np.ndarray, p: int) -> None:
+    """c -= a @ b (mod p) in place, for entries of magnitude at most p/2 + 1.
+
+    Each GEMM sums at most ``_terms(p)`` products of each dot product, so
+    every sum, c's entry included, stays below 2^53 and is exact in any
+    summation order; c is reduced after each GEMM through the GEMM's own
+    output, the one temporary. c goes in blocks of max(k, ``_terms(p)`` /
+    width) rows, k the terms of a dot product, so that output is never
+    larger than b or ``_terms(p)`` entries. a and b must not share memory
+    with c."""
+    terms, inner = _terms(p), a.shape[-1]
+    rows = max(inner, terms // max(c.shape[-1], 1), 1)
+    for i in range(0, c.shape[-2], rows):
+        block, left = c[..., i : i + rows, :], a[..., i : i + rows, :]
+        for s in range(0, inner, terms):
+            t = np.matmul(left[..., s : s + terms], b[..., s : s + terms, :])
+            block -= t
+            _mod(block, p, t)
 
 
 @dataclass(frozen=True)
@@ -98,14 +133,11 @@ class Field:
     def inverse(self, a: float) -> int:
         return pow(int(a), -1, self.p)
 
-    def mm(self, a: np.ndarray, b: np.ndarray, into=0.0) -> np.ndarray:
-        """(into + a @ b) mod p for entries of magnitude at most p/2 + 1: one
-        GEMM and one reduction per 2^15 terms of each dot product, so that
-        the sum of (p/2 + 1)^2 terms and ``into`` stays below 2^53."""
-        chunk = 2**53 // (self.p // 2 + 2) ** 2 - 1
-        for s in range(0, max(a.shape[-1], 1), chunk):
-            into = _mod(into + a[..., s : s + chunk] @ b[..., s : s + chunk, :], self.p)
-        return into
+    def mm(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """(a @ b) mod p for entries of magnitude at most p/2 + 1."""
+        c = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1]))
+        _submul(c, -a, b, self.p)
+        return c
 
 
 @functools.cache
@@ -119,50 +151,134 @@ def field(p: int) -> Field:
 
 
 class Echelon:
-    """Rows in reduced row-echelon form mod p: ``rows[:, pivots]`` is the
-    identity, so a block c reduces against them as c - c[:, pivots] rows."""
+    """Rows in reduced row-echelon form mod p, stored as their non-pivot
+    columns.
+
+    Row i has a 1 at column ``pivots[i]`` and a 0 at every other pivot,
+    which is implicit: only its entries at the columns ``free`` are kept,
+    as row i of ``rest`` (r, width - r), the leading block of one buffer
+    whose rows grow by doubling. A block c reduces against the rows as
+    c[:, free] - c[:, pivots] rest, one GEMM over the non-pivot columns.
+    ``add`` clears the new pivot columns from the old rows with one more
+    GEMM, in place, and fills the holes they leave with the last free
+    columns, so a round touches r (width - r) entries, not r width.
+
+    A new row's pivot is its last nonzero column in the order of ``free``
+    once it is reduced, and only the last free columns move. So the first columns of c, if no
+    pivot falls there, keep their places at the start of ``free``, and a
+    row's pivot lies past them unless the row vanishes past them:
+    ``_inverse`` and ``_krylov`` record their row operations there.
+    """
 
     def __init__(self, f: Field, width: int):
         self.f = f
-        self.rows = np.zeros((0, width))
         self.pivots = np.zeros(0, dtype=np.intp)
+        self.free = np.arange(width)
+        self._buffer = np.empty((0, width))
 
-    def reduce(self, c: np.ndarray) -> np.ndarray:
-        """The block c (k, width) less its components along the rows: one GEMM."""
-        return _reduce(c, self.rows, self.pivots, self.f)
+    @property
+    def rest(self) -> np.ndarray:
+        return self._buffer[: self.pivots.size, : self.free.size]
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The rows in full width, (r, width)."""
+        r = self.pivots.size
+        rows = np.zeros((r, r + self.free.size))
+        rows[:, self.free] = self.rest
+        rows[np.arange(r), self.pivots] = 1.0
+        return rows
 
     def add(self, c: np.ndarray) -> np.ndarray:
-        """Reduce the block c, eliminate its survivors among themselves, and
-        append them; returns the new rows, which span a complement of the
-        old span in the new one."""
-        new, pivots = _eliminate(self.reduce(c), self.f)
-        self.rows = np.vstack([_reduce(self.rows, new, pivots, self.f), new])
-        self.pivots = np.concatenate([self.pivots, pivots])
-        return new
+        """Reduce the block c (m, width) against the rows, eliminate its
+        survivors among themselves, and append them; returns the new rows
+        in full width, which span a complement of the old span in the new
+        one."""
+        rest, free = self.rest, self.free
+        x = np.take(c, free, axis=1)
+        if rest.size:
+            _submul(x, np.take(c, self.pivots, axis=1), rest, self.f.p)
+        k, cols = _eliminate(x, self.f.p)
+        new = x[:k]
+        out = np.zeros((k, c.shape[1]))
+        out[:, free] = new
+        if not k:
+            return out
+        if rest.size:
+            _submul(rest, np.take(rest, cols, axis=1), new, self.f.p)
+        r, left = rest.shape[0], free.size - k
+        holes = cols[cols < left]
+        self.pivots = np.concatenate([self.pivots, free[cols]])
+        if holes.size:  # the new pivot columns go, the last free ones move in
+            taken = set(cols.tolist())
+            tail = np.array([q for q in range(left, free.size) if q not in taken], dtype=np.intp)
+            for a in (free, rest.T, new.T):
+                a[holes] = a[tail]
+        if r + k > self._buffer.shape[0]:  # a rank is at most the width
+            grown = np.empty((min(2 * (r + k), r + free.size), left))
+            grown[:r] = rest[:, :left]
+            self._buffer = grown
+        self._buffer[r : r + k, :left] = new[:, :left]
+        self.free = free[:left]
+        return out
 
 
-def _reduce(c: np.ndarray, rows: np.ndarray, pivots: np.ndarray, f: Field) -> np.ndarray:
-    if not pivots.size or not c.size:
-        return c
-    return f.mm(-c[:, pivots], rows, c)
+def _eliminate(x: np.ndarray, p: int) -> tuple[int, np.ndarray]:
+    """Row-reduce the block x (m, w) in place: returns the rank k and the
+    pivot columns, x[:k] holding the reduced rows. Zero rows are dropped
+    first. A block of at most ``_terms(p)`` entries, or a single row, is a
+    leaf (``_gauss_jordan``); a larger one goes by halves: the second half
+    is reduced against the first half's rows with one GEMM and eliminated,
+    then cleared from the first half's rows with another. With wide rows
+    the leaves are single rows, so no per-pivot work spans a block."""
+    if x.shape[0] > 1:
+        live = np.flatnonzero(x.any(axis=1))
+        if live.size < x.shape[0]:  # moved up in leaf-sized blocks; row live[j] >= j is read first
+            step = max(_terms(p) // max(x.shape[1], 1), 1)
+            for i in range(0, live.size, step):
+                x[i : i + live[i : i + step].size] = x[live[i : i + step]]
+            x = x[: live.size]
+    m, w = x.shape
+    if m * w <= _terms(p) or m <= 1:
+        return _gauss_jordan(x, p)
+    half = m // 2
+    k1, p1 = _eliminate(x[:half], p)
+    second = x[half:]
+    if k1:
+        _submul(second, np.take(second, p1, axis=1), x[:k1], p)
+    k2, p2 = _eliminate(second, p)
+    if k2:
+        if k1:
+            _submul(x[:k1], np.take(x[:k1], p2, axis=1), second[:k2], p)
+        x[k1 : k1 + k2] = second[:k2]
+    return k1 + k2, np.concatenate([p1, p2])
 
 
-def _eliminate(c: np.ndarray, f: Field) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced row-echelon rows of the block c and their pivot columns, by
-    halves: the second half is reduced against the first half's rows with
-    one GEMM and eliminated, then cleared from the first half's rows with
-    another, so the work is GEMMs on the whole block."""
-    c = c[c.any(axis=1)]
-    if c.shape[0] <= 1:
-        if not c.shape[0]:
-            return c, np.zeros(0, dtype=np.intp)
-        j = int(np.flatnonzero(c[0])[0])
-        return _mod(c * f.inverse(c[0, j]), f.p), np.array([j], dtype=np.intp)
-    half = c.shape[0] // 2
-    first, p1 = _eliminate(c[:half], f)
-    second, p2 = _eliminate(_reduce(c[half:], first, p1, f), f)
-    first = _reduce(first, second, p2, f)
-    return np.vstack([first, second]), np.concatenate([p1, p2])
+def _gauss_jordan(x: np.ndarray, p: int) -> tuple[int, np.ndarray]:
+    """``_eliminate``'s leaf, O(1) numpy calls per row: a row that is
+    nonzero mod p when reached is normalised and cleared from the others
+    by one rank-1 update of at most (p/2 + 1)^2 per entry. A leaf of more
+    than one row has at most ``_terms(p)`` entries, so fewer pivots than
+    that: x is reduced once, at the end. Rows come in reduced."""
+    m, rows, cols, inverse = x.shape[0], [], [], 1.0 / p
+    for i in range(m):
+        row = x[i] - np.rint(x[i] * inverse) * p if rows else x[i]
+        nonzero = row.nonzero()[0]
+        if not nonzero.size:
+            continue
+        q = int(nonzero[-1])  # the last, so that add seldom moves a column
+        row *= pow(int(row[q]), -1, p)
+        row -= np.rint(row * inverse) * p
+        if m > 1:
+            column = x[:, q] - np.rint(x[:, q] * inverse) * p
+            column[i] = 0.0
+            x -= np.multiply.outer(column, row)
+        x[i] = row
+        rows.append(i)
+        cols.append(q)
+    if m > 1:
+        x[: len(rows)] = _mod(x[rows], p)
+    return len(rows), np.array(cols, dtype=np.intp)
 
 
 def closure_dimension(generators, f: Field) -> int:
@@ -180,38 +296,41 @@ def closure_dimension(generators, f: Field) -> int:
     bound = d * d - traceless
     basis = Echelon(f, d * d)
     new = basis.add(s.reshape(g, d * d))
-    stacked = s.reshape(g * d, d)  # the generators one above the other
-    side = s.transpose(1, 0, 2).reshape(d, g * d)  # the generators side by side
     while new.shape[0] and basis.pivots.size < bound:
-        m = new.shape[0]
-        x = new.reshape(m, d, d)
-        # one reduction of s x - x s: 2 d (p/2 + 1)^2 < 2^53 for d < 2^14
-        sx = (stacked @ x.transpose(1, 0, 2).reshape(d, m * d)).reshape(g, d, m, d)
-        xs = (x.reshape(m * d, d) @ side).reshape(m, d, g, d)
-        comm = (sx.transpose(0, 2, 1, 3) - xs.transpose(2, 0, 1, 3)).reshape(g * m, d * d)
-        new = basis.add(_mod(comm, f.p))
+        new = basis.add(_commutators(s, new.reshape(-1, d, d), f.p))
     return int(basis.pivots.size)
+
+
+def _commutators(s: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
+    """[s_j, x_i] mod p for every generator s_j and direction x_i, as rows
+    (j, i) of width d^2; one reduction each: 2 d (p/2 + 1)^2 < 2^53 for
+    d < 2^14 at the primes below 2^20."""
+    g, (m, d, _) = s.shape[0], x.shape
+    out = np.empty((g, m, d, d))
+    for j in range(g):
+        sx = np.matmul(s[j], x)
+        np.subtract(sx, (x.reshape(m * d, d) @ s[j]).reshape(m, d, d), out=out[j])
+        _mod(out[j], p, sx)
+    return out.reshape(g * m, d * d)
 
 
 def null_space(a: np.ndarray, f: Field) -> np.ndarray:
     """Columns spanning {v : a v = 0} over F_p."""
-    n = a.shape[1]
-    e = Echelon(f, n)
+    e = Echelon(f, a.shape[1])
     e.add(_mod(a, f.p))
-    free = np.setdiff1d(np.arange(n), e.pivots)
-    v = np.zeros((n, free.size))
-    v[free, np.arange(free.size)] = 1.0
-    v[e.pivots] = -e.rows[:, free]
+    v = np.zeros((a.shape[1], e.free.size))
+    v[e.free, np.arange(e.free.size)] = 1.0
+    v[e.pivots] = -e.rest
     return v
 
 
 def _inverse(a: np.ndarray, f: Field) -> np.ndarray:
     k = a.shape[0]
     e = Echelon(f, 2 * k)
-    e.add(np.hstack([a, np.eye(k)]))
-    if e.pivots.size != k or e.pivots.max(initial=-1) >= k:
+    e.add(np.hstack([np.eye(k), a]))  # pivots in the a block while it is nonzero
+    if e.pivots.size != k or e.pivots.min(initial=k) < k:
         raise ValueError(f"a {k}x{k} Gram matrix is singular mod {f.p}")
-    return e.rows[np.argsort(e.pivots), k:]
+    return e.rows[np.argsort(e.pivots), :k]
 
 
 def compress(h: np.ndarray, v: np.ndarray, w: np.ndarray, f: Field) -> np.ndarray:
@@ -225,7 +344,8 @@ def compress(h: np.ndarray, v: np.ndarray, w: np.ndarray, f: Field) -> np.ndarra
 def _krylov(hs, jumps, f: Field):
     """C's Krylov run mod p (``superproject``) on the image of hs[j], as a
     function of j: the vectors up to their first dependency, rows (k, d^2),
-    and its coefficients a_0 .. a_k = 1, which an identity block records."""
+    and its coefficients a_0 .. a_k = 1, which an identity block before the
+    vectors records."""
     hs, ls = f.map(hs), f.map(np.stack([l for _, l in jumps]))
     lds = f.map(np.stack([l.conj().T for _, l in jumps]))
     rates = np.array([f.scalar(Fraction(r)) for r, _ in jumps], dtype=float)
@@ -242,11 +362,11 @@ def _krylov(hs, jumps, f: Field):
         while True:
             k = len(vectors)
             row = np.zeros((1, 2 * n + 1))
-            row[0, :n], row[0, n + k] = x.reshape(n), 1.0
-            reduced = krylov.reduce(row)
-            if not reduced[0, :n].any():
-                return np.reshape(vectors, (k, n)), reduced[0, n : n + k + 1]
-            krylov.add(reduced)
+            row[0, k], row[0, n + 1 :] = 1.0, x.reshape(n)
+            (new,) = krylov.add(row)  # the reduced row, scaled: its pivot is in x while x is nonzero
+            if not new[n + 1 :].any():
+                a = new[: k + 1]
+                return np.reshape(vectors, (k, n)), _mod(a * f.inverse(a[k]), f.p)
             vectors.append(x.reshape(n))
             x = _mod(np.tensordot(rates, ad(lds, ad(ls, x)) + ad(ls, ad(lds, x)), axes=1), f.p)
 

@@ -110,3 +110,24 @@ def heisenberg_bonds(n):
     space = qubits(n)
     drift = sum(two_body(i, i + 1).realize(space) for i in range(n - 1))
     return drift, two_body(0, 1).realize(space)
+
+
+def gauss_jordan_mod(rows, p):
+    """Reference: the reduced row-echelon rows of integer ``rows`` mod p,
+    by plain Gauss-Jordan on Python integers, pivots leftmost, entries in
+    [0, p)."""
+    rows = [[int(v) % p for v in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inverse = pow(rows[rank][col], -1, p)
+        rows[rank] = [v * inverse % p for v in rows[rank]]
+        for i, row in enumerate(rows):
+            if i != rank and row[col]:
+                factor = row[col]
+                rows[i] = [(v - factor * w) % p for v, w in zip(row, rows[rank])]
+        rank += 1
+    return rows[:rank]

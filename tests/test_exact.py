@@ -2,6 +2,7 @@
 closure's invariances, P(H) by the Krylov minimal polynomial, exact DFS
 compressions, and the N=8 J=2 block, whose exact closure is su(20)."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,12 +20,16 @@ from zenoforge.ops import HilbertSpace, Operator, qubits, zero
 
 from conftest import (
     dense_superprojection,
+    gauss_jordan_mod,
     heisenberg_bonds,
     integer_hermitian,
     proven_superprojection,
 )
 
 P0, P1 = exact.PRIMES
+# the largest prime below 2^26 that is 1 mod 4: a GEMM of entries up to p/2 + 1
+# may sum only 7 products there, so short rows cross every split
+P26 = 67108837
 
 
 def as_fraction_mod(x: float, p: int) -> int:
@@ -92,6 +97,111 @@ class TestField:
         a = np.full((1, n), float(P0 // 2))
         assert f.mm(a, a.T)[0, 0] % P0 == n * (P0 // 2) ** 2 % P0
 
+    @pytest.mark.parametrize("inner", [1, 6, 7, 8, 14, 15, 47])
+    def test_products_near_2_26_stay_exact(self, inner):
+        # entries of the largest magnitude p/2 + 1 that a residue takes:
+        # every 7-term sum plus an entry is just below 2^53, and the
+        # deferred reductions of Field.mm and Echelon meet all of them
+        assert exact._terms(P26) == 7
+        f = exact.field(P26)
+        g = np.random.default_rng(inner)
+        big = P26 // 2 + 1
+        a = g.choice([-big, big], (37, inner)).astype(float)
+        b = g.choice([-big, big], (inner, 29)).astype(float)
+        got = f.mm(a, b)
+        want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % P26 for col in b.T] for row in a]
+        assert (got % P26).tolist() == want
+        assert np.abs(got).max() <= big
+        e = exact.Echelon(f, 29)
+        block = np.vstack([g.choice([-big, big], (11, 29)), got])
+        e.add(block)
+        oracle = gauss_jordan_mod(block.astype(int).tolist(), P26)
+        assert e.pivots.size == len(oracle)
+        assert np.abs(e.rows).max() <= big
+        assert e.add(f.map(np.array(oracle, dtype=float))).shape[0] == 0
+
+
+def planted(data, p):
+    """A block of rows mod p with a planted rank, r << width or r ~ width,
+    zero and duplicate rows mixed in, and how it is split into ``add`` calls."""
+    width = data.draw(st.integers(1, 28), label="width")
+    rank = data.draw(
+        st.one_of(st.integers(0, min(3, width)), st.integers(max(width - 2, 0), width)), label="rank"
+    )
+    g = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    f = exact.field(p)
+    left = f.map(g.integers(-(p // 2), p // 2 + 1, (data.draw(st.integers(rank, rank + 6)), rank)))
+    right = f.map(g.integers(-(p // 2), p // 2 + 1, (rank, width)))
+    rows = f.mm(left, right)
+    extra = [np.zeros((data.draw(st.integers(0, 3)), width))]
+    if rows.shape[0]:
+        pick = g.integers(0, rows.shape[0], data.draw(st.integers(0, 4)))
+        extra.append(_mod_p(rows[pick] * g.integers(1, 4, (pick.size, 1)), p))
+    rows = np.vstack([rows, *extra])
+    rows = rows[g.permutation(rows.shape[0])]
+    cuts = sorted(data.draw(st.lists(st.integers(0, rows.shape[0]), max_size=3), label="cuts"))
+    return rows, np.split(rows, cuts)
+
+
+def _mod_p(x, p):
+    return exact.field(p).map(np.asarray(x, dtype=float))
+
+
+class TestEchelon:
+    """The engine against plain Gauss-Jordan on Python integers."""
+
+    @pytest.mark.parametrize("rank, width", [(30, 700), (64, 600)])
+    def test_wide_blocks_are_split_by_halves(self, rank, width):
+        # 70 rows of 600 or more columns exceed a leaf at P0 (2^15 entries)
+        f = exact.field(P0)
+        g = np.random.default_rng(rank)
+        left = f.map(g.integers(-(P0 // 2), P0 // 2 + 1, (70, rank)))
+        a = f.mm(left, f.map(g.integers(-(P0 // 2), P0 // 2 + 1, (rank, width))))
+        assert a.size > exact._terms(P0)
+        e = exact.Echelon(f, width)
+        assert e.add(a).shape == (rank, width)
+        oracle = gauss_jordan_mod(a.astype(int).tolist(), P0)
+        assert len(oracle) == rank
+        assert np.array_equal(e.rows[:, e.pivots] % P0, np.eye(rank))
+        assert e.add(f.map(np.array(oracle, dtype=float))).shape[0] == 0
+
+    @pytest.mark.parametrize("p", [P0, P26])
+    def test_an_identity_block_records_the_first_dependency(self, p):
+        # rows (e_k, x_k) for n + 1 random x_k in n dimensions: every pivot
+        # stays in the x block until the last row, whose x part vanishes and
+        # whose identity part is the dependency; _krylov and _inverse rely on it
+        f, n = exact.field(p), 9
+        xs = f.map(np.random.default_rng(p).integers(-(p // 2), p // 2 + 1, (n + 1, n)))
+        e = exact.Echelon(f, 2 * n + 1)
+        for k, x in enumerate(xs):
+            row = np.zeros((1, 2 * n + 1))
+            row[0, k], row[0, n + 1 :] = 1.0, x
+            (new,) = e.add(row)
+            assert new[n + 1 :].any() == (k < n)
+        assert e.pivots[:n].min() > n and e.pivots[n] <= n
+        assert not (f.mm(new[None, : n + 1], xs) % p).any()
+        a = f.map(np.random.default_rng(1).integers(-9, 10, (n, n)))
+        inverse = exact._inverse(a, f)
+        assert np.array_equal(f.mm(inverse, a) % p, np.eye(n))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([P0, P26]), st.data())
+    def test_matches_the_reference_elimination(self, p, data):
+        a, blocks = planted(data, p)
+        f = exact.field(p)
+        e = exact.Echelon(f, a.shape[1])
+        added = sum(e.add(block).shape[0] for block in blocks)
+        oracle = gauss_jordan_mod(a.astype(int).tolist(), p)
+        assert e.pivots.size == added == len(oracle)
+        rows, half = e.rows, p // 2 + 1
+        assert np.array_equal(rows[:, e.pivots] % p, np.eye(e.pivots.size))
+        assert np.abs(rows).max(initial=0) <= half
+        v = exact.null_space(a, f)
+        assert v.shape == (a.shape[1], a.shape[1] - len(oracle))
+        assert not (f.mm(a, v) % p).any()
+        # equal rank and the oracle's span inside the engine's: equal spans
+        assert e.add(f.map(np.array(oracle, dtype=float).reshape(-1, a.shape[1]))).shape[0] == 0
+
 
 class TestClosureDimension:
     @settings(max_examples=30, deadline=None)
@@ -144,6 +254,26 @@ class TestClosureDimension:
         assert report.verdict == lie.lie_verdict(mats) == ControllabilityVerdict(16, True, True)
         # the joint verdict is the single block's; each reaches d^2 at P0 and stops
         assert calls == [P0, P0]
+
+
+def test_closure_memory_stays_near_one_dense_matrix(monkeypatch):
+    """u(30) on the 30-level atom's DFS block: the closure's traced peak is
+    at most twice one dense d^2 x d^2 float64 matrix (6.5 MB), the echelon
+    keeping only its non-pivot columns and updating them in place."""
+    desc = build_model("n-level-atom", n_levels=30)
+    closures = []
+    real = exact.closure_dimension
+    monkeypatch.setattr(exact, "closure_dimension", lambda gens, f: closures.append((gens, f)) or real(gens, f))
+    assert dfs_lie_dimension(desc.spec, desc.controls).block_dims == (900,)
+    gens, f = next((gens, f) for gens, f in closures if gens[0].shape == (30, 30))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert real(gens, f) == 900
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 900 * 900 * 8, peak / (900 * 900 * 8)
 
 
 class TestSuperproject:
