@@ -125,9 +125,8 @@ def planted(data, p):
     """A block of rows mod p with a planted rank, r << width or r ~ width,
     zero and duplicate rows mixed in, and how it is split into ``add`` calls."""
     width = data.draw(st.integers(1, 28), label="width")
-    rank = data.draw(
-        st.one_of(st.integers(0, min(3, width)), st.integers(max(width - 2, 0), width)), label="rank"
-    )
+    low, high = st.integers(0, min(3, width)), st.integers(max(width - 2, 0), width)
+    rank = data.draw(st.one_of(low, high), label="rank")
     g = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     f = exact.field(p)
     left = f.map(g.integers(-(p // 2), p // 2 + 1, (data.draw(st.integers(rank, rank + 6)), rank)))
@@ -263,7 +262,8 @@ def test_closure_memory_stays_near_one_dense_matrix(monkeypatch):
     desc = build_model("n-level-atom", n_levels=30)
     closures = []
     real = exact.closure_dimension
-    monkeypatch.setattr(exact, "closure_dimension", lambda gens, f: closures.append((gens, f)) or real(gens, f))
+    spy = lambda gens, f: closures.append((gens, f)) or real(gens, f)  # noqa: E731
+    monkeypatch.setattr(exact, "closure_dimension", spy)
     assert dfs_lie_dimension(desc.spec, desc.controls).block_dims == (900,)
     gens, f = next((gens, f) for gens, f in closures if gens[0].shape == (30, 30))
     tracemalloc.start()
