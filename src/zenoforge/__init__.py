@@ -1,9 +1,8 @@
 """zenoforge: noise-induced controllability toolkit.
 
 Builds Lindbladian superoperators, finds decoherence-free subspaces and
-strong-damping superprojectors, projects control Hamiltonians, computes
-dynamical Lie-algebra closures, and optimizes piecewise-constant pulses
-against Choi-based gate errors.
+strong-damping superprojectors, computes dynamical Lie-algebra closures,
+and optimizes piecewise-constant pulses against Choi-based gate errors.
 """
 
 from .channels import (
@@ -57,7 +56,6 @@ from .ops import (
 )
 from .zeno import (
     coherent_generator,
-    project_hamiltonian,
     strong_damping_error,
     zeno_product,
 )

@@ -134,10 +134,12 @@ def cmd_lie_dim(args) -> int:
 
 def cmd_dfs(args) -> int:
     desc = _model_from_args(args.model, args.n, args.gamma)
-    decomposition = detect_dfs(desc.spec.dissipative_part())
+    diss = desc.spec.dissipative_part()
+    decomposition = detect_dfs(diss)
+    rate = max((t.rate for t in diss.terms), default=0.0)  # b scales with the rates
 
-    def rounded(x):  # values below the DFS tolerance are exact zeros up to rounding
-        return 0.0 if abs(x) < _DFS_TOL else x
+    def rounded(x, scale=1.0):  # values below the DFS tolerance are exact zeros up to rounding
+        return 0.0 if abs(x) < _DFS_TOL * scale else x
 
     blocks = [
         {
@@ -145,7 +147,7 @@ def cmd_dfs(args) -> int:
             "lindblad_eigenvalues": [
                 [rounded(z.real), rounded(z.imag)] for z in b.lindblad_eigenvalues
             ],
-            "damping_eigenvalue": rounded(b.damping_eigenvalue),
+            "damping_eigenvalue": rounded(b.damping_eigenvalue, rate),
         }
         for b in decomposition.blocks
     ]

@@ -121,12 +121,11 @@ def _rational(x: float) -> Fraction:
     return Fraction(x).limit_denominator(1 << 16)
 
 
-def _block_basis(block, jumps, f: exact.Field) -> np.ndarray:
-    """The block's span as the null space mod p of the stacked Lj - c_j and
-    G - b, G = sum_j gamma_j Lj^dag Lj. Each c_j is read as a rational from
-    the float label, b = sum_j gamma_j |c_j|^2 exactly; the null space must
-    have the block's dimension."""
-    d = block.basis.shape[0]
+def _block_basis(block, jumps, d: int, f: exact.Field) -> np.ndarray:
+    """The block's span in C^d as the null space mod p of the stacked
+    Lj - c_j and G - b, G = sum_j gamma_j Lj^dag Lj. Each c_j is read as a
+    rational from the float label, b = sum_j gamma_j |c_j|^2 exactly; the
+    null space must have the block's dimension."""
     labels = [(_rational(z.real), _rational(z.imag)) for z in block.lindblad_eigenvalues]
     b = sum(Fraction(r) * (re * re + im * im) for (r, _), (re, im) in zip(jumps, labels))
     ls = f.map(np.reshape([l for _, l in jumps], (-1, d, d)))
@@ -194,7 +193,7 @@ def dfs_lie_dimension(spec: LindbladSpec, controls) -> DFSLieReport:
         f = exact.field(p)
         out = []
         for block in dfs.blocks:
-            v, w = _block_basis(block, jumps, f), _block_basis(block, jumps, f.conjugate)
+            v, w = _block_basis(block, jumps, d, f), _block_basis(block, jumps, d, f.conjugate)
             out.append([exact.compress(h, v, w, f) for h in f.map(hs)])
         return out
 

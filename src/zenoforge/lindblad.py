@@ -126,11 +126,12 @@ class LindbladSpec:
 
     def is_unital(self) -> bool:
         """Whether D(1) = -2 sum_j gamma_j [Lj^dag, Lj] vanishes, within 1e-10
-        of the largest gamma_j max|Lj|^2."""
+        of the largest gamma_j max|Lj|^2; D(1) is linear in the rates, so the
+        cut has no absolute floor."""
         jumps = [(t.rate, t.op.matrix) for t in self.terms]
         defect = sum((r * (l.conj().T @ l - l @ l.conj().T) for r, l in jumps), 0)
         scale = max((r * np.max(np.abs(l)) ** 2 for r, l in jumps), default=0.0)
-        return bool(np.max(np.abs(defect)) <= 1e-10 * max(1.0, scale))
+        return bool(np.max(np.abs(defect)) <= 1e-10 * scale)
 
 
 @dataclass(frozen=True)
@@ -229,16 +230,12 @@ def steady_superprojector(spec: LindbladSpec) -> Superoperator:
 
 @dataclass(frozen=True)
 class DFSBlock:
-    """One decoherence-free subspace with its joint eigenvalue data."""
+    """One decoherence-free subspace: its dimension and joint eigenvalue data.
+    The span is the common null space of the Lj - c_j and G - b."""
 
-    basis: np.ndarray                      # d x k, orthonormal columns
-    projector: Operator
-    lindblad_eigenvalues: tuple[complex, ...]  # one per positive-rate term
-    damping_eigenvalue: float                   # b = sum_j gamma_j |lambda_j|^2
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
+    dim: int
+    lindblad_eigenvalues: tuple[complex, ...]  # c_j, one per positive-rate term
+    damping_eigenvalue: float                   # b = sum_j gamma_j |c_j|^2
 
 
 @dataclass(frozen=True)
@@ -254,24 +251,6 @@ class DFSDecomposition:
 def _null_space(mat: np.ndarray, tol: float) -> np.ndarray:
     _, s, vh = np.linalg.svd(mat, full_matrices=False)
     return vh[s <= _kernel_tolerance(s, tol)].conj().T
-
-
-def _canonical_basis(basis: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Deterministic orthonormal basis of span(basis), aligned with the
-    computational axes whenever the span allows it."""
-    d, k = basis.shape
-    proj = basis @ basis.conj().T
-    cols: list[np.ndarray] = []
-    for i in range(d):
-        v = proj[:, i].copy()
-        for c in cols:
-            v -= c * (c.conj() @ v)
-        norm = np.linalg.norm(v)
-        if norm > tol:
-            cols.append(v / norm)
-        if len(cols) == k:
-            break
-    return np.column_stack(cols)
 
 
 def _cluster(values: np.ndarray, tol: float) -> list[complex]:
@@ -296,7 +275,9 @@ def detect_dfs(spec: LindbladSpec) -> DFSDecomposition:
     Starting from the whole space, each block basis B is split eigenvalue
     by eigenvalue into the null spaces of (L_j - c_j) B, one operator after
     another, and then cut down to the null space of (G - b) B; every
-    surviving block is verified against the defining conditions.
+    surviving block is verified against the defining conditions, and the
+    blocks must be mutually orthogonal. The bases stay local: a block is
+    returned as its dimension and labels c_j and b.
     """
     d = spec.space.dim
     active = [(t.rate, t.op.matrix) for t in spec.terms if t.rate > 0]
@@ -314,10 +295,11 @@ def detect_dfs(spec: LindbladSpec) -> DFSDecomposition:
         blocks = refined
 
     g = sum((r * (l.conj().T @ l) for r, l in active), np.zeros((d, d)))
-    # G's rounding grows with the rates, so its cut and check are relative to max|G|
-    g_scale = max(1.0, float(np.max(np.abs(g))))
     rates = [r for r, _ in active]
-    final: list[DFSBlock] = []
+    # G and its rounding scale with the rates, so its cut and check are
+    # relative to the largest rate or max|G|, whichever is larger
+    g_scale = max(*rates, float(np.max(np.abs(g)))) if rates else 1.0
+    found: list[tuple[np.ndarray, DFSBlock]] = []
     for sub, lams in blocks:
         b = float(sum(r * abs(lam) ** 2 for r, lam in zip(rates, lams)))
         sub = sub @ _null_space((g @ sub - b * sub) / g_scale, _DFS_TOL)
@@ -328,11 +310,8 @@ def detect_dfs(spec: LindbladSpec) -> DFSDecomposition:
             np.max(np.abs(l @ sub - lam * sub)) <= 10 * _DFS_TOL
             for (_, l), lam in zip(active, lams)
         ) and np.max(np.abs(g @ sub - b * sub)) <= 10 * _DFS_TOL * g_scale
-        if not ok:
-            continue
-        sub = _canonical_basis(sub)
-        proj = Operator(spec.space, sub @ sub.conj().T)
-        final.append(DFSBlock(sub, proj, tuple(lams), b))
+        if ok:
+            found.append((sub, DFSBlock(sub.shape[1], tuple(lams), b)))
 
     def sort_key(block: DFSBlock):
         lam6 = tuple(
@@ -340,12 +319,12 @@ def detect_dfs(spec: LindbladSpec) -> DFSDecomposition:
         )
         return lam6 + ((round(block.damping_eigenvalue, 6), 0.0),)
 
-    final.sort(key=sort_key)
-    for i, bi in enumerate(final):
-        for bj in final[i + 1 :]:
-            if np.max(np.abs(bi.basis.conj().T @ bj.basis)) > 10 * _DFS_TOL:
+    found.sort(key=lambda item: sort_key(item[1]))
+    for i, (bi, _) in enumerate(found):
+        for bj, _ in found[i + 1 :]:
+            if np.max(np.abs(bi.conj().T @ bj)) > 10 * _DFS_TOL:
                 raise ValueError("detected DFS blocks are not mutually orthogonal")
-    return DFSDecomposition(spec.space, tuple(final))
+    return DFSDecomposition(spec.space, tuple(block for _, block in found))
 
 
 def dual_generator(spec: LindbladSpec) -> Superoperator:

@@ -1,9 +1,10 @@
-"""Projected Hamiltonians, Zeno product limits, and strong-damping errors.
+"""Zeno product limits and strong-damping errors.
 
 In the strong-damping limit the dissipative semigroup acts like a
 projective measurement: dynamics is confined to the DFS blocks and
 generated there by the compressed Hamiltonians P_i H P_i, or, for a unital
-dissipator, on the commutant of {Lj, Lj^dag} by P(H) (``exact.superproject``).
+dissipator, on the commutant of {Lj, Lj^dag} by P(H) (``exact.superproject``);
+``lie.dfs_lie_dimension`` closes both exactly.
 The coherent part is vectorized with the same row convention as `lindblad`.
 """
 
@@ -12,18 +13,16 @@ from __future__ import annotations
 import numpy as np
 
 from .lindblad import (
-    DFSDecomposition,
     LindbladSpec,
     Superoperator,
     dissipator_matrix,
     hamiltonian_superop,
     steady_superprojector,
 )
-from .ops import HilbertSpace, Operator, expm, hermitian
+from .ops import Operator, expm
 
 __all__ = [
     "coherent_generator",
-    "project_hamiltonian",
     "zeno_product",
     "strong_damping_error",
 ]
@@ -32,16 +31,6 @@ __all__ = [
 def coherent_generator(h: Operator) -> Superoperator:
     """Superoperator of rho -> -i[h, rho]."""
     return Superoperator(h.space, hamiltonian_superop(h.matrix))
-
-
-def project_hamiltonian(h: Operator, dfs: DFSDecomposition, block: int) -> Operator:
-    """P_i H P_i compressed to the block's orthonormal basis."""
-    mat = hermitian(h, "hamiltonian")
-    if not 0 <= block < len(dfs.blocks):
-        raise ValueError(f"block {block} out of range ({len(dfs.blocks)} blocks)")
-    basis = dfs.blocks[block].basis
-    compressed = basis.conj().T @ mat @ basis
-    return Operator(HilbertSpace((basis.shape[1],)), compressed)
 
 
 def zeno_product(

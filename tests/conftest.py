@@ -131,3 +131,21 @@ def gauss_jordan_mod(rows, p):
                 rows[i] = [(v - factor * w) % p for v, w in zip(row, rows[rank])]
         rank += 1
     return rows[:rank]
+
+
+def label_rows(spec, block):
+    """The stacked Lj - c_j and G - b, G = sum_j gamma_j Lj^dag Lj, over the
+    positive-rate terms: a DFS block's span is their common null space."""
+    eye = np.eye(spec.space.dim)
+    active = [(t.rate, t.op.matrix) for t in spec.terms if t.rate > 0]
+    g = sum((r * (l.conj().T @ l) for r, l in active), 0 * eye)
+    jumps = [l - c * eye for (_, l), c in zip(active, block.lindblad_eigenvalues)]
+    return np.vstack([*jumps, g - block.damping_eigenvalue * eye])
+
+
+def dfs_span(spec, block, tol=1e-8):
+    """An orthonormal float basis of the block's span, read from its labels."""
+    _, s, vh = np.linalg.svd(label_rows(spec, block))
+    basis = vh[s <= tol * max(1.0, s[0])].conj().T
+    assert basis.shape[1] == block.dim
+    return basis

@@ -47,12 +47,17 @@ from zenoforge.models import HADAMARD, build_model, qubit2_reset_superop
 from zenoforge.ops import Operator, expm, lowering_on, pauli_on, qubits, zero
 from zenoforge.zeno import (
     coherent_generator,
-    project_hamiltonian,
     strong_damping_error,
     zeno_product,
 )
 
-from conftest import dense_superprojection, random_cptp_superop, random_unitary, system_swap
+from conftest import (
+    dense_superprojection,
+    label_rows,
+    random_cptp_superop,
+    random_unitary,
+    system_swap,
+)
 
 
 def criterion(number, description):
@@ -135,10 +140,11 @@ def test_two_qubit_example():
     amp = amp_spec()
     dfs = detect_dfs(amp)
     assert dfs.block_dims == (2,)
-    # span{|00>, |10>}: no support on rows where qubit 2 is excited
-    assert np.max(np.abs(dfs.blocks[0].basis[[1, 3], :])) < 1e-10
+    # span{|00>, |10>}: both satisfy the block's labels, L|psi> = c|psi> and G|psi> = b|psi>
+    basis = np.eye(4)[:, [0, 2]]
+    assert np.max(np.abs(label_rows(amp, dfs.blocks[0]) @ basis)) < 1e-10
 
-    projected = [project_hamiltonian(h, dfs, 0) for h in (H0, H1)]
+    projected = [basis.conj().T @ h.matrix @ basis for h in (H0, H1)]
     verdict = lie_verdict(projected)
     assert verdict.dim == 3
     assert verdict.contains_su and not verdict.equals_u

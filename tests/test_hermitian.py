@@ -8,10 +8,9 @@ import pytest
 from conftest import random_hermitian
 from zenoforge.grape import ControlSystem, PulseSchedule, propagate_schedule
 from zenoforge.lie import dfs_lie_dimension, lie_verdict
-from zenoforge.lindblad import LindbladSpec, detect_dfs
+from zenoforge.lindblad import LindbladSpec
 from zenoforge.models import build_model
 from zenoforge.ops import HilbertSpace, Operator, hermitian, pauli_on, qubits
-from zenoforge.zeno import project_hamiltonian
 
 S2 = qubits(2)
 AMP = build_model("two-qubit-amp").spec
@@ -27,7 +26,6 @@ def _propagated(h: Operator):
 ENTRY_POINTS = {
     "LindbladSpec": lambda h: LindbladSpec(h, AMP.terms),
     "ControlSystem": _propagated,
-    "project_hamiltonian": lambda h: project_hamiltonian(h, detect_dfs(AMP), 0),
     "lie_verdict": lambda h: lie_verdict([h]),
     "dfs_lie_dimension": lambda h: dfs_lie_dimension(AMP, [h]),
     # the full-mantissa Hermitian part of the skewed control needs primes

@@ -1,11 +1,13 @@
 """Every name a package module imports is used there or listed in its
 ``__all__``, no module defines a function or class name twice in one
 block, and no module but ``ops`` decides whether a matrix is Hermitian.
-Package ``__init__`` files only re-export, so they are exempt. scipy is
-imported only inside the functions that call it, so the commands that need
-none of it never load it."""
+Package ``__init__`` files only re-export, so they are exempt; every name
+they re-export is in its module's ``__all__``, and every ``__all__`` entry
+is defined. scipy is imported only inside the functions that call it, so
+the commands that need none of it never load it."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -181,3 +183,28 @@ def test_zeno_check_loads_scipy_linalg_but_not_optimize():
     loaded = scipy_modules_after([["zeno-check", "--steps", "1,4", "--gammas", "10"]])
     assert "scipy.linalg" in loaded
     assert not [m for m in loaded if m.split(".")[:2] == ["scipy", "optimize"]]
+
+
+def reexports(source: str) -> dict[str, list[str]]:
+    """The names a package ``__init__`` imports from each sibling module."""
+    found: dict[str, list[str]] = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.setdefault(node.module, []).extend(a.name for a in node.names)
+    return found
+
+
+def test_init_reexports_only_public_names():
+    exported = reexports((PACKAGE / "__init__.py").read_text())
+    assert exported
+    for module, names in exported.items():
+        public = importlib.import_module(f"zenoforge.{module}").__all__
+        assert [n for n in names if n not in public] == [], module
+
+
+@pytest.mark.parametrize(  # importing __main__ runs the CLI
+    "path", [p for p in MODULES if p.name != "__main__.py"], ids=lambda p: p.name
+)
+def test_every_public_name_is_defined(path):
+    module = importlib.import_module(f"zenoforge.{path.stem}")
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []

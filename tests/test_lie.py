@@ -11,7 +11,6 @@ import zenoforge.lie as lie
 from zenoforge.lie import ControllabilityVerdict, dfs_lie_dimension, lie_verdict
 from zenoforge.lindblad import LindbladSpec, LindbladTerm, detect_dfs
 from zenoforge.models import build_model
-from zenoforge.zeno import project_hamiltonian
 from zenoforge.ops import (
     HilbertSpace,
     Operator,
@@ -23,8 +22,10 @@ from zenoforge.ops import (
 
 from conftest import (
     dense_superprojection,
+    dfs_span,
     heisenberg_bonds,
     integer_hermitian,
+    label_rows,
     random_hermitian,
 )
 
@@ -168,6 +169,14 @@ class TestDfsLieDimension:
         assert report.block_dims == ()
         assert report.verdict == ControllabilityVerdict(0, False, False)
 
+    def test_no_jumps_block_is_the_whole_space(self):
+        # no jump operator fixes the block's size: it is the spec's d
+        s1 = HilbertSpace((2,))
+        controls = [pauli_on(s1, 0, "x"), pauli_on(s1, 0, "z")]
+        report = dfs_lie_dimension(LindbladSpec(zero(s1)), controls)
+        assert report.block_dims == (3,)
+        assert report.verdict == ControllabilityVerdict(3, True, False)
+
 
 def on_dephasing(controls):
     return dfs_lie_dimension(build_model("two-qubit-dephasing").spec, controls)  # d = 4
@@ -217,8 +226,9 @@ class TestLinkedBlocks:
         assert not _LINKED_SPEC.is_unital()
         dfs = detect_dfs(_LINKED_SPEC)
         assert dfs.block_dims == (2, 2)
-        assert np.array_equal(np.abs(dfs.blocks[0].basis), np.eye(5)[:, :2])
-        assert np.array_equal(np.abs(dfs.blocks[1].basis), np.eye(5)[:, 2:4])
+        # the literal bases span the blocks: each satisfies its block's labels
+        for block, basis in zip(dfs.blocks, (np.eye(5)[:, :2], np.eye(5)[:, 2:4])):
+            assert np.max(np.abs(label_rows(_LINKED_SPEC, block) @ basis)) < 1e-12
 
     @pytest.mark.parametrize(
         "second, joint, blocks",
@@ -348,16 +358,15 @@ def oracle_verdict(basis: OracleBasis, tol=1e-7) -> ControllabilityVerdict:
 def float_generator_sets(desc):
     """The controls, then the float generator sets of the closures
     ``dfs_lie_dimension`` makes exactly, in its order: each DFS block's
-    compressions, and the joint set unless a single block is reused (P(H)
+    compressions B^dag H B, with B a float span read from the block's
+    labels, and the joint set unless a single block is reused (P(H)
     for a unital dissipator, from the dense oracle up to d = 16 and from
     the closed form sigma_m . sigma_m+1 / 3 for the larger chains;
     otherwise the block-diagonal sums); zero generators dropped."""
     diss = desc.spec.dissipative_part()
     dfs = detect_dfs(diss)
-    blocks = [
-        [project_hamiltonian(h, dfs, k).matrix for h in desc.controls]
-        for k in range(len(dfs.blocks))
-    ]
+    spans = [dfs_span(diss, block) for block in dfs.blocks]
+    blocks = [[b.conj().T @ h.matrix @ b for h in desc.controls] for b in spans]
     sets = [[h.matrix for h in desc.controls], *blocks]
     if diss.terms and diss.is_unital():
         if diss.space.dim <= 16:

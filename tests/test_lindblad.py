@@ -32,7 +32,7 @@ from zenoforge.ops import (
     zero,
 )
 
-from conftest import random_density, random_hermitian, random_unitary
+from conftest import dfs_span, random_density, random_hermitian, random_unitary
 
 
 def brute_force_generator(spec):
@@ -258,8 +258,7 @@ class TestSteadySuperprojector:
     def test_dfs_states_are_fixed_points(self):
         spec = amp_damping_spec()
         p = steady_superprojector(spec)
-        dfs = detect_dfs(spec)
-        basis = dfs.blocks[0].basis
+        basis = dfs_span(spec, detect_dfs(spec).blocks[0])
         for i in range(basis.shape[1]):
             for j in range(basis.shape[1]):
                 x = np.outer(basis[:, i], basis[:, j].conj())
@@ -274,7 +273,7 @@ class TestDetectDfs:
         assert block.lindblad_eigenvalues == (0j,)
         assert block.damping_eigenvalue == pytest.approx(0.0, abs=1e-10)
         # spanned by |00> and |10>: rows 1 and 3 (qubit 2 excited) vanish
-        assert np.max(np.abs(block.basis[[1, 3], :])) < 1e-10
+        assert np.max(np.abs(dfs_span(amp_damping_spec(), block)[[1, 3], :])) < 1e-10
 
     def test_dephasing_two_blocks(self):
         dfs = detect_dfs(dephasing_spec())
@@ -282,24 +281,28 @@ class TestDetectDfs:
         lams = [b.lindblad_eigenvalues[0] for b in dfs.blocks]
         assert lams == [pytest.approx(-1), pytest.approx(+1)]
         # first block: qubit 2 in |0> (rows 0 and 2); second: |1> (rows 1, 3)
-        assert np.max(np.abs(dfs.blocks[0].basis[[1, 3], :])) < 1e-10
-        assert np.max(np.abs(dfs.blocks[1].basis[[0, 2], :])) < 1e-10
+        first, second = (dfs_span(dephasing_spec(), b) for b in dfs.blocks)
+        assert np.max(np.abs(first[[1, 3], :])) < 1e-10
+        assert np.max(np.abs(second[[0, 2], :])) < 1e-10
         for b in dfs.blocks:
             assert b.damping_eigenvalue == pytest.approx(1.0)
 
     def test_atom_block_spans_stable_levels(self):
-        dfs = detect_dfs(atom_spec(4, (1.0, 1.0, 1.0, 1.0)))
+        spec = atom_spec(4, (1.0, 1.0, 1.0, 1.0))
+        dfs = detect_dfs(spec)
         assert dfs.block_dims == (4,)
-        assert np.max(np.abs(dfs.blocks[0].basis[4, :])) < 1e-10
+        assert np.max(np.abs(dfs_span(spec, dfs.blocks[0])[4, :])) < 1e-10
 
     def test_projector_properties(self):
-        dfs = detect_dfs(dephasing_spec())
-        for b in dfs.blocks:
-            p = b.projector.matrix
+        # the two dephasing blocks' label spans split the space orthogonally
+        spec = dephasing_spec()
+        spans = [dfs_span(spec, b) for b in detect_dfs(spec).blocks]
+        p0, p1 = (b @ b.conj().T for b in spans)
+        for p in (p0, p1):
             assert np.max(np.abs(p @ p - p)) < 1e-9
             assert np.max(np.abs(p - p.conj().T)) < 1e-9
-        p0, p1 = (b.projector.matrix for b in dfs.blocks)
         assert np.max(np.abs(p0 @ p1)) < 1e-9
+        assert np.max(np.abs(p0 + p1 - np.eye(4))) < 1e-9
 
     def test_depolarizing_qubit_has_no_dfs(self):
         s = qubits(1)
@@ -316,7 +319,6 @@ class TestDetectDfs:
         dfs = detect_dfs(LindbladSpec(zero(s), (LindbladTerm(0.0, lowering_on(s, 0)),)))
         assert dfs.block_dims == (2,)
         block = dfs.blocks[0]
-        assert np.allclose(block.basis, np.eye(2), atol=1e-12)
         assert block.lindblad_eigenvalues == ()
         assert block.damping_eigenvalue == 0.0
 
@@ -328,9 +330,10 @@ class TestDetectDfs:
         w = np.array([0.0, -eps, 1.0]) / np.sqrt(1.0 + eps**2)
         l1 = Operator(s, np.diag([0.0, 0.0, 1.0]))
         l2 = Operator(s, np.outer(np.eye(3)[2], w))
-        dfs = detect_dfs(LindbladSpec(zero(s), (LindbladTerm(1.0, l1), LindbladTerm(1.0, l2))))
+        spec = LindbladSpec(zero(s), (LindbladTerm(1.0, l1), LindbladTerm(1.0, l2)))
+        dfs = detect_dfs(spec)
         assert dfs.block_dims == (1,)
-        assert np.allclose(np.abs(dfs.blocks[0].basis[:, 0]), [1.0, 0.0, 0.0], atol=1e-10)
+        assert np.allclose(np.abs(dfs_span(spec, dfs.blocks[0])[:, 0]), [1.0, 0.0, 0.0], atol=1e-10)
 
     def test_hamiltonian_is_ignored(self, rng):
         s = qubits(2)
@@ -339,6 +342,19 @@ class TestDetectDfs:
             (LindbladTerm(1.0, lowering_on(s, 1)),),
         )
         assert detect_dfs(spec).block_dims == (2,)
+
+    @pytest.mark.parametrize("rate", [1.0, 1e-9, 1e-300, 1e12])
+    def test_damping_check_scales_with_the_rate(self, rate):
+        # L = [[1, 1], [0, 0]]: c = 0 on |0> - |1> is a DFS; c = 1 on |0> is
+        # not, since G|0> = rate (|0> + |1>), a residual as small as the rate
+        s = HilbertSpace((2,))
+        jump = Operator(s, np.array([[1.0, 1.0], [0.0, 0.0]]))
+        spec = LindbladSpec(zero(s), (LindbladTerm(rate, jump),))
+        dfs = detect_dfs(spec)
+        assert dfs.block_dims == (1,)
+        assert abs(dfs.blocks[0].lindblad_eigenvalues[0]) < 1e-12
+        basis = dfs_span(spec, dfs.blocks[0])
+        assert np.allclose(np.abs(basis[:, 0]), [2**-0.5, 2**-0.5], atol=1e-10)
 
     @pytest.mark.parametrize("gamma", [1.0, 1e6, 1e8, 1e10, 1.1e12])
     def test_common_rate_keeps_the_chain_block(self, gamma):
@@ -375,7 +391,7 @@ class TestDetectDfsProperties:
         gen = dissipator_matrix(spec.dissipative_part()).matrix
         for block in dfs.blocks:
             # every |psi_i><psi_j| inside one block is a steady state
-            b = block.basis
+            b = dfs_span(spec, block)
             units = np.einsum("ai,bj->ijab", b, b.conj()).reshape(-1, b.shape[0] ** 2)
             assert np.max(np.abs(gen @ units.T)) < 1e-9
 
@@ -400,8 +416,8 @@ class TestDetectDfsProperties:
         after = detect_dfs(rotated).blocks
         assert len(after) == len(before)
         for p, q in zip(before, after):
-            rotated_p = u @ p.projector.matrix @ u.conj().T
-            assert np.max(np.abs(rotated_p - q.projector.matrix)) < 1e-8
+            b, c = u @ dfs_span(spec, p), dfs_span(rotated, q)
+            assert np.max(np.abs(b @ b.conj().T - c @ c.conj().T)) < 1e-8
 
 
 class TestSuperprojectorProperties:
@@ -489,9 +505,16 @@ class TestUnitality:
                 LindbladTerm(rate_adj, Operator(space, jump.conj().T)),
             ))
 
-        for spec in (collective_spec(3), dephasing_spec(), mixture, pair(0.8)):
+        unital = (collective_spec(3), dephasing_spec(), dephasing_spec(1e-300), mixture, pair(0.8))
+        for spec in unital:
             assert spec.is_unital()
-        for spec in (amp_damping_spec(), pair(0.5)):
+        # D(1) is linear in the rates: no absolute floor makes a small rate unital
+        small = [
+            spec
+            for r in (1e-10, 1e-300)
+            for spec in (amp_damping_spec(r), atom_spec(3, (r,) * 3))
+        ]
+        for spec in (amp_damping_spec(), pair(0.5), *small):
             assert not spec.is_unital()
 
 

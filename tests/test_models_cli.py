@@ -123,6 +123,42 @@ class TestCli:
         assert main(["lie-dim", *argv]) == 0
         assert capsys.readouterr().out == out + "\n"
 
+    @pytest.mark.parametrize("gamma", ["1e-10", "1e-11", "1e-300"])
+    @pytest.mark.parametrize("name", ["two-qubit-amp", "n-level-atom"])
+    def test_small_rates_keep_lie_dim(self, capsys, name, gamma):
+        # a non-unital dissipator stays non-unital at any positive rate
+        outs = []
+        for g in (gamma, "1"):
+            assert main(["lie-dim", "--model", name, "--gamma", g]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize(
+        "name, out",
+        [
+            ("two-qubit-amp",
+             '[{"dim": 2, "lindblad_eigenvalues": [[0.0, 0.0]], "damping_eigenvalue": 0.0}]'),
+            ("two-qubit-dephasing",
+             '[{"dim": 2, "lindblad_eigenvalues": [[-1.0, 0.0]], "damping_eigenvalue": 1.0}, '
+             '{"dim": 2, "lindblad_eigenvalues": [[1.0, 0.0]], "damping_eigenvalue": 1.0}]'),
+            ("n-level-atom",
+             '[{"dim": 3, "lindblad_eigenvalues": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], '
+             '"damping_eigenvalue": 0.0}]'),
+            ("ising-chain",
+             '[{"dim": 2, "lindblad_eigenvalues": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], '
+             '"damping_eigenvalue": 0.0}]'),
+        ],
+    )
+    def test_dfs_of_every_registered_model(self, capsys, name, out):
+        assert main(["dfs", "--model", name]) == 0
+        assert capsys.readouterr().out == f'{{"model": "{name}", "blocks": {out}}}\n'
+
+    def test_dfs_keeps_small_damping_eigenvalues(self, capsys):
+        # b = gamma for dephasing: the zero cut is relative to the largest rate
+        assert main(["dfs", "--model", "two-qubit-dephasing", "--gamma", "1e-9"]) == 0
+        blocks = json.loads(capsys.readouterr().out)["blocks"]
+        assert [b["damping_eigenvalue"] for b in blocks] == [1e-9, 1e-9]
+
     def test_dfs_report(self, capsys):
         assert main(["dfs", "--model", "two-qubit-dephasing"]) == 0
         doc = json.loads(capsys.readouterr().out)
