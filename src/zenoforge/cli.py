@@ -33,6 +33,7 @@ from .lindblad import (
     _DFS_TOL,
     LindbladSpec,
     _array_from_json,
+    _jump_scale,
     _matrix_from_json,
     detect_dfs,
     spec_from_json,
@@ -136,7 +137,7 @@ def cmd_dfs(args) -> int:
     desc = _model_from_args(args.model, args.n, args.gamma)
     diss = desc.spec.dissipative_part()
     decomposition = detect_dfs(diss)
-    rate = max((t.rate for t in diss.terms), default=0.0)  # b scales with the rates
+    b_scale = _jump_scale(diss.terms)  # b = sum_j gamma_j |c_j|^2 is in these units
 
     def rounded(x, scale=1.0):  # values below the DFS tolerance are exact zeros up to rounding
         return 0.0 if abs(x) < _DFS_TOL * scale else x
@@ -147,7 +148,7 @@ def cmd_dfs(args) -> int:
             "lindblad_eigenvalues": [
                 [rounded(z.real), rounded(z.imag)] for z in b.lindblad_eigenvalues
             ],
-            "damping_eigenvalue": rounded(b.damping_eigenvalue, rate),
+            "damping_eigenvalue": rounded(b.damping_eigenvalue, b_scale),
         }
         for b in decomposition.blocks
     ]

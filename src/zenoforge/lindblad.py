@@ -130,8 +130,12 @@ class LindbladSpec:
         cut has no absolute floor."""
         jumps = [(t.rate, t.op.matrix) for t in self.terms]
         defect = sum((r * (l.conj().T @ l - l @ l.conj().T) for r, l in jumps), 0)
-        scale = max((r * np.max(np.abs(l)) ** 2 for r, l in jumps), default=0.0)
-        return bool(np.max(np.abs(defect)) <= 1e-10 * scale)
+        return bool(np.max(np.abs(defect)) <= 1e-10 * _jump_scale(self.terms))
+
+
+def _jump_scale(terms) -> float:
+    """max_j gamma_j max|Lj|^2: the units of D(1), of G and of b."""
+    return max((t.rate * np.max(np.abs(t.op.matrix)) ** 2 for t in terms), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -296,9 +300,9 @@ def detect_dfs(spec: LindbladSpec) -> DFSDecomposition:
 
     g = sum((r * (l.conj().T @ l) for r, l in active), np.zeros((d, d)))
     rates = [r for r, _ in active]
-    # G and its rounding scale with the rates, so its cut and check are
-    # relative to the largest rate or max|G|, whichever is larger
-    g_scale = max(*rates, float(np.max(np.abs(g)))) if rates else 1.0
+    # G and its rounding scale as gamma_j |Lj|^2, so its cut and check are
+    # relative to max|G|, which is nonzero when some active Lj is
+    g_scale = float(np.max(np.abs(g))) or 1.0
     found: list[tuple[np.ndarray, DFSBlock]] = []
     for sub, lams in blocks:
         b = float(sum(r * abs(lam) ** 2 for r, lam in zip(rates, lams)))

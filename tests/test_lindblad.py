@@ -356,6 +356,15 @@ class TestDetectDfs:
         basis = dfs_span(spec, dfs.blocks[0])
         assert np.allclose(np.abs(basis[:, 0]), [2**-0.5, 2**-0.5], atol=1e-10)
 
+    @pytest.mark.parametrize("diag, dims", [(0.0, (1,)), (1.0, ())])
+    def test_damping_check_scales_with_the_jump_norm(self, diag, dims):
+        # 1e-5 L at rate 1e10 is the dissipator of L at rate 1: G is the same,
+        # so the residual (G - b)|0> = |1> must not be cut as small
+        s = HilbertSpace((2,))
+        jump = Operator(s, 1e-5 * np.array([[1.0, 1.0], [0.0, diag]]))
+        spec = LindbladSpec(zero(s), (LindbladTerm(1e10, jump),))
+        assert detect_dfs(spec).block_dims == dims
+
     @pytest.mark.parametrize("gamma", [1.0, 1e6, 1e8, 1e10, 1.1e12])
     def test_common_rate_keeps_the_chain_block(self, gamma):
         # G's rounding grows with the rates; from 1e8 on it exceeds an absolute cut

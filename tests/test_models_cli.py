@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -154,10 +155,23 @@ class TestCli:
         assert capsys.readouterr().out == f'{{"model": "{name}", "blocks": {out}}}\n'
 
     def test_dfs_keeps_small_damping_eigenvalues(self, capsys):
-        # b = gamma for dephasing: the zero cut is relative to the largest rate
+        # b = gamma for dephasing: the zero cut is relative to max_j gamma_j max|Lj|^2
         assert main(["dfs", "--model", "two-qubit-dephasing", "--gamma", "1e-9"]) == 0
         blocks = json.loads(capsys.readouterr().out)["blocks"]
         assert [b["damping_eigenvalue"] for b in blocks] == [1e-9, 1e-9]
+
+    def test_dfs_cuts_damping_eigenvalues_in_the_units_of_b(self, capsys, monkeypatch):
+        # 1e-5 sigma_z at rate 1e10 dephases as sigma_z at rate 1: b = 1
+        desc = build_model("two-qubit-dephasing")
+        (term,) = desc.spec.terms
+        scaled = lindblad.LindbladTerm(1e10, 1e-5 * term.op)
+        spec = lindblad.LindbladSpec(desc.spec.hamiltonian, (scaled,))
+        monkeypatch.setattr(
+            zenoforge.cli, "_model_from_args", lambda *_: dataclasses.replace(desc, spec=spec)
+        )
+        assert main(["dfs", "--model", "two-qubit-dephasing"]) == 0
+        blocks = json.loads(capsys.readouterr().out)["blocks"]
+        assert [b["damping_eigenvalue"] for b in blocks] == pytest.approx([1.0, 1.0])
 
     def test_dfs_report(self, capsys):
         assert main(["dfs", "--model", "two-qubit-dephasing"]) == 0
