@@ -9,7 +9,6 @@ from .channels import (
     ChoiMatrix,
     GateErrorReport,
     choi,
-    diamond_upper,
     epsilon1,
     epsilon2,
     gate_error_report,
@@ -36,23 +35,16 @@ from .lindblad import (
     detect_dfs,
     dissipator_matrix,
     dual_generator,
-    propagate,
     spec_from_json,
     spec_to_json,
     steady_superprojector,
 )
 from .ops import (
-    DensityMatrix,
     HilbertSpace,
     Operator,
-    commutator,
     expm,
-    hs_inner,
-    hs_norm,
-    identity,
     pauli_on,
     qubits,
-    tensor,
 )
 from .zeno import (
     coherent_generator,

@@ -31,7 +31,6 @@ __all__ = [
     "dfs_dimension",
     "allowed_spins",
     "dual_action_matrix",
-    "characteristic_rate",
     "generate_inventory_schedule",
     "four_body_identities",
     "asymptotic_dim",
@@ -150,15 +149,6 @@ def dual_action_matrix(gamma_x: float, gamma_y: float, gamma_z: float) -> np.nda
             [-gy, -gx, gx + gy],
         ]
     )
-
-
-def characteristic_rate(gamma_x: float, gamma_y: float, gamma_z: float) -> float:
-    """Smallest-magnitude nonvanishing eigenvalue of the 3x3 dual action."""
-    w = np.linalg.eigvalsh(dual_action_matrix(gamma_x, gamma_y, gamma_z))
-    nonzero = np.abs(w)[np.abs(w) > 1e-12 * max(1.0, np.abs(w).max())]
-    if nonzero.size == 0:
-        raise ValueError("all rates vanish")
-    return float(nonzero.min())
 
 
 def asymptotic_dim(n: int) -> float:

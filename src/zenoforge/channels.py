@@ -28,7 +28,6 @@ __all__ = [
     "epsilon2",
     "reduced_channel",
     "reduced_error",
-    "diamond_upper",
     "gate_error_report",
 ]
 
@@ -45,14 +44,6 @@ class ChoiMatrix:
         if mat.shape != (self.dim**2, self.dim**2):
             raise ValueError(f"Choi matrix shape {mat.shape} for dim {self.dim}")
         object.__setattr__(self, "matrix", mat)
-
-    def is_completely_positive(self, tol: float = 1e-9) -> bool:
-        w = np.linalg.eigvalsh((self.matrix + self.matrix.conj().T) / 2)
-        return bool(w.min() >= -tol)
-
-    def is_unitary_channel(self, tol: float = 1e-9) -> bool:
-        j = self.matrix
-        return bool(np.max(np.abs(j @ j - j)) <= tol)
 
 
 def choi(channel: Superoperator | np.ndarray) -> ChoiMatrix:
@@ -139,14 +130,6 @@ def reduced_error(target: Superoperator, goal_unitary: Operator | np.ndarray) ->
     d2 = target.space.dim // u.shape[0]
     reduced = reduced_channel(target, np.eye(d2) / d2)
     return float(np.linalg.norm(reduced.matrix - unitary_superop(u)) ** 2)
-
-
-def diamond_upper(target, goal) -> float:
-    """d * ||E_T - E_G||_HS, an upper bound on the diamond distance."""
-    a = target.matrix if isinstance(target, Superoperator) else np.asarray(target)
-    b = goal.matrix if isinstance(goal, Superoperator) else np.asarray(goal)
-    d = round(a.shape[0] ** 0.5)
-    return float(d * np.linalg.norm(a - b))
 
 
 @dataclass(frozen=True)

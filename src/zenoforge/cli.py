@@ -30,10 +30,8 @@ from .grape import (
 )
 from .lie import dfs_lie_dimension, lie_verdict
 from .lindblad import (
-    _DFS_TOL,
     LindbladSpec,
     _array_from_json,
-    _jump_scale,
     _matrix_from_json,
     detect_dfs,
     spec_from_json,
@@ -135,22 +133,13 @@ def cmd_lie_dim(args) -> int:
 
 def cmd_dfs(args) -> int:
     desc = _model_from_args(args.model, args.n, args.gamma)
-    diss = desc.spec.dissipative_part()
-    decomposition = detect_dfs(diss)
-    b_scale = _jump_scale(diss.terms)  # b = sum_j gamma_j |c_j|^2 is in these units
-
-    def rounded(x, scale=1.0):  # values below the DFS tolerance are exact zeros up to rounding
-        return 0.0 if abs(x) < _DFS_TOL * scale else x
-
     blocks = [
         {
             "dim": b.dim,
-            "lindblad_eigenvalues": [
-                [rounded(z.real), rounded(z.imag)] for z in b.lindblad_eigenvalues
-            ],
-            "damping_eigenvalue": rounded(b.damping_eigenvalue, b_scale),
+            "lindblad_eigenvalues": [[z.real, z.imag] for z in b.lindblad_eigenvalues],
+            "damping_eigenvalue": b.damping_eigenvalue,
         }
-        for b in decomposition.blocks
+        for b in detect_dfs(desc.spec.dissipative_part()).blocks
     ]
     print(json.dumps({"model": args.model, "blocks": blocks}))
     return 0

@@ -25,7 +25,6 @@ dimension d^2 - 1 is su(d), so the dimension alone decides the verdict.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -44,11 +43,6 @@ class ControllabilityVerdict:
     dim: int
     contains_su: bool
     equals_u: bool
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"dim": self.dim, "contains_su": self.contains_su, "equals_u": self.equals_u}
-        )
 
 
 def _verdict(dim: int, d: int) -> ControllabilityVerdict:

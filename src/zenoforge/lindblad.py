@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import HilbertSpace, Operator, expm, hermitian, zero
+from .ops import HilbertSpace, Operator, hermitian, zero
 
 __all__ = [
     "LindbladTerm",
@@ -29,7 +29,6 @@ __all__ = [
     "conjugation_superop",
     "hamiltonian_superop",
     "dissipator_matrix",
-    "propagate",
     "steady_superprojector",
     "detect_dfs",
     "dual_generator",
@@ -130,12 +129,8 @@ class LindbladSpec:
         cut has no absolute floor."""
         jumps = [(t.rate, t.op.matrix) for t in self.terms]
         defect = sum((r * (l.conj().T @ l - l @ l.conj().T) for r, l in jumps), 0)
-        return bool(np.max(np.abs(defect)) <= 1e-10 * _jump_scale(self.terms))
-
-
-def _jump_scale(terms) -> float:
-    """max_j gamma_j max|Lj|^2: the units of D(1), of G and of b."""
-    return max((t.rate * np.max(np.abs(t.op.matrix)) ** 2 for t in terms), default=0.0)
+        scale = max((r * np.max(np.abs(l)) ** 2 for r, l in jumps), default=0.0)
+        return bool(np.max(np.abs(defect)) <= 1e-10 * scale)
 
 
 @dataclass(frozen=True)
@@ -151,24 +146,6 @@ class Superoperator:
         if mat.shape != (d2, d2):
             raise ValueError(f"superoperator shape {mat.shape}, expected {(d2, d2)}")
         object.__setattr__(self, "matrix", mat)
-
-    @classmethod
-    def identity(cls, space: HilbertSpace) -> "Superoperator":
-        return cls(space, np.eye(space.dim ** 2))
-
-    def apply(self, op: Operator) -> Operator:
-        if op.space.dim != self.space.dim:
-            raise ValueError("operator dimension does not match superoperator")
-        return Operator(op.space, unvec(self.matrix @ vec(op.matrix), self.space.dim))
-
-    def __matmul__(self, other: "Superoperator") -> "Superoperator":
-        return Superoperator(self.space, self.matrix @ other.matrix)
-
-    def is_trace_preserving(self, tol: float = 1e-9) -> bool:
-        # Tr{S(rho)} = vec(I)^H S vec(rho) for all rho  <=>  S^H vec(I) = vec(I)
-        d = self.space.dim
-        tid = vec(np.eye(d))
-        return bool(np.max(np.abs(self.matrix.conj().T @ tid - tid)) <= tol)
 
 
 def dissipator_matrix(spec: LindbladSpec) -> Superoperator:
@@ -187,14 +164,6 @@ def dissipator_matrix(spec: LindbladSpec) -> Superoperator:
     return Superoperator(spec.space, mat)
 
 
-def propagate(spec: LindbladSpec, t: float) -> Superoperator:
-    """The semigroup element exp(t L) for the generator of ``spec``."""
-    if not 0 <= t < np.inf:  # NaN fails too
-        raise ValueError(f"time must be finite and non-negative, got {t}")
-    gen = dissipator_matrix(spec)
-    return Superoperator(spec.space, expm(t * gen.matrix))
-
-
 def _kernel_tolerance(values: np.ndarray, tol: float) -> float:
     scale = float(np.max(np.abs(values))) if values.size else 0.0
     return tol * max(scale, 1.0)
@@ -205,9 +174,10 @@ def steady_superprojector(spec: LindbladSpec) -> Superoperator:
 
     Requires an attractive generator: zero eigenvalue semisimple, every
     other eigenvalue with strictly negative real part. The result is the
-    infinite-time limit of ``propagate`` and satisfies P^2 = P, but is not
-    Hermitian as a matrix in general. Dense (d^2 x d^2): the float oracle of
-    ``exact.superproject``'s P(H) for a unital dissipator.
+    infinite-time limit of the semigroup exp(t L) of the generator L and
+    satisfies P^2 = P, but is not Hermitian as a matrix in general. Dense
+    (d^2 x d^2): the float oracle of ``exact.superproject``'s P(H) for a
+    unital dissipator.
     """
     import scipy.linalg
 
@@ -280,42 +250,51 @@ def detect_dfs(spec: LindbladSpec) -> DFSDecomposition:
     by eigenvalue into the null spaces of (L_j - c_j) B, one operator after
     another, and then cut down to the null space of (G - b) B; every
     surviving block is verified against the defining conditions, and the
-    blocks must be mutually orthogonal. The bases stay local: a block is
-    returned as its dimension and labels c_j and b.
+    blocks must be mutually orthogonal. Each L_j is refined and checked as
+    L_j / s_j with s_j = max|L_j|, so no cut depends on how gamma_j and L_j
+    split the dissipator. The bases stay local: a block is returned as its
+    dimension and labels c_j and b, where a part of c_j below 1e-8 s_j and a
+    b below 1e-8 max|G| are exact zeros.
     """
     d = spec.space.dim
     active = [(t.rate, t.op.matrix) for t in spec.terms if t.rate > 0]
+    scales = [float(np.max(np.abs(l))) or 1.0 for _, l in active]
+    units = [l / s for (_, l), s in zip(active, scales)]
     blocks: list[tuple[np.ndarray, tuple[complex, ...]]] = [(np.eye(d, dtype=complex), ())]
-    for _, l in active:
+    for u in units:
         refined: list[tuple[np.ndarray, tuple[complex, ...]]] = []
         for sub, lams in blocks:
-            comp = sub.conj().T @ l @ sub
+            comp = sub.conj().T @ u @ sub
             for lam in _cluster(np.linalg.eigvals(comp), 10 * _DFS_TOL):
-                cand = sub @ _null_space(l @ sub - lam * sub, _DFS_TOL)
+                cand = sub @ _null_space(u @ sub - lam * sub, _DFS_TOL)
                 if cand.shape[1] == 0:
                     continue
-                lam_refined = complex(np.trace(cand.conj().T @ l @ cand) / cand.shape[1])
+                lam_refined = complex(np.trace(cand.conj().T @ u @ cand) / cand.shape[1])
                 refined.append((cand, lams + (lam_refined,)))
         blocks = refined
 
     g = sum((r * (l.conj().T @ l) for r, l in active), np.zeros((d, d)))
-    rates = [r for r, _ in active]
     # G and its rounding scale as gamma_j |Lj|^2, so its cut and check are
     # relative to max|G|, which is nonzero when some active Lj is
     g_scale = float(np.max(np.abs(g))) or 1.0
+
+    def cut(x: float, scale: float) -> float:
+        return 0.0 if abs(x) < _DFS_TOL * scale else x
+
     found: list[tuple[np.ndarray, DFSBlock]] = []
     for sub, lams in blocks:
-        b = float(sum(r * abs(lam) ** 2 for r, lam in zip(rates, lams)))
+        cs = [lam * s for lam, s in zip(lams, scales)]
+        b = float(sum(r * abs(c) ** 2 for (r, _), c in zip(active, cs)))
         sub = sub @ _null_space((g @ sub - b * sub) / g_scale, _DFS_TOL)
         if sub.shape[1] == 0:
             continue
         # Verify the defining conditions on every basis vector.
         ok = all(
-            np.max(np.abs(l @ sub - lam * sub)) <= 10 * _DFS_TOL
-            for (_, l), lam in zip(active, lams)
+            np.max(np.abs(u @ sub - lam * sub)) <= 10 * _DFS_TOL for u, lam in zip(units, lams)
         ) and np.max(np.abs(g @ sub - b * sub)) <= 10 * _DFS_TOL * g_scale
         if ok:
-            found.append((sub, DFSBlock(sub.shape[1], tuple(lams), b)))
+            labels = tuple(complex(cut(c.real, s), cut(c.imag, s)) for c, s in zip(cs, scales))
+            found.append((sub, DFSBlock(sub.shape[1], labels, cut(b, g_scale))))
 
     def sort_key(block: DFSBlock):
         lam6 = tuple(

@@ -18,17 +18,11 @@ import numpy as np
 __all__ = [
     "HilbertSpace",
     "Operator",
-    "DensityMatrix",
     "qubits",
-    "identity",
     "zero",
     "pauli_on",
     "lowering_on",
-    "tensor",
     "hermitian",
-    "commutator",
-    "hs_inner",
-    "hs_norm",
     "expm",
     "PAULI",
 ]
@@ -103,9 +97,6 @@ class Operator:
             raise ValueError(f"matrix shape {mat.shape} does not match dim {d}")
         object.__setattr__(self, "matrix", _frozen(mat))
 
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
-
     def __add__(self, other: "Operator") -> "Operator":
         self._check_space(other)
         return Operator(self.space, self.matrix + other.matrix)
@@ -133,20 +124,6 @@ class Operator:
             )
 
 
-class DensityMatrix(Operator):
-    """An Operator constrained to be a valid quantum state."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        mat = hermitian(self, "density matrix")
-        object.__setattr__(self, "matrix", _frozen(mat))
-        if abs(np.trace(mat) - 1.0) > 1e-10:
-            raise ValueError(f"trace {np.trace(mat)} is not 1")
-        eigs = np.linalg.eigvalsh(mat)
-        if eigs.min() < -1e-10:
-            raise ValueError(f"negative eigenvalue {eigs.min()}")
-
-
 def hermitian(a, name: str) -> np.ndarray:
     """The exact Hermitian part A/2 + A^dag/2 of an Operator or a square
     array A. The one Hermiticity rule of the package: max|A - A^dag| must be
@@ -161,10 +138,6 @@ def hermitian(a, name: str) -> np.ndarray:
     if not skew <= 1e-10 * max(1.0, scale):
         raise ValueError(f"{name} is not Hermitian within 1e-10 of its largest entry")
     return mat / 2 + mat.conj().T / 2
-
-
-def identity(space: HilbertSpace) -> Operator:
-    return Operator(space, np.eye(space.dim))
 
 
 def zero(space: HilbertSpace) -> Operator:
@@ -189,26 +162,6 @@ def pauli_on(space: HilbertSpace, site: int, axis: str) -> Operator:
 def lowering_on(space: HilbertSpace, site: int) -> Operator:
     """(sigma_x - i sigma_y)/2 on ``site``: maps |1> to |0>."""
     return 0.5 * (pauli_on(space, site, "x") - 1j * pauli_on(space, site, "y"))
-
-
-def tensor(a: Operator, b: Operator) -> Operator:
-    space = HilbertSpace(a.space.factor_dims + b.space.factor_dims)
-    return Operator(space, np.kron(a.matrix, b.matrix))
-
-
-def commutator(a: Operator, b: Operator) -> Operator:
-    a._check_space(b)
-    return Operator(a.space, a.matrix @ b.matrix - b.matrix @ a.matrix)
-
-
-def hs_inner(a: Operator, b: Operator) -> complex:
-    """Hilbert-Schmidt inner product Tr{A^dag B}."""
-    a._check_space(b)
-    return complex(np.sum(a.matrix.conj() * b.matrix))
-
-
-def hs_norm(a: Operator) -> float:
-    return float(np.linalg.norm(a.matrix))
 
 
 def expm(a):

@@ -189,9 +189,10 @@ class TestPropagateSchedule:
         system = two_qubit_system(1.3)
         for _ in range(5):
             sched = random_schedule(system, 8, rng)
-            prop = propagate_schedule(system, sched)
-            assert prop.is_trace_preserving(1e-9)
-            assert choi(prop.matrix).is_completely_positive(1e-8)
+            prop = propagate_schedule(system, sched).matrix
+            tid = vec(np.eye(4))
+            assert np.max(np.abs(prop.conj().T @ tid - tid)) <= 1e-9
+            assert np.linalg.eigvalsh(choi(prop).matrix).min() >= -1e-8
 
     def test_rejects_bad_shapes_and_nonfinite(self):
         system = two_qubit_system(1.0)

@@ -136,14 +136,6 @@ class TestControllabilityVerdict:
         verdict = report.block_verdicts[0]
         assert verdict.contains_su and verdict.equals_u
 
-    def test_json_round_trip(self):
-        import json
-
-        v = ControllabilityVerdict(3, True, False)
-        doc = json.loads(v.to_json())
-        assert doc == {"dim": 3, "contains_su": True, "equals_u": False}
-
-
 class TestDfsLieDimension:
     def test_amp_damping_block_dim_three(self):
         spec = LindbladSpec(zero(S2), (LindbladTerm(1.0, lowering_on(S2, 1)),))

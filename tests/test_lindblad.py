@@ -15,7 +15,6 @@ from zenoforge.lindblad import (
     detect_dfs,
     dissipator_matrix,
     dual_generator,
-    propagate,
     spec_from_json,
     spec_to_json,
     steady_superprojector,
@@ -26,6 +25,7 @@ from zenoforge.models import build_model
 from zenoforge.ops import (
     HilbertSpace,
     Operator,
+    expm,
     lowering_on,
     pauli_on,
     qubits,
@@ -131,19 +131,6 @@ class TestDissipatorMatrix:
 
 
 class TestPropagate:
-    def test_zero_time_is_identity(self):
-        p = propagate(amp_damping_spec(), 0.0)
-        assert np.allclose(p.matrix, np.eye(16))
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            propagate(amp_damping_spec(), -0.1)
-
-    @pytest.mark.parametrize("t", [np.inf, np.nan])
-    def test_non_finite_time_rejected(self, t):
-        with pytest.raises(ValueError, match="finite"):
-            propagate(amp_damping_spec(), t)
-
     @pytest.mark.parametrize("gt", [0.1, 1.0, 5.0])
     def test_two_qubit_amp_damping_closed_form(self, gt):
         gamma = 1.0
@@ -155,7 +142,7 @@ class TestPropagate:
         analytic = conjugation_superop(a, a) + (
             1 - np.exp(-2 * gamma * gt)
         ) * conjugation_superop(l, l.conj().T)
-        assert np.max(np.abs(propagate(spec, gt).matrix - analytic)) < 1e-8
+        assert np.max(np.abs(expm(gt * dissipator_matrix(spec).matrix) - analytic)) < 1e-8
 
     def test_n_level_atom_closed_form(self):
         gammas = (1.0, 0.7, 1.3)
@@ -174,15 +161,16 @@ class TestPropagate:
                 g * conjugation_superop(term.op.matrix, term.op.matrix.conj().T)
                 for g, term in zip(gammas, spec.terms)
             )
-            assert np.max(np.abs(propagate(spec, t).matrix - analytic)) < 1e-8
+            assert np.max(np.abs(expm(t * dissipator_matrix(spec).matrix) - analytic)) < 1e-8
 
     def test_trace_preserving_and_positive_on_random_states(self, rng):
         spec = amp_damping_spec(0.8)
-        prop = propagate(spec, 0.7)
-        assert prop.is_trace_preserving(1e-9)
+        prop = expm(0.7 * dissipator_matrix(spec).matrix)
+        tid = vec(np.eye(4))  # trace preserving: S^H vec(1) = vec(1)
+        assert np.max(np.abs(prop.conj().T @ tid - tid)) <= 1e-9
         for _ in range(100):
             rho = random_density(4, rng)
-            out = unvec(prop.matrix @ vec(rho), 4)
+            out = unvec(prop @ vec(rho), 4)
             assert abs(np.trace(out) - 1) < 1e-9
             assert np.linalg.eigvalsh((out + out.conj().T) / 2).min() > -1e-8
 
@@ -222,14 +210,15 @@ class TestSteadySuperprojector:
         spec = amp_damping_spec(1.0)
         p = steady_superprojector(spec).matrix
         for t in (1.0, 10.0):
-            e = propagate(spec, t).matrix
+            e = expm(t * dissipator_matrix(spec).matrix)
             assert np.max(np.abs(p @ e - p)) < 1e-8
             assert np.max(np.abs(e @ p - p)) < 1e-8
 
     def test_propagator_converges_to_projector(self):
         spec = amp_damping_spec(1.0)
         p = steady_superprojector(spec).matrix
-        errs = [np.max(np.abs(propagate(spec, t).matrix - p)) for t in (2.0, 8.0, 20.0)]
+        gen = dissipator_matrix(spec).matrix
+        errs = [np.max(np.abs(expm(t * gen) - p)) for t in (2.0, 8.0, 20.0)]
         assert errs[0] > errs[1] > errs[2]
         assert errs[-1] < 1e-8
 
@@ -365,6 +354,18 @@ class TestDetectDfs:
         spec = LindbladSpec(zero(s), (LindbladTerm(1e10, jump),))
         assert detect_dfs(spec).block_dims == dims
 
+    @pytest.mark.parametrize(
+        "scale, rate", [(1e-9, 1.0), (1e-9, 1e18), (1e-5, 1e10), (1e5, 1.0)]
+    )
+    def test_jump_scale_keeps_the_dfs(self, scale, rate):
+        # scale L at any rate: |0> - |1> stays decoherence-free, with c = b = 0
+        s = HilbertSpace((2,))
+        jump = Operator(s, scale * np.array([[1.0, 1.0], [0.0, 0.0]]))
+        dfs = detect_dfs(LindbladSpec(zero(s), (LindbladTerm(rate, jump),)))
+        assert dfs.block_dims == (1,)
+        assert dfs.blocks[0].lindblad_eigenvalues == (0j,)
+        assert dfs.blocks[0].damping_eigenvalue == 0.0
+
     @pytest.mark.parametrize("gamma", [1.0, 1e6, 1e8, 1e10, 1.1e12])
     def test_common_rate_keeps_the_chain_block(self, gamma):
         # G's rounding grows with the rates; from 1e8 on it exceeds an absolute cut
@@ -457,7 +458,7 @@ class TestSuperprojectorProperties:
         assert (p is not None) == dissipative
         if p is None:
             return
-        e = propagate(spec, 1.0).matrix
+        e = expm(dissipator_matrix(spec).matrix)
         assert np.max(np.abs(p @ p - p)) < 1e-8
         assert np.max(np.abs(p @ e - p)) < 1e-8
         assert np.max(np.abs(e @ p - p)) < 1e-8
@@ -548,12 +549,6 @@ class TestJsonRoundTrip:
 
 
 class TestSuperoperatorType:
-    def test_identity_and_apply(self):
-        s = qubits(1)
-        eye = Superoperator.identity(s)
-        op = pauli_on(s, 0, "x")
-        assert np.allclose(eye.apply(op).matrix, op.matrix)
-
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             Superoperator(qubits(1), np.eye(3))

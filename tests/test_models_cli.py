@@ -81,6 +81,35 @@ class TestRegistry:
         assert np.allclose(HADAMARD @ HADAMARD.conj().T, np.eye(2))
 
 
+# `dfs` stdout per registered model at the default gamma, 1e-9 and 1e9: every
+# label is 0 but dephasing's, whose b is gamma
+_DFS_ZERO = [
+    ("two-qubit-amp",
+     '[{"dim": 2, "lindblad_eigenvalues": [[0.0, 0.0]], "damping_eigenvalue": 0.0}]'),
+    ("n-level-atom",
+     '[{"dim": 3, "lindblad_eigenvalues": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], '
+     '"damping_eigenvalue": 0.0}]'),
+    ("ising-chain",
+     '[{"dim": 2, "lindblad_eigenvalues": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], '
+     '"damping_eigenvalue": 0.0}]'),
+]
+
+
+def _dephasing_out(b):
+    return (f'[{{"dim": 2, "lindblad_eigenvalues": [[-1.0, 0.0]], "damping_eigenvalue": {b}}}, '
+            f'{{"dim": 2, "lindblad_eigenvalues": [[1.0, 0.0]], "damping_eigenvalue": {b}}}]')
+
+
+DFS_ROWS = [
+    *[(name, gamma, out) for gamma in (None, "1e-9", "1e9") for name, out in _DFS_ZERO],
+    *[("two-qubit-dephasing", gamma, _dephasing_out(b))
+      for gamma, b in ((None, "1.0"), ("1e-9", "1e-09"), ("1e9", "1000000000.0"))],
+]
+# a default-gamma row is named by its output, as test ids have always named it
+DFS_IDS = [f"{name}-{out}" if gamma is None else f"{name}-gamma{gamma}"
+           for name, gamma, out in DFS_ROWS]
+
+
 class TestCli:
     def test_runs_as_module(self):
         src = str(Path(zenoforge.__file__).resolve().parents[1])
@@ -134,24 +163,10 @@ class TestCli:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
 
-    @pytest.mark.parametrize(
-        "name, out",
-        [
-            ("two-qubit-amp",
-             '[{"dim": 2, "lindblad_eigenvalues": [[0.0, 0.0]], "damping_eigenvalue": 0.0}]'),
-            ("two-qubit-dephasing",
-             '[{"dim": 2, "lindblad_eigenvalues": [[-1.0, 0.0]], "damping_eigenvalue": 1.0}, '
-             '{"dim": 2, "lindblad_eigenvalues": [[1.0, 0.0]], "damping_eigenvalue": 1.0}]'),
-            ("n-level-atom",
-             '[{"dim": 3, "lindblad_eigenvalues": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], '
-             '"damping_eigenvalue": 0.0}]'),
-            ("ising-chain",
-             '[{"dim": 2, "lindblad_eigenvalues": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], '
-             '"damping_eigenvalue": 0.0}]'),
-        ],
-    )
-    def test_dfs_of_every_registered_model(self, capsys, name, out):
-        assert main(["dfs", "--model", name]) == 0
+    @pytest.mark.parametrize("name, gamma, out", DFS_ROWS, ids=DFS_IDS)
+    def test_dfs_of_every_registered_model(self, capsys, name, gamma, out):
+        argv = ["dfs", "--model", name] + (["--gamma", gamma] if gamma else [])
+        assert main(argv) == 0
         assert capsys.readouterr().out == f'{{"model": "{name}", "blocks": {out}}}\n'
 
     def test_dfs_keeps_small_damping_eigenvalues(self, capsys):

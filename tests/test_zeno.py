@@ -22,7 +22,6 @@ from zenoforge.ops import (
     HilbertSpace,
     Operator,
     expm,
-    identity,
     lowering_on,
     pauli_on,
     qubits,
@@ -145,7 +144,7 @@ class TestSuperprojectHamiltonian:
         assert np.allclose(out1, -(pauli_on(S2, 0, "y") @ pauli_on(S2, 1, "z")).matrix, atol=1e-10)
 
     def test_identity_is_fixed(self):
-        assert np.allclose(proven_superprojection(deph_spec(), identity(S2)), np.eye(4))
+        assert np.allclose(proven_superprojection(deph_spec(), Operator(S2, np.eye(4))), np.eye(4))
 
     def test_nonunital_rejected(self, monkeypatch):
         # a non-unital dissipator never reaches P(H): its joint closure is
@@ -218,7 +217,7 @@ class TestSuperprojectAgainstDense:
         # in floats, against the dense oracle
         desc = build_model(name, **size)
         diss = desc.spec.dissipative_part()
-        for h in (*desc.controls, identity(desc.spec.space)):
+        for h in (*desc.controls, Operator(desc.spec.space, np.eye(desc.spec.space.dim))):
             out = proven_superprojection(diss, h)
             assert np.max(np.abs(out - dense_superprojection(diss, h))) < 1e-12
 
@@ -245,7 +244,8 @@ class TestSuperprojectAgainstDense:
         for t in spec.terms:
             for l in (t.op.matrix, t.op.matrix.conj().T):
                 assert np.max(np.abs(l @ out - out @ l)) < 1e-10
-        assert np.max(np.abs(dense_superprojection(spec, identity(space)) - np.eye(d))) < 1e-12
+        fixed = dense_superprojection(spec, Operator(space, np.eye(d)))
+        assert np.max(np.abs(fixed - np.eye(d))) < 1e-12
         # covariant: P_{U.U^dag}(U H U^dag) = U P(H) U^dag
         u = random_unitary(d, g)
         turned = LindbladSpec(
@@ -360,7 +360,7 @@ class TestStrongDampingError:
         with pytest.raises(ValueError):
             strong_damping_error(spec, 1.0, 1.0)
 
-    @pytest.mark.parametrize("jump", [identity(S2), zero(S2)], ids=["identity", "zero"])
+    @pytest.mark.parametrize("jump", [Operator(S2, np.eye(4)), zero(S2)], ids=["identity", "zero"])
     def test_vanishing_dissipator_rejected(self, jump):
         # a positive rate whose jump operator gives D = 0 relaxes nothing either
         spec = LindbladSpec(H0, (LindbladTerm(1.0, jump),))
