@@ -19,7 +19,6 @@ from .grape import (
     Eps1Target,
     Eps2Target,
     OptimizationResult,
-    PulseSchedule,
     gamma_sweep,
     objective_and_gradient,
     optimize,

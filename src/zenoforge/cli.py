@@ -24,7 +24,6 @@ from .grape import (
     ControlSystem,
     Eps1Target,
     Eps2Target,
-    PulseSchedule,
     gamma_sweep,
     propagate_schedule,
 )
@@ -310,7 +309,7 @@ def _fidelity_report(job):
     )
     total_time = float(_array_from_json(sys_doc.get("total_time", 1.0), 0, "total_time"))
     system = ControlSystem(controls, spec, total_time)
-    schedule = PulseSchedule(total_time, _array_from_json(job["amplitudes"], 2, "amplitudes"))
+    amplitudes = _array_from_json(job["amplitudes"], 2, "amplitudes")
     target = job.get("target", "hadamard")
     if isinstance(target, str):
         if target != "hadamard":
@@ -321,7 +320,7 @@ def _fidelity_report(job):
     d1 = spec.space.factor_dims[0]
     _check_goal(goal_unitary, d1)
     etilde = _etilde(job.get("etilde", "identity"), spec, spec.space.dim // d1)
-    return gate_error_report(propagate_schedule(system, schedule), goal_unitary, etilde)
+    return gate_error_report(propagate_schedule(system, amplitudes), goal_unitary, etilde)
 
 
 def build_parser() -> argparse.ArgumentParser:

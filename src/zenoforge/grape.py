@@ -54,7 +54,6 @@ from .ops import Operator, hermitian
 
 __all__ = [
     "ControlSystem",
-    "PulseSchedule",
     "OptimizationResult",
     "Eps1Target",
     "Eps2Target",
@@ -123,38 +122,26 @@ def _to_real_basis(basis: np.ndarray, superop: np.ndarray) -> np.ndarray:
     return (basis.conj().T @ superop @ basis).real
 
 
-@dataclass(frozen=True)
-class PulseSchedule:
-    """Amplitudes f[l, k] for control l on slice k."""
-
-    total_time: float
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.atleast_2d(np.asarray(self.amplitudes, dtype=float))
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("amplitudes must be finite")
-        if amps.shape[1] == 0:
-            raise ValueError("a pulse schedule needs at least one slice")
-        if not 0 < self.total_time < np.inf:  # NaN fails too
-            raise ValueError("total time must be positive and finite")
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def n_slices(self) -> int:
-        return self.amplitudes.shape[1]
-
-    @property
-    def slice_duration(self) -> float:
-        return self.total_time / self.n_slices
+def _amplitudes(system: ControlSystem, schedule) -> np.ndarray:
+    """A pulse schedule as the float array f[l, k] of control l on slice k,
+    whose n slices each last system.total_time / n."""
+    amps = np.atleast_2d(np.asarray(schedule, dtype=float))
+    if not np.all(np.isfinite(amps)):
+        raise ValueError("amplitudes must be finite")
+    if amps.shape[1] == 0:
+        raise ValueError("a pulse schedule needs at least one slice")
+    if amps.shape[0] != system.n_controls:
+        raise ValueError(
+            f"schedule has {amps.shape[0]} control rows, system has {system.n_controls}"
+        )
+    return amps
 
 
 def random_schedule(
     system: ControlSystem, n_slices: int, rng: np.random.Generator
-) -> PulseSchedule:
+) -> np.ndarray:
     """Initial guess: i.i.d. uniform amplitudes in [-1, 1] scaled by 1/T."""
-    amps = rng.uniform(-1.0, 1.0, size=(system.n_controls, n_slices)) / system.total_time
-    return PulseSchedule(system.total_time, amps)
+    return rng.uniform(-1.0, 1.0, size=(system.n_controls, n_slices)) / system.total_time
 
 
 # The degree-18 Taylor polynomial of exp in five products (Bader, Blanes &
@@ -272,22 +259,17 @@ def _frechet_stack(tape: _Tape, e: np.ndarray) -> np.ndarray:
     return dz[s % 2]
 
 
-def _forward(system: ControlSystem, schedule: PulseSchedule):
+def _forward(system: ControlSystem, schedule):
     """Real stacked slice generators A_k, the tape of their exponentials E_k
     and the prefix products P_k = E_{k-1} ... E_0 in the Hermitian basis,
     and the total map E_T in the vec basis."""
-    amps = schedule.amplitudes
-    if amps.shape[0] != system.n_controls:
-        raise ValueError(
-            f"schedule has {amps.shape[0]} control rows, "
-            f"system has {system.n_controls}"
-        )
+    amps = _amplitudes(system, schedule)
     basis, base, controls = system._generators
     n, dim = amps.shape[1], base.shape[0]
     # every slice's dt (D + sum_l f_lk K_l) in one GEMM
     gens = (amps.T @ controls.reshape(len(controls), -1)).reshape(n, dim, dim)
     gens += base
-    gens *= schedule.slice_duration
+    gens *= system.total_time / n
     tape = _expm_stack(gens)
     prefix = np.empty((n + 1, dim, dim))
     prefix[0] = np.eye(dim)
@@ -296,8 +278,9 @@ def _forward(system: ControlSystem, schedule: PulseSchedule):
     return gens, tape, prefix[:n], basis @ prefix[n] @ basis.conj().T
 
 
-def propagate_schedule(system: ControlSystem, schedule: PulseSchedule) -> Superoperator:
-    """Ordered product of slice exponentials exp(dt (K(f_k) + D)).
+def propagate_schedule(system: ControlSystem, schedule) -> Superoperator:
+    """Ordered product of slice exponentials exp(dt (K(f_k) + D)) over the
+    amplitude array f[l, k], with dt = system.total_time / n_slices.
 
     The product must be a channel, and no entry of a channel's matrix exceeds
     1 in modulus: |<i|E(|k><l|)|j>| <= ||E(|k><l|)||_1 <= 1. A larger or
@@ -349,14 +332,14 @@ class Eps2Target:
 
 
 def objective_and_gradient(
-    system: ControlSystem, schedule: PulseSchedule, target
+    system: ControlSystem, schedule, target
 ) -> tuple[float, np.ndarray]:
     """Objective and its exact gradient w.r.t. every slice amplitude."""
     gens, tape, prefix, e_total = _forward(system, schedule)
     value, cograd = target.value_and_cograd(e_total)
     props = tape.exp
     if not np.isfinite(props).all():  # an overflowing L-BFGS probe: no gradient
-        return value, np.full(schedule.amplitudes.shape, np.nan)
+        return value, np.full((system.n_controls, len(gens)), np.nan)
     # In the Hermitian basis E_T = Q T Q^H with T real, so d(value) =
     # sum(G * dT) for G = Re(Q^T cograd conj(Q)). Costate G_k = S_k^T G with
     # S_k = E_{n-1} ... E_{k+1}: d(value) = sum(W_k * dE_k) for W_k = G_k P_k^T,
@@ -372,14 +355,13 @@ def objective_and_gradient(
         np.dot(costates[k], props[k], out=costates[k - 1])
     adjoints = _frechet_stack(tape, np.matmul(prefix, costates))
     grad = controls.transpose(0, 2, 1).reshape(len(controls), -1) @ adjoints.reshape(n, -1).T
-    return value, schedule.slice_duration * grad
+    return value, (system.total_time / n) * grad
 
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    best_schedule: PulseSchedule
+    best_schedule: np.ndarray  # the amplitude array f[l, k] of the best value
     best_value: float
-    traces: tuple[tuple[float, ...], ...]
     n_evaluations: int
     converged: bool
     iterations: int
@@ -394,19 +376,11 @@ def _restart(
 
     m = system.n_controls
     rng = np.random.default_rng([seed, r])
-    x0 = random_schedule(system, n_slices, rng).amplitudes.reshape(-1)
-    evals = 0
-    trace: list[float] = []
+    x0 = random_schedule(system, n_slices, rng).reshape(-1)
 
     def fun(x):
-        nonlocal evals
-        evals += 1
-        sched = PulseSchedule(system.total_time, x.reshape(m, n_slices))
-        v, g = objective_and_gradient(system, sched, target)
+        v, g = objective_and_gradient(system, x.reshape(m, n_slices), target)
         return v, g.reshape(-1)
-
-    def callback(intermediate_result):
-        trace.append(intermediate_result.fun)
 
     with blas.one_thread():
         res = scipy.optimize.minimize(
@@ -414,21 +388,18 @@ def _restart(
             x0,
             jac=True,
             method="L-BFGS-B",
-            callback=callback,
             options={
                 "maxiter": max_iterations,
                 "gtol": 1e-8,
                 "ftol": 1e-12,
             },
         )
-    schedule = PulseSchedule(system.total_time, res.x.reshape(m, n_slices))
-    return OptimizationResult(
-        schedule, float(res.fun), (tuple(trace),), evals, bool(res.success), int(res.nit)
-    )
+    x = res.x.reshape(m, n_slices)
+    return OptimizationResult(x, float(res.fun), int(res.nfev), bool(res.success), int(res.nit))
 
 
 def _best(runs: list[OptimizationResult]) -> OptimizationResult:
-    """The first run with the lowest value, with the traces and totals of all."""
+    """The first run with the lowest value, with the totals of all."""
     best_value, best = np.inf, None
     for run in runs:
         if run.best_value < best_value:
@@ -436,7 +407,6 @@ def _best(runs: list[OptimizationResult]) -> OptimizationResult:
     return OptimizationResult(
         best.best_schedule,
         best_value,
-        tuple(trace for run in runs for trace in run.traces),
         sum(run.n_evaluations for run in runs),
         any(run.converged for run in runs),
         sum(run.iterations for run in runs),

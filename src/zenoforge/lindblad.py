@@ -273,9 +273,13 @@ def detect_dfs(spec: LindbladSpec) -> DFSDecomposition:
                 refined.append((cand, lams + (lam_refined,)))
         blocks = refined
 
-    g = sum((r * (l.conj().T @ l) for r, l in active), np.zeros((d, d)))
     # G and its rounding scale as gamma_j |Lj|^2, so its cut and check are
-    # relative to max|G|, which is nonzero when some active Lj is
+    # relative to max|G|, which is nonzero when some active Lj is. The blocks
+    # do not change with a common factor of the rates, so G and b take the
+    # rates over the largest, and b is scaled back: a subnormal max|G| would
+    # overflow the division by it.
+    top = max((r for r, _ in active), default=1.0)
+    g = sum((r / top * (l.conj().T @ l) for r, l in active), np.zeros((d, d)))
     g_scale = float(np.max(np.abs(g))) or 1.0
 
     def cut(x: float, scale: float) -> float:
@@ -284,7 +288,7 @@ def detect_dfs(spec: LindbladSpec) -> DFSDecomposition:
     found: list[tuple[np.ndarray, DFSBlock]] = []
     for sub, lams in blocks:
         cs = [lam * s for lam, s in zip(lams, scales)]
-        b = float(sum(r * abs(c) ** 2 for (r, _), c in zip(active, cs)))
+        b = float(sum(r / top * abs(c) ** 2 for (r, _), c in zip(active, cs)))
         sub = sub @ _null_space((g @ sub - b * sub) / g_scale, _DFS_TOL)
         if sub.shape[1] == 0:
             continue
@@ -294,7 +298,7 @@ def detect_dfs(spec: LindbladSpec) -> DFSDecomposition:
         ) and np.max(np.abs(g @ sub - b * sub)) <= 10 * _DFS_TOL * g_scale
         if ok:
             labels = tuple(complex(cut(c.real, s), cut(c.imag, s)) for c, s in zip(cs, scales))
-            found.append((sub, DFSBlock(sub.shape[1], labels, cut(b, g_scale))))
+            found.append((sub, DFSBlock(sub.shape[1], labels, cut(b, g_scale) * top)))
 
     def sort_key(block: DFSBlock):
         lam6 = tuple(

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from zenoforge.channels import (
-    ChoiMatrix,
     _eps2_weight,
-    GateErrorReport,
     choi,
     epsilon1,
     epsilon2,
@@ -192,10 +190,7 @@ def unitary_pair_diamond_distance(u, v):
     """Oracle: exact diamond distance between unitary conjugations from
     the eigenvalue arc of u^dag v."""
     phases = np.angle(np.linalg.eigvals(u.conj().T @ v))
-    points = np.exp(1j * phases)
     # distance from the origin to the convex hull of the eigenvalue points
-    spread = np.max(phases) - np.min(phases)
-    spreads = []
     sorted_ph = np.sort(phases)
     gaps = np.diff(np.concatenate([sorted_ph, [sorted_ph[0] + 2 * np.pi]]))
     largest_gap = np.max(gaps)

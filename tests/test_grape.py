@@ -26,8 +26,6 @@ from zenoforge.grape import (
     ControlSystem,
     Eps1Target,
     Eps2Target,
-    OptimizationResult,
-    PulseSchedule,
     gamma_sweep,
     objective_and_gradient,
     optimize,
@@ -37,7 +35,6 @@ from zenoforge.grape import (
 from zenoforge.lindblad import (
     LindbladSpec,
     LindbladTerm,
-    Superoperator,
     dissipator_matrix,
     hamiltonian_superop,
     vec,
@@ -76,9 +73,9 @@ def forward_mode_kernel(system, schedule, target):
     suffix @ dE @ prefix. Returns (E_T, gradient)."""
     base = dissipator_matrix(system.spec).matrix
     controls = [hamiltonian_superop(c.matrix) for c in system.controls]
-    amps = schedule.amplitudes
+    amps = np.asarray(schedule, dtype=float)
     m, n = amps.shape
-    dt = schedule.slice_duration
+    dt = system.total_time / n
     dim = base.shape[0]
     props = np.empty((n, dim, dim), dtype=complex)
     derivs = np.empty((m, n, dim, dim), dtype=complex)
@@ -112,9 +109,9 @@ def complex_adjoint_kernel(system, schedule, target):
     adjoint expm_frechet per slice. Returns (E_T, gradient)."""
     base = dissipator_matrix(system.spec).matrix
     controls = np.stack([hamiltonian_superop(c.matrix) for c in system.controls])
-    gens = schedule.slice_duration * (
-        base + sum(f[:, None, None] * km for f, km in zip(schedule.amplitudes, controls))
-    )
+    n = schedule.shape[1]
+    dt = system.total_time / n
+    gens = dt * (base + sum(f[:, None, None] * km for f, km in zip(schedule, controls)))
     props = scipy.linalg.expm(gens)
     prefix = np.empty_like(props)
     e_total = np.eye(base.shape[0], dtype=complex)
@@ -124,12 +121,12 @@ def complex_adjoint_kernel(system, schedule, target):
     _, cograd = target.value_and_cograd(e_total)
     adjoints = np.empty_like(props)
     costate = cograd
-    for k in range(schedule.n_slices - 1, -1, -1):
+    for k in range(n - 1, -1, -1):
         w = costate @ prefix[k].T
         adjoints[k] = scipy.linalg.expm_frechet(gens[k].conj().T, w.conj(), compute_expm=False)
         costate = props[k].T @ costate
     grad = np.tensordot(controls, adjoints.conj(), axes=([1, 2], [1, 2]))
-    return e_total, schedule.slice_duration * grad.real
+    return e_total, dt * grad.real
 
 
 def van_loan_frechet(a, e):
@@ -166,7 +163,7 @@ def assert_gradients_agree(got, want):
 class TestPropagateSchedule:
     def test_zero_everything_gives_identity(self):
         system = ControlSystem((H0,), LindbladSpec(zero(S2)), 1.0)
-        sched = PulseSchedule(1.0, np.zeros((1, 5)))
+        sched = np.zeros((1, 5))
         assert np.allclose(propagate_schedule(system, sched).matrix, np.eye(16))
 
     def test_single_slice_matches_direct_exponential(self):
@@ -174,15 +171,15 @@ class TestPropagateSchedule:
         from zenoforge.zeno import coherent_generator
 
         system = ControlSystem((H0,), LindbladSpec(zero(S2)), 1.0)
-        sched = PulseSchedule(1.0, np.array([[0.7]]))
+        sched = np.array([[0.7]])
         direct = expm(0.7 * coherent_generator(H0).matrix)
         assert np.max(np.abs(propagate_schedule(system, sched).matrix - direct)) < 1e-12
 
     def test_piecewise_constant_consistency(self, rng):
         system = two_qubit_system(0.5)
         amps = rng.uniform(-1, 1, (2, 1))
-        one = propagate_schedule(system, PulseSchedule(1.0, amps))
-        four = propagate_schedule(system, PulseSchedule(1.0, np.repeat(amps, 4, axis=1)))
+        one = propagate_schedule(system, amps)
+        four = propagate_schedule(system, np.repeat(amps, 4, axis=1))
         assert np.max(np.abs(one.matrix - four.matrix)) < 1e-12
 
     def test_cptp_for_random_schedules(self, rng):
@@ -196,19 +193,38 @@ class TestPropagateSchedule:
 
     def test_rejects_bad_shapes_and_nonfinite(self):
         system = two_qubit_system(1.0)
-        with pytest.raises(ValueError):
-            propagate_schedule(system, PulseSchedule(1.0, np.zeros((3, 4))))
-        with pytest.raises(ValueError):
-            PulseSchedule(1.0, np.array([[np.nan, 0.0]]))
+        with pytest.raises(ValueError, match="schedule has 3 control rows, system has 2"):
+            propagate_schedule(system, np.zeros((3, 4)))
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            propagate_schedule(system, np.array([[np.nan, 0.0], [0.0, 0.0]]))
 
     def test_rejects_schedule_without_slices(self):
-        with pytest.raises(ValueError, match="slice"):
-            PulseSchedule(1.0, np.zeros((2, 0)))
+        with pytest.raises(ValueError, match="a pulse schedule needs at least one slice"):
+            propagate_schedule(two_qubit_system(1.0), np.zeros((2, 0)))
+
+    def test_one_row_is_one_control(self):
+        system = ControlSystem((H0,), two_qubit_system(1.0).spec, 1.0)
+        row = [0.3, -0.2, 0.5]
+        assert np.array_equal(
+            propagate_schedule(system, row).matrix, propagate_schedule(system, [row]).matrix
+        )
+
+    @pytest.mark.parametrize("total_time", [0.5, 2.0])
+    def test_slices_last_the_systems_time_over_their_number(self, rng, total_time):
+        # the dense expm product with dt = T / n, at a T other than 1
+        system = ControlSystem((H0, H1), two_qubit_system(1.5).spec, total_time)
+        base = dissipator_matrix(system.spec).matrix
+        k0, k1 = (hamiltonian_superop(c.matrix) for c in (H0, H1))
+        sched = rng.uniform(-2, 2, (2, 6))
+        want = np.eye(16, dtype=complex)
+        for f0, f1 in sched.T:
+            want = scipy.linalg.expm(total_time / 6 * (base + f0 * k0 + f1 * k1)) @ want
+        assert np.max(np.abs(propagate_schedule(system, sched).matrix - want)) <= 1e-13
 
     def test_rejects_overflowing_map(self):
         system = two_qubit_system(1.0)
         with pytest.raises(ValueError, match="not finite"):
-            propagate_schedule(system, PulseSchedule(1.0, [[1e308, 0, 0], [0, 0, 0]]))
+            propagate_schedule(system, [[1e308, 0, 0], [0, 0, 0]])
 
     def test_overflowing_generator_reports_nonfinite_map(self):
         # the overflowed generator must reach the finiteness check, not be
@@ -218,12 +234,12 @@ class TestPropagateSchedule:
         with np.errstate(all="ignore"):
             system = ControlSystem((H0, 1e308 * pauli_on(S2, 0, "z")), spec, 1.0)
             with pytest.raises(ValueError, match="not finite"):
-                propagate_schedule(system, PulseSchedule(1.0, np.zeros((2, 3))))
+                propagate_schedule(system, np.zeros((2, 3)))
 
     def test_matches_dense_slice_product(self, rng):
         for name in ("two-qubit-amp", "two-qubit-dephasing", "no-terms"):
             system = model_system(name, 2.0, 3)
-            sched = PulseSchedule(1.0, rng.uniform(-5, 5, (3, 7)))
+            sched = rng.uniform(-5, 5, (3, 7))
             want, _ = forward_mode_kernel(system, sched, Eps2Target(HADAMARD))
             assert np.max(np.abs(propagate_schedule(system, sched).matrix - want)) <= 1e-13
 
@@ -259,23 +275,24 @@ class TestHermitianBasis:
             rotated = basis.conj().T @ superop @ basis
             assert np.max(np.abs(rotated.imag)) <= 1e-12 * np.max(np.abs(rotated))
             assert real.dtype == float and np.array_equal(real, rotated.real)
-        sched = PulseSchedule(1.0, rng.uniform(-3, 3, (system.n_controls, 6)))
+        sched = rng.uniform(-3, 3, (system.n_controls, 6))
         want = np.eye(d * d, dtype=complex)
-        for k in range(sched.n_slices):
-            gen = supers[0] + sum(f * km for f, km in zip(sched.amplitudes[:, k], supers[1:]))
-            want = scipy.linalg.expm(sched.slice_duration * gen) @ want
+        dt = system.total_time / 6
+        for k in range(6):
+            gen = supers[0] + sum(f * km for f, km in zip(sched[:, k], supers[1:]))
+            want = scipy.linalg.expm(dt * gen) @ want
         assert np.max(np.abs(propagate_schedule(system, sched).matrix - want)) <= 1e-12
 
     def test_kernel_arrays_are_real(self, rng):
         system = two_qubit_system(1.0)
-        sched = PulseSchedule(1.0, rng.uniform(-1, 1, (2, 4)))
+        sched = rng.uniform(-1, 1, (2, 4))
         gens, tape, prefix, _ = grape._forward(system, sched)
         assert gens.dtype == tape.work.dtype == prefix.dtype == float
         assert objective_and_gradient(system, sched, Eps2Target(HADAMARD))[1].dtype == float
 
     def test_control_within_tolerance_propagates_as_its_hermitian_part(self):
         skew = H0.matrix + 1e-11 * np.triu(np.ones((4, 4)), 1)
-        spec, sched = two_qubit_system(1.0).spec, PulseSchedule(1.0, [[0.5]])
+        spec, sched = two_qubit_system(1.0).spec, [[0.5]]
         maps = [
             propagate_schedule(ControlSystem((Operator(S2, c),), spec, 1.0), sched).matrix
             for c in (skew, hermitian(skew, "control 0"))
@@ -431,25 +448,36 @@ class TestExpmStack:
         assert np.array_equal(tape.exp[0], np.diag([1.0, 1.0, 0.0, 1.0]))
 
 
+def assert_matches_central_differences(system, target, rng):
+    step = 1e-6
+    for _ in range(3):
+        sched = rng.uniform(-1, 1, (2, 5))
+        _, grad = objective_and_gradient(system, sched, target)
+        for l in range(2):
+            for k in range(5):
+                up = sched.copy()
+                up[l, k] += step
+                down = sched.copy()
+                down[l, k] -= step
+                vp, _ = objective_and_gradient(system, up, target)
+                vm, _ = objective_and_gradient(system, down, target)
+                fd = (vp - vm) / (2 * step)
+                assert grad[l, k] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+
 class TestGradients:
     @pytest.mark.parametrize("make_target", [eps1_target, lambda: Eps2Target(HADAMARD)])
     def test_matches_central_finite_differences(self, rng, make_target):
-        system = two_qubit_system(1.0)
-        target = make_target()
-        step = 1e-6
-        for _ in range(3):
-            sched = PulseSchedule(1.0, rng.uniform(-1, 1, (2, 5)))
-            _, grad = objective_and_gradient(system, sched, target)
-            for l in range(2):
-                for k in range(5):
-                    up = sched.amplitudes.copy()
-                    up[l, k] += step
-                    down = sched.amplitudes.copy()
-                    down[l, k] -= step
-                    vp, _ = objective_and_gradient(system, PulseSchedule(1.0, up), target)
-                    vm, _ = objective_and_gradient(system, PulseSchedule(1.0, down), target)
-                    fd = (vp - vm) / (2 * step)
-                    assert grad[l, k] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+        assert_matches_central_differences(two_qubit_system(1.0), make_target(), rng)
+
+    @pytest.mark.parametrize("make_target", [eps1_target, lambda: Eps2Target(HADAMARD)],
+                             ids=["eps1", "eps2"])
+    @pytest.mark.parametrize("total_time", [0.5, 2.0])
+    def test_matches_central_differences_at_other_total_times(
+        self, rng, total_time, make_target
+    ):
+        system = ControlSystem((H0, H1), two_qubit_system(1.0).spec, total_time)
+        assert_matches_central_differences(system, make_target(), rng)
 
     @pytest.mark.parametrize("make_target", [eps1_target, lambda: Eps2Target(HADAMARD)],
                              ids=["eps1", "eps2"])
@@ -464,8 +492,7 @@ class TestGradients:
             system = model_system(name, gamma, n_controls)
             for n_slices in (1, 5, 20):
                 for scale in (1.0, 30.0):
-                    amps = rng.uniform(-scale, scale, (n_controls, n_slices))
-                    sched = PulseSchedule(1.0, amps)
+                    sched = rng.uniform(-scale, scale, (n_controls, n_slices))
                     got = objective_and_gradient(system, sched, target)[1]
                     for oracle in (forward_mode_kernel, complex_adjoint_kernel):
                         assert_gradients_agree(got, oracle(system, sched, target)[1])
@@ -484,8 +511,7 @@ class TestGradients:
         self, name, gamma, n_controls, n_slices, scale, use_eps1, seed
     ):
         system = model_system(name, gamma, n_controls)
-        amps = np.random.default_rng(seed).uniform(-scale, scale, (n_controls, n_slices))
-        sched = PulseSchedule(1.0, amps)
+        sched = np.random.default_rng(seed).uniform(-scale, scale, (n_controls, n_slices))
         target = eps1_target() if use_eps1 else Eps2Target(HADAMARD)
         got = objective_and_gradient(system, sched, target)[1]
         for oracle in (forward_mode_kernel, complex_adjoint_kernel):
@@ -494,13 +520,13 @@ class TestGradients:
     def test_overflowing_probe_gives_nan_without_raising(self):
         # L-BFGS line searches may probe such points; the optimizer backs off
         system = two_qubit_system(1.0)
-        sched = PulseSchedule(1.0, [[1e50, 0, 0], [0, 0, 0]])
+        sched = [[1e50, 0, 0], [0, 0, 0]]
         value, grad = objective_and_gradient(system, sched, Eps2Target(HADAMARD))
         assert np.isnan(value) and grad.shape == (2, 3) and np.all(np.isnan(grad))
 
     def test_gradient_vanishes_at_global_minimum(self, rng):
         system = two_qubit_system(1.0)
-        sched = PulseSchedule(1.0, rng.uniform(-1, 1, (2, 6)))
+        sched = rng.uniform(-1, 1, (2, 6))
         reached = propagate_schedule(system, sched).matrix
         value, grad = objective_and_gradient(system, sched, Eps1Target(reached))
         assert value == pytest.approx(0.0, abs=1e-12)
@@ -511,7 +537,7 @@ class TestSharedForwardPass:
     @pytest.mark.parametrize("gamma", [0.0, 1.0, 100.0])
     def test_value_is_the_error_of_the_propagated_map(self, rng, gamma):
         system = two_qubit_system(gamma)
-        sched = PulseSchedule(1.0, rng.uniform(-3, 3, (2, 7)))
+        sched = rng.uniform(-3, 3, (2, 7))
         e_total = propagate_schedule(system, sched).matrix
         value, _ = objective_and_gradient(system, sched, Eps2Target(HADAMARD))
         assert abs(value - epsilon2(e_total, HADAMARD)) <= 1e-14
@@ -539,7 +565,7 @@ class TestSharedForwardPass:
         assert all(call is system.spec for call, system in zip(calls, systems))
 
     def test_systems_do_not_share_generators(self, rng):
-        sched = PulseSchedule(1.0, rng.uniform(-1, 1, (2, 5)))
+        sched = rng.uniform(-1, 1, (2, 5))
         weak = two_qubit_system(1.0)
         weak_map = propagate_schedule(weak, sched).matrix
         strong = two_qubit_system(100.0)
@@ -558,14 +584,14 @@ PAGE_FAULT_SCRIPT = """
 import resource
 import numpy as np
 from zenoforge import grape
-from zenoforge.grape import ControlSystem, Eps2Target, PulseSchedule, objective_and_gradient
+from zenoforge.grape import ControlSystem, Eps2Target, objective_and_gradient
 from zenoforge.models import HADAMARD, build_model
 
 desc = build_model("two-qubit-amp", gamma=1.0)
 system = ControlSystem(desc.controls, desc.spec, 1.0)
 target = Eps2Target(HADAMARD)
 rng = np.random.default_rng(0)
-schedules = [PulseSchedule(1.0, rng.uniform(-40.0, 40.0, (2, 20))) for _ in range(10)]
+schedules = [rng.uniform(-40.0, 40.0, (2, 20)) for _ in range(10)]
 assert {grape._expm_stack(grape._forward(system, s)[0]).s for s in schedules} == {4}
 for sched in schedules:
     objective_and_gradient(system, sched, target)
@@ -598,19 +624,18 @@ class TestOptimize:
         a = optimize(system, Eps2Target(HADAMARD), restarts=2, seed=11, n_slices=6, max_iterations=60)
         b = optimize(system, Eps2Target(HADAMARD), restarts=2, seed=11, n_slices=6, max_iterations=60)
         assert a.best_value == b.best_value
-        assert np.array_equal(a.best_schedule.amplitudes, b.best_schedule.amplitudes)
-
-    def test_traces_monotone_nonincreasing(self):
-        system = two_qubit_system(10.0)
-        result = optimize(system, Eps2Target(HADAMARD), restarts=2, seed=3, n_slices=6, max_iterations=60)
-        for trace in result.traces:
-            assert all(a >= b - 1e-12 for a, b in zip(trace, trace[1:]))
+        assert np.array_equal(a.best_schedule, b.best_schedule)
 
     def test_best_value_is_min_over_restarts(self):
         system = two_qubit_system(10.0)
-        result = optimize(system, Eps2Target(HADAMARD), restarts=3, seed=5, n_slices=6, max_iterations=40)
-        finals = [t[-1] for t in result.traces if t]
-        assert result.best_value == pytest.approx(min(finals), rel=1e-9)
+        target = Eps2Target(HADAMARD)
+        result = optimize(system, target, restarts=3, seed=5, n_slices=6, max_iterations=40)
+        runs = [grape._restart(system, target, 5, r, 6, 40) for r in range(3)]
+        best = min(runs, key=lambda run: run.best_value)
+        assert result.best_value == best.best_value
+        assert np.array_equal(result.best_schedule, best.best_schedule)
+        assert result.n_evaluations == sum(run.n_evaluations for run in runs)
+        assert result.iterations == sum(run.iterations for run in runs)
 
     def test_dissipation_free_system_has_error_floor(self):
         # commuting controls: dim L = 2, Hadamard out of reach without noise

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian
-from zenoforge.grape import ControlSystem, PulseSchedule, propagate_schedule
+from zenoforge.grape import ControlSystem, propagate_schedule
 from zenoforge.lie import dfs_lie_dimension, lie_verdict
 from zenoforge.lindblad import LindbladSpec
 from zenoforge.models import build_model
@@ -19,7 +19,7 @@ DEPHASING = build_model("two-qubit-dephasing").spec  # unital: the joint closure
 
 def _propagated(h: Operator):
     # amplitude 1 / max|H| keeps the slice generator of order one at any scale
-    schedule = PulseSchedule(1.0, [[1.0 / np.max(np.abs(h.matrix))]])
+    schedule = [[1.0 / np.max(np.abs(h.matrix))]]
     return propagate_schedule(ControlSystem((h,), AMP, 1.0), schedule)
 
 

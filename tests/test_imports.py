@@ -1,5 +1,5 @@
-"""Every name a package module imports is used there or listed in its
-``__all__``, no module defines a function or class name twice in one
+"""Every name a package or test module imports is used there or listed in
+its ``__all__``, no module defines a function or class name twice in one
 block, and no module but ``ops`` decides whether a matrix is Hermitian.
 Package ``__init__`` files only re-export, so they are exempt; every name
 they re-export is in its module's ``__all__``, and every ``__all__`` entry
@@ -20,6 +20,7 @@ from zenoforge.models import MODEL_NAMES
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "zenoforge"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -52,7 +53,7 @@ def test_detector_flags_only_unused_names():
     assert unused_imports(source) == ["os", "pi"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

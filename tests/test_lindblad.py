@@ -332,7 +332,7 @@ class TestDetectDfs:
         )
         assert detect_dfs(spec).block_dims == (2,)
 
-    @pytest.mark.parametrize("rate", [1.0, 1e-9, 1e-300, 1e12])
+    @pytest.mark.parametrize("rate", [1.0, 1e-9, 1e-300, 1e12, 1e-310])
     def test_damping_check_scales_with_the_rate(self, rate):
         # L = [[1, 1], [0, 0]]: c = 0 on |0> - |1> is a DFS; c = 1 on |0> is
         # not, since G|0> = rate (|0> + |1>), a residual as small as the rate

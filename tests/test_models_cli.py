@@ -153,10 +153,12 @@ class TestCli:
         assert main(["lie-dim", *argv]) == 0
         assert capsys.readouterr().out == out + "\n"
 
-    @pytest.mark.parametrize("gamma", ["1e-10", "1e-11", "1e-300"])
-    @pytest.mark.parametrize("name", ["two-qubit-amp", "n-level-atom"])
+    @pytest.mark.parametrize("gamma", ["1e-10", "1e-11", "1e-300", "1e-310", "5e-324"])
+    @pytest.mark.parametrize("name", ["two-qubit-amp", "n-level-atom", "two-qubit-dephasing"])
     def test_small_rates_keep_lie_dim(self, capsys, name, gamma):
-        # a non-unital dissipator stays non-unital at any positive rate
+        # a non-unital dissipator stays non-unital at any positive rate, and
+        # the DFS does not change with a common factor of the rates, down to
+        # subnormal ones
         outs = []
         for g in (gamma, "1"):
             assert main(["lie-dim", "--model", name, "--gamma", g]) == 0
