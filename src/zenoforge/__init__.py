@@ -27,7 +27,6 @@ from .grape import (
 from .lie import ControllabilityVerdict, dfs_lie_dimension, lie_verdict
 from .lindblad import (
     DFSBlock,
-    DFSDecomposition,
     LindbladSpec,
     LindbladTerm,
     Superoperator,
@@ -45,10 +44,6 @@ from .ops import (
     pauli_on,
     qubits,
 )
-from .zeno import (
-    coherent_generator,
-    strong_damping_error,
-    zeno_product,
-)
+from .zeno import strong_damping_error, zeno_product
 
 __version__ = "0.1.0"

@@ -167,10 +167,13 @@ class CommutatorIdentity:
     gained: tuple[two_body | three_body, ...]
 
 
-def _verify(label, a, b, rhs, gained, tol) -> CommutatorIdentity:
+_IDENTITY_TOL = 1e-9  # largest entry of i[A, B] - C that a dense check accepts
+
+
+def _verify(label, a, b, rhs, gained) -> CommutatorIdentity:
     lhs = 1j * (a @ b - b @ a)
     residual = float(np.max(np.abs(lhs - rhs)))
-    if residual > tol:
+    if residual > _IDENTITY_TOL:
         raise AssertionError(f"identity {label} fails dense check: {residual:.2e}")
     return CommutatorIdentity(label, residual, tuple(gained))
 
@@ -187,12 +190,12 @@ def _realizer(space: HilbertSpace):
     return h
 
 
-def generate_inventory_schedule(n: int, tol: float = 1e-9) -> list[CommutatorIdentity]:
+def generate_inventory_schedule(n: int) -> list[CommutatorIdentity]:
     """Inductive schedule generating all two- and three-body operators.
 
     Starting from the (unscaled) projected chain couplings
     ht0 = sum_m H_{m,m+1} and ht1 = H_{01}, emits commutator identities,
-    each verified dense within ``tol``, whose gains accumulate to all
+    each verified dense within ``_IDENTITY_TOL``, whose gains accumulate to all
     C(N,2) two-body and C(N,3) three-body operators. Note the first
     commutator comes out as i[ht0, ht1] = -2 H_{012}.
     """
@@ -203,11 +206,9 @@ def generate_inventory_schedule(n: int, tol: float = 1e-9) -> list[CommutatorIde
     out = []
 
     # Base case: everything on the first three qubits.
-    out.append(
-        _verify("i[ht0, ht1]", ht0, h(0, 1), -2.0 * h(0, 1, 2), (three_body(0, 1, 2),), tol)
-    )
+    out.append(_verify("i[ht0, ht1]", ht0, h(0, 1), -2.0 * h(0, 1, 2), (three_body(0, 1, 2),)))
     first = 4.0 * h(0, 2) - 4.0 * h(1, 2)
-    out.append(_verify("i[H01, H012]", h(0, 1), h(0, 1, 2), first, (), tol))
+    out.append(_verify("i[H01, H012]", h(0, 1), h(0, 1, 2), first, ()))
     out.append(
         _verify(
             "i[i[H01, H012], H012]",
@@ -215,7 +216,6 @@ def generate_inventory_schedule(n: int, tol: float = 1e-9) -> list[CommutatorIde
             h(0, 1, 2),
             16.0 * h(0, 2) + 16.0 * h(1, 2) - 32.0 * h(0, 1),
             (two_body(0, 2), two_body(1, 2)),
-            tol,
         )
     )
 
@@ -230,14 +230,11 @@ def generate_inventory_schedule(n: int, tol: float = 1e-9) -> list[CommutatorIde
                 ht0,
                 -2.0 * h(new - 3, prev2, prev) + 2.0 * h(prev2, prev, new),
                 (three_body(prev2, prev, new),),
-                tol,
             )
         )
         # Step 2: the two bonds touching the new qubit from its neighbors.
         pair = 4.0 * h(prev2, new) - 4.0 * h(prev, new)
-        out.append(
-            _verify(f"step2a n={new}", h(prev2, prev), h(prev2, prev, new), pair, (), tol)
-        )
+        out.append(_verify(f"step2a n={new}", h(prev2, prev), h(prev2, prev, new), pair, ()))
         out.append(
             _verify(
                 f"step2b n={new}",
@@ -245,7 +242,6 @@ def generate_inventory_schedule(n: int, tol: float = 1e-9) -> list[CommutatorIde
                 h(prev2, prev, new),
                 16.0 * h(prev2, new) + 16.0 * h(prev, new) - 32.0 * h(prev2, prev),
                 (two_body(prev2, new), two_body(prev, new)),
-                tol,
             )
         )
         # Step 3: walk the new bond down to qubit 0.
@@ -257,7 +253,6 @@ def generate_inventory_schedule(n: int, tol: float = 1e-9) -> list[CommutatorIde
                     h(m + 1, new),
                     2.0 * h(m, m + 1, new),
                     (three_body(m, m + 1, new),),
-                    tol,
                 )
             )
             out.append(
@@ -267,7 +262,6 @@ def generate_inventory_schedule(n: int, tol: float = 1e-9) -> list[CommutatorIde
                     h(m, m + 1, new),
                     4.0 * h(m, new) - 4.0 * h(m + 1, new),
                     (two_body(m, new),),
-                    tol,
                 )
             )
         # Step 4: all remaining three-body operators touching the new qubit.
@@ -279,7 +273,6 @@ def generate_inventory_schedule(n: int, tol: float = 1e-9) -> list[CommutatorIde
                     h(m2, new),
                     2.0 * h(m1, m2, new),
                     (three_body(m1, m2, new),),
-                    tol,
                 )
             )
     return out
@@ -299,7 +292,7 @@ def inventory(identities) -> tuple[set, set]:
     return twos, threes
 
 
-def four_body_identities(n: int, tol: float = 1e-9):
+def four_body_identities(n: int):
     """Dense checks that commutators only reach differences of four-body
     operators: i[H_ij, H_jkl] and i[H_ijk, H_ij H_kl] on sites 0..3."""
     if n < 4:
@@ -311,7 +304,6 @@ def four_body_identities(n: int, tol: float = 1e-9):
         h(1, 2, 3),
         2.0 * (h(0, 2) @ h(1, 3)) - 2.0 * (h(0, 3) @ h(1, 2)),
         (),
-        tol,
     )
     second = _verify(
         "i[Hijk, Hij Hkl]",
@@ -319,6 +311,5 @@ def four_body_identities(n: int, tol: float = 1e-9):
         h(0, 1) @ h(2, 3),
         4.0 * h(1, 3) - 4.0 * h(0, 3) + 2.0 * (h(0, 3) @ h(1, 2)) - 2.0 * (h(0, 2) @ h(1, 3)),
         (),
-        tol,
     )
     return [first, second]

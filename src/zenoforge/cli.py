@@ -33,6 +33,7 @@ from .lindblad import (
     _array_from_json,
     _matrix_from_json,
     detect_dfs,
+    hamiltonian_superop,
     spec_from_json,
     steady_superprojector,
 )
@@ -43,7 +44,7 @@ from .models import (
     qubit2_reset_superop,
 )
 from .ops import Operator, expm, qubits
-from .zeno import coherent_generator, strong_damping_error, zeno_product
+from .zeno import strong_damping_error, zeno_product
 
 __all__ = ["main"]
 
@@ -138,7 +139,7 @@ def cmd_dfs(args) -> int:
             "lindblad_eigenvalues": [[z.real, z.imag] for z in b.lindblad_eigenvalues],
             "damping_eigenvalue": b.damping_eigenvalue,
         }
-        for b in detect_dfs(desc.spec.dissipative_part()).blocks
+        for b in detect_dfs(desc.spec)
     ]
     print(json.dumps({"model": args.model, "blocks": blocks}))
     return 0
@@ -153,17 +154,13 @@ def cmd_zeno_check(args) -> int:
         # the strong-damping check reproduces the paper's two-qubit example only
         raise ValueError("strong-damping check supports the two-qubit models")
     desc = _model_from_args(name, None, args.gamma)
-    diss = desc.spec.dissipative_part()
-    projector = steady_superprojector(diss)
-    generator = coherent_generator(desc.controls[0])
-    target = (
-        expm(projector.matrix @ generator.matrix @ projector.matrix * t)
-        @ projector.matrix
-    )
+    projector = steady_superprojector(desc.spec.dissipative_part())
+    generator = hamiltonian_superop(desc.controls[0].matrix)
+    target = expm(projector @ generator @ projector * t) @ projector
     zeno_rows = []
     for nstep in steps:
         zp = zeno_product(projector, generator, t, nstep)
-        zeno_rows.append([nstep, float(np.linalg.norm(zp.matrix - target, 2))])
+        zeno_rows.append([nstep, float(np.linalg.norm(zp - target, 2))])
     damping_rows = []
     for g in gammas:
         spec = LindbladSpec(desc.controls[0], _model_from_args(name, None, g).spec.terms)

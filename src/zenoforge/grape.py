@@ -47,6 +47,7 @@ from .lindblad import (
     LindbladSpec,
     Superoperator,
     _coherent_bound,
+    _real_array,
     dissipator_matrix,
     hamiltonian_superop,
 )
@@ -107,7 +108,7 @@ class ControlSystem:
         sym, asym = units[j, k] + units[k, j], units[j, k] - units[k, j]
         parts = [units[range(d), range(d)], sym / np.sqrt(2.0), 1j * asym / np.sqrt(2.0)]
         basis = np.concatenate(parts).T.copy()
-        base = _to_real_basis(basis, dissipator_matrix(self.spec).matrix)
+        base = _to_real_basis(basis, dissipator_matrix(self.spec))
         for l, c in enumerate(self.controls):
             _coherent_bound(c, f"control {l}")
         controls = np.stack(
@@ -125,7 +126,10 @@ def _to_real_basis(basis: np.ndarray, superop: np.ndarray) -> np.ndarray:
 def _amplitudes(system: ControlSystem, schedule) -> np.ndarray:
     """A pulse schedule as the float array f[l, k] of control l on slice k,
     whose n slices each last system.total_time / n."""
-    amps = np.atleast_2d(np.asarray(schedule, dtype=float))
+    amps = _real_array(schedule)
+    if amps is None or amps.ndim > 2:
+        raise ValueError("amplitudes must be a real array of rank at most 2")
+    amps = np.atleast_2d(amps)
     if not np.all(np.isfinite(amps)):
         raise ValueError("amplitudes must be finite")
     if amps.shape[1] == 0:

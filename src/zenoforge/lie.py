@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import blas, exact
-from .lindblad import DFSDecomposition, LindbladSpec, detect_dfs
+from .lindblad import DFSBlock, LindbladSpec, detect_dfs
 from .ops import hermitian
 
 __all__ = ["ControllabilityVerdict", "DFSLieReport", "dfs_lie_dimension", "lie_verdict"]
@@ -61,7 +61,7 @@ class DFSLieReport:
 
     verdict: ControllabilityVerdict
     block_verdicts: tuple[ControllabilityVerdict, ...]
-    dfs: DFSDecomposition = field(compare=False)
+    dfs: tuple[DFSBlock, ...] = field(compare=False)
 
     @property
     def block_dims(self) -> tuple[int, ...]:
@@ -175,38 +175,37 @@ def dfs_lie_dimension(spec: LindbladSpec, controls) -> DFSLieReport:
     by a prime at which a denominator or a rate vanishes, and by a P(H)
     that ``exact.superproject`` cannot prove.
     """
-    diss = spec.dissipative_part()
-    dfs = detect_dfs(diss)
+    dfs = detect_dfs(spec)
     d = spec.space.dim
     hs = _staged(controls, "control", d)
-    terms = [t for t in diss.terms if t.rate > 0]
+    terms = [t for t in spec.terms if t.rate > 0]
     jumps = list(zip(_coprime([t.rate for t in terms]), [t.op.matrix for t in terms]))
 
     @functools.cache
     def blocks_at(p):
         f = exact.field(p)
         out = []
-        for block in dfs.blocks:
+        for block in dfs:
             v, w = _block_basis(block, jumps, d, f), _block_basis(block, jumps, d, f.conjugate)
             out.append([exact.compress(h, v, w, f) for h in f.map(hs)])
         return out
 
     block_verdicts = tuple(
         _exact_verdict(block.dim, lambda p, k=k: blocks_at(p)[k])
-        for k, block in enumerate(dfs.blocks)
+        for k, block in enumerate(dfs)
     )
-    if jumps and diss.is_unital():
+    if jumps and spec.is_unital():
         projected, _ = exact.superproject(hs, jumps)
         joint = _exact_verdict(d, projected.get, _traceless(hs))  # Tr P(H) = Tr H
-    elif len(dfs.blocks) == 1:
+    elif len(dfs) == 1:
         joint = block_verdicts[0]
-    elif not dfs.blocks:
+    elif not dfs:
         joint = _verdict(0, 0)  # no steady manifold to control
     else:
         import scipy.linalg
 
         joint = _exact_verdict(
-            sum(dfs.block_dims),
+            sum(b.dim for b in dfs),
             lambda p: [scipy.linalg.block_diag(*parts) for parts in zip(*blocks_at(p))],
         )
     return DFSLieReport(joint, block_verdicts, dfs)

@@ -12,6 +12,7 @@ and the full generator is ``rho -> -i[H, rho] + D(rho)``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,6 @@ __all__ = [
     "LindbladSpec",
     "Superoperator",
     "DFSBlock",
-    "DFSDecomposition",
     "vec",
     "unvec",
     "conjugation_superop",
@@ -36,7 +36,7 @@ __all__ = [
     "spec_from_json",
 ]
 
-_ZERO_CUT = 1e-9  # relative cut below which a generator eigenvalue is zero
+_ZERO_CUT = 1e-9  # cut below which a generator eigenvalue is zero, in the generator's unit
 _DFS_TOL = 1e-8  # DFS null-space and verification tolerance
 
 
@@ -135,7 +135,7 @@ class LindbladSpec:
 
 @dataclass(frozen=True)
 class Superoperator:
-    """A d^2 x d^2 matrix acting on row-vectorized density matrices."""
+    """A propagated channel's d^2 x d^2 matrix on row-vectorized density matrices."""
 
     space: HilbertSpace
     matrix: np.ndarray
@@ -148,8 +148,8 @@ class Superoperator:
         object.__setattr__(self, "matrix", mat)
 
 
-def dissipator_matrix(spec: LindbladSpec) -> Superoperator:
-    """Vectorized matrix of the full generator -i[H, .] + D."""
+def dissipator_matrix(spec: LindbladSpec) -> np.ndarray:
+    """Vectorized (d^2, d^2) matrix of the full generator -i[H, .] + D."""
     d = spec.space.dim
     mat = hamiltonian_superop(spec.hamiltonian.matrix)
     eye = np.eye(d)
@@ -161,29 +161,33 @@ def dissipator_matrix(spec: LindbladSpec) -> Superoperator:
             - conjugation_superop(ldl, eye)
             - conjugation_superop(eye, ldl)
         )
-    return Superoperator(spec.space, mat)
+    return mat
 
 
-def _kernel_tolerance(values: np.ndarray, tol: float) -> float:
-    scale = float(np.max(np.abs(values))) if values.size else 0.0
-    return tol * max(scale, 1.0)
-
-
-def steady_superprojector(spec: LindbladSpec) -> Superoperator:
+def steady_superprojector(spec: LindbladSpec) -> np.ndarray:
     """Spectral projection onto the kernel of the generator, along its range.
 
     Requires an attractive generator: zero eigenvalue semisimple, every
     other eigenvalue with strictly negative real part. The result is the
     infinite-time limit of the semigroup exp(t L) of the generator L and
     satisfies P^2 = P, but is not Hermitian as a matrix in general. Dense
-    (d^2 x d^2): the float oracle of ``exact.superproject``'s P(H) for a
-    unital dissipator.
+    (d^2, d^2) array: the float oracle of ``exact.superproject``'s P(H) for
+    a unital dissipator.
+
+    P(cL) = P(L) for c > 0, so the zero cut has no absolute floor: it is
+    1e-9 of the generator's unit s = max(2 max|H|, max_j gamma_j max|Lj|^2),
+    applied to the generator times 2^-e, 2^e <= s < 2^(e+1), a scaling that
+    rounds nothing and brings the generator of a tiny common rate to order 1.
     """
     import scipy.linalg
 
-    gen = dissipator_matrix(spec).matrix
+    jumps = [t.rate * np.max(np.abs(t.op.matrix)) ** 2 for t in spec.terms]
+    unit = max([_coherent_bound(spec.hamiltonian, "hamiltonian"), *jumps])
+    e = math.frexp(unit)[1] - 1
+    gen = dissipator_matrix(spec)
+    gen = np.ldexp(gen.real, -e) + 1j * np.ldexp(gen.imag, -e)
     w, left, right = scipy.linalg.eig(gen, left=True, right=True)
-    cut = _kernel_tolerance(w, _ZERO_CUT)
+    cut = _ZERO_CUT * math.ldexp(unit, -e)
     zero = np.abs(w) <= cut
     if not zero.any():
         raise ValueError("generator has no steady state")
@@ -196,10 +200,9 @@ def steady_superprojector(spec: LindbladSpec) -> Superoperator:
     right, left = right[:, zero], left[:, zero]
     overlap = left.conj().T @ right
     s = np.linalg.svd(overlap, compute_uv=False)
-    if s[-1] <= _kernel_tolerance(s, 1e-8):
+    if s[-1] <= 1e-8 * max(s[0], 1.0):
         raise ValueError("zero eigenvalue of the generator is not semisimple")
-    proj = right @ np.linalg.solve(overlap, left.conj().T)
-    return Superoperator(spec.space, proj)
+    return right @ np.linalg.solve(overlap, left.conj().T)
 
 
 @dataclass(frozen=True)
@@ -212,19 +215,9 @@ class DFSBlock:
     damping_eigenvalue: float                   # b = sum_j gamma_j |c_j|^2
 
 
-@dataclass(frozen=True)
-class DFSDecomposition:
-    space: HilbertSpace
-    blocks: tuple[DFSBlock, ...]
-
-    @property
-    def block_dims(self) -> tuple[int, ...]:
-        return tuple(b.dim for b in self.blocks)
-
-
 def _null_space(mat: np.ndarray, tol: float) -> np.ndarray:
     _, s, vh = np.linalg.svd(mat, full_matrices=False)
-    return vh[s <= _kernel_tolerance(s, tol)].conj().T
+    return vh[s <= tol * max(s[0], 1.0)].conj().T
 
 
 def _cluster(values: np.ndarray, tol: float) -> list[complex]:
@@ -240,7 +233,7 @@ def _cluster(values: np.ndarray, tol: float) -> list[complex]:
     return [complex(np.mean(g)) for g in out]
 
 
-def detect_dfs(spec: LindbladSpec) -> DFSDecomposition:
+def detect_dfs(spec: LindbladSpec) -> tuple[DFSBlock, ...]:
     """Maximal orthogonal subspaces annihilated by the dissipative part.
 
     The Hamiltonian is ignored. A DFS block is a common eigenspace of the
@@ -311,29 +304,36 @@ def detect_dfs(spec: LindbladSpec) -> DFSDecomposition:
         for bj, _ in found[i + 1 :]:
             if np.max(np.abs(bi.conj().T @ bj)) > 10 * _DFS_TOL:
                 raise ValueError("detected DFS blocks are not mutually orthogonal")
-    return DFSDecomposition(spec.space, tuple(block for _, block in found))
+    return tuple(block for _, block in found)
 
 
-def dual_generator(spec: LindbladSpec) -> Superoperator:
+def dual_generator(spec: LindbladSpec) -> np.ndarray:
     """Heisenberg-picture generator: A -> +i[H, A] - sum_j gamma_j
     (Lj^dag Lj A + A Lj^dag Lj - 2 Lj^dag A Lj), the Hilbert-Schmidt
     adjoint of the generator."""
-    return Superoperator(spec.space, dissipator_matrix(spec).matrix.conj().T)
+    return dissipator_matrix(spec).conj().T
 
 
 def _matrix_to_json(matrix: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
 
 
-def _array_from_json(data, ndim: int, what: str) -> np.ndarray:
-    """A float array of rank ``ndim`` from nested JSON lists of numbers."""
+def _real_array(data) -> np.ndarray | None:
+    """``data`` as a float array, or None if it is not an evenly nested
+    array of real numbers."""
     try:
         arr = np.array(data)
     except ValueError:  # ragged nesting
-        arr = np.array(None)
-    if arr.ndim != ndim or arr.dtype.kind not in "iuf":
+        return None
+    return arr.astype(float) if arr.dtype.kind in "iuf" else None
+
+
+def _array_from_json(data, ndim: int, what: str) -> np.ndarray:
+    """A float array of rank ``ndim`` from nested JSON lists of numbers."""
+    arr = _real_array(data)
+    if arr is None or arr.ndim != ndim:
         raise ValueError(f"{what} must be a {ndim}-D list of numbers")
-    return arr.astype(float)
+    return arr
 
 
 def _matrix_from_json(data, what: str = "matrix") -> np.ndarray:

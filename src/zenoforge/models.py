@@ -178,8 +178,8 @@ def validate_model(desc: ModelDescriptor) -> dict:
     derived = {}
     derived["nonoise_lie_dim"] = lie_verdict(desc.controls).dim
     report = dfs_lie_dimension(desc.spec, desc.controls)
-    derived["dfs_count"] = len(report.dfs.blocks)
-    derived["dfs_dims"] = report.dfs.block_dims
+    derived["dfs_count"] = len(report.dfs)
+    derived["dfs_dims"] = tuple(b.dim for b in report.dfs)
     derived["block_lie_dims"] = report.block_dims
     derived["unital"] = desc.spec.is_unital()
     derived["dfs_lie_dim"] = report.verdict.dim
@@ -222,4 +222,4 @@ def qubit2_reset_superop(spec: LindbladSpec) -> np.ndarray:
             raise ValueError("Lindblad terms do not act on system 2 alone")
         terms.append(LindbladTerm(t.rate, Operator(sub, local)))
     spec2 = LindbladSpec(zero(sub), tuple(terms))
-    return steady_superprojector(spec2).matrix
+    return steady_superprojector(spec2)

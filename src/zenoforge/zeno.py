@@ -12,38 +12,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lindblad import (
-    LindbladSpec,
-    Superoperator,
-    dissipator_matrix,
-    hamiltonian_superop,
-    steady_superprojector,
-)
-from .ops import Operator, expm
+from .lindblad import LindbladSpec, dissipator_matrix, hamiltonian_superop, steady_superprojector
+from .ops import expm
 
-__all__ = [
-    "coherent_generator",
-    "zeno_product",
-    "strong_damping_error",
-]
+__all__ = ["zeno_product", "strong_damping_error"]
 
 
-def coherent_generator(h: Operator) -> Superoperator:
-    """Superoperator of rho -> -i[h, rho]."""
-    return Superoperator(h.space, hamiltonian_superop(h.matrix))
-
-
-def zeno_product(
-    projector: Superoperator, generator: Superoperator, t: float, n: int
-) -> Superoperator:
-    """(P exp(K t/n) P)^n, the frequent-switching product at finite n."""
+def zeno_product(projector: np.ndarray, generator: np.ndarray, t: float, n: int) -> np.ndarray:
+    """(P exp(K t/n) P)^n, the frequent-switching product at finite n, for
+    (d^2, d^2) arrays P and K."""
     if n < 1:
         raise ValueError("need at least one step")
     if not 0 <= t < np.inf:  # NaN fails too
         raise ValueError(f"time must be finite and non-negative, got {t}")
-    p = projector.matrix
-    step = p @ expm(generator.matrix * (t / n)) @ p
-    return Superoperator(projector.space, np.linalg.matrix_power(step, n))
+    step = projector @ expm(generator * (t / n)) @ projector
+    return np.linalg.matrix_power(step, n)
 
 
 def strong_damping_error(spec: LindbladSpec, g: float, t: float) -> float:
@@ -54,12 +37,11 @@ def strong_damping_error(spec: LindbladSpec, g: float, t: float) -> float:
     bound regime of interest is g*t = O(1) with g * tau_R small.
     """
     diss = spec.dissipative_part()
-    p = steady_superprojector(diss).matrix   # rejects a non-attractive D
+    p = steady_superprojector(diss)   # rejects a non-attractive D
     if round(np.trace(p).real) == p.shape[0]:   # rank of P = kernel dimension of D
         raise ValueError("dissipative part vanishes: nothing relaxes")
-    d_mat = dissipator_matrix(diss).matrix
+    d_mat = dissipator_matrix(diss)
     k_mat = hamiltonian_superop(spec.hamiltonian.matrix)
     lhs = expm(t * (g * k_mat + d_mat))
-    pkp = p @ k_mat @ p
-    rhs = expm(g * t * pkp)
+    rhs = expm(g * t * (p @ k_mat @ p))
     return float(np.linalg.norm((lhs - rhs) @ p, 2))

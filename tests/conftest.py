@@ -81,7 +81,7 @@ def system_swap(d1: int, d2: int) -> np.ndarray:
 
 def dense_superprojection(spec, h):
     """Oracle: the dense steady superprojector applied to vec(h)."""
-    return unvec(steady_superprojector(spec).matrix @ vec(getattr(h, "matrix", h)))
+    return unvec(steady_superprojector(spec) @ vec(getattr(h, "matrix", h)))
 
 
 def proven_superprojection(spec, h):
@@ -131,6 +131,11 @@ def gauss_jordan_mod(rows, p):
                 rows[i] = [(v - factor * w) % p for v, w in zip(row, rows[rank])]
         rank += 1
     return rows[:rank]
+
+
+def block_dims(blocks):
+    """The dimensions of ``detect_dfs``'s blocks."""
+    return tuple(b.dim for b in blocks)
 
 
 def label_rows(spec, block):

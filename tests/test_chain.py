@@ -36,7 +36,7 @@ class TestBuildChain:
 
     def test_generator_is_unital(self):
         spec, _, _ = build_chain(CollectiveSpec(3))
-        mat = dissipator_matrix(spec).matrix
+        mat = dissipator_matrix(spec)
         assert np.max(np.abs(mat @ vec(np.eye(8)))) < 1e-10
 
     def test_collective_spin_spectrum(self):
@@ -113,7 +113,7 @@ class TestDualActionMatrix:
     def test_matches_dense_dual_generator(self):
         rates = (0.8, 1.1, 1.7)
         spec, _, _ = build_chain(CollectiveSpec(3, *rates))
-        dual = dual_generator(spec).matrix
+        dual = dual_generator(spec)
         s = qubits(3)
         bonds = [
             (pauli_on(s, 0, a) @ pauli_on(s, 1, a)).matrix for a in "xyz"
@@ -182,7 +182,7 @@ class TestSymOps:
 class TestInventorySchedule:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_every_identity_verifies_dense(self, n):
-        schedule = generate_inventory_schedule(n, tol=1e-9)
+        schedule = generate_inventory_schedule(n)
         assert max(ident.residual for ident in schedule) < 1e-9
 
     @pytest.mark.parametrize("n", [3, 4, 5])

@@ -71,7 +71,7 @@ def forward_mode_kernel(system, schedule, target):
     """The former gradient kernel, kept as a test oracle: the dense slice
     exponentials and one expm_frechet per (slice, control), contracted as
     suffix @ dE @ prefix. Returns (E_T, gradient)."""
-    base = dissipator_matrix(system.spec).matrix
+    base = dissipator_matrix(system.spec)
     controls = [hamiltonian_superop(c.matrix) for c in system.controls]
     amps = np.asarray(schedule, dtype=float)
     m, n = amps.shape
@@ -107,7 +107,7 @@ def complex_adjoint_kernel(system, schedule, target):
     """The former complex adjoint-mode kernel, kept as a test oracle: dense
     slice exponentials in the vec basis, a backward costate sweep and one
     adjoint expm_frechet per slice. Returns (E_T, gradient)."""
-    base = dissipator_matrix(system.spec).matrix
+    base = dissipator_matrix(system.spec)
     controls = np.stack([hamiltonian_superop(c.matrix) for c in system.controls])
     n = schedule.shape[1]
     dt = system.total_time / n
@@ -168,11 +168,10 @@ class TestPropagateSchedule:
 
     def test_single_slice_matches_direct_exponential(self):
         from zenoforge.ops import expm
-        from zenoforge.zeno import coherent_generator
 
         system = ControlSystem((H0,), LindbladSpec(zero(S2)), 1.0)
         sched = np.array([[0.7]])
-        direct = expm(0.7 * coherent_generator(H0).matrix)
+        direct = expm(0.7 * hamiltonian_superop(H0.matrix))
         assert np.max(np.abs(propagate_schedule(system, sched).matrix - direct)) < 1e-12
 
     def test_piecewise_constant_consistency(self, rng):
@@ -198,6 +197,16 @@ class TestPropagateSchedule:
         with pytest.raises(ValueError, match="amplitudes must be finite"):
             propagate_schedule(system, np.array([[np.nan, 0.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize(
+        "schedule",
+        [np.zeros((2, 3, 4)), [[0.1, 0.2], [0.3]], np.zeros((2, 3)) + 1j],
+        ids=["3-d", "ragged", "complex"],
+    )
+    def test_rejects_non_real_or_high_rank_amplitudes(self, schedule):
+        # numpy would fail later with its own message, or drop the imaginary part
+        with pytest.raises(ValueError, match="^amplitudes must be a real array of rank at most 2$"):
+            propagate_schedule(two_qubit_system(1.0), schedule)
+
     def test_rejects_schedule_without_slices(self):
         with pytest.raises(ValueError, match="a pulse schedule needs at least one slice"):
             propagate_schedule(two_qubit_system(1.0), np.zeros((2, 0)))
@@ -213,7 +222,7 @@ class TestPropagateSchedule:
     def test_slices_last_the_systems_time_over_their_number(self, rng, total_time):
         # the dense expm product with dt = T / n, at a T other than 1
         system = ControlSystem((H0, H1), two_qubit_system(1.5).spec, total_time)
-        base = dissipator_matrix(system.spec).matrix
+        base = dissipator_matrix(system.spec)
         k0, k1 = (hamiltonian_superop(c.matrix) for c in (H0, H1))
         sched = rng.uniform(-2, 2, (2, 6))
         want = np.eye(16, dtype=complex)
@@ -269,7 +278,7 @@ class TestHermitianBasis:
         system = self.random_system(d, rng)
         basis, base, controls = system._generators
         assert np.max(np.abs(basis.conj().T @ basis - np.eye(d * d))) <= 1e-14
-        supers = [dissipator_matrix(system.spec).matrix]
+        supers = [dissipator_matrix(system.spec)]
         supers += [hamiltonian_superop(c.matrix) for c in system.controls]
         for real, superop in zip([base, *controls], supers):
             rotated = basis.conj().T @ superop @ basis

@@ -4,11 +4,15 @@ block, and no module but ``ops`` decides whether a matrix is Hermitian.
 Package ``__init__`` files only re-export, so they are exempt; every name
 they re-export is in its module's ``__all__``, and every ``__all__`` entry
 is defined. scipy is imported only inside the functions that call it, so
-the commands that need none of it never load it."""
+the commands that need none of it never load it. Every public function is
+named outside its module: by another package module, a test, the benchmark
+or the README."""
 
 import ast
 import importlib
+import inspect
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -18,7 +22,8 @@ import pytest
 
 from zenoforge.models import MODEL_NAMES
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "zenoforge"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "zenoforge"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
@@ -209,3 +214,36 @@ def test_init_reexports_only_public_names():
 def test_every_public_name_is_defined(path):
     module = importlib.import_module(f"zenoforge.{path.stem}")
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def named(source: str) -> set[str]:
+    """The identifiers a module's code names: names, attributes and imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.split(".")[-1])
+    return found
+
+
+def test_detector_collects_names_attributes_and_imports():
+    source = "from a.b import c as d\nimport e.f\nx = g.h(i)  # j\n"
+    assert named(source) == {"c", "f", "x", "g", "h", "i"}
+
+
+@pytest.mark.parametrize(  # importing __main__ runs the CLI
+    "path", [p for p in MODULES if p.name != "__main__.py"], ids=lambda p: p.name
+)
+def test_every_public_function_is_named_outside_its_module(path):
+    # the package __init__ only re-exports, so naming a function there does
+    # not count; classes are exempt, since they type returned values
+    module = importlib.import_module(f"zenoforge.{path.stem}")
+    others = [p for p in MODULES if p != path] + TEST_MODULES
+    others += sorted((ROOT / "perfbench").glob("*.py"))
+    outside = set().union(*(named(p.read_text()) for p in others))
+    outside |= set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    functions = [n for n in module.__all__ if inspect.isfunction(getattr(module, n))]
+    assert [n for n in functions if n not in outside] == []

@@ -21,6 +21,7 @@ from zenoforge.ops import (
 )
 
 from conftest import (
+    block_dims,
     dense_superprojection,
     dfs_span,
     heisenberg_bonds,
@@ -217,9 +218,9 @@ class TestLinkedBlocks:
     def test_spec_has_two_non_unital_blocks(self):
         assert not _LINKED_SPEC.is_unital()
         dfs = detect_dfs(_LINKED_SPEC)
-        assert dfs.block_dims == (2, 2)
+        assert block_dims(dfs) == (2, 2)
         # the literal bases span the blocks: each satisfies its block's labels
-        for block, basis in zip(dfs.blocks, (np.eye(5)[:, :2], np.eye(5)[:, 2:4])):
+        for block, basis in zip(dfs, (np.eye(5)[:, :2], np.eye(5)[:, 2:4])):
             assert np.max(np.abs(label_rows(_LINKED_SPEC, block) @ basis)) < 1e-12
 
     @pytest.mark.parametrize(
@@ -357,7 +358,7 @@ def float_generator_sets(desc):
     otherwise the block-diagonal sums); zero generators dropped."""
     diss = desc.spec.dissipative_part()
     dfs = detect_dfs(diss)
-    spans = [dfs_span(diss, block) for block in dfs.blocks]
+    spans = [dfs_span(diss, block) for block in dfs]
     blocks = [[b.conj().T @ h.matrix @ b for h in desc.controls] for b in spans]
     sets = [[h.matrix for h in desc.controls], *blocks]
     if diss.terms and diss.is_unital():

@@ -32,7 +32,7 @@ from zenoforge.ops import (
     zero,
 )
 
-from conftest import dfs_span, random_density, random_hermitian, random_unitary
+from conftest import block_dims, dfs_span, random_density, random_hermitian, random_unitary
 
 
 def brute_force_generator(spec):
@@ -89,7 +89,7 @@ class TestDissipatorMatrix:
     def test_matches_matrix_unit_oracle_amp_damping(self):
         spec = amp_damping_spec()
         assert np.allclose(
-            dissipator_matrix(spec).matrix, brute_force_generator(spec), atol=1e-12
+            dissipator_matrix(spec), brute_force_generator(spec), atol=1e-12
         )
 
     def test_matches_oracle_with_hamiltonian(self, rng):
@@ -99,20 +99,20 @@ class TestDissipatorMatrix:
             (LindbladTerm(0.7, lowering_on(s, 1)), LindbladTerm(0.3, pauli_on(s, 0, "z"))),
         )
         assert np.allclose(
-            dissipator_matrix(spec).matrix, brute_force_generator(spec), atol=1e-12
+            dissipator_matrix(spec), brute_force_generator(spec), atol=1e-12
         )
 
     def test_amp_damping_kernel_multiplicity_four(self):
-        w = np.linalg.eigvals(dissipator_matrix(amp_damping_spec()).matrix)
+        w = np.linalg.eigvals(dissipator_matrix(amp_damping_spec()))
         assert int(np.sum(np.abs(w) < 1e-9)) == 4
 
     def test_empty_spec_gives_zero_matrix(self):
         spec = LindbladSpec(zero(qubits(1)))
-        assert np.max(np.abs(dissipator_matrix(spec).matrix)) == 0
+        assert np.max(np.abs(dissipator_matrix(spec))) == 0
 
     def test_dephasing_spectrum_is_double_commutator(self):
         spec = dephasing_spec(gamma=1.0)
-        mat = dissipator_matrix(spec).matrix
+        mat = dissipator_matrix(spec)
         assert np.allclose(mat, brute_force_generator(spec), atol=1e-12)
         vals = sorted(set(np.round(np.linalg.eigvals(mat).real, 9)))
         assert vals == [-4.0, 0.0]
@@ -120,7 +120,7 @@ class TestDissipatorMatrix:
     def test_annihilates_trace_functional(self):
         # column sums contracted with vec(I) vanish: generator preserves trace
         for spec in (amp_damping_spec(), dephasing_spec(), atom_spec(3, (1, 2, 3))):
-            mat = dissipator_matrix(spec).matrix
+            mat = dissipator_matrix(spec)
             tid = vec(np.eye(spec.space.dim))
             assert np.max(np.abs(mat.conj().T @ tid)) < 1e-10
 
@@ -142,7 +142,7 @@ class TestPropagate:
         analytic = conjugation_superop(a, a) + (
             1 - np.exp(-2 * gamma * gt)
         ) * conjugation_superop(l, l.conj().T)
-        assert np.max(np.abs(expm(gt * dissipator_matrix(spec).matrix) - analytic)) < 1e-8
+        assert np.max(np.abs(expm(gt * dissipator_matrix(spec)) - analytic)) < 1e-8
 
     def test_n_level_atom_closed_form(self):
         gammas = (1.0, 0.7, 1.3)
@@ -161,11 +161,11 @@ class TestPropagate:
                 g * conjugation_superop(term.op.matrix, term.op.matrix.conj().T)
                 for g, term in zip(gammas, spec.terms)
             )
-            assert np.max(np.abs(expm(t * dissipator_matrix(spec).matrix) - analytic)) < 1e-8
+            assert np.max(np.abs(expm(t * dissipator_matrix(spec)) - analytic)) < 1e-8
 
     def test_trace_preserving_and_positive_on_random_states(self, rng):
         spec = amp_damping_spec(0.8)
-        prop = expm(0.7 * dissipator_matrix(spec).matrix)
+        prop = expm(0.7 * dissipator_matrix(spec))
         tid = vec(np.eye(4))  # trace preserving: S^H vec(1) = vec(1)
         assert np.max(np.abs(prop.conj().T @ tid - tid)) <= 1e-9
         for _ in range(100):
@@ -181,14 +181,14 @@ class TestSteadySuperprojector:
         p = np.kron(np.eye(2), np.diag([1.0, 0.0])).astype(complex)
         l = lowering_on(qubits(2), 1).matrix
         analytic = conjugation_superop(p, p) + conjugation_superop(l, l.conj().T)
-        assert np.max(np.abs(steady_superprojector(spec).matrix - analytic)) < 1e-9
+        assert np.max(np.abs(steady_superprojector(spec) - analytic)) < 1e-9
 
     def test_dephasing_closed_form(self):
         spec = dephasing_spec()
         p0 = np.kron(np.eye(2), np.diag([1.0, 0.0])).astype(complex)
         p1 = np.kron(np.eye(2), np.diag([0.0, 1.0])).astype(complex)
         analytic = conjugation_superop(p0, p0) + conjugation_superop(p1, p1)
-        assert np.max(np.abs(steady_superprojector(spec).matrix - analytic)) < 1e-9
+        assert np.max(np.abs(steady_superprojector(spec) - analytic)) < 1e-9
 
     def test_atom_closed_form(self):
         gammas = (1.0, 0.7, 1.3)
@@ -199,25 +199,53 @@ class TestSteadySuperprojector:
             g * conjugation_superop(t.op.matrix, t.op.matrix.conj().T)
             for g, t in zip(gammas, spec.terms)
         )
-        assert np.max(np.abs(steady_superprojector(spec).matrix - analytic)) < 1e-9
+        assert np.max(np.abs(steady_superprojector(spec) - analytic)) < 1e-9
+
+    @pytest.mark.parametrize("rate", [1e-9, 1e-10, 1e-300, 1e-320])
+    @pytest.mark.parametrize("make", [amp_damping_spec, dephasing_spec], ids=["amp", "dephasing"])
+    def test_small_rate_gives_the_unit_rate_projector(self, make, rate):
+        # P(cL) = P(L): weak relaxation is no zero eigenvalue
+        p = steady_superprojector(make(rate))
+        assert np.max(np.abs(p - steady_superprojector(make(1.0)))) < 1e-12
+
+    @pytest.mark.parametrize("rate, norm", [(1e300, 1e-160), (1e-300, 1e100), (1e-9, 1.0)])
+    def test_rate_and_jump_norm_enter_as_gamma_c_squared(self, rate, norm):
+        # rate gamma with jump c L is the dissipator of rate gamma c^2 with L
+        s = qubits(2)
+        p = steady_superprojector(
+            LindbladSpec(zero(s), (LindbladTerm(rate, norm * lowering_on(s, 1)),))
+        )
+        assert np.max(np.abs(p - steady_superprojector(amp_damping_spec()))) < 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-320, 1e100])
+    def test_common_scale_of_hamiltonian_and_rates(self, scale):
+        # a driven damped qubit beside an idle one: H and the rate scaled together
+        s = qubits(2)
+        p, unit = (
+            steady_superprojector(
+                LindbladSpec(c * pauli_on(s, 1, "x"), (LindbladTerm(c, lowering_on(s, 1)),))
+            )
+            for c in (scale, 1.0)
+        )
+        assert np.max(np.abs(p - unit)) < 1e-12
 
     def test_idempotent(self):
         for spec in (amp_damping_spec(), dephasing_spec()):
-            p = steady_superprojector(spec).matrix
+            p = steady_superprojector(spec)
             assert np.max(np.abs(p @ p - p)) < 1e-9
 
     def test_absorbs_propagation(self):
         spec = amp_damping_spec(1.0)
-        p = steady_superprojector(spec).matrix
+        p = steady_superprojector(spec)
         for t in (1.0, 10.0):
-            e = expm(t * dissipator_matrix(spec).matrix)
+            e = expm(t * dissipator_matrix(spec))
             assert np.max(np.abs(p @ e - p)) < 1e-8
             assert np.max(np.abs(e @ p - p)) < 1e-8
 
     def test_propagator_converges_to_projector(self):
         spec = amp_damping_spec(1.0)
-        p = steady_superprojector(spec).matrix
-        gen = dissipator_matrix(spec).matrix
+        p = steady_superprojector(spec)
+        gen = dissipator_matrix(spec)
         errs = [np.max(np.abs(expm(t * gen) - p)) for t in (2.0, 8.0, 20.0)]
         assert errs[0] > errs[1] > errs[2]
         assert errs[-1] < 1e-8
@@ -239,7 +267,7 @@ class TestSteadySuperprojector:
     def test_rejects_generator_without_semisimple_kernel(self, monkeypatch, generator, message):
         # no Lindbladian has these spectra: substitute the generator matrix
         monkeypatch.setattr(
-            lindblad, "dissipator_matrix", lambda spec: Superoperator(spec.space, generator)
+            lindblad, "dissipator_matrix", lambda spec: generator
         )
         with pytest.raises(ValueError, match=message):
             steady_superprojector(LindbladSpec(zero(qubits(1))))
@@ -247,18 +275,18 @@ class TestSteadySuperprojector:
     def test_dfs_states_are_fixed_points(self):
         spec = amp_damping_spec()
         p = steady_superprojector(spec)
-        basis = dfs_span(spec, detect_dfs(spec).blocks[0])
+        basis = dfs_span(spec, detect_dfs(spec)[0])
         for i in range(basis.shape[1]):
             for j in range(basis.shape[1]):
                 x = np.outer(basis[:, i], basis[:, j].conj())
-                assert np.max(np.abs(unvec(p.matrix @ vec(x), 4) - x)) < 1e-8
+                assert np.max(np.abs(unvec(p @ vec(x), 4) - x)) < 1e-8
 
 
 class TestDetectDfs:
     def test_amp_damping_single_block(self):
         dfs = detect_dfs(amp_damping_spec())
-        assert dfs.block_dims == (2,)
-        block = dfs.blocks[0]
+        assert block_dims(dfs) == (2,)
+        block = dfs[0]
         assert block.lindblad_eigenvalues == (0j,)
         assert block.damping_eigenvalue == pytest.approx(0.0, abs=1e-10)
         # spanned by |00> and |10>: rows 1 and 3 (qubit 2 excited) vanish
@@ -266,26 +294,26 @@ class TestDetectDfs:
 
     def test_dephasing_two_blocks(self):
         dfs = detect_dfs(dephasing_spec())
-        assert dfs.block_dims == (2, 2)
-        lams = [b.lindblad_eigenvalues[0] for b in dfs.blocks]
+        assert block_dims(dfs) == (2, 2)
+        lams = [b.lindblad_eigenvalues[0] for b in dfs]
         assert lams == [pytest.approx(-1), pytest.approx(+1)]
         # first block: qubit 2 in |0> (rows 0 and 2); second: |1> (rows 1, 3)
-        first, second = (dfs_span(dephasing_spec(), b) for b in dfs.blocks)
+        first, second = (dfs_span(dephasing_spec(), b) for b in dfs)
         assert np.max(np.abs(first[[1, 3], :])) < 1e-10
         assert np.max(np.abs(second[[0, 2], :])) < 1e-10
-        for b in dfs.blocks:
+        for b in dfs:
             assert b.damping_eigenvalue == pytest.approx(1.0)
 
     def test_atom_block_spans_stable_levels(self):
         spec = atom_spec(4, (1.0, 1.0, 1.0, 1.0))
         dfs = detect_dfs(spec)
-        assert dfs.block_dims == (4,)
-        assert np.max(np.abs(dfs_span(spec, dfs.blocks[0])[4, :])) < 1e-10
+        assert block_dims(dfs) == (4,)
+        assert np.max(np.abs(dfs_span(spec, dfs[0])[4, :])) < 1e-10
 
     def test_projector_properties(self):
         # the two dephasing blocks' label spans split the space orthogonally
         spec = dephasing_spec()
-        spans = [dfs_span(spec, b) for b in detect_dfs(spec).blocks]
+        spans = [dfs_span(spec, b) for b in detect_dfs(spec)]
         p0, p1 = (b @ b.conj().T for b in spans)
         for p in (p0, p1):
             assert np.max(np.abs(p @ p - p)) < 1e-9
@@ -297,17 +325,17 @@ class TestDetectDfs:
         s = qubits(1)
         terms = tuple(LindbladTerm(1.0, pauli_on(s, 0, a)) for a in "xyz")
         dfs = detect_dfs(LindbladSpec(zero(s), terms))
-        assert dfs.blocks == ()
+        assert dfs == ()
 
     def test_no_terms_whole_space(self):
         dfs = detect_dfs(LindbladSpec(zero(qubits(1))))
-        assert dfs.block_dims == (2,)
+        assert block_dims(dfs) == (2,)
 
     def test_zero_rate_term_whole_space(self):
         s = qubits(1)
         dfs = detect_dfs(LindbladSpec(zero(s), (LindbladTerm(0.0, lowering_on(s, 0)),)))
-        assert dfs.block_dims == (2,)
-        block = dfs.blocks[0]
+        assert block_dims(dfs) == (2,)
+        block = dfs[0]
         assert block.lindblad_eigenvalues == ()
         assert block.damping_eigenvalue == 0.0
 
@@ -321,8 +349,8 @@ class TestDetectDfs:
         l2 = Operator(s, np.outer(np.eye(3)[2], w))
         spec = LindbladSpec(zero(s), (LindbladTerm(1.0, l1), LindbladTerm(1.0, l2)))
         dfs = detect_dfs(spec)
-        assert dfs.block_dims == (1,)
-        assert np.allclose(np.abs(dfs_span(spec, dfs.blocks[0])[:, 0]), [1.0, 0.0, 0.0], atol=1e-10)
+        assert block_dims(dfs) == (1,)
+        assert np.allclose(np.abs(dfs_span(spec, dfs[0])[:, 0]), [1.0, 0.0, 0.0], atol=1e-10)
 
     def test_hamiltonian_is_ignored(self, rng):
         s = qubits(2)
@@ -330,7 +358,7 @@ class TestDetectDfs:
             Operator(s, random_hermitian(4, rng)),
             (LindbladTerm(1.0, lowering_on(s, 1)),),
         )
-        assert detect_dfs(spec).block_dims == (2,)
+        assert block_dims(detect_dfs(spec)) == (2,)
 
     @pytest.mark.parametrize("rate", [1.0, 1e-9, 1e-300, 1e12, 1e-310])
     def test_damping_check_scales_with_the_rate(self, rate):
@@ -340,9 +368,9 @@ class TestDetectDfs:
         jump = Operator(s, np.array([[1.0, 1.0], [0.0, 0.0]]))
         spec = LindbladSpec(zero(s), (LindbladTerm(rate, jump),))
         dfs = detect_dfs(spec)
-        assert dfs.block_dims == (1,)
-        assert abs(dfs.blocks[0].lindblad_eigenvalues[0]) < 1e-12
-        basis = dfs_span(spec, dfs.blocks[0])
+        assert block_dims(dfs) == (1,)
+        assert abs(dfs[0].lindblad_eigenvalues[0]) < 1e-12
+        basis = dfs_span(spec, dfs[0])
         assert np.allclose(np.abs(basis[:, 0]), [2**-0.5, 2**-0.5], atol=1e-10)
 
     @pytest.mark.parametrize("diag, dims", [(0.0, (1,)), (1.0, ())])
@@ -352,7 +380,7 @@ class TestDetectDfs:
         s = HilbertSpace((2,))
         jump = Operator(s, 1e-5 * np.array([[1.0, 1.0], [0.0, diag]]))
         spec = LindbladSpec(zero(s), (LindbladTerm(1e10, jump),))
-        assert detect_dfs(spec).block_dims == dims
+        assert block_dims(detect_dfs(spec)) == dims
 
     @pytest.mark.parametrize(
         "scale, rate", [(1e-9, 1.0), (1e-9, 1e18), (1e-5, 1e10), (1e5, 1.0)]
@@ -362,17 +390,17 @@ class TestDetectDfs:
         s = HilbertSpace((2,))
         jump = Operator(s, scale * np.array([[1.0, 1.0], [0.0, 0.0]]))
         dfs = detect_dfs(LindbladSpec(zero(s), (LindbladTerm(rate, jump),)))
-        assert dfs.block_dims == (1,)
-        assert dfs.blocks[0].lindblad_eigenvalues == (0j,)
-        assert dfs.blocks[0].damping_eigenvalue == 0.0
+        assert block_dims(dfs) == (1,)
+        assert dfs[0].lindblad_eigenvalues == (0j,)
+        assert dfs[0].damping_eigenvalue == 0.0
 
     @pytest.mark.parametrize("gamma", [1.0, 1e6, 1e8, 1e10, 1.1e12])
     def test_common_rate_keeps_the_chain_block(self, gamma):
         # G's rounding grows with the rates; from 1e8 on it exceeds an absolute cut
         desc = build_model("ising-chain", n_qubits=4, gammas=(gamma,) * 3)
         dfs = detect_dfs(desc.spec.dissipative_part())
-        assert dfs.block_dims == (2,)
-        assert dfs.blocks[0].damping_eigenvalue == pytest.approx(0.0, abs=1e-8 * gamma)
+        assert block_dims(dfs) == (2,)
+        assert dfs[0].damping_eigenvalue == pytest.approx(0.0, abs=1e-8 * gamma)
 
 
 # Registered models with d <= 32 and their frozen DFS block dimensions.
@@ -397,9 +425,9 @@ class TestDetectDfsProperties:
         name, params = model
         spec = build_model(name, **params).spec
         dfs = detect_dfs(spec)
-        assert dfs.block_dims == dims
-        gen = dissipator_matrix(spec.dissipative_part()).matrix
-        for block in dfs.blocks:
+        assert block_dims(dfs) == dims
+        gen = dissipator_matrix(spec.dissipative_part())
+        for block in dfs:
             # every |psi_i><psi_j| inside one block is a steady state
             b = dfs_span(spec, block)
             units = np.einsum("ai,bj->ijab", b, b.conj()).reshape(-1, b.shape[0] ** 2)
@@ -422,8 +450,8 @@ class TestDetectDfsProperties:
                 for t in spec.terms
             ),
         )
-        before = detect_dfs(spec).blocks
-        after = detect_dfs(rotated).blocks
+        before = detect_dfs(spec)
+        after = detect_dfs(rotated)
         assert len(after) == len(before)
         for p, q in zip(before, after):
             b, c = u @ dfs_span(spec, p), dfs_span(rotated, q)
@@ -452,13 +480,13 @@ class TestSuperprojectorProperties:
         )
         spec = LindbladSpec(Operator(space, random_hermitian(d, rng)), terms)
         try:
-            p = steady_superprojector(spec).matrix
+            p = steady_superprojector(spec)
         except ValueError:
             p = None
         assert (p is not None) == dissipative
         if p is None:
             return
-        e = expm(dissipator_matrix(spec).matrix)
+        e = expm(dissipator_matrix(spec))
         assert np.max(np.abs(p @ p - p)) < 1e-8
         assert np.max(np.abs(p @ e - p)) < 1e-8
         assert np.max(np.abs(e @ p - p)) < 1e-8
@@ -471,8 +499,8 @@ class TestDualGenerator:
             Operator(s, random_hermitian(4, rng)),
             (LindbladTerm(0.9, lowering_on(s, 1)),),
         )
-        primal = dissipator_matrix(spec).matrix
-        dual = dual_generator(spec).matrix
+        primal = dissipator_matrix(spec)
+        dual = dual_generator(spec)
         for _ in range(5):
             a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             rho = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -483,22 +511,22 @@ class TestDualGenerator:
     def test_collective_decoherence_self_dual(self):
         spec = collective_spec(3)
         assert np.max(
-            np.abs(dual_generator(spec).matrix - dissipator_matrix(spec).matrix)
+            np.abs(dual_generator(spec) - dissipator_matrix(spec))
         ) < 1e-12
 
     def test_dual_annihilates_identity(self):
         for spec in (amp_damping_spec(), dephasing_spec()):
-            dual = dual_generator(spec).matrix
+            dual = dual_generator(spec)
             assert np.max(np.abs(dual @ vec(np.eye(spec.space.dim)))) < 1e-12
 
 
 class TestUnitality:
     def test_collective_is_unital(self):
-        mat = dissipator_matrix(collective_spec(3)).matrix
+        mat = dissipator_matrix(collective_spec(3))
         assert np.max(np.abs(mat @ vec(np.eye(8)))) < 1e-10
 
     def test_amp_damping_is_not_unital(self):
-        mat = dissipator_matrix(amp_damping_spec()).matrix
+        mat = dissipator_matrix(amp_damping_spec())
         assert np.max(np.abs(mat @ vec(np.eye(4)))) > 0.1
 
     def test_is_unital_cases(self, rng):
@@ -579,4 +607,4 @@ class TestSuperoperatorType:
         # d = 4: the bound is 10 gamma max|L|^2
         s = qubits(2)
         spec = LindbladSpec(zero(s), (LindbladTerm(1e307, lowering_on(s, 1)),))
-        assert np.isfinite(dissipator_matrix(spec).matrix).all()
+        assert np.isfinite(dissipator_matrix(spec)).all()

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import zenoforge
 import zenoforge.lie as lie
 import zenoforge.lindblad as lindblad
-from zenoforge.cli import build_parser, main
+from zenoforge.cli import _fmt, build_parser, main
 from zenoforge.models import (
     HADAMARD,
     MODEL_NAMES,
@@ -26,7 +26,11 @@ from zenoforge.models import (
     qubit2_reset_superop,
     validate_model,
 )
-from zenoforge.lindblad import vec
+from zenoforge.lindblad import LindbladSpec, hamiltonian_superop, steady_superprojector, vec
+from zenoforge.ops import expm
+from zenoforge.zeno import strong_damping_error, zeno_product
+
+from conftest import block_dims
 
 _DELETE = object()  # marks a job entry to delete in the fidelity job tests
 
@@ -58,7 +62,7 @@ class TestRegistry:
             monkeypatch.setattr(module, "detect_dfs", counting)
         derived = validate_model(build_model(name))
         assert len(calls) == 1
-        assert derived["dfs_dims"] == original(build_model(name).spec.dissipative_part()).block_dims
+        assert derived["dfs_dims"] == block_dims(original(build_model(name).spec))
 
     def test_unknown_model(self):
         with pytest.raises(ValueError):
@@ -76,6 +80,12 @@ class TestRegistry:
         etilde = qubit2_reset_superop(build_model("two-qubit-amp").spec)
         expected = np.outer(vec(np.diag([1.0, 0.0])), vec(np.eye(2)))
         assert np.max(np.abs(etilde - expected)) < 1e-10
+
+    @pytest.mark.parametrize("gamma", [1e-9, 1e-10, 1e-300])
+    @pytest.mark.parametrize("name", ["two-qubit-amp", "two-qubit-dephasing"])
+    def test_reset_superoperator_does_not_depend_on_the_rate(self, name, gamma):
+        etilde = qubit2_reset_superop(build_model(name, gamma=gamma).spec)
+        assert np.max(np.abs(etilde - qubit2_reset_superop(build_model(name).spec))) < 1e-12
 
     def test_hadamard_is_unitary(self):
         assert np.allclose(HADAMARD @ HADAMARD.conj().T, np.eye(2))
@@ -264,6 +274,40 @@ class TestCli:
         errs = {n: float(e) for n, e in doc["zeno_error"]}
         assert errs[4] < errs[1]
         assert float(doc["strong_damping_error"][0][1]) < 1.0
+
+    @pytest.mark.parametrize("gamma", [1.0, 1e-9])
+    @pytest.mark.parametrize("name", ["two-qubit-amp", "two-qubit-dephasing"])
+    def test_zeno_check_prints_the_library_errors(self, capsys, name, gamma):
+        t, steps, rates = 0.7, [1, 4, 16], [1.0, 10.0]
+        assert main([
+            "zeno-check", "--model", name, "--gamma", str(gamma), "--t", str(t),
+            "--steps", ",".join(map(str, steps)), "--gammas", ",".join(map(str, rates)),
+        ]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        desc = build_model(name, gamma=gamma)
+        p = steady_superprojector(desc.spec.dissipative_part())
+        k = hamiltonian_superop(desc.controls[0].matrix)
+        target = expm(p @ k @ p * t) @ p
+        assert doc["zeno_error"] == [
+            [n, _fmt(np.linalg.norm(zeno_product(p, k, t, n) - target, 2))] for n in steps
+        ]
+        terms = {g: build_model(name, gamma=g).spec.terms for g in rates}
+        assert doc["strong_damping_error"] == [
+            [g, _fmt(strong_damping_error(LindbladSpec(desc.controls[0], terms[g]), 1.0, t))]
+            for g in rates
+        ]
+
+    @pytest.mark.parametrize("gamma", ["1e-9", "1e-10", "1e-300", "1e-320"])
+    @pytest.mark.parametrize("name", ["two-qubit-amp", "two-qubit-dephasing"])
+    def test_zeno_check_at_a_small_rate_prints_the_unit_rate_errors(self, capsys, name, gamma):
+        # the steady superprojector does not depend on a common factor of the rates
+        argv = ["zeno-check", "--model", name, "--steps", "1,16,256"]
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv + ["--gamma", gamma]) == 0
+        assert capsys.readouterr() == (want, "") and caught == []
 
     def test_byte_stable_outputs(self, capsys):
         main(["lie-dim", "--model", "two-qubit-dephasing"])
