@@ -6,7 +6,6 @@ and optimizes piecewise-constant pulses against Choi-based gate errors.
 """
 
 from .channels import (
-    ChoiMatrix,
     GateErrorReport,
     choi,
     epsilon1,
@@ -37,13 +36,7 @@ from .lindblad import (
     spec_to_json,
     steady_superprojector,
 )
-from .ops import (
-    HilbertSpace,
-    Operator,
-    expm,
-    pauli_on,
-    qubits,
-)
+from .ops import expm, pauli_on
 from .zeno import strong_damping_error, zeno_product
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .lindblad import LindbladSpec, LindbladTerm
-from .ops import HilbertSpace, Operator, pauli_on, qubits, zero
+from .ops import pauli_on
 
 __all__ = [
     "CollectiveSpec",
@@ -67,10 +67,10 @@ class two_body:
         if not 0 <= self.m < self.n:
             raise ValueError(f"need 0 <= m < n, got ({self.m}, {self.n})")
 
-    def realize(self, space: HilbertSpace) -> np.ndarray:
-        out = np.zeros((space.dim, space.dim), dtype=complex)
+    def realize(self, n_qubits: int) -> np.ndarray:
+        out = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
         for axis in "xyz":
-            out += (pauli_on(space, self.m, axis) @ pauli_on(space, self.n, axis)).matrix
+            out += pauli_on(n_qubits, self.m, axis) @ pauli_on(n_qubits, self.n, axis)
         return out
 
 
@@ -86,12 +86,12 @@ class three_body:
         if len({self.i, self.j, self.k}) != 3 or min(self.i, self.j, self.k) < 0:
             raise ValueError(f"need three distinct sites, got {(self.i, self.j, self.k)}")
 
-    def realize(self, space: HilbertSpace) -> np.ndarray:
+    def realize(self, n_qubits: int) -> np.ndarray:
         si, sj, sk = (
-            {axis: pauli_on(space, site, axis).matrix for axis in "xyz"}
+            {axis: pauli_on(n_qubits, site, axis) for axis in "xyz"}
             for site in (self.i, self.j, self.k)
         )
-        out = np.zeros((space.dim, space.dim), dtype=complex)
+        out = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
         for a, b, c in ("xyz", "yzx", "zxy"):  # cyclic (a, b, c): eps_abc = 1
             out += si[a] @ (sj[b] @ sk[c] - sj[c] @ sk[b])
         return out
@@ -100,26 +100,21 @@ class three_body:
         return tuple(sorted((self.i, self.j, self.k)))
 
 
-def collective_spin(space: HilbertSpace, axis: str) -> Operator:
-    """S_alpha = (1/2) sum_n sigma_alpha^(n)."""
-    total = sum((pauli_on(space, n, axis) for n in range(space.n_factors)), zero(space))
-    return 0.5 * total
+def collective_spin(n: int, axis: str) -> np.ndarray:
+    """S_alpha = (1/2) sum_k sigma_alpha^(k) on n qubits."""
+    if n < 1:
+        raise ValueError("need at least one qubit")
+    return 0.5 * sum(pauli_on(n, k, axis) for k in range(n))
 
 
-def build_chain(spec: CollectiveSpec) -> tuple[LindbladSpec, Operator, Operator]:
+def build_chain(spec: CollectiveSpec) -> tuple[LindbladSpec, np.ndarray, np.ndarray]:
     """Ising drift, first-bond control, and the collective dissipator."""
     n = spec.n_qubits
-    space = qubits(n)
-    drift = sum(
-        (pauli_on(space, i, "z") @ pauli_on(space, i + 1, "z") for i in range(n - 1)),
-        zero(space),
-    )
-    control = pauli_on(space, 0, "z") @ pauli_on(space, 1, "z")
+    drift = sum(pauli_on(n, i, "z") @ pauli_on(n, i + 1, "z") for i in range(n - 1))
+    control = pauli_on(n, 0, "z") @ pauli_on(n, 1, "z")
     rates = {"x": spec.gamma_x, "y": spec.gamma_y, "z": spec.gamma_z}
-    terms = tuple(
-        LindbladTerm(rates[axis], collective_spin(space, axis)) for axis in "xyz"
-    )
-    return LindbladSpec(zero(space), terms), drift, control
+    terms = tuple(LindbladTerm(rates[axis], collective_spin(n, axis)) for axis in "xyz")
+    return LindbladSpec(np.zeros((2**n, 2**n)), terms, (2,) * n), drift, control
 
 
 def dfs_dimension(j, n: int) -> int:
@@ -178,14 +173,14 @@ def _verify(label, a, b, rhs, gained) -> CommutatorIdentity:
     return CommutatorIdentity(label, residual, tuple(gained))
 
 
-def _realizer(space: HilbertSpace):
-    """h(m, n) -> dense H_mn and h(i, j, k) -> dense H_ijk on ``space``,
+def _realizer(n: int):
+    """h(m, n) -> dense H_mn and h(i, j, k) -> dense H_ijk on n qubits,
     each realized on first use and then reused."""
 
     @cache
     def h(*sites):
         op = two_body(*sites) if len(sites) == 2 else three_body(*sites)
-        return op.realize(space)
+        return op.realize(n)
 
     return h
 
@@ -201,7 +196,7 @@ def generate_inventory_schedule(n: int) -> list[CommutatorIdentity]:
     """
     if n < 3:
         raise ValueError("the schedule needs at least 3 qubits")
-    h = _realizer(qubits(n))
+    h = _realizer(n)
     ht0 = sum(h(m, m + 1) for m in range(n - 1))
     out = []
 
@@ -297,7 +292,7 @@ def four_body_identities(n: int):
     operators: i[H_ij, H_jkl] and i[H_ijk, H_ij H_kl] on sites 0..3."""
     if n < 4:
         raise ValueError("need at least 4 qubits")
-    h = _realizer(qubits(n))
+    h = _realizer(n)
     first = _verify(
         "i[Hij, Hjkl]",
         h(0, 1),

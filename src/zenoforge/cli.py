@@ -43,7 +43,7 @@ from .models import (
     build_model,
     qubit2_reset_superop,
 )
-from .ops import Operator, expm, qubits
+from .ops import expm
 from .zeno import strong_damping_error, zeno_product
 
 __all__ = ["main"]
@@ -155,7 +155,7 @@ def cmd_zeno_check(args) -> int:
         raise ValueError("strong-damping check supports the two-qubit models")
     desc = _model_from_args(name, None, args.gamma)
     projector = steady_superprojector(desc.spec.dissipative_part())
-    generator = hamiltonian_superop(desc.controls[0].matrix)
+    generator = hamiltonian_superop(desc.controls[0])
     target = expm(projector @ generator @ projector * t) @ projector
     zeno_rows = []
     for nstep in steps:
@@ -180,9 +180,7 @@ def _chain_dfs_lie_dim(n: int) -> int:
     if n == 1:
         return 0
     if n == 2:  # P(Z0 Z1) = sigma_0 . sigma_1 / 3, closed as it is
-        space = qubits(2)
-        heis = Operator(space, two_body(0, 1).realize(space) / 3.0)
-        return lie_verdict([heis]).dim
+        return lie_verdict([two_body(0, 1).realize(2) / 3.0]).dim
     desc = build_model("ising-chain", n_qubits=n)
     return dfs_lie_dimension(desc.spec, desc.controls).verdict.dim
 
@@ -301,9 +299,7 @@ def _fidelity_report(job):
     spec = spec_from_json(json.dumps(sys_doc))
     if not isinstance(sys_doc["controls"], list):
         raise ValueError("controls must be a list of matrices")
-    controls = tuple(
-        Operator(spec.space, _matrix_from_json(mat, "control")) for mat in sys_doc["controls"]
-    )
+    controls = tuple(_matrix_from_json(mat, "control") for mat in sys_doc["controls"])
     total_time = float(_array_from_json(sys_doc.get("total_time", 1.0), 0, "total_time"))
     system = ControlSystem(controls, spec, total_time)
     amplitudes = _array_from_json(job["amplitudes"], 2, "amplitudes")
@@ -314,9 +310,9 @@ def _fidelity_report(job):
         goal_unitary = HADAMARD
     else:
         goal_unitary = _matrix_from_json(target, "target")
-    d1 = spec.space.factor_dims[0]
+    d1 = spec.dims[0]
     _check_goal(goal_unitary, d1)
-    etilde = _etilde(job.get("etilde", "identity"), spec, spec.space.dim // d1)
+    etilde = _etilde(job.get("etilde", "identity"), spec, spec.hamiltonian.shape[0] // d1)
     return gate_error_report(propagate_schedule(system, amplitudes), goal_unitary, etilde)
 
 

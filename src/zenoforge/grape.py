@@ -47,11 +47,12 @@ from .lindblad import (
     LindbladSpec,
     Superoperator,
     _coherent_bound,
+    _read_only,
     _real_array,
     dissipator_matrix,
     hamiltonian_superop,
 )
-from .ops import Operator, hermitian
+from .ops import hermitian
 
 __all__ = [
     "ControlSystem",
@@ -70,12 +71,13 @@ __all__ = [
 @dataclass(frozen=True)
 class ControlSystem:
     """Modulated control Hamiltonians over a fixed dissipative background,
-    kept as their exact Hermitian parts (``ops.hermitian``).
+    kept as read-only copies of their exact Hermitian parts
+    (``ops.hermitian``), each of the spec's size d.
 
     ``spec.hamiltonian`` is the unmodulated drift (zero when the drift is
     treated as a control, as in the gate-optimization study)."""
 
-    controls: tuple[Operator, ...]
+    controls: tuple[np.ndarray, ...]
     spec: LindbladSpec
     total_time: float
 
@@ -84,13 +86,12 @@ class ControlSystem:
             raise ValueError("total time must be positive and finite")
         if not self.controls:
             raise ValueError("need at least one control Hamiltonian")
-        d = self.spec.space.dim
-        if any(c.space.dim != d for c in self.controls):
-            raise ValueError("controls must live on the system space")
-        controls = tuple(
-            Operator(c.space, hermitian(c, f"control {l}")) for l, c in enumerate(self.controls)
-        )
-        object.__setattr__(self, "controls", controls)
+        d = self.spec.hamiltonian.shape[0]
+        controls = tuple(hermitian(c, f"control {l}") for l, c in enumerate(self.controls))
+        for l, c in enumerate(controls):
+            if c.shape != (d, d):
+                raise ValueError(f"control {l} has shape {c.shape}, not ({d}, {d})")
+        object.__setattr__(self, "controls", tuple(map(_read_only, controls)))
 
     @property
     def n_controls(self) -> int:
@@ -100,7 +101,7 @@ class ControlSystem:
     def _generators(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The basis change Q, the real dissipator D and the stacked real
         control superoperators K_l in the Hermitian basis."""
-        d = self.spec.space.dim
+        d = self.spec.hamiltonian.shape[0]
         # Q: columns vec(B_a) (row-major) of the orthonormal Hermitian basis
         # E_jj, (E_jk + E_kj)/sqrt2 and i(E_jk - E_kj)/sqrt2 for j < k
         units = np.eye(d * d).reshape(d, d, d * d)  # units[j, k] = vec(E_jk)
@@ -112,7 +113,7 @@ class ControlSystem:
         for l, c in enumerate(self.controls):
             _coherent_bound(c, f"control {l}")
         controls = np.stack(
-            [_to_real_basis(basis, hamiltonian_superop(c.matrix)) for c in self.controls]
+            [_to_real_basis(basis, hamiltonian_superop(c)) for c in self.controls]
         )
         return basis, base, controls
 
@@ -297,7 +298,7 @@ def propagate_schedule(system: ControlSystem, schedule) -> Superoperator:
             f"for slice generators up to max|A| = {np.max(np.abs(gens)):g}: "
             "the Hamiltonian, the controls or the amplitudes are too large"
         )
-    return Superoperator(system.spec.space, total)
+    return Superoperator(total)
 
 
 @dataclass(frozen=True)
@@ -324,7 +325,7 @@ class Eps2Target:
     def value_and_cograd(self, e_total: np.ndarray):
         """Value and cograd with d(value) = Re sum(cograd * dE)."""
         d = round(e_total.shape[0] ** 0.5)
-        j = choi(e_total).matrix
+        j = choi(e_total)
         if d not in self._weights:
             self._weights[d] = _eps2_weight(self.goal_unitary, d)
         one_minus_w = self._weights[d]

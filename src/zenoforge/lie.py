@@ -176,10 +176,10 @@ def dfs_lie_dimension(spec: LindbladSpec, controls) -> DFSLieReport:
     that ``exact.superproject`` cannot prove.
     """
     dfs = detect_dfs(spec)
-    d = spec.space.dim
+    d = spec.hamiltonian.shape[0]
     hs = _staged(controls, "control", d)
     terms = [t for t in spec.terms if t.rate > 0]
-    jumps = list(zip(_coprime([t.rate for t in terms]), [t.op.matrix for t in terms]))
+    jumps = list(zip(_coprime([t.rate for t in terms]), [t.op for t in terms]))
 
     @functools.cache
     def blocks_at(p):

@@ -6,7 +6,9 @@ convention carries an effective rate ``2 gamma_j`` on the jump term:
 
     D(rho) = -sum_j gamma_j (Lj^dag Lj rho + rho Lj^dag Lj - 2 Lj rho Lj^dag)
 
-and the full generator is ``rho -> -i[H, rho] + D(rho)``.
+and the full generator is ``rho -> -i[H, rho] + D(rho)``. H and the Lj are
+complex (d, d) arrays; the generators and projectors are (d^2, d^2) arrays.
+Only a propagated channel is wrapped, in ``Superoperator``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import HilbertSpace, Operator, hermitian, zero
+from .ops import hermitian
 
 __all__ = [
     "LindbladTerm",
@@ -66,102 +68,155 @@ def hamiltonian_superop(h: np.ndarray) -> np.ndarray:
     return -1j * (np.kron(h, eye) - np.kron(eye, h.T))
 
 
-def _coherent_bound(h: Operator, name: str) -> float:
+def _coherent_bound(h: np.ndarray, name: str) -> float:
     """2 max|H|, the largest entry -i[H, .] can have; raises ValueError naming
     the operator when that is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.max(np.abs(h.matrix), initial=0.0)
+        scale = np.max(np.abs(h), initial=0.0)
         bound = 2 * scale
     if not bound < np.inf:  # NaN fails too
         raise ValueError(f"{name} with max|H| = {scale:g} makes the generator not finite")
     return bound
 
 
+def _read_only(a) -> np.ndarray:
+    """A complex copy of ``a`` that cannot be written."""
+    out = np.array(a, dtype=complex)
+    out.setflags(write=False)
+    return out
+
+
+def _ldexp(a: np.ndarray, n: int) -> np.ndarray:
+    """a 2^n for a complex array: exact unless it over- or underflows."""
+    return np.ldexp(a.real, n) + 1j * np.ldexp(a.imag, n)
+
+
 @dataclass(frozen=True)
 class LindbladTerm:
+    """A rate and a Lindblad operator, kept as a read-only complex copy."""
+
     rate: float
-    op: Operator
+    op: np.ndarray
 
     def __post_init__(self):
         if not 0 <= self.rate < np.inf:  # NaN fails too
             raise ValueError(f"rate must be finite and non-negative, got {self.rate}")
+        object.__setattr__(self, "op", _read_only(self.op))
 
 
 @dataclass(frozen=True)
 class LindbladSpec:
-    """A Hamiltonian (possibly zero), kept as its exact Hermitian part
-    (``ops.hermitian``), plus weighted Lindblad operators."""
+    """A Hamiltonian (possibly zero), kept as a read-only copy of its exact
+    Hermitian part (``ops.hermitian``), plus weighted Lindblad operators of
+    the same size d. ``dims`` are the tensor factors' dimensions, whose
+    product is d; (d,) by default."""
 
-    hamiltonian: Operator
+    hamiltonian: np.ndarray
     terms: tuple[LindbladTerm, ...] = ()
+    dims: tuple[int, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
-        h = self.hamiltonian
-        object.__setattr__(self, "hamiltonian", Operator(h.space, hermitian(h, "hamiltonian")))
-        d = self.space.dim
+        h = _read_only(hermitian(self.hamiltonian, "hamiltonian"))
+        object.__setattr__(self, "hamiltonian", h)
+        d = h.shape[0]
+        dims = (d,) if self.dims is None else tuple(self.dims)
+        positive = all(type(n) is int and n > 0 for n in dims)
+        if not (dims and positive and math.prod(dims) == d):
+            raise ValueError(f"dims {list(dims)} must be positive integers whose product is {d}")
+        object.__setattr__(self, "dims", dims)
         # every entry of -i[H, .] is at most 2 max|H|; every entry of the
         # dissipator's matrix, of sum_j gamma_j Lj^dag Lj and of D(1) is at
         # most that plus the sum of 2 (d + 1) gamma_j max|Lj|^2
         bound = _coherent_bound(self.hamiltonian, "hamiltonian")
-        for t in self.terms:
-            if t.op.space.dim != d:
-                raise ValueError("all Lindblad terms must share the Hamiltonian's space")
+        for k, t in enumerate(self.terms):
+            if t.op.shape != (d, d):
+                raise ValueError(f"Lindblad term {k} has shape {t.op.shape}, not ({d}, {d})")
             with np.errstate(over="ignore", invalid="ignore"):
-                scale = np.max(np.abs(t.op.matrix), initial=0.0)
+                scale = np.max(np.abs(t.op), initial=0.0)
                 bound += 2 * (d + 1) * t.rate * scale**2
             if not bound < np.inf:  # NaN fails too
                 raise ValueError(
                     f"rate {t.rate:g} with max|L| = {scale:g} gives a non-finite Lindblad generator"
                 )
 
-    @property
-    def space(self) -> HilbertSpace:
-        return self.hamiltonian.space
-
     def dissipative_part(self) -> "LindbladSpec":
         """The same terms with the Hamiltonian dropped."""
-        return LindbladSpec(zero(self.space), self.terms)
+        return LindbladSpec(np.zeros_like(self.hamiltonian), self.terms, self.dims)
 
     def is_unital(self) -> bool:
         """Whether D(1) = -2 sum_j gamma_j [Lj^dag, Lj] vanishes, within 1e-10
         of the largest gamma_j max|Lj|^2; D(1) is linear in the rates, so the
-        cut has no absolute floor."""
-        jumps = [(t.rate, t.op.matrix) for t in self.terms]
-        defect = sum((r * (l.conj().T @ l - l @ l.conj().T) for r, l in jumps), 0)
-        scale = max((r * np.max(np.abs(l)) ** 2 for r, l in jumps), default=0.0)
+        cut has no absolute floor, and it is taken on the unit jumps
+        (``_unit_jumps``), so no product of a rate and a jump rounds to 0."""
+        _, jumps = _unit_jumps(self)
+        defect = sum((w * (u.conj().T @ u - u @ u.conj().T) for _, w, u in jumps), 0)
+        scale = max((w * np.max(np.abs(u)) ** 2 for _, w, u in jumps), default=0.0)
         return bool(np.max(np.abs(defect)) <= 1e-10 * scale)
+
+
+def _unit_jumps(spec: LindbladSpec) -> tuple[int, list[tuple[int, float, np.ndarray]]]:
+    """The positive-rate terms as gamma_j D[Lj] = 2^k w_j D[Uj], with no
+    product of a rate and a jump formed: Uj = Lj / 2^e_j for the least
+    2^e_j >= max|Lj|, and w_j = gamma_j 4^e_j / 2^k in exponent arithmetic,
+    where 2^(k-1) <= gamma_j 4^e_j < 2^k for the largest, so the largest w_j
+    lies in [1/2, 1). Returns k and the triples (e_j, w_j, Uj); a zero Lj
+    has w_j = 0. Every scaling is by a power of two, so it rounds nothing
+    that does not under- or overflow."""
+    out = []
+    for t in spec.terms:
+        if t.rate > 0:
+            top = np.max(np.abs(t.op), initial=0.0)
+            m, e = math.frexp(top)
+            if m == 0.5:  # max|L| = 2^(e-1) exactly: divide by that
+                e -= 1
+            rm, re = math.frexp(t.rate)
+            out.append((e, rm if top else 0.0, re + 2 * e, _ldexp(t.op, -e)))
+    k = max((x for _, m, x, _ in out if m), default=0)
+    return k, [(e, math.ldexp(m, x - k), u) for e, m, x, u in out]
 
 
 @dataclass(frozen=True)
 class Superoperator:
-    """A propagated channel's d^2 x d^2 matrix on row-vectorized density matrices."""
+    """A propagated channel's (d^2, d^2) matrix on row-vectorized density matrices."""
 
-    space: HilbertSpace
     matrix: np.ndarray
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
-        d2 = self.space.dim ** 2
-        if mat.shape != (d2, d2):
-            raise ValueError(f"superoperator shape {mat.shape}, expected {(d2, d2)}")
+        _superop_dim(mat)
         object.__setattr__(self, "matrix", mat)
 
 
-def dissipator_matrix(spec: LindbladSpec) -> np.ndarray:
-    """Vectorized (d^2, d^2) matrix of the full generator -i[H, .] + D."""
-    d = spec.space.dim
-    mat = hamiltonian_superop(spec.hamiltonian.matrix)
-    eye = np.eye(d)
-    for term in spec.terms:
-        l = term.op.matrix
+def _superop_dim(mat: np.ndarray) -> int:
+    """d for a (d^2, d^2) array; ValueError for any other shape."""
+    n = mat.shape[0] if mat.ndim == 2 else 0
+    d = math.isqrt(n)
+    if n == 0 or mat.shape != (n, n) or d * d != n:
+        raise ValueError(f"superoperator must be d^2 x d^2, got {mat.shape}")
+    return d
+
+
+def _generator(coherent: np.ndarray, jumps) -> np.ndarray:
+    """coherent + sum_j w_j (2 L (.) L^dag - L^dag L (.) - (.) L^dag L) over
+    the pairs (w_j, L_j) of ``jumps``, as a (d^2, d^2) array."""
+    mat = coherent
+    for rate, l in jumps:
+        eye = np.eye(len(l))
         ldl = l.conj().T @ l
-        mat = mat + term.rate * (
+        mat = mat + rate * (
             2.0 * conjugation_superop(l, l.conj().T)
             - conjugation_superop(ldl, eye)
             - conjugation_superop(eye, ldl)
         )
     return mat
+
+
+def dissipator_matrix(spec: LindbladSpec) -> np.ndarray:
+    """Vectorized (d^2, d^2) matrix of the full generator -i[H, .] + D."""
+    return _generator(
+        hamiltonian_superop(spec.hamiltonian), [(t.rate, t.op) for t in spec.terms]
+    )
 
 
 def steady_superprojector(spec: LindbladSpec) -> np.ndarray:
@@ -176,18 +231,27 @@ def steady_superprojector(spec: LindbladSpec) -> np.ndarray:
 
     P(cL) = P(L) for c > 0, so the zero cut has no absolute floor: it is
     1e-9 of the generator's unit s = max(2 max|H|, max_j gamma_j max|Lj|^2),
-    applied to the generator times 2^-e, 2^e <= s < 2^(e+1), a scaling that
-    rounds nothing and brings the generator of a tiny common rate to order 1.
+    applied to the generator times 2^-e, 2^e <= s < 2^(e+1). The generator
+    is built at that scale from the unit jumps (``_unit_jumps``), which
+    rounds nothing and brings the generator of a tiny or huge common rate
+    to order 1, even where gamma_j max|Lj|^2 itself is not a float.
     """
     import scipy.linalg
 
-    jumps = [t.rate * np.max(np.abs(t.op.matrix)) ** 2 for t in spec.terms]
-    unit = max([_coherent_bound(spec.hamiltonian, "hamiltonian"), *jumps])
-    e = math.frexp(unit)[1] - 1
-    gen = dissipator_matrix(spec)
-    gen = np.ldexp(gen.real, -e) + 1j * np.ldexp(gen.imag, -e)
+    k, jumps = _unit_jumps(spec)
+    coherent = _coherent_bound(spec.hamiltonian, "hamiltonian")
+    dissipative = max((w * np.max(np.abs(u)) ** 2 for _, w, u in jumps), default=0.0)
+    # s = max(coherent, 2^k dissipative), by its exponent; 2^-1 <= s < 1 at s = 0
+    exponents = [math.frexp(coherent)[1]] if coherent else []
+    if dissipative:
+        exponents.append(math.frexp(dissipative)[1] + k)
+    e = max(exponents, default=0) - 1
+    gen = _generator(
+        _ldexp(hamiltonian_superop(spec.hamiltonian), -e),
+        [(math.ldexp(w, k - e), u) for _, w, u in jumps],
+    )
     w, left, right = scipy.linalg.eig(gen, left=True, right=True)
-    cut = _ZERO_CUT * math.ldexp(unit, -e)
+    cut = _ZERO_CUT * max(math.ldexp(coherent, -e), math.ldexp(dissipative, k - e))
     zero = np.abs(w) <= cut
     if not zero.any():
         raise ValueError("generator has no steady state")
@@ -243,18 +307,17 @@ def detect_dfs(spec: LindbladSpec) -> tuple[DFSBlock, ...]:
     by eigenvalue into the null spaces of (L_j - c_j) B, one operator after
     another, and then cut down to the null space of (G - b) B; every
     surviving block is verified against the defining conditions, and the
-    blocks must be mutually orthogonal. Each L_j is refined and checked as
-    L_j / s_j with s_j = max|L_j|, so no cut depends on how gamma_j and L_j
-    split the dissipator. The bases stay local: a block is returned as its
-    dimension and labels c_j and b, where a part of c_j below 1e-8 s_j and a
-    b below 1e-8 max|G| are exact zeros.
+    blocks must be mutually orthogonal. All of this runs on the unit jumps
+    U_j = L_j / 2^e_j and G / 2^k (``_unit_jumps``), so no cut depends on how
+    gamma_j and L_j split the dissipator, and no product of a rate and a
+    jump under- or overflows. The bases stay local: a block is returned as
+    its dimension and labels c_j and b, where a part of c_j below 1e-8 2^e_j
+    and a b below 1e-8 max|G| are exact zeros.
     """
-    d = spec.space.dim
-    active = [(t.rate, t.op.matrix) for t in spec.terms if t.rate > 0]
-    scales = [float(np.max(np.abs(l))) or 1.0 for _, l in active]
-    units = [l / s for (_, l), s in zip(active, scales)]
+    d = spec.hamiltonian.shape[0]
+    k, active = _unit_jumps(spec)
     blocks: list[tuple[np.ndarray, tuple[complex, ...]]] = [(np.eye(d, dtype=complex), ())]
-    for u in units:
+    for _, _, u in active:
         refined: list[tuple[np.ndarray, tuple[complex, ...]]] = []
         for sub, lams in blocks:
             comp = sub.conj().T @ u @ sub
@@ -266,13 +329,9 @@ def detect_dfs(spec: LindbladSpec) -> tuple[DFSBlock, ...]:
                 refined.append((cand, lams + (lam_refined,)))
         blocks = refined
 
-    # G and its rounding scale as gamma_j |Lj|^2, so its cut and check are
-    # relative to max|G|, which is nonzero when some active Lj is. The blocks
-    # do not change with a common factor of the rates, so G and b take the
-    # rates over the largest, and b is scaled back: a subnormal max|G| would
-    # overflow the division by it.
-    top = max((r for r, _ in active), default=1.0)
-    g = sum((r / top * (l.conj().T @ l) for r, l in active), np.zeros((d, d)))
+    # G / 2^k and its rounding scale as w_j |Uj|^2, so its cut and check are
+    # relative to its largest entry, which is nonzero when some active Lj is
+    g = sum((w * (u.conj().T @ u) for _, w, u in active), np.zeros((d, d)))
     g_scale = float(np.max(np.abs(g))) or 1.0
 
     def cut(x: float, scale: float) -> float:
@@ -280,18 +339,21 @@ def detect_dfs(spec: LindbladSpec) -> tuple[DFSBlock, ...]:
 
     found: list[tuple[np.ndarray, DFSBlock]] = []
     for sub, lams in blocks:
-        cs = [lam * s for lam, s in zip(lams, scales)]
-        b = float(sum(r / top * abs(c) ** 2 for (r, _), c in zip(active, cs)))
+        b = float(sum(w * abs(lam) ** 2 for (_, w, _), lam in zip(active, lams)))
         sub = sub @ _null_space((g @ sub - b * sub) / g_scale, _DFS_TOL)
         if sub.shape[1] == 0:
             continue
         # Verify the defining conditions on every basis vector.
         ok = all(
-            np.max(np.abs(u @ sub - lam * sub)) <= 10 * _DFS_TOL for u, lam in zip(units, lams)
+            np.max(np.abs(u @ sub - lam * sub)) <= 10 * _DFS_TOL
+            for (_, _, u), lam in zip(active, lams)
         ) and np.max(np.abs(g @ sub - b * sub)) <= 10 * _DFS_TOL * g_scale
         if ok:
-            labels = tuple(complex(cut(c.real, s), cut(c.imag, s)) for c, s in zip(cs, scales))
-            found.append((sub, DFSBlock(sub.shape[1], labels, cut(b, g_scale) * top)))
+            labels = tuple(
+                complex(math.ldexp(cut(lam.real, 1.0), e), math.ldexp(cut(lam.imag, 1.0), e))
+                for (e, _, _), lam in zip(active, lams)
+            )
+            found.append((sub, DFSBlock(sub.shape[1], labels, math.ldexp(cut(b, g_scale), k))))
 
     def sort_key(block: DFSBlock):
         lam6 = tuple(
@@ -346,10 +408,10 @@ def _matrix_from_json(data, what: str = "matrix") -> np.ndarray:
 
 def spec_to_json(spec: LindbladSpec) -> str:
     doc = {
-        "dims": list(spec.space.factor_dims),
-        "hamiltonian": _matrix_to_json(spec.hamiltonian.matrix),
+        "dims": list(spec.dims),
+        "hamiltonian": _matrix_to_json(spec.hamiltonian),
         "terms": [
-            {"rate": float(t.rate), "op": _matrix_to_json(t.op.matrix)}
+            {"rate": float(t.rate), "op": _matrix_to_json(t.op)}
             for t in spec.terms
         ],
     }
@@ -359,17 +421,16 @@ def spec_to_json(spec: LindbladSpec) -> str:
 def spec_from_json(text: str) -> LindbladSpec:
     doc = json.loads(text)
     dims = doc["dims"]
-    if not isinstance(dims, list) or not all(type(n) is int and n > 0 for n in dims):
+    if not isinstance(dims, list):  # LindbladSpec checks the entries
         raise ValueError(f"dims must be a list of positive integers, got {json.dumps(dims)}")
-    space = HilbertSpace(tuple(dims))
-    h = Operator(space, _matrix_from_json(doc["hamiltonian"], "hamiltonian"))
+    h = _matrix_from_json(doc["hamiltonian"], "hamiltonian")
     if not isinstance(doc["terms"], list) or not all(isinstance(t, dict) for t in doc["terms"]):
         raise ValueError("terms must be a list of JSON objects")
     terms = tuple(
         LindbladTerm(
             float(_array_from_json(t["rate"], 0, "rate")),
-            Operator(space, _matrix_from_json(t["op"], "op")),
+            _matrix_from_json(t["op"], "op"),
         )
         for t in doc["terms"]
     )
-    return LindbladSpec(h, terms)
+    return LindbladSpec(h, terms, tuple(dims))

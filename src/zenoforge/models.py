@@ -18,7 +18,7 @@ from .lindblad import (
     steady_superprojector,
 )
 from .lie import dfs_lie_dimension, lie_verdict
-from .ops import HilbertSpace, Operator, lowering_on, pauli_on, qubits, zero
+from .ops import lowering_on, pauli_on
 
 __all__ = [
     "ModelDescriptor",
@@ -42,47 +42,47 @@ class ModelDescriptor:
     name: str
     params: dict
     spec: LindbladSpec
-    controls: tuple[Operator, ...]
+    controls: tuple[np.ndarray, ...]
     expected: dict = field(default_factory=dict)
 
 
 def _two_qubit_controls():
-    s = qubits(2)
-    drift = pauli_on(s, 0, "x") @ (pauli_on(s, 1, "x") + pauli_on(s, 1, "z"))
-    control = pauli_on(s, 0, "y") @ (pauli_on(s, 1, "x") - pauli_on(s, 1, "z"))
-    return s, drift, control
+    drift = pauli_on(2, 0, "x") @ (pauli_on(2, 1, "x") + pauli_on(2, 1, "z"))
+    control = pauli_on(2, 0, "y") @ (pauli_on(2, 1, "x") - pauli_on(2, 1, "z"))
+    return drift, control
 
 
-def _atom_model(n_levels: int, gammas) -> tuple[LindbladSpec, Operator, Operator]:
+def _two_qubit_spec(gamma: float, op: np.ndarray) -> LindbladSpec:
+    """One jump on the two qubits, no Hamiltonian."""
+    return LindbladSpec(np.zeros((4, 4)), (LindbladTerm(gamma, op),), (2, 2))
+
+
+def _atom_model(n_levels: int, gammas) -> tuple[LindbladSpec, np.ndarray, np.ndarray]:
     # levels 0..N-1 are stable, level N is the unstable one that decays
     if n_levels < 2:
         raise ValueError("the atom model needs at least 2 stable levels")
     gammas = tuple(float(g) for g in gammas)
     if len(gammas) != n_levels:
         raise ValueError(f"need {n_levels} decay rates, got {len(gammas)}")
-    space = HilbertSpace((n_levels + 1,))
     eye = np.eye(n_levels + 1)
     terms = tuple(
-        LindbladTerm(g, Operator(space, np.outer(eye[:, j], eye[:, n_levels])))
-        for j, g in enumerate(gammas)
+        LindbladTerm(g, np.outer(eye[:, j], eye[:, n_levels])) for j, g in enumerate(gammas)
     )
-    drift = Operator(
-        space,
+    drift = (
         np.outer(eye[:, n_levels], eye[:, 1])
         + np.outer(eye[:, 1], eye[:, n_levels])
         + sum(
             np.outer(eye[:, j], eye[:, j + 1]) + np.outer(eye[:, j + 1], eye[:, j])
             for j in range(n_levels - 1)
-        ),
+        )
     )
-    control = Operator(
-        space,
+    control = (
         np.outer(eye[:, n_levels], eye[:, n_levels])
         + np.outer(eye[:, 0], eye[:, 0])
         - np.outer(eye[:, n_levels], eye[:, 0])
-        - np.outer(eye[:, 0], eye[:, n_levels]),
+        - np.outer(eye[:, 0], eye[:, n_levels])
     )
-    return LindbladSpec(zero(space), terms), drift, control
+    return LindbladSpec(np.zeros_like(eye), terms), drift, control
 
 
 def build_model(name: str, **params) -> ModelDescriptor:
@@ -96,8 +96,8 @@ def build_model(name: str, **params) -> ModelDescriptor:
     if name == "two-qubit-amp":
         gamma = float(params.pop("gamma", 1.0))
         _check_no_extra(params)
-        s, drift, control = _two_qubit_controls()
-        spec = LindbladSpec(zero(s), (LindbladTerm(gamma, lowering_on(s, 1)),))
+        drift, control = _two_qubit_controls()
+        spec = _two_qubit_spec(gamma, lowering_on(2, 1))
         expected = {
             "dfs_count": 1,
             "dfs_dims": (2,),
@@ -112,8 +112,8 @@ def build_model(name: str, **params) -> ModelDescriptor:
     if name == "two-qubit-dephasing":
         gamma = float(params.pop("gamma", 1.0))
         _check_no_extra(params)
-        s, drift, control = _two_qubit_controls()
-        spec = LindbladSpec(zero(s), (LindbladTerm(gamma, pauli_on(s, 1, "z")),))
+        drift, control = _two_qubit_controls()
+        spec = _two_qubit_spec(gamma, pauli_on(2, 1, "z"))
         expected = {
             "dfs_count": 2,
             "dfs_dims": (2, 2),
@@ -206,20 +206,19 @@ def qubit2_reset_superop(spec: LindbladSpec) -> np.ndarray:
     (identity tensor factor), as in the two-qubit amplitude-damping and
     dephasing models; this is the paper's choice of E-tilde for eps1.
     """
-    dims = spec.space.factor_dims
+    dims = spec.dims
     if len(dims) < 2:
         raise ValueError("model is not bipartite")
     d1 = dims[0]
-    d2 = spec.space.dim // d1
-    sub = HilbertSpace((d2,))
+    d2 = spec.hamiltonian.shape[0] // d1
     terms = []
     for t in spec.terms:
-        mat = t.op.matrix.reshape(d1, d2, d1, d2)
+        mat = t.op.reshape(d1, d2, d1, d2)
         # factorize as identity (x) local; fail loudly if it does not
         local = mat[0, :, 0, :]
         rebuilt = np.kron(np.eye(d1), local)
-        if np.max(np.abs(rebuilt - t.op.matrix)) > 1e-10:
+        if np.max(np.abs(rebuilt - t.op)) > 1e-10:
             raise ValueError("Lindblad terms do not act on system 2 alone")
-        terms.append(LindbladTerm(t.rate, Operator(sub, local)))
-    spec2 = LindbladSpec(zero(sub), tuple(terms))
+        terms.append(LindbladTerm(t.rate, local))
+    spec2 = LindbladSpec(np.zeros((d2, d2)), tuple(terms))
     return steady_superprojector(spec2)

@@ -41,7 +41,7 @@ def strong_damping_error(spec: LindbladSpec, g: float, t: float) -> float:
     if round(np.trace(p).real) == p.shape[0]:   # rank of P = kernel dimension of D
         raise ValueError("dissipative part vanishes: nothing relaxes")
     d_mat = dissipator_matrix(diss)
-    k_mat = hamiltonian_superop(spec.hamiltonian.matrix)
+    k_mat = hamiltonian_superop(spec.hamiltonian)
     lhs = expm(t * (g * k_mat + d_mat))
     rhs = expm(g * t * (p @ k_mat @ p))
     return float(np.linalg.norm((lhs - rhs) @ p, 2))

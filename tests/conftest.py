@@ -4,9 +4,8 @@ import scipy.linalg
 
 from zenoforge import exact
 from zenoforge.chain import two_body
-from zenoforge.channels import ChoiMatrix
 from zenoforge.lindblad import conjugation_superop, steady_superprojector, unvec, vec
-from zenoforge.ops import HilbertSpace, Operator, pauli_on, qubits
+from zenoforge.ops import pauli_on
 
 
 @pytest.fixture
@@ -37,13 +36,9 @@ def random_density(d, rng):
     return rho / np.trace(rho)
 
 
-def as_op(matrix):
-    return Operator(HilbertSpace((matrix.shape[0],)), matrix)
-
-
-def raising_on(space: HilbertSpace, site: int) -> Operator:
-    """(sigma_x + i sigma_y)/2 on ``site``: maps |0> to |1>."""
-    return 0.5 * (pauli_on(space, site, "x") + 1j * pauli_on(space, site, "y"))
+def raising_on(n: int, site: int) -> np.ndarray:
+    """(sigma_x + i sigma_y)/2 on qubit ``site`` of ``n``: maps |0> to |1>."""
+    return 0.5 * (pauli_on(n, site, "x") + 1j * pauli_on(n, site, "y"))
 
 
 def random_cptp_superop(d: int, rng: np.random.Generator, n_kraus: int = 4) -> np.ndarray:
@@ -59,11 +54,11 @@ def random_cptp_superop(d: int, rng: np.random.Generator, n_kraus: int = 4) -> n
     return out
 
 
-def superop_from_choi(j: ChoiMatrix) -> np.ndarray:
+def superop_from_choi(j: np.ndarray) -> np.ndarray:
     """Inverse of ``channels.choi``: the same entry permutation, an
     involution, times d."""
-    d = j.dim
-    return j.matrix.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d) * d
+    d = round(j.shape[0] ** 0.5)
+    return j.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d) * d
 
 
 def system_swap(d1: int, d2: int) -> np.ndarray:
@@ -81,15 +76,15 @@ def system_swap(d1: int, d2: int) -> np.ndarray:
 
 def dense_superprojection(spec, h):
     """Oracle: the dense steady superprojector applied to vec(h)."""
-    return unvec(steady_superprojector(spec) @ vec(getattr(h, "matrix", h)))
+    return unvec(steady_superprojector(spec) @ vec(h))
 
 
 def proven_superprojection(spec, h):
     """P(H) = nu(C) H / nu(0) in floats, with the minimal polynomial t nu(t)
     of H under C that ``exact.superproject`` proves: each exact coefficient
     is rounded once, and the Krylov vectors C^i H are formed in floats."""
-    jumps = [(t.rate, t.op.matrix) for t in spec.terms]
-    x = np.asarray(getattr(h, "matrix", h), dtype=complex)
+    jumps = [(t.rate, t.op) for t in spec.terms]
+    x = np.asarray(h, dtype=complex)
     _, (mu,) = exact.superproject([x], jumps)
     out = np.zeros_like(x)
     if mu[0]:  # 0 is no root: no kernel component
@@ -107,9 +102,8 @@ def proven_superprojection(spec, h):
 def heisenberg_bonds(n):
     """3 P(H) for the chain's drift and control, as integer matrices:
     P(Z_i Z_i+1) = sigma_i . sigma_i+1 / 3."""
-    space = qubits(n)
-    drift = sum(two_body(i, i + 1).realize(space) for i in range(n - 1))
-    return drift, two_body(0, 1).realize(space)
+    drift = sum(two_body(i, i + 1).realize(n) for i in range(n - 1))
+    return drift, two_body(0, 1).realize(n)
 
 
 def gauss_jordan_mod(rows, p):
@@ -141,8 +135,8 @@ def block_dims(blocks):
 def label_rows(spec, block):
     """The stacked Lj - c_j and G - b, G = sum_j gamma_j Lj^dag Lj, over the
     positive-rate terms: a DFS block's span is their common null space."""
-    eye = np.eye(spec.space.dim)
-    active = [(t.rate, t.op.matrix) for t in spec.terms if t.rate > 0]
+    eye = np.eye(len(spec.hamiltonian))
+    active = [(t.rate, t.op) for t in spec.terms if t.rate > 0]
     g = sum((r * (l.conj().T @ l) for r, l in active), 0 * eye)
     jumps = [l - c * eye for (_, l), c in zip(active, block.lindblad_eigenvalues)]
     return np.vstack([*jumps, g - block.damping_eigenvalue * eye])

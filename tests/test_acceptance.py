@@ -43,7 +43,7 @@ from zenoforge.lindblad import (
     vec,
 )
 from zenoforge.models import HADAMARD, build_model, qubit2_reset_superop
-from zenoforge.ops import expm, lowering_on, pauli_on, qubits, zero
+from zenoforge.ops import expm, lowering_on, pauli_on
 from zenoforge.zeno import (
     strong_damping_error,
     zeno_product,
@@ -75,14 +75,13 @@ def criterion(number, description):
     return decorate
 
 
-S2 = qubits(2)
-H0 = pauli_on(S2, 0, "x") @ (pauli_on(S2, 1, "x") + pauli_on(S2, 1, "z"))
-H1 = pauli_on(S2, 0, "y") @ (pauli_on(S2, 1, "x") - pauli_on(S2, 1, "z"))
+H0 = pauli_on(2, 0, "x") @ (pauli_on(2, 1, "x") + pauli_on(2, 1, "z"))
+H1 = pauli_on(2, 0, "y") @ (pauli_on(2, 1, "x") - pauli_on(2, 1, "z"))
 
 
 def amp_spec(gamma=1.0, hamiltonian=None):
-    h = hamiltonian if hamiltonian is not None else zero(S2)
-    return LindbladSpec(h, (LindbladTerm(gamma, lowering_on(S2, 1)),))
+    h = hamiltonian if hamiltonian is not None else np.zeros((4, 4))
+    return LindbladSpec(h, (LindbladTerm(gamma, lowering_on(2, 1)),))
 
 
 @pytest.fixture(scope="module")
@@ -143,12 +142,12 @@ def test_two_qubit_example():
     basis = np.eye(4)[:, [0, 2]]
     assert np.max(np.abs(label_rows(amp, dfs[0]) @ basis)) < 1e-10
 
-    projected = [basis.conj().T @ h.matrix @ basis for h in (H0, H1)]
+    projected = [basis.conj().T @ h @ basis for h in (H0, H1)]
     verdict = lie_verdict(projected)
     assert verdict.dim == 3
     assert verdict.contains_su and not verdict.equals_u
 
-    deph = LindbladSpec(zero(S2), (LindbladTerm(1.0, pauli_on(S2, 1, "z")),))
+    deph = LindbladSpec(np.zeros((4, 4)), (LindbladTerm(1.0, pauli_on(2, 1, "z")),))
     report = dfs_lie_dimension(deph, [H0, H1])
     assert report.verdict.dim == 3
     assert report.block_dims == (3, 3)
@@ -170,11 +169,11 @@ def test_atom_closures():
 def test_superprojector_closed_forms():
     p_amp = steady_superprojector(amp_spec())
     proj = np.kron(np.eye(2), np.diag([1.0, 0.0])).astype(complex)
-    low = lowering_on(S2, 1).matrix
+    low = lowering_on(2, 1)
     analytic = conjugation_superop(proj, proj) + conjugation_superop(low, low.conj().T)
     assert np.max(np.abs(p_amp - analytic)) < 1e-8
 
-    deph = LindbladSpec(zero(S2), (LindbladTerm(1.0, pauli_on(S2, 1, "z")),))
+    deph = LindbladSpec(np.zeros((4, 4)), (LindbladTerm(1.0, pauli_on(2, 1, "z")),))
     p0 = np.kron(np.eye(2), np.diag([1.0, 0.0])).astype(complex)
     p1 = np.kron(np.eye(2), np.diag([0.0, 1.0])).astype(complex)
     assert np.max(
@@ -185,7 +184,7 @@ def test_superprojector_closed_forms():
     total = 3.5
     p = np.diag([1.0, 1.0, 1.0, 0.0]).astype(complex)
     analytic = conjugation_superop(p, p) + (1 / total) * sum(
-        t.rate * conjugation_superop(t.op.matrix, t.op.matrix.conj().T)
+        t.rate * conjugation_superop(t.op, t.op.conj().T)
         for t in desc.spec.terms
     )
     assert np.max(np.abs(steady_superprojector(desc.spec) - analytic)) < 1e-8
@@ -202,17 +201,16 @@ def qubit_swap(n, m):
 def test_heisenberg_projection_and_dual_action():
     for n in (3, 4):
         spec, drift, control = build_chain(CollectiveSpec(n))
-        space = qubits(n)
         heis_drift = sum(
-            (1 / 3) * two_body(m, m + 1).realize(space) for m in range(n - 1)
+            (1 / 3) * two_body(m, m + 1).realize(n) for m in range(n - 1)
         )
-        heis_control = (1 / 3) * two_body(0, 1).realize(space)
+        heis_control = (1 / 3) * two_body(0, 1).realize(n)
         assert np.max(np.abs(dense_superprojection(spec, drift) - heis_drift)) < 1e-8
         assert np.max(np.abs(dense_superprojection(spec, control) - heis_control)) < 1e-8
         # exactly: the proven images of P(Z_m Z_m+1) are (2 SWAP - 1)/3
-        jumps = [(t.rate, t.op.matrix) for t in spec.terms]
+        jumps = [(t.rate, t.op) for t in spec.terms]
         for m in range(n - 1):
-            bond = (pauli_on(space, m, "z") @ pauli_on(space, m + 1, "z")).matrix
+            bond = pauli_on(n, m, "z") @ pauli_on(n, m + 1, "z")
             images, minimal = exact.superproject([bond], jumps)
             assert minimal == [[0, -12, 1]]
             for p in exact.PRIMES:
@@ -223,8 +221,7 @@ def test_heisenberg_projection_and_dual_action():
     rates = (0.7, 1.2, 1.9)
     spec, _, _ = build_chain(CollectiveSpec(3, *rates))
     dual = dual_generator(spec)
-    space = qubits(3)
-    bonds = [(pauli_on(space, 0, a) @ pauli_on(space, 1, a)).matrix for a in "xyz"]
+    bonds = [pauli_on(3, 0, a) @ pauli_on(3, 1, a) for a in "xyz"]
     action = dual_action_matrix(*rates)
     for i, bond in enumerate(bonds):
         image = unvec(dual @ vec(bond), 8)
@@ -245,7 +242,7 @@ def test_generation_schedule():
 @criterion(7, "Zeno product convergence and strong-damping scaling")
 def test_zeno_convergence_and_damping():
     projector = steady_superprojector(amp_spec())
-    generator = hamiltonian_superop(H0.matrix)
+    generator = hamiltonian_superop(H0)
     target = expm(projector @ generator @ projector) @ projector
     errors = [
         np.linalg.norm(zeno_product(projector, generator, 1.0, n) - target, 2)
@@ -273,11 +270,11 @@ def test_eps2_bound_suite():
         from zenoforge.channels import epsilon2
 
         e2 = epsilon2(et, ug)
-        jt = choi(et).matrix
-        jg = choi(unitary_superop(ug)).matrix
+        jt = choi(et)
+        jg = choi(unitary_superop(ug))
         for _ in range(5):
             etilde = random_cptp_superop(2, rng)
-            bound = np.linalg.norm(jt - swap @ np.kron(jg, choi(etilde).matrix) @ swap.T) ** 2
+            bound = np.linalg.norm(jt - swap @ np.kron(jg, choi(etilde)) @ swap.T) ** 2
             assert e2 <= bound + 1e-10
 
         u1, v1 = random_unitary(2, rng), random_unitary(2, rng)
@@ -286,8 +283,8 @@ def test_eps2_bound_suite():
 
         ut = random_unitary(4, rng)
         et_unitary = unitary_superop(ut)
-        jt_u = choi(et_unitary).matrix
-        ju = choi(unitary_superop(u1)).matrix
+        jt_u = choi(et_unitary)
+        ju = choi(unitary_superop(u1))
         simplified = 1 - np.real(np.trace(jt_u @ swap @ np.kron(ju, np.eye(4)) @ swap.T))
         assert epsilon2(et_unitary, u1) == pytest.approx(simplified, abs=1e-10)
 

@@ -24,7 +24,7 @@ from zenoforge.lindblad import (
     unvec,
     vec,
 )
-from zenoforge.ops import pauli_on, qubits
+from zenoforge.ops import pauli_on
 
 from conftest import dense_superprojection
 
@@ -32,7 +32,7 @@ from conftest import dense_superprojection
 class TestBuildChain:
     def test_drift_and_control_commute(self):
         _, drift, control = build_chain(CollectiveSpec(4))
-        assert np.max(np.abs((drift @ control - control @ drift).matrix)) < 1e-12
+        assert np.max(np.abs(drift @ control - control @ drift)) < 1e-12
 
     def test_generator_is_unital(self):
         spec, _, _ = build_chain(CollectiveSpec(3))
@@ -40,9 +40,11 @@ class TestBuildChain:
         assert np.max(np.abs(mat @ vec(np.eye(8)))) < 1e-10
 
     def test_collective_spin_spectrum(self):
-        sz = collective_spin(qubits(3), "z")
-        eigs = sorted(set(np.round(np.linalg.eigvalsh(sz.matrix), 9)))
+        sz = collective_spin(3, "z")
+        eigs = sorted(set(np.round(np.linalg.eigvalsh(sz), 9)))
         assert eigs == [-1.5, -0.5, 0.5, 1.5]
+        with pytest.raises(ValueError, match="at least one qubit"):
+            collective_spin(0, "z")
 
     def test_rejects_small_chain_and_bad_rates(self):
         with pytest.raises(ValueError):
@@ -114,9 +116,8 @@ class TestDualActionMatrix:
         rates = (0.8, 1.1, 1.7)
         spec, _, _ = build_chain(CollectiveSpec(3, *rates))
         dual = dual_generator(spec)
-        s = qubits(3)
         bonds = [
-            (pauli_on(s, 0, a) @ pauli_on(s, 1, a)).matrix for a in "xyz"
+            pauli_on(3, 0, a) @ pauli_on(3, 1, a) for a in "xyz"
         ]
         m3 = dual_action_matrix(*rates)
         for i, b in enumerate(bonds):
@@ -135,34 +136,30 @@ def swap(n, m, k):
 class TestSymOps:
     @pytest.mark.parametrize("n", [3, 4])
     def test_realizations_commute_with_collective_spins(self, n):
-        space = qubits(n)
         ops = [two_body(0, 1), two_body(0, n - 1), three_body(0, 1, 2)]
         for sym in ops:
-            dense = sym.realize(space)
+            dense = sym.realize(n)
             for axis in "xyz":
-                s = collective_spin(space, axis).matrix
+                s = collective_spin(n, axis)
                 assert np.max(np.abs(dense @ s - s @ dense)) < 1e-10
 
     def test_three_body_antisymmetry(self):
-        space = qubits(3)
         assert np.allclose(
-            three_body(1, 0, 2).realize(space), -three_body(0, 1, 2).realize(space)
+            three_body(1, 0, 2).realize(3), -three_body(0, 1, 2).realize(3)
         )
         assert np.allclose(
-            three_body(1, 2, 0).realize(space), three_body(0, 1, 2).realize(space)
+            three_body(1, 2, 0).realize(3), three_body(0, 1, 2).realize(3)
         )
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_two_body_is_twice_swap_minus_one(self, n):
-        space = qubits(n)
         for m, k in itertools.combinations(range(n), 2):
             expected = 2.0 * swap(n, m, k) - np.eye(2**n)
-            assert np.array_equal(two_body(m, k).realize(space), expected)
+            assert np.array_equal(two_body(m, k).realize(n), expected)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_three_body_is_commutator_of_bonds(self, n):
         # [H_ij, H_jk] = -2i H_ijk from [sigma_a, sigma_b] = 2i eps_abc sigma_c
-        space = qubits(n)
         bond = {
             (m, k): 2.0 * swap(n, m, k) - np.eye(2**n)
             for m, k in itertools.permutations(range(n), 2)
@@ -170,7 +167,7 @@ class TestSymOps:
         for i, j, k in itertools.permutations(range(n), 3):
             ij, jk = bond[(i, j)], bond[(j, k)]
             expected = 0.5j * (ij @ jk - jk @ ij)
-            assert np.array_equal(three_body(i, j, k).realize(space), expected)
+            assert np.array_equal(three_body(i, j, k).realize(n), expected)
 
     def test_two_body_validates_order(self):
         with pytest.raises(ValueError):
@@ -228,10 +225,9 @@ class TestHeisenbergProjection:
     @pytest.mark.parametrize("n", [3, 4])
     def test_superprojection_turns_ising_into_heisenberg(self, n):
         spec, drift, control = build_chain(CollectiveSpec(n))
-        space = qubits(n)
         heis_drift = sum(
-            (1 / 3) * two_body(m, m + 1).realize(space) for m in range(n - 1)
+            (1 / 3) * two_body(m, m + 1).realize(n) for m in range(n - 1)
         )
-        heis_control = (1 / 3) * two_body(0, 1).realize(space)
+        heis_control = (1 / 3) * two_body(0, 1).realize(n)
         assert np.max(np.abs(dense_superprojection(spec, drift) - heis_drift)) < 1e-8
         assert np.max(np.abs(dense_superprojection(spec, control) - heis_control)) < 1e-8

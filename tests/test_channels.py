@@ -13,7 +13,6 @@ from zenoforge.channels import (
     unitary_superop,
 )
 from zenoforge.lindblad import Superoperator, vec
-from zenoforge.ops import HilbertSpace, qubits
 
 from conftest import random_cptp_superop, random_unitary, superop_from_choi, system_swap
 
@@ -23,18 +22,18 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 class TestChoi:
     def test_identity_channel_is_rank_one_projector(self):
         j = choi(np.eye(4))
-        assert np.trace(j.matrix).real == pytest.approx(1.0)
-        eigs = np.linalg.eigvalsh(j.matrix)
+        assert np.trace(j).real == pytest.approx(1.0)
+        eigs = np.linalg.eigvalsh(j)
         assert int(np.sum(eigs > 1e-12)) == 1
-        assert np.max(np.abs(j.matrix @ j.matrix - j.matrix)) <= 1e-12  # J^2 = J
+        assert np.max(np.abs(j @ j - j)) <= 1e-12  # J^2 = J
 
     def test_depolarizing_channel(self):
         d = 2
         m = np.outer(vec(np.eye(d)) / d, vec(np.eye(d)))
         j = choi(m)
-        assert np.allclose(np.linalg.eigvalsh(j.matrix), 0.25)
-        assert np.trace(j.matrix).real == pytest.approx(1.0)
-        assert np.max(np.abs(j.matrix @ j.matrix - j.matrix)) > 1e-9
+        assert np.allclose(np.linalg.eigvalsh(j), 0.25)
+        assert np.trace(j).real == pytest.approx(1.0)
+        assert np.max(np.abs(j @ j - j)) > 1e-9
 
     def test_round_trip_is_identity(self, rng):
         m = random_cptp_superop(3, rng)
@@ -45,8 +44,8 @@ class TestChoi:
         for _ in range(5):
             m1 = random_cptp_superop(2, rng)
             m2 = random_cptp_superop(2, rng)
-            lhs = choi(superop_tensor(m1, 2, m2, 2)).matrix
-            rhs = s @ np.kron(choi(m1).matrix, choi(m2).matrix) @ s.T
+            lhs = choi(superop_tensor(m1, 2, m2, 2))
+            rhs = s @ np.kron(choi(m1), choi(m2)) @ s.T
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_random_cptp_sampler_is_cptp(self, rng):
@@ -54,7 +53,7 @@ class TestChoi:
             m = random_cptp_superop(d, rng)
             tid = vec(np.eye(d))
             assert np.max(np.abs(m.conj().T @ tid - tid)) <= 1e-10
-            assert np.linalg.eigvalsh(choi(m).matrix).min() >= -1e-10
+            assert np.linalg.eigvalsh(choi(m)).min() >= -1e-10
 
     def test_rejects_nonsquare_superoperator(self):
         with pytest.raises(ValueError):
@@ -68,7 +67,7 @@ class TestEpsilon1:
 
     def test_matches_choi_rescaling(self, rng):
         mt, mg = random_cptp_superop(4, rng), random_cptp_superop(4, rng)
-        jdist = np.linalg.norm(choi(mt).matrix - choi(mg).matrix) ** 2
+        jdist = np.linalg.norm(choi(mt) - choi(mg)) ** 2
         assert epsilon1(mt, mg) == pytest.approx(16 * jdist, rel=1e-12)
 
     def test_sigma_x_vs_identity_hand_value(self):
@@ -99,8 +98,8 @@ class TestEpsilon2:
             ut = random_unitary(4, rng)
             ug = random_unitary(2, rng)
             et = unitary_superop(ut)
-            jt = choi(et).matrix
-            ju = choi(unitary_superop(ug)).matrix
+            jt = choi(et)
+            ju = choi(unitary_superop(ug))
             simplified = 1 - np.real(np.trace(jt @ s @ np.kron(ju, np.eye(4)) @ s.T))
             assert epsilon2(et, ug) == pytest.approx(simplified, abs=1e-10)
 
@@ -110,29 +109,29 @@ class TestEpsilon2:
             et = random_cptp_superop(4, rng)
             ug = random_unitary(2, rng)
             e2 = epsilon2(et, ug)
-            jt = choi(et).matrix
-            jg = choi(unitary_superop(ug)).matrix
+            jt = choi(et)
+            jg = choi(unitary_superop(ug))
             for _ in range(5):
                 etilde = random_cptp_superop(2, rng)
                 bound = (
                     np.linalg.norm(
-                        jt - s @ np.kron(jg, choi(etilde).matrix) @ s.T
+                        jt - s @ np.kron(jg, choi(etilde)) @ s.T
                     )
                     ** 2
                 )
                 assert e2 <= bound + 1e-10
 
     def test_nonphysical_flag(self, rng):
-        scaled = Superoperator(qubits(2), 1.7 * unitary_superop(random_unitary(4, rng)))
+        scaled = Superoperator(1.7 * unitary_superop(random_unitary(4, rng)))
         assert gate_error_report(scaled, np.eye(2), np.eye(4)).nonphysical
-        unitary = Superoperator(qubits(2), unitary_superop(random_unitary(4, rng)))
+        unitary = Superoperator(unitary_superop(random_unitary(4, rng)))
         assert not gate_error_report(unitary, np.eye(2), np.eye(4)).nonphysical
 
     @pytest.mark.parametrize("d1, d2", [(2, 1), (2, 2), (2, 3), (3, 2), (4, 2)])
     def test_weight_matches_swap_product(self, rng, d1, d2):
         # the paper's 1 - S (J(U_G) (x) 1) S^T with the dense swap as the oracle
         u = random_unitary(d1, rng)
-        ju = choi(unitary_superop(u)).matrix
+        ju = choi(unitary_superop(u))
         s = system_swap(d1, d2)
         d = d1 * d2
         oracle = np.eye(d * d) - s @ np.kron(ju, np.eye(d2 * d2)) @ s.T
@@ -146,35 +145,33 @@ class TestEpsilon2:
 class TestReducedChannel:
     def test_product_unitary_reduces_to_system1_factor(self, rng):
         u, v = random_unitary(2, rng), random_unitary(2, rng)
-        et = Superoperator(
-            qubits(2), superop_tensor(unitary_superop(u), 2, unitary_superop(v), 2)
-        )
+        et = Superoperator(superop_tensor(unitary_superop(u), 2, unitary_superop(v), 2))
         red = reduced_channel(et, np.eye(2) / 2)
         assert np.max(np.abs(red.matrix - unitary_superop(u))) < 1e-12
 
     def test_swap_channel_reduces_to_preparation(self):
         swap = np.zeros((4, 4))
         swap[0, 0] = swap[3, 3] = swap[1, 2] = swap[2, 1] = 1.0
-        et = Superoperator(qubits(2), unitary_superop(swap))
+        et = Superoperator(unitary_superop(swap))
         red = reduced_channel(et, np.diag([1.0, 0.0]))
         constant = np.outer(vec(np.diag([1.0, 0.0])), vec(np.eye(2)))
         assert np.max(np.abs(red.matrix - constant)) < 1e-12
 
     def test_reduced_map_is_trace_preserving(self, rng):
-        et = Superoperator(qubits(2), random_cptp_superop(4, rng))
+        et = Superoperator(random_cptp_superop(4, rng))
         rho2 = np.diag([0.3, 0.7])
         red = reduced_channel(et, rho2).matrix
         tid = vec(np.eye(2))
         assert np.max(np.abs(red.conj().T @ tid - tid)) <= 1e-10
 
     def test_dimension_mismatch(self, rng):
-        et = Superoperator(qubits(2), random_cptp_superop(4, rng))
+        et = Superoperator(random_cptp_superop(4, rng))
         with pytest.raises(ValueError):
             reduced_channel(et, np.eye(3))
 
     def test_reduced_error_by_partial_trace(self, rng):
         # column (k, l) of the reduced map is Tr_2 E(|k><l| (x) 1/2), traced by hand
-        et = Superoperator(HilbertSpace((3, 2)), random_cptp_superop(6, rng))
+        et = Superoperator(random_cptp_superop(6, rng))
         u = random_unitary(3, rng)
         columns = []
         for k in range(3):
@@ -203,13 +200,13 @@ def unitary_pair_diamond_distance(u, v):
 class TestDiamondUpper:
     def test_identical_channels(self, rng):
         u = random_unitary(2, rng)
-        et = Superoperator(qubits(1), unitary_superop(u))
+        et = Superoperator(unitary_superop(u))
         assert gate_error_report(et, u, np.eye(1)).diamond_upper == 0.0
 
     def test_dominates_true_diamond_distance_for_unitary_pairs(self, rng):
         for _ in range(20):
             u, v = random_unitary(2, rng), random_unitary(2, rng)
-            et = Superoperator(qubits(1), unitary_superop(v))
+            et = Superoperator(unitary_superop(v))
             bound = gate_error_report(et, u, np.eye(1)).diamond_upper
             exact = unitary_pair_diamond_distance(u, v)
             assert bound >= exact - 1e-9
@@ -219,7 +216,7 @@ class TestGateErrorReport:
     def test_report_fields_and_json(self, rng):
         import json
 
-        et = Superoperator(qubits(2), random_cptp_superop(4, rng))
+        et = Superoperator(random_cptp_superop(4, rng))
         ug = random_unitary(2, rng)
         etilde = random_cptp_superop(2, rng)
         report = gate_error_report(et, ug, etilde)
@@ -233,9 +230,7 @@ class TestGateErrorReport:
     def test_perfect_gate_reports_zeros(self, rng):
         u = random_unitary(2, rng)
         v = random_unitary(2, rng)
-        et = Superoperator(
-            qubits(2), superop_tensor(unitary_superop(u), 2, unitary_superop(v), 2)
-        )
+        et = Superoperator(superop_tensor(unitary_superop(u), 2, unitary_superop(v), 2))
         report = gate_error_report(et, u, unitary_superop(v))
         assert report.eps1 == pytest.approx(0.0, abs=1e-12)
         assert report.eps2 == pytest.approx(0.0, abs=1e-12)

@@ -16,7 +16,6 @@ from zenoforge.chain import CollectiveSpec, build_chain, collective_spin, two_bo
 from zenoforge.lie import ControllabilityVerdict, dfs_lie_dimension
 from zenoforge.lindblad import LindbladSpec, LindbladTerm
 from zenoforge.models import build_model
-from zenoforge.ops import HilbertSpace, Operator, qubits, zero
 
 from conftest import (
     dense_superprojection,
@@ -236,8 +235,7 @@ class TestClosureDimension:
         assert all(dim_at(p, pair) == 2 for p in exact.PRIMES)
 
     def test_lie_verdict_of_plain_generators(self):
-        space = qubits(2)
-        heis = Operator(space, two_body(0, 1).realize(space) / 3.0)
+        heis = two_body(0, 1).realize(2) / 3.0
         assert lie.lie_verdict([heis]) == ControllabilityVerdict(1, False, False)
         with pytest.raises(ValueError, match="at least one"):
             lie.lie_verdict([])
@@ -248,8 +246,7 @@ class TestClosureDimension:
         calls = []
         real = exact.closure_dimension
         monkeypatch.setattr(exact, "closure_dimension", lambda gens, f: calls.append(f.p) or real(gens, f))
-        space = HilbertSpace((4,))
-        report = dfs_lie_dimension(LindbladSpec(Operator(space, np.zeros((4, 4)))), mats)
+        report = dfs_lie_dimension(LindbladSpec(np.zeros((4, 4))), mats)
         assert report.verdict == lie.lie_verdict(mats) == ControllabilityVerdict(16, True, True)
         # the joint verdict is the single block's; each reaches d^2 at P0 and stops
         assert calls == [P0, P0]
@@ -280,8 +277,8 @@ class TestSuperproject:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_matches_the_closed_form_exactly(self, n):
         spec, drift, control = build_chain(CollectiveSpec(n))
-        jumps = [(t.rate, t.op.matrix) for t in spec.terms]
-        images, minimal = exact.superproject([drift.matrix, control.matrix], jumps)
+        jumps = [(t.rate, t.op) for t in spec.terms]
+        images, minimal = exact.superproject([drift, control], jumps)
         assert minimal == [[0, -12, 1]] * 2  # C has the one nonzero eigenvalue 12 on each
         for p in exact.PRIMES:
             f = exact.field(p)
@@ -293,15 +290,14 @@ class TestSuperproject:
         # L = [[3, 2], [2, 0]] has the eigenvalues 4 and -1, so C = [L, [L, .]]
         # has the eigenvalues 0 and 25 on H, and nu(0) = -25 vanishes mod 5;
         # so does V^dag V = 5 for the eigenvector V = (2, 1) of a DFS block
-        space = HilbertSpace((2,))
         jump, h = np.array([[3.0, 2.0], [2.0, 0.0]]), np.diag([1.0, 0.0])
-        spec = LindbladSpec(zero(space), (LindbladTerm(1.0, Operator(space, jump)),))
-        assert dfs_lie_dimension(spec, [Operator(space, h)]).verdict.dim == 1
+        spec = LindbladSpec(np.zeros((2, 2)), (LindbladTerm(1.0, jump),))
+        assert dfs_lie_dimension(spec, [h]).verdict.dim == 1
         monkeypatch.setattr(exact, "PRIMES", (5,))
         with pytest.raises(ValueError, match="nu\\(0\\) vanishes mod 5"):
             exact.superproject([h], [(1.0, jump)])
         with pytest.raises(ValueError, match="mod 5"):
-            dfs_lie_dimension(spec, [Operator(space, h)])
+            dfs_lie_dimension(spec, [h])
 
     @pytest.mark.parametrize("gamma", [0.3, float(P0), float(P0 * P1)])
     def test_a_common_rate_changes_no_dimension(self, gamma):
@@ -321,8 +317,7 @@ class TestSuperproject:
         hs = [integer_hermitian(4, g) / 8 for _ in range(2)]
         for gamma in (1.0, float(P0)):
             desc = build_model("two-qubit-dephasing", gamma=gamma)
-            controls = [Operator(desc.spec.space, h) for h in hs]
-            report = dfs_lie_dimension(desc.spec, controls)
+            report = dfs_lie_dimension(desc.spec, hs)
             assert report.verdict == ControllabilityVerdict(8, False, False)
             assert report.block_dims == (4, 4)
 
@@ -337,11 +332,11 @@ class TestSuperproject:
         # mod 13, where the Krylov space of H shrinks from 3 to 2 with
         # nu(0) = 3; the P(H) it gives is no image of the rational one
         spec, drift, control = build_chain(CollectiveSpec(3, 2.0, 3.0, 4.0))
-        jumps = [(t.rate, t.op.matrix) for t in spec.terms]
+        jumps = [(t.rate, t.op) for t in spec.terms]
         lengths = {}
         for p in (13, P0):
             f = exact.field(p)
-            lengths[p] = len(exact._krylov([drift.matrix], jumps, f)(0)[1]) - 1
+            lengths[p] = len(exact._krylov([drift], jumps, f)(0)[1]) - 1
         assert lengths == {13: 2, P0: 3}
         monkeypatch.setattr(exact, "PRIMES", (13, P0))
         with pytest.raises(ValueError, match="Krylov lengths .* differ between primes"):
@@ -404,20 +399,18 @@ class TestDfsLabels:
 
 
 def j2_block(n=8, j=2):
-    """The chain's space at N=8 and the stacked S+ and S_z - J, whose
-    common null space is the J=2 highest-weight space."""
-    space = qubits(n)
-    s_plus = (collective_spin(space, "x") + 1j * collective_spin(space, "y")).matrix
-    s_z = collective_spin(space, "z").matrix
-    stacked = np.vstack([s_plus, s_z - j * np.eye(space.dim)])
-    return space, stacked
+    """The stacked S+ and S_z - J of the chain at N=8, whose common null
+    space is the J=2 highest-weight space."""
+    s_plus = collective_spin(n, "x") + 1j * collective_spin(n, "y")
+    s_z = collective_spin(n, "z")
+    return np.vstack([s_plus, s_z - j * np.eye(2**n)])
 
 
 class TestN8J2Block:
     """The traceless 20x20 J=2 block of the N=8 chain generates su(20)."""
 
     def test_exact_closure_gives_su20(self):
-        space, stacked = j2_block()
+        stacked = j2_block()
         drift, control = heisenberg_bonds(8)
 
         def generators_at(p):

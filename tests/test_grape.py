@@ -40,24 +40,15 @@ from zenoforge.lindblad import (
     vec,
 )
 from zenoforge.models import HADAMARD, build_model, qubit2_reset_superop
-from zenoforge.ops import (
-    HilbertSpace,
-    Operator,
-    hermitian,
-    lowering_on,
-    pauli_on,
-    qubits,
-    zero,
-)
+from zenoforge.ops import hermitian, lowering_on, pauli_on
 
 SRC = str(Path(grape.__file__).resolve().parents[1])
-S2 = qubits(2)
-H0 = pauli_on(S2, 0, "x") @ (pauli_on(S2, 1, "x") + pauli_on(S2, 1, "z"))
-H1 = pauli_on(S2, 0, "y") @ (pauli_on(S2, 1, "x") - pauli_on(S2, 1, "z"))
+H0 = pauli_on(2, 0, "x") @ (pauli_on(2, 1, "x") + pauli_on(2, 1, "z"))
+H1 = pauli_on(2, 0, "y") @ (pauli_on(2, 1, "x") - pauli_on(2, 1, "z"))
 
 
 def two_qubit_system(gamma):
-    spec = LindbladSpec(zero(S2), (LindbladTerm(gamma, lowering_on(S2, 1)),))
+    spec = LindbladSpec(np.zeros((4, 4)), (LindbladTerm(gamma, lowering_on(2, 1)),))
     return ControlSystem((H0, H1), spec, 1.0)
 
 
@@ -72,7 +63,7 @@ def forward_mode_kernel(system, schedule, target):
     exponentials and one expm_frechet per (slice, control), contracted as
     suffix @ dE @ prefix. Returns (E_T, gradient)."""
     base = dissipator_matrix(system.spec)
-    controls = [hamiltonian_superop(c.matrix) for c in system.controls]
+    controls = [hamiltonian_superop(c) for c in system.controls]
     amps = np.asarray(schedule, dtype=float)
     m, n = amps.shape
     dt = system.total_time / n
@@ -108,7 +99,7 @@ def complex_adjoint_kernel(system, schedule, target):
     slice exponentials in the vec basis, a backward costate sweep and one
     adjoint expm_frechet per slice. Returns (E_T, gradient)."""
     base = dissipator_matrix(system.spec)
-    controls = np.stack([hamiltonian_superop(c.matrix) for c in system.controls])
+    controls = np.stack([hamiltonian_superop(c) for c in system.controls])
     n = schedule.shape[1]
     dt = system.total_time / n
     gens = dt * (base + sum(f[:, None, None] * km for f, km in zip(schedule, controls)))
@@ -145,11 +136,14 @@ def relative_error(got, want):
 
 
 # a third control for the three-control cases
-CONTROL_POOL = (H0, H1, pauli_on(S2, 0, "z") @ pauli_on(S2, 1, "x"))
+CONTROL_POOL = (H0, H1, pauli_on(2, 0, "z") @ pauli_on(2, 1, "x"))
 
 
 def model_system(name, gamma, n_controls):
-    spec = LindbladSpec(zero(S2)) if name == "no-terms" else build_model(name, gamma=gamma).spec
+    if name == "no-terms":
+        spec = LindbladSpec(np.zeros((4, 4)))
+    else:
+        spec = build_model(name, gamma=gamma).spec
     return ControlSystem(CONTROL_POOL[:n_controls], spec, 1.0)
 
 
@@ -162,16 +156,16 @@ def assert_gradients_agree(got, want):
 
 class TestPropagateSchedule:
     def test_zero_everything_gives_identity(self):
-        system = ControlSystem((H0,), LindbladSpec(zero(S2)), 1.0)
+        system = ControlSystem((H0,), LindbladSpec(np.zeros((4, 4))), 1.0)
         sched = np.zeros((1, 5))
         assert np.allclose(propagate_schedule(system, sched).matrix, np.eye(16))
 
     def test_single_slice_matches_direct_exponential(self):
         from zenoforge.ops import expm
 
-        system = ControlSystem((H0,), LindbladSpec(zero(S2)), 1.0)
+        system = ControlSystem((H0,), LindbladSpec(np.zeros((4, 4))), 1.0)
         sched = np.array([[0.7]])
-        direct = expm(0.7 * hamiltonian_superop(H0.matrix))
+        direct = expm(0.7 * hamiltonian_superop(H0))
         assert np.max(np.abs(propagate_schedule(system, sched).matrix - direct)) < 1e-12
 
     def test_piecewise_constant_consistency(self, rng):
@@ -188,7 +182,7 @@ class TestPropagateSchedule:
             prop = propagate_schedule(system, sched).matrix
             tid = vec(np.eye(4))
             assert np.max(np.abs(prop.conj().T @ tid - tid)) <= 1e-9
-            assert np.linalg.eigvalsh(choi(prop).matrix).min() >= -1e-8
+            assert np.linalg.eigvalsh(choi(prop)).min() >= -1e-8
 
     def test_rejects_bad_shapes_and_nonfinite(self):
         system = two_qubit_system(1.0)
@@ -223,7 +217,7 @@ class TestPropagateSchedule:
         # the dense expm product with dt = T / n, at a T other than 1
         system = ControlSystem((H0, H1), two_qubit_system(1.5).spec, total_time)
         base = dissipator_matrix(system.spec)
-        k0, k1 = (hamiltonian_superop(c.matrix) for c in (H0, H1))
+        k0, k1 = (hamiltonian_superop(c) for c in (H0, H1))
         sched = rng.uniform(-2, 2, (2, 6))
         want = np.eye(16, dtype=complex)
         for f0, f1 in sched.T:
@@ -239,9 +233,9 @@ class TestPropagateSchedule:
         # the overflowed generator must reach the finiteness check, not be
         # mistaken for a non-Hermitian one; LindbladSpec rejects an
         # overflowing rate, so the overflow comes from a control
-        spec = LindbladSpec(zero(S2), (LindbladTerm(1.0, lowering_on(S2, 1)),))
+        spec = LindbladSpec(np.zeros((4, 4)), (LindbladTerm(1.0, lowering_on(2, 1)),))
         with np.errstate(all="ignore"):
-            system = ControlSystem((H0, 1e308 * pauli_on(S2, 0, "z")), spec, 1.0)
+            system = ControlSystem((H0, 1e308 * pauli_on(2, 0, "z")), spec, 1.0)
             with pytest.raises(ValueError, match="not finite"):
                 propagate_schedule(system, np.zeros((2, 3)))
 
@@ -258,16 +252,15 @@ class TestHermitianBasis:
     def random_system(d, rng):
         """Random Hamiltonian and jumps (Hermitian, generic non-Hermitian and
         nilpotent non-normal), with one to three random Hermitian controls."""
-        space = HilbertSpace((d,))
         ginibre = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         jumps = (random_hermitian(d, rng), ginibre, np.triu(ginibre, 1))
         terms = tuple(
-            LindbladTerm(rate, Operator(space, jump))
+            LindbladTerm(rate, jump)
             for rate, jump in zip(rng.uniform(0.0, 3.0, 3), jumps)
         )
-        spec = LindbladSpec(Operator(space, random_hermitian(d, rng)), terms)
+        spec = LindbladSpec(random_hermitian(d, rng), terms)
         controls = tuple(
-            Operator(space, random_hermitian(d, rng)) for _ in range(rng.integers(1, 4))
+            random_hermitian(d, rng) for _ in range(rng.integers(1, 4))
         )
         return ControlSystem(controls, spec, 1.0)
 
@@ -279,7 +272,7 @@ class TestHermitianBasis:
         basis, base, controls = system._generators
         assert np.max(np.abs(basis.conj().T @ basis - np.eye(d * d))) <= 1e-14
         supers = [dissipator_matrix(system.spec)]
-        supers += [hamiltonian_superop(c.matrix) for c in system.controls]
+        supers += [hamiltonian_superop(c) for c in system.controls]
         for real, superop in zip([base, *controls], supers):
             rotated = basis.conj().T @ superop @ basis
             assert np.max(np.abs(rotated.imag)) <= 1e-12 * np.max(np.abs(rotated))
@@ -300,18 +293,18 @@ class TestHermitianBasis:
         assert objective_and_gradient(system, sched, Eps2Target(HADAMARD))[1].dtype == float
 
     def test_control_within_tolerance_propagates_as_its_hermitian_part(self):
-        skew = H0.matrix + 1e-11 * np.triu(np.ones((4, 4)), 1)
+        skew = H0 + 1e-11 * np.triu(np.ones((4, 4)), 1)
         spec, sched = two_qubit_system(1.0).spec, [[0.5]]
         maps = [
-            propagate_schedule(ControlSystem((Operator(S2, c),), spec, 1.0), sched).matrix
+            propagate_schedule(ControlSystem((c,), spec, 1.0), sched).matrix
             for c in (skew, hermitian(skew, "control 0"))
         ]
         assert np.array_equal(*maps)
 
     def test_control_beyond_tolerance_rejected_by_name(self):
-        skew = H0.matrix + 1e-9 * np.max(np.abs(H0.matrix)) * np.triu(np.ones((4, 4)), 1)
+        skew = H0 + 1e-9 * np.max(np.abs(H0)) * np.triu(np.ones((4, 4)), 1)
         with pytest.raises(ValueError, match="control 0 .*Hermitian"):
-            ControlSystem((Operator(S2, skew),), two_qubit_system(1.0).spec, 1.0)
+            ControlSystem((skew,), two_qubit_system(1.0).spec, 1.0)
 
 
 def expm_and_frechet(a, e):

@@ -10,16 +10,15 @@ from zenoforge.grape import ControlSystem, propagate_schedule
 from zenoforge.lie import dfs_lie_dimension, lie_verdict
 from zenoforge.lindblad import LindbladSpec
 from zenoforge.models import build_model
-from zenoforge.ops import HilbertSpace, Operator, hermitian, pauli_on, qubits
+from zenoforge.ops import hermitian, pauli_on
 
-S2 = qubits(2)
 AMP = build_model("two-qubit-amp").spec
 DEPHASING = build_model("two-qubit-dephasing").spec  # unital: the joint closure takes P(H)
 
 
-def _propagated(h: Operator):
+def _propagated(h: np.ndarray):
     # amplitude 1 / max|H| keeps the slice generator of order one at any scale
-    schedule = [[1.0 / np.max(np.abs(h.matrix))]]
+    schedule = [[1.0 / np.max(np.abs(h))]]
     return propagate_schedule(ControlSystem((h,), AMP, 1.0), schedule)
 
 
@@ -34,10 +33,10 @@ ENTRY_POINTS = {
 }
 
 
-def _skewed(scale: float, skew: float) -> Operator:
+def _skewed(scale: float, skew: float) -> np.ndarray:
     """scale (X0 X1 + Z0), plus skew max(1, scale) above the diagonal only."""
-    h = scale * (pauli_on(S2, 0, "x") @ pauli_on(S2, 1, "x") + pauli_on(S2, 0, "z"))
-    return Operator(S2, h.matrix + skew * max(1.0, scale) * np.triu(np.ones((4, 4)), 1))
+    h = scale * (pauli_on(2, 0, "x") @ pauli_on(2, 1, "x") + pauli_on(2, 0, "z"))
+    return h + skew * max(1.0, scale) * np.triu(np.ones((4, 4)), 1)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e6])
@@ -52,7 +51,7 @@ def test_returns_the_exact_hermitian_part(rng):
     h = random_hermitian(5, rng)
     assert np.array_equal(hermitian(h, "h"), h)  # an exactly Hermitian input comes back bitwise
     skew = h + 1e-11 * np.triu(rng.standard_normal((5, 5)), 1)
-    part = hermitian(Operator(HilbertSpace((5,)), skew), "h")
+    part = hermitian(skew, "h")
     assert np.array_equal(part, part.conj().T)
     assert np.max(np.abs(part - h)) <= 1e-11
 

@@ -8,17 +8,11 @@ from hypothesis import strategies as st
 
 import zenoforge.exact as exact
 import zenoforge.lie as lie
+from zenoforge.grape import ControlSystem
 from zenoforge.lie import ControllabilityVerdict, dfs_lie_dimension, lie_verdict
 from zenoforge.lindblad import LindbladSpec, LindbladTerm, detect_dfs
 from zenoforge.models import build_model
-from zenoforge.ops import (
-    HilbertSpace,
-    Operator,
-    lowering_on,
-    pauli_on,
-    qubits,
-    zero,
-)
+from zenoforge.ops import lowering_on, pauli_on
 
 from conftest import (
     block_dims,
@@ -30,35 +24,31 @@ from conftest import (
     random_hermitian,
 )
 
-S2 = qubits(2)
-H0 = pauli_on(S2, 0, "x") @ (pauli_on(S2, 1, "x") + pauli_on(S2, 1, "z"))
-H1 = pauli_on(S2, 0, "y") @ (pauli_on(S2, 1, "x") - pauli_on(S2, 1, "z"))
+H0 = pauli_on(2, 0, "x") @ (pauli_on(2, 1, "x") + pauli_on(2, 1, "z"))
+H1 = pauli_on(2, 0, "y") @ (pauli_on(2, 1, "x") - pauli_on(2, 1, "z"))
 
 
 def atom_model(n):
-    space = HilbertSpace((n + 1,))
     eye = np.eye(n + 1)
     terms = tuple(
-        LindbladTerm(1.0, Operator(space, np.outer(eye[:, j], eye[:, n])))
+        LindbladTerm(1.0, np.outer(eye[:, j], eye[:, n]))
         for j in range(n)
     )
-    drift = Operator(
-        space,
+    drift = (
         np.outer(eye[:, n], eye[:, 1])
         + np.outer(eye[:, 1], eye[:, n])
         + sum(
             np.outer(eye[:, j], eye[:, j + 1]) + np.outer(eye[:, j + 1], eye[:, j])
             for j in range(n - 1)
-        ),
+        )
     )
-    control = Operator(
-        space,
+    control = (
         np.outer(eye[:, n], eye[:, n])
         + np.outer(eye[:, 0], eye[:, 0])
         - np.outer(eye[:, n], eye[:, 0])
-        - np.outer(eye[:, 0], eye[:, n]),
+        - np.outer(eye[:, 0], eye[:, n])
     )
-    return LindbladSpec(zero(space), terms), drift, control
+    return LindbladSpec(np.zeros((n + 1, n + 1)), terms), drift, control
 
 
 class TestLieVerdict:
@@ -68,64 +58,60 @@ class TestLieVerdict:
     def test_projected_amp_damping_pair_gives_su2(self):
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
         sy = np.array([[0, 1j], [-1j, 0]], dtype=complex)
-        s1 = HilbertSpace((2,))
-        assert lie_verdict([Operator(s1, -sx), Operator(s1, sy)]).dim == 3
+        assert lie_verdict([-sx, sy]).dim == 3
 
     def test_single_generator(self):
-        assert lie_verdict([pauli_on(qubits(1), 0, "x")]).dim == 1
+        assert lie_verdict([pauli_on(1, 0, "x")]).dim == 1
 
     def test_generator_order_invariance(self):
-        gens = [H0, H1, pauli_on(S2, 0, "z")]
+        gens = [H0, H1, pauli_on(2, 0, "z")]
         assert lie_verdict(gens) == lie_verdict(gens[::-1])
 
     def test_exact_unitary_conjugation_invariance(self):
         u = np.kron(_U, _U)  # dyadic entries: u H u^dag is exact in floats
-        gens = [H0, H1, pauli_on(S2, 0, "x")]
-        conj = [Operator(S2, u @ g.matrix @ u.conj().T) for g in gens]
+        gens = [H0, H1, pauli_on(2, 0, "x")]
+        conj = [u @ g @ u.conj().T for g in gens]
         assert lie_verdict(gens) == lie_verdict(conj)
 
     def test_full_algebra_is_reached(self, rng):
-        gens = [Operator(S2, random_hermitian(4, rng)) for _ in range(2)]
+        gens = [random_hermitian(4, rng) for _ in range(2)]
         assert lie_verdict(gens).dim == 16  # generic pair generates u(4)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_single_nonzero_generator_spans_one_direction(self, seed):
         g = np.random.default_rng(seed)
-        assert lie_verdict([Operator(S2, random_hermitian(4, g))]).dim == 1
+        assert lie_verdict([random_hermitian(4, g)]).dim == 1
 
     def test_rejects_nonhermitian_and_empty(self):
         with pytest.raises(ValueError, match="not Hermitian"):
-            lie_verdict([Operator(S2, np.triu(np.ones((4, 4))))])
+            lie_verdict([np.triu(np.ones((4, 4)))])
         with pytest.raises(ValueError, match="^need at least one generator$"):
             lie_verdict([])
-        assert lie_verdict([zero(S2)]) == ControllabilityVerdict(0, False, False)
+        assert lie_verdict([np.zeros((4, 4))]) == ControllabilityVerdict(0, False, False)
 
     def test_non_traceless_generators_of_su2_close_to_u2(self):
         # su(d) is the only Lie subalgebra of u(d) of dimension d^2 - 1, so
         # the verdict reads the dimension alone: a trace lifts su(2) to u(2)
-        s1 = HilbertSpace((2,))
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
         sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-        gens = [Operator(s1, sx), Operator(s1, sy + np.eye(2))]
+        gens = [sx, sy + np.eye(2)]
         assert lie_verdict(gens) == ControllabilityVerdict(4, True, True)
 
 
 class TestControllabilityVerdict:
     def test_su2_detected(self):
-        s1 = HilbertSpace((2,))
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
         sy = np.array([[0, 1j], [-1j, 0]], dtype=complex)
-        v = lie_verdict([Operator(s1, sx), Operator(s1, sy)])
+        v = lie_verdict([sx, sy])
         assert v.dim == 3 and v.contains_su and not v.equals_u
 
     def test_identity_only_span(self):
-        s1 = HilbertSpace((3,))
-        v = lie_verdict([Operator(s1, np.eye(3))])
+        v = lie_verdict([np.eye(3)])
         assert v.dim == 1 and not v.contains_su and not v.equals_u
 
     def test_dephasing_superprojected_pair_not_full(self):
-        sxz = pauli_on(S2, 0, "x") @ pauli_on(S2, 1, "z")
-        syz = -1.0 * (pauli_on(S2, 0, "y") @ pauli_on(S2, 1, "z"))
+        sxz = pauli_on(2, 0, "x") @ pauli_on(2, 1, "z")
+        syz = -1.0 * (pauli_on(2, 0, "y") @ pauli_on(2, 1, "z"))
         v = lie_verdict([sxz, syz])
         assert v.dim == 3 and not v.contains_su and not v.equals_u
 
@@ -139,14 +125,25 @@ class TestControllabilityVerdict:
 
 class TestDfsLieDimension:
     def test_amp_damping_block_dim_three(self):
-        spec = LindbladSpec(zero(S2), (LindbladTerm(1.0, lowering_on(S2, 1)),))
+        spec = LindbladSpec(np.zeros((4, 4)), (LindbladTerm(1.0, lowering_on(2, 1)),))
         report = dfs_lie_dimension(spec, [H0, H1])
         assert report.block_dims == (3,)
         assert report.block_verdicts[0].contains_su
         assert report.verdict == report.block_verdicts[0]
 
+    @pytest.mark.parametrize(
+        "rate, scale", [(2.0**-700, 2.0**-300), (1e-200, 1e-100)], ids=["dyadic", "decimal"]
+    )
+    def test_underflowing_dissipator_keeps_its_verdict(self, rate, scale):
+        # gamma max|L|^2 rounds to 0, yet the dissipator is rate 1's times a
+        # positive factor: still not unital, with the same DFS and closure
+        spec = LindbladSpec(np.zeros((4, 4)), (LindbladTerm(rate, scale * lowering_on(2, 1)),))
+        assert not spec.is_unital()
+        report = dfs_lie_dimension(spec, [H0, H1])
+        assert (report.verdict.dim, report.block_dims) == (3, (3,))
+
     def test_dephasing_blocks_and_unital(self):
-        spec = LindbladSpec(zero(S2), (LindbladTerm(1.0, pauli_on(S2, 1, "z")),))
+        spec = LindbladSpec(np.zeros((4, 4)), (LindbladTerm(1.0, pauli_on(2, 1, "z")),))
         report = dfs_lie_dimension(spec, [H0, H1])
         assert report.block_dims == (3, 3)
         assert all(v.contains_su for v in report.block_verdicts)
@@ -154,25 +151,31 @@ class TestDfsLieDimension:
         assert not report.verdict.contains_su
 
     def test_non_unital_without_dfs_has_empty_algebra(self):
-        s1 = HilbertSpace((2,))
-        low = lowering_on(s1, 0)
-        raising = Operator(s1, low.matrix.conj().T)
-        spec = LindbladSpec(zero(s1), (LindbladTerm(1.0, low), LindbladTerm(2.0, raising)))
-        report = dfs_lie_dimension(spec, [pauli_on(s1, 0, "x")])
+        low = lowering_on(1, 0)
+        raising = low.conj().T
+        spec = LindbladSpec(np.zeros((2, 2)), (LindbladTerm(1.0, low), LindbladTerm(2.0, raising)))
+        report = dfs_lie_dimension(spec, [pauli_on(1, 0, "x")])
         assert report.block_dims == ()
         assert report.verdict == ControllabilityVerdict(0, False, False)
 
     def test_no_jumps_block_is_the_whole_space(self):
         # no jump operator fixes the block's size: it is the spec's d
-        s1 = HilbertSpace((2,))
-        controls = [pauli_on(s1, 0, "x"), pauli_on(s1, 0, "z")]
-        report = dfs_lie_dimension(LindbladSpec(zero(s1)), controls)
+        controls = [pauli_on(1, 0, "x"), pauli_on(1, 0, "z")]
+        report = dfs_lie_dimension(LindbladSpec(np.zeros((2, 2))), controls)
         assert report.block_dims == (3,)
         assert report.verdict == ControllabilityVerdict(3, True, False)
 
 
 def on_dephasing(controls):
     return dfs_lie_dimension(build_model("two-qubit-dephasing").spec, controls)  # d = 4
+
+
+def system_on_dephasing(controls):
+    return ControlSystem(controls, build_model("two-qubit-dephasing").spec, 1.0)
+
+
+def jumps_on_dephasing(ops):
+    return LindbladSpec(np.zeros((4, 4)), tuple(LindbladTerm(1.0, op) for op in ops))
 
 
 @pytest.mark.parametrize(
@@ -182,8 +185,12 @@ def on_dephasing(controls):
         (on_dephasing, [np.eye(8)], "control 0 has shape (8, 8), not (4, 4)"),
         (on_dephasing, [np.eye(2)], "control 0 has shape (2, 2), not (4, 4)"),
         (lie_verdict, [np.eye(2), np.eye(3)], "generator 1 has shape (3, 3), not (2, 2)"),
+        (system_on_dephasing, [np.eye(4), np.eye(2)], "control 1 has shape (2, 2), not (4, 4)"),
+        (jumps_on_dephasing, [np.eye(4), np.eye(8)],
+         "Lindblad term 1 has shape (8, 8), not (4, 4)"),
     ],
-    ids=["four-2x2-controls", "one-8x8-control", "one-2x2-control", "generators-2-and-3"],
+    ids=["four-2x2-controls", "one-8x8-control", "one-2x2-control", "generators-2-and-3",
+         "control-system", "lindblad-term"],
 )
 def test_mis_sized_matrices_are_named(closure, mats, message):
     with pytest.raises(ValueError) as info:
@@ -193,9 +200,8 @@ def test_mis_sized_matrices_are_named(closure, mats, message):
 
 # Non-unital d = 5 spec with DFS blocks span{|0>, |1>} (L = 0) and
 # span{|2>, |3>} (L = 1); |4> decays into |0>.
-S5 = HilbertSpace((5,))
 _LINKED_JUMP = np.diag([0.0, 0.0, 1.0, 1.0, 0.0]) + np.outer(np.eye(5)[0], np.eye(5)[4])
-_LINKED_SPEC = LindbladSpec(zero(S5), (LindbladTerm(1.0, Operator(S5, _LINKED_JUMP)),))
+_LINKED_SPEC = LindbladSpec(np.zeros((5, 5)), (LindbladTerm(1.0, _LINKED_JUMP),))
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.diag([1.0, -1.0]).astype(complex)
 # A unitary with dyadic entries, so that u X u^dag is exact in floats and the
@@ -207,7 +213,7 @@ def _on_blocks(first, second):
     """The Hermitian first (+) second on the two DFS blocks, zero on |4>."""
     m = np.zeros((5, 5), dtype=complex)
     m[:2, :2], m[2:4, 2:4] = first, second
-    return Operator(S5, m)
+    return m
 
 
 class TestLinkedBlocks:
@@ -275,7 +281,7 @@ class OracleBasis:
 
 
 def oracle_closure(generators, tol=1e-6) -> OracleBasis:
-    mats = [np.asarray(getattr(g, "matrix", g), dtype=complex) for g in generators]
+    mats = [np.asarray(g, dtype=complex) for g in generators]
     d = mats[0].shape[0]
     cap = d * d
     elements = np.zeros((cap, d, d), dtype=complex)
@@ -359,10 +365,10 @@ def float_generator_sets(desc):
     diss = desc.spec.dissipative_part()
     dfs = detect_dfs(diss)
     spans = [dfs_span(diss, block) for block in dfs]
-    blocks = [[b.conj().T @ h.matrix @ b for h in desc.controls] for b in spans]
-    sets = [[h.matrix for h in desc.controls], *blocks]
+    blocks = [[b.conj().T @ h @ b for h in desc.controls] for b in spans]
+    sets = [list(desc.controls), *blocks]
     if diss.terms and diss.is_unital():
-        if diss.space.dim <= 16:
+        if len(diss.hamiltonian) <= 16:
             sets.append([dense_superprojection(diss, h) for h in desc.controls])
         else:
             sets.append([b / 3 for b in heisenberg_bonds(desc.params["n_qubits"])])
@@ -474,9 +480,7 @@ class TestExactAgainstOracle:
         elif structure == "block":  # first level apart from the rest
             apart = np.not_equal.outer(np.arange(d) == 0, np.arange(d) == 0)
             mats = [np.where(apart, 0, m) for m in mats]
-        space = HilbertSpace((d,))
-        gens = [Operator(space, m) for m in mats]
-        assert_matches_oracle(gens, lie_verdict(gens))
+        assert_matches_oracle(mats, lie_verdict(mats))
 
 
 # Every registered model up to the 20-level atom and the Table I chain at

@@ -266,6 +266,16 @@ class TestCli:
         assert out == ""
         assert err.splitlines() == [line]
 
+    def test_zeno_check_default_output_is_pinned(self, capsys):
+        # byte for byte, as recorded before operators became plain arrays
+        assert main(["zeno-check", "--model", "two-qubit-amp"]) == 0
+        assert capsys.readouterr().out == (
+            '{"model": "two-qubit-amp", "t": 1.0, "zeno_error": [[1, "1.23658431172"], '
+            '[2, "0.980161558244"], [4, "0.56802676348"], [8, "0.314232145587"], '
+            '[16, "0.166342638223"], [32, "0.0857030989596"], [64, "0.0435132448443"], '
+            '[128, "0.0219256532919"], [256, "0.0110055350073"]], "strong_damping_error": []}\n'
+        )
+
     def test_zeno_check(self, capsys):
         assert main([
             "zeno-check", "--model", "two-qubit-amp", "--steps", "1,4", "--gammas", "10",
@@ -286,7 +296,7 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         desc = build_model(name, gamma=gamma)
         p = steady_superprojector(desc.spec.dissipative_part())
-        k = hamiltonian_superop(desc.controls[0].matrix)
+        k = hamiltonian_superop(desc.controls[0])
         target = expm(p @ k @ p * t) @ p
         assert doc["zeno_error"] == [
             [n, _fmt(np.linalg.norm(zeno_product(p, k, t, n) - target, 2))] for n in steps
@@ -514,7 +524,7 @@ class TestCli:
         desc = build_model("two-qubit-amp", gamma=5.0)
         sys_doc = json.loads(spec_to_json(desc.spec))
         sys_doc["controls"] = [
-            [[[z.real, z.imag] for z in row] for row in c.matrix]
+            [[[z.real, z.imag] for z in row] for row in c]
             for c in desc.controls
         ]
         sys_doc["total_time"] = 1.0
@@ -537,8 +547,9 @@ class TestCli:
         assert set(doc) == {"eps1", "eps2", "diamond_upper", "reduced_error", "nonphysical"}
         assert doc["eps2"] <= doc["eps1"] / 16 + 1e-9
 
-    def test_fidelity_job_on_six_levels(self, tmp_path, capsys):
-        # a qubit times a damped qutrit: d = 6 is no power of two
+    @staticmethod
+    def _six_level_doc():
+        """A qubit times a damped qutrit: d = 6 is no power of two."""
         rng = np.random.default_rng(6)
 
         def as_json(mat):
@@ -549,7 +560,7 @@ class TestCli:
             return a + a.conj().T
 
         lowering = np.kron(np.eye(2), np.diag(np.sqrt([1.0, 2.0]), 1))
-        doc = {
+        return {
             "system": {
                 "dims": [2, 3],
                 "hamiltonian": as_json(np.zeros((6, 6))),
@@ -561,9 +572,42 @@ class TestCli:
             "target": "hadamard",
             "etilde": "identity",
         }
+
+    def test_fidelity_job_on_six_levels(self, tmp_path, capsys):
+        doc = self._six_level_doc()
         assert main(["fidelity", str(self._fidelity_job(tmp_path, None, doc))]) == 0
         report = json.loads(capsys.readouterr().out)
         assert all(np.isfinite(report[key]) for key in ("eps1", "eps2", "reduced_error"))
+
+    # stdout byte for byte, as recorded before operators became plain
+    # arrays: every float is printed to full precision, so any change in
+    # rounding shows
+    FIDELITY_PINNED = {
+        "identity": (
+            '{"eps1": 23.494936773361452, "eps2": 0.47088651635354356, '
+            '"diamond_upper": 19.3886303893231, '
+            '"reduced_error": 7.623987732068994, "nonphysical": false}\n'
+        ),
+        "projector": (
+            '{"eps1": 15.412164325970956, "eps2": 0.47088651635354356, '
+            '"diamond_upper": 15.703331787093314, '
+            '"reduced_error": 7.623987732068994, "nonphysical": false}\n'
+        ),
+        "six-levels": (
+            '{"eps1": 40.48455490436049, "eps2": 0.14149926098497606, '
+            '"diamond_upper": 38.176484601872104, '
+            '"reduced_error": 4.023535669118358, "nonphysical": false}\n'
+        ),
+    }
+
+    @pytest.mark.parametrize("job", FIDELITY_PINNED)
+    def test_fidelity_output_is_pinned(self, tmp_path, capsys, job):
+        if job == "six-levels":
+            doc = self._six_level_doc()
+        else:
+            doc = dict(self._fidelity_doc(), etilde=job)
+        assert main(["fidelity", str(self._fidelity_job(tmp_path, None, doc))]) == 0
+        assert capsys.readouterr() == (self.FIDELITY_PINNED[job], "")
 
     @pytest.mark.parametrize(
         "target, message",

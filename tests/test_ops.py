@@ -1,74 +1,59 @@
 import numpy as np
 import pytest
 
-from zenoforge.ops import HilbertSpace, Operator, expm, lowering_on, pauli_on, qubits, zero
+from zenoforge.grape import ControlSystem
+from zenoforge.lindblad import LindbladSpec, LindbladTerm
+from zenoforge.ops import expm, lowering_on, pauli_on
 
-from conftest import as_op, raising_on, random_hermitian
-
-
-class TestHilbertSpace:
-    def test_dim_is_product_of_factors(self):
-        assert HilbertSpace((2, 3, 4)).dim == 24
-
-    def test_rejects_empty_and_nonpositive(self):
-        with pytest.raises(ValueError):
-            HilbertSpace(())
-        with pytest.raises(ValueError):
-            HilbertSpace((2, 0))
-
-    def test_operator_shape_must_match(self):
-        with pytest.raises(ValueError):
-            Operator(qubits(2), np.eye(3))
+from conftest import raising_on, random_hermitian
 
 
 class TestPauli:
     def test_basis_convention_z_diagonal(self):
         # |0> carries eigenvalue -1; a flipped convention must fail here.
-        sz = pauli_on(qubits(2), 0, "z")
-        assert np.allclose(np.diag(sz.matrix), [-1, -1, +1, +1])
+        sz = pauli_on(2, 0, "z")
+        assert np.allclose(np.diag(sz), [-1, -1, +1, +1])
 
     def test_tensor_factorization(self):
-        s = qubits(2)
-        sx0, sx1 = pauli_on(s, 0, "x"), pauli_on(s, 1, "x")
+        sx0, sx1 = pauli_on(2, 0, "x"), pauli_on(2, 1, "x")
         xx = np.kron(np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 0]]))
-        assert np.allclose((sx1 @ sx0).matrix, xx)
+        assert np.allclose(sx1 @ sx0, xx)
 
     def test_pauli_algebra_on_site(self):
-        s = qubits(2)
-        x, y = pauli_on(s, 0, "x"), pauli_on(s, 0, "y")
-        assert np.allclose((x @ y - y @ x).matrix, 2j * pauli_on(s, 0, "z").matrix)
+        x, y = pauli_on(2, 0, "x"), pauli_on(2, 0, "y")
+        assert np.allclose(x @ y - y @ x, 2j * pauli_on(2, 0, "z"))
 
     @pytest.mark.parametrize("a", ["x", "y", "z"])
     @pytest.mark.parametrize("b", ["x", "y", "z"])
     def test_distinct_sites_commute(self, a, b):
-        s = qubits(3)
-        p, q = pauli_on(s, 0, a), pauli_on(s, 2, b)
-        assert np.max(np.abs((p @ q - q @ p).matrix)) < 1e-14
+        p, q = pauli_on(3, 0, a), pauli_on(3, 2, b)
+        assert np.max(np.abs(p @ q - q @ p)) < 1e-14
 
-    def test_site_and_dim_guards(self):
-        with pytest.raises(ValueError):
-            pauli_on(qubits(2), 2, "x")
-        with pytest.raises(ValueError):
-            pauli_on(HilbertSpace((2, 3)), 1, "z")
+    def test_site_and_size_guards(self):
+        with pytest.raises(ValueError, match="out of range"):
+            pauli_on(2, 2, "x")
+        with pytest.raises(ValueError, match="out of range"):
+            pauli_on(2, -1, "x")
+        with pytest.raises(ValueError, match="at least one qubit"):
+            pauli_on(0, 0, "z")
+        with pytest.raises(ValueError, match="axis"):
+            pauli_on(2, 0, "w")
+
+    def test_operators_are_complex_arrays(self):
+        for op in (pauli_on(3, 1, "x"), lowering_on(3, 2)):
+            assert type(op) is np.ndarray and op.dtype == complex and op.shape == (8, 8)
 
     def test_lowering_maps_one_to_zero(self):
-        s = qubits(1)
-        lo = lowering_on(s, 0)
-        assert np.allclose(lo.matrix, [[0, 1], [0, 0]])  # |0><1|
-        assert np.allclose(raising_on(s, 0).matrix, lo.matrix.conj().T)
+        lo = lowering_on(1, 0)
+        assert np.allclose(lo, [[0, 1], [0, 0]])  # |0><1|
+        assert np.allclose(raising_on(1, 0), lo.conj().T)
 
 
 class TestHsInner:
     def test_pauli_orthogonality(self):
-        s = qubits(1)
-        x, y = pauli_on(s, 0, "x").matrix, pauli_on(s, 0, "y").matrix
+        x, y = pauli_on(1, 0, "x"), pauli_on(1, 0, "y")
         assert np.trace(x.conj().T @ y) == pytest.approx(0)
         assert np.trace(x.conj().T @ x) == pytest.approx(2)
-
-    def test_dimension_mismatch(self):
-        # Operator arithmetic checks the dimensions it combines
-        with pytest.raises(ValueError):
-            as_op(np.eye(2)) - as_op(np.eye(3))
 
 
 class TestExpm:
@@ -76,8 +61,8 @@ class TestExpm:
         assert np.allclose(expm(np.zeros((3, 3))), np.eye(3))
 
     def test_pauli_exponential(self):
-        sx = pauli_on(qubits(1), 0, "x")
-        assert np.allclose(expm(1j * np.pi / 2 * sx).matrix, 1j * sx.matrix, atol=1e-12)
+        sx = pauli_on(1, 0, "x")
+        assert np.allclose(expm(1j * np.pi / 2 * sx), 1j * sx, atol=1e-12)
 
     def test_inverse_product(self, rng):
         a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
@@ -93,13 +78,26 @@ class TestExpm:
             expm(np.array([[np.inf, 0], [0, 0]]))
 
 
-def test_operators_are_immutable():
-    op = Operator(qubits(1), np.eye(2))
-    with pytest.raises(ValueError):
-        op.matrix[0, 0] = 7
+def test_stored_operators_are_read_only_copies():
+    def build(h, jump, control):
+        term = LindbladTerm(1.0, jump)
+        spec = LindbladSpec(h, (term,))
+        return term, spec, ControlSystem((control,), spec, 1.0)
 
+    def originals():
+        return np.diag([1.0, -1.0]), lowering_on(1, 0), pauli_on(1, 0, "x")
 
-def test_zero_operator(rng):
-    s = qubits(2)
-    assert np.max(np.abs(zero(s).matrix)) == 0
-    assert np.allclose((zero(s) + Operator(s, np.eye(4))).matrix, np.eye(4))
+    h, jump, control = originals()
+    term, spec, system = build(h, jump, control)
+    for stored in (spec.hamiltonian, term.op, system.controls[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0, 0] = 7
+    # the caller's own arrays stay theirs: editing them after construction
+    # changes neither the spec nor the generators the system caches
+    h[0, 0], jump[0, 1], control[0, 1] = 5.0, 3.0, 2.0
+    want_term, want_spec, want_system = build(*originals())
+    assert np.array_equal(spec.hamiltonian, want_spec.hamiltonian)
+    assert np.array_equal(term.op, want_term.op)
+    assert np.array_equal(system.controls[0], want_system.controls[0])
+    for got, want in zip(system._generators, want_system._generators):
+        assert np.array_equal(got, want)

@@ -17,15 +17,7 @@ from zenoforge.lindblad import (
 )
 from zenoforge.lie import dfs_lie_dimension
 from zenoforge.models import build_model
-from zenoforge.ops import (
-    HilbertSpace,
-    Operator,
-    expm,
-    lowering_on,
-    pauli_on,
-    qubits,
-    zero,
-)
+from zenoforge.ops import expm, lowering_on, pauli_on
 from zenoforge.zeno import (
     strong_damping_error,
     zeno_product,
@@ -41,30 +33,28 @@ from conftest import (
     random_unitary,
 )
 
-S2 = qubits(2)
-H0 = pauli_on(S2, 0, "x") @ (pauli_on(S2, 1, "x") + pauli_on(S2, 1, "z"))
-H1 = pauli_on(S2, 0, "y") @ (pauli_on(S2, 1, "x") - pauli_on(S2, 1, "z"))
+H0 = pauli_on(2, 0, "x") @ (pauli_on(2, 1, "x") + pauli_on(2, 1, "z"))
+H1 = pauli_on(2, 0, "y") @ (pauli_on(2, 1, "x") - pauli_on(2, 1, "z"))
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, 1j], [-1j, 0]], dtype=complex)
 
 
 def amp_spec(gamma=1.0, hamiltonian=None):
-    h = hamiltonian if hamiltonian is not None else zero(S2)
-    return LindbladSpec(h, (LindbladTerm(gamma, lowering_on(S2, 1)),))
+    h = hamiltonian if hamiltonian is not None else np.zeros((4, 4))
+    return LindbladSpec(h, (LindbladTerm(gamma, lowering_on(2, 1)),))
 
 
 def deph_spec(gamma=1.0):
-    return LindbladSpec(zero(S2), (LindbladTerm(gamma, pauli_on(S2, 1, "z")),))
+    return LindbladSpec(np.zeros((4, 4)), (LindbladTerm(gamma, pauli_on(2, 1, "z")),))
 
 
 def atom_spec(n_levels, gammas):
-    space = HilbertSpace((n_levels + 1,))
     eye = np.eye(n_levels + 1)
     terms = tuple(
-        LindbladTerm(g, Operator(space, np.outer(eye[:, j], eye[:, n_levels])))
+        LindbladTerm(g, np.outer(eye[:, j], eye[:, n_levels]))
         for j, g in enumerate(gammas)
     )
-    return LindbladSpec(zero(space), terms)
+    return LindbladSpec(np.zeros((n_levels + 1, n_levels + 1)), terms)
 
 
 def compress_superop(mat, basis):
@@ -89,7 +79,7 @@ def compress(h, spec, basis):
     (block,) = detect_dfs(spec)
     assert basis.shape[1] == block.dim
     assert np.max(np.abs(label_rows(spec, block) @ basis)) < 1e-10
-    return basis.conj().T @ h.matrix @ basis
+    return basis.conj().T @ h @ basis
 
 
 class TestProjectHamiltonian:
@@ -102,23 +92,20 @@ class TestProjectHamiltonian:
     def test_atom_projections(self):
         n = 4
         spec = atom_spec(n, (1.0,) * n)
-        space = spec.space
         eye = np.eye(n + 1)
-        drift = Operator(
-            space,
+        drift = (
             np.outer(eye[:, n], eye[:, 1])
             + np.outer(eye[:, 1], eye[:, n])
             + sum(
                 np.outer(eye[:, j], eye[:, j + 1]) + np.outer(eye[:, j + 1], eye[:, j])
                 for j in range(n - 1)
-            ),
+            )
         )
-        control = Operator(
-            space,
+        control = (
             np.outer(eye[:, n], eye[:, n])
             + np.outer(eye[:, 0], eye[:, 0])
             - np.outer(eye[:, n], eye[:, 0])
-            - np.outer(eye[:, 0], eye[:, n]),
+            - np.outer(eye[:, 0], eye[:, n])
         )
         stable = eye[:, :n]
         hop = compress(drift, spec, stable)
@@ -138,11 +125,11 @@ class TestSuperprojectHamiltonian:
     def test_dephasing_values(self):
         out0 = proven_superprojection(deph_spec(), H0)
         out1 = proven_superprojection(deph_spec(), H1)
-        assert np.allclose(out0, (pauli_on(S2, 0, "x") @ pauli_on(S2, 1, "z")).matrix, atol=1e-10)
-        assert np.allclose(out1, -(pauli_on(S2, 0, "y") @ pauli_on(S2, 1, "z")).matrix, atol=1e-10)
+        assert np.allclose(out0, pauli_on(2, 0, "x") @ pauli_on(2, 1, "z"), atol=1e-10)
+        assert np.allclose(out1, -(pauli_on(2, 0, "y") @ pauli_on(2, 1, "z")), atol=1e-10)
 
     def test_identity_is_fixed(self):
-        assert np.allclose(proven_superprojection(deph_spec(), Operator(S2, np.eye(4))), np.eye(4))
+        assert np.allclose(proven_superprojection(deph_spec(), np.eye(4)), np.eye(4))
 
     def test_nonunital_rejected(self, monkeypatch):
         # a non-unital dissipator never reaches P(H): its joint closure is
@@ -156,7 +143,7 @@ class TestSuperprojectHamiltonian:
 
     def test_nonhermitian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            dfs_lie_dimension(deph_spec(), [Operator(S2, np.triu(np.ones((4, 4))))])
+            dfs_lie_dimension(deph_spec(), [np.triu(np.ones((4, 4)))])
 
     def test_unital_abelian_matches_block_sum(self):
         # P(H) = sum_i P_i H P_i for the Abelian dephasing interaction algebra
@@ -164,7 +151,7 @@ class TestSuperprojectHamiltonian:
         projectors = [b @ b.conj().T for b in spans]
         for h in (H0, H1):
             lhs = proven_superprojection(deph_spec(), h)
-            rhs = sum(p @ h.matrix @ p for p in projectors)
+            rhs = sum(p @ h @ p for p in projectors)
             assert np.max(np.abs(lhs - rhs)) < 1e-8
 
 
@@ -179,7 +166,6 @@ def random_unital_spec(d, kind, count, degenerate, g):
     no gap, so a test bound that the gap affects must scale with it.
     ``degenerate`` draws every eigenvalue from two levels, so the commutant
     is larger than the scalars."""
-    space = HilbertSpace((d,))
 
     def spectrum(imag):
         levels = g.permutation(d) + g.uniform(-0.2, 0.2, d)
@@ -198,8 +184,8 @@ def random_unital_spec(d, kind, count, degenerate, g):
         else:  # pair
             l = g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))
             ops = [l, l.conj().T]
-        terms += [LindbladTerm(rate, Operator(space, m)) for m in ops]
-    return LindbladSpec(zero(space), tuple(terms))
+        terms += [LindbladTerm(rate, m) for m in ops]
+    return LindbladSpec(np.zeros((d, d)), tuple(terms))
 
 
 class TestSuperprojectAgainstDense:
@@ -216,7 +202,7 @@ class TestSuperprojectAgainstDense:
         # in floats, against the dense oracle
         desc = build_model(name, **size)
         diss = desc.spec.dissipative_part()
-        for h in (*desc.controls, Operator(desc.spec.space, np.eye(desc.spec.space.dim))):
+        for h in (*desc.controls, np.eye(len(desc.spec.hamiltonian))):
             out = proven_superprojection(diss, h)
             assert np.max(np.abs(out - dense_superprojection(diss, h))) < 1e-12
 
@@ -240,29 +226,28 @@ class TestSuperprojectAgainstDense:
         # {Lj, Lj^dag}, fixing the identity, and covariant
         g = np.random.default_rng(seed)
         spec = random_unital_spec(d, kind, count, degenerate, g)
-        space = spec.space
         assert spec.is_unital()
         # a pair draw keeps no spectral gap, and the dense path loses about
         # eps max|lambda| / gap to the smallest nonzero |lambda| of the generator
         spectrum = np.abs(np.linalg.eigvals(dissipator_matrix(spec)))
         gaps = spectrum[spectrum > 1e-9 * spectrum.max()]
         loss = np.finfo(float).eps * spectrum.max() / gaps.min() if gaps.size else 0.0
-        h = Operator(space, random_hermitian(d, g))
+        h = random_hermitian(d, g)
         out = dense_superprojection(spec, h)
         again = dense_superprojection(spec, out)
         assert np.max(np.abs(again - out)) < 1e-10
         for t in spec.terms:
-            for l in (t.op.matrix, t.op.matrix.conj().T):
+            for l in (t.op, t.op.conj().T):
                 assert np.max(np.abs(l @ out - out @ l)) < 1e-10
-        fixed = dense_superprojection(spec, Operator(space, np.eye(d)))
+        fixed = dense_superprojection(spec, np.eye(d))
         assert np.max(np.abs(fixed - np.eye(d))) < max(1e-12, 10 * loss)
         # covariant: P_{U.U^dag}(U H U^dag) = U P(H) U^dag
         u = random_unitary(d, g)
         turned = LindbladSpec(
-            zero(space),
-            tuple(LindbladTerm(t.rate, Operator(space, u @ t.op.matrix @ u.conj().T)) for t in spec.terms),
+            np.zeros((d, d)),
+            tuple(LindbladTerm(t.rate, u @ t.op @ u.conj().T) for t in spec.terms),
         )
-        lhs = dense_superprojection(turned, Operator(space, u @ h.matrix @ u.conj().T))
+        lhs = dense_superprojection(turned, u @ h @ u.conj().T)
         assert np.max(np.abs(lhs - u @ out @ u.conj().T)) < 1e-10
 
     def test_small_gap_against_exact(self, rng):
@@ -292,7 +277,7 @@ class TestZenoProduct:
     def test_error_decreases_monotonically(self):
         # oracle: direct dense computation of both sides
         p = steady_superprojector(amp_spec())
-        k = hamiltonian_superop(H0.matrix)
+        k = hamiltonian_superop(H0)
         target = expm(p @ k @ p) @ p
         errs = [
             np.linalg.norm(zeno_product(p, k, 1.0, n) - target, 2)
@@ -308,7 +293,7 @@ class TestZenoProduct:
         # frozen oracle value: max-entry deviation 3.55e-3 at n=256 (O(1/n) rate)
         basis = AMP_BASIS
         p = steady_superprojector(amp_spec())
-        k = hamiltonian_superop(H0.matrix)
+        k = hamiltonian_superop(H0)
         u = expm(-1j * compress(H0, amp_spec(), basis))
         zp = zeno_product(p, k, 1.0, 256)
         worst = 0.0
@@ -323,7 +308,7 @@ class TestZenoProduct:
 
     def test_invalid_arguments(self):
         p = steady_superprojector(amp_spec())
-        k = hamiltonian_superop(H0.matrix)
+        k = hamiltonian_superop(H0)
         with pytest.raises(ValueError):
             zeno_product(p, k, 1.0, 0)
         with pytest.raises(ValueError):
@@ -333,14 +318,14 @@ class TestZenoProduct:
     def test_non_finite_time_rejected(self, t):
         p = steady_superprojector(amp_spec())
         with pytest.raises(ValueError, match="finite"):
-            zeno_product(p, hamiltonian_superop(H0.matrix), t, 4)
+            zeno_product(p, hamiltonian_superop(H0), t, 4)
 
 
 class TestEq9BlockIdentity:
     def test_pkp_restricted_is_projected_commutator(self):
         p = steady_superprojector(amp_spec())
         for h in (H0, H1):
-            k = hamiltonian_superop(h.matrix)
+            k = hamiltonian_superop(h)
             block = compress_superop(p @ k @ p, AMP_BASIS)
             expected = hamiltonian_superop(compress(h, amp_spec(), AMP_BASIS))
             assert np.max(np.abs(block - expected)) < 1e-8
@@ -369,7 +354,7 @@ class TestStrongDampingError:
         with pytest.raises(ValueError):
             strong_damping_error(spec, 1.0, 1.0)
 
-    @pytest.mark.parametrize("jump", [Operator(S2, np.eye(4)), zero(S2)], ids=["identity", "zero"])
+    @pytest.mark.parametrize("jump", [np.eye(4), np.zeros((4, 4))], ids=["identity", "zero"])
     def test_vanishing_dissipator_rejected(self, jump):
         # a positive rate whose jump operator gives D = 0 relaxes nothing either
         spec = LindbladSpec(H0, (LindbladTerm(1.0, jump),))
