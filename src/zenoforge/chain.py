@@ -8,17 +8,27 @@ three-body operators, and the large-N dimension estimate.
 Two- and three-body operators are named by their sites; every commutator
 identity is checked on their dense realizations, each built once per
 schedule.
+
+Table I's dim_L_DFS is ``sector_lie_dimension``: per spin J, the blocks
+A_J of P(drift) and P(control) mod p from integer S+ and ZZ, with no 2^N
+operator (cf. Zeier and Schulte-Herbrueggen, J. Math. Phys. 52, 113510):
+1. P(H) = sum_J 1_(2J+1) (x) A_J (Schur-Weyl): the algebra is in sum u(d_J).
+2. A traceless block part closing to d_J^2 - 1 mod p proves su(d_J).
+3. Equal-size blocks with no intertwiner mod p are unlinked (Goursat).
+4. The exact rank of Tr(Pi_J H) over Q adds the centre.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
 import numpy as np
 
+from . import blas, exact
 from .lindblad import LindbladSpec, LindbladTerm
 from .ops import pauli_on
 
@@ -34,6 +44,7 @@ __all__ = [
     "generate_inventory_schedule",
     "four_body_identities",
     "asymptotic_dim",
+    "sector_lie_dimension",
     "CommutatorIdentity",
 ]
 
@@ -151,6 +162,113 @@ def asymptotic_dim(n: int) -> float:
     if n < 1:
         raise ValueError("need n >= 1")
     return 4.0**n / (math.sqrt(math.pi) * n**1.5)
+
+
+def _weights(n: int) -> list[np.ndarray]:
+    """The basis states x with w sites in |1> (site 0 the leading bit), by
+    w: the states of weight m = w - n/2, increasing."""
+    ones = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).sum(1)
+    return [np.flatnonzero(ones == w) for w in range(n + 1)]
+
+
+def _raising(n: int, states: list[np.ndarray], w: int) -> np.ndarray:
+    """S+ from weight w to w + 1 as a 0/1 matrix; S- back is its transpose."""
+    index = np.zeros(2**n, dtype=np.intp)
+    index[states[w + 1]] = np.arange(states[w + 1].size)
+    out = np.zeros((states[w + 1].size, states[w].size))
+    for bit in (1 << s for s in range(n)):
+        cols = np.flatnonzero(states[w] & bit == 0)
+        out[index[states[w][cols] | bit], cols] = 1.0
+    return out
+
+
+def _bonds(n: int, x: np.ndarray) -> np.ndarray:
+    """The diagonals of the drift sum_i Z_i Z_(i+1) and the control Z_0 Z_1
+    at the states x, (2, x.size); zero for n = 1, which has no bond."""
+    z = 2 * ((x[:, None] >> np.arange(n - 1, -1, -1)) & 1) - 1  # z[:, i] of site i
+    bonds = z[:, :-1] * z[:, 1:]
+    return np.stack([bonds.sum(1), bonds[:, 0] if n > 1 else 0 * x]).astype(float)
+
+
+def _sectors(n: int, f: exact.Field):
+    """(J, states, V, blocks) per spin J, largest first: V spans W_J = ker S+
+    on the weight-J ``states``; ``blocks`` are drift's and control's A_J,
+    the mean over k of the compressions through V_k = S-^k V. As V_k^T V_k
+    = c_k V^T V, that is one ``exact.compress`` through V of
+    sum_k S+^k H S-^k / ((2J + 1) c_k), summed from the lowest weight up."""
+    states = _weights(n)
+    for j in allowed_spins(n):
+        w, twoj = round(n / 2 + j), round(2 * j)
+        v = exact.null_space(_raising(n, states, w), f) if w < n else np.ones((1, 1))
+        if v.shape[1] != dfs_dimension(j, n):
+            raise ValueError(f"N={n}: W_J of J={Fraction(j)} has dimension {v.shape[1]} mod {f.p}")
+        mean = 0.0
+        for k in range(twoj, -1, -1):  # weight J - k
+            c = math.factorial(k) * math.factorial(twoj) // math.factorial(twoj - k)
+            if k < twoj:
+                up = _raising(n, states, w - k - 1)
+                mean = f.mm(f.mm(up, mean), up.T)
+            diagonal = f.reduce(pow((twoj + 1) * c, -1, f.p) * _bonds(n, states[w - k]))
+            mean = f.reduce(mean + diagonal[:, :, None] * np.eye(diagonal.shape[1]))
+        yield j, states[w], v, exact.compress(mean, v, v, f)  # V is real: its own conjugate
+
+
+def _intertwiners(a: np.ndarray, b: np.ndarray, f: exact.Field) -> int:
+    """dim {X : X a_k = s b_k X for all k} mod p, summed over s = 1 and -1:
+    the inner and (the blocks being real) outer isomorphisms of a link."""
+    eye, total = np.eye(a.shape[-1]), 0
+    for s in (1, -1):
+        rows = np.vstack([np.kron(eye, x.T) - s * np.kron(y, eye) for x, y in zip(a, b)])
+        total += exact.null_space(rows, f).shape[1]
+    return total
+
+
+def _trace_rank(n: int) -> int:
+    """The rank over Q of Tr(Pi_J H), J by H = drift, control. Pi_J's
+    diagonal is d_J / C(n, w) on the weight-w states, |w - n/2| <= J: it
+    commutes with the site permutations, transitive on those states."""
+    sums = [_bonds(n, x).sum(1).astype(int).tolist() for x in _weights(n)]
+    rows = [
+        [
+            sum(Fraction(dfs_dimension(j, n) * sums[w][k], math.comb(n, w))
+                for w in range(round(n / 2 - j), round(n / 2 + j) + 1))
+            for k in (0, 1)
+        ]
+        for j in allowed_spins(n)
+    ]
+    return any(map(any, rows)) + any(a * d != b * c for (a, b), (c, d) in combinations(rows, 2))
+
+
+def sector_lie_dimension(n: int) -> int:
+    """The exact dimension of the Lie algebra L of P(drift) and P(control)
+    on the N = n chain's DFS's (proof in the module docstring): [L, L] is
+    the sum of su(d_J) over the blocks with d_J >= 2, and L / [L, L] has
+    the trace rank's dimension. Raises ValueError when the first prime
+    leaves a block below su(d_J) or two blocks of one size may be linked."""
+    f = exact.field(exact.PRIMES[0])
+    dim, seen = _trace_rank(n), {}
+    with blas.one_thread():  # blocks up to d = 48 at N = 9: a second thread only spins
+        for j, _, _, blocks in _sectors(n, f):
+            d = blocks.shape[-1]
+            if d < 2:
+                continue
+            trace = np.trace(blocks, axis1=1, axis2=2)[:, None, None] * pow(d, -1, f.p)
+            traceless = f.reduce(blocks - f.reduce(trace) * np.eye(d))
+            closed = exact.closure_dimension(traceless, f)
+            if closed < d * d - 1:
+                raise ValueError(
+                    f"N={n}: the J={Fraction(j)} block closes to dimension {closed} mod {f.p}, "
+                    f"below su({d})'s {d * d - 1}; dim_L_DFS is not proven"
+                )
+            for other, b in seen.get(d, []):
+                if linked := _intertwiners(traceless, b, f):
+                    raise ValueError(
+                        f"N={n}: the J={Fraction(j)} and J={Fraction(other)} blocks of size {d} "
+                        f"have {linked} intertwiners mod {f.p}; dim_L_DFS is not proven"
+                    )
+            seen.setdefault(d, []).append((j, traceless))
+            dim += d * d - 1
+    return dim
 
 
 @dataclass(frozen=True)

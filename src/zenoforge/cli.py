@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .chain import allowed_spins, dfs_dimension, two_body
+from .chain import allowed_spins, dfs_dimension, sector_lie_dimension
 from .channels import gate_error_report, superop_tensor, unitary_superop
 from .grape import (
     ControlSystem,
@@ -175,16 +175,6 @@ def cmd_zeno_check(args) -> int:
     return 0
 
 
-def _chain_dfs_lie_dim(n: int) -> int:
-    """dim of the projected-control Lie algebra; degenerate rows for n < 3."""
-    if n == 1:
-        return 0
-    if n == 2:  # P(Z0 Z1) = sigma_0 . sigma_1 / 3, closed as it is
-        return lie_verdict([two_body(0, 1).realize(2) / 3.0]).dim
-    desc = build_model("ising-chain", n_qubits=n)
-    return dfs_lie_dimension(desc.spec, desc.controls).verdict.dim
-
-
 def cmd_reproduce_table1(args) -> int:
     nmax = args.nmax
     if nmax < 1:
@@ -202,7 +192,7 @@ def cmd_reproduce_table1(args) -> int:
             except ValueError:
                 row.append("")
         rows.append(row)
-    dims = {n: _chain_dfs_lie_dim(n) for n in ns}
+    dims = {n: sector_lie_dimension(n) for n in ns}
     sum_u = {n: sum(dfs_dimension(j, n) ** 2 for j in allowed_spins(n)) for n in ns}
     for n in ns:
         if dims[n] > sum_u[n]:

@@ -107,13 +107,23 @@ class Field:
 
     def map(self, x) -> np.ndarray:
         """The exact image of a float or complex array."""
+        return self.images(x)[0]
+
+    def images(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """The exact images of a float or complex array in F_p and in the
+        conjugate embedding, from one mapping of its real and imaginary parts."""
         x = np.asarray(x)
         if not np.all(np.isfinite(x)):
             raise ValueError("only finite numbers have an exact image in F_p")
-        if np.iscomplexobj(x):
-            re, im = self._real(np.stack([x.real, x.imag]))
-            return _mod(re + self.i * im, self.p)
-        return self._real(x.astype(float))
+        if not np.iscomplexobj(x):
+            real = self._real(x.astype(float))
+            return real, real
+        re, im = self._real(np.stack([x.real, x.imag]))
+        return _mod(re + self.i * im, self.p), _mod(re - self.i * im, self.p)
+
+    def reduce(self, x: np.ndarray) -> np.ndarray:
+        """x mod p at magnitude at most p/2 + 1, for integer entries below 2^53."""
+        return _mod(x, self.p)
 
     def _real(self, x: np.ndarray) -> np.ndarray:
         mantissa, exponent = np.frexp(x)
@@ -334,9 +344,10 @@ def _inverse(a: np.ndarray, f: Field) -> np.ndarray:
 
 
 def compress(h: np.ndarray, v: np.ndarray, w: np.ndarray, f: Field) -> np.ndarray:
-    """(V^dag V)^-1 V^dag H V for the image v of V and the image w of V in
-    the conjugate embedding, so that w^T is the image of V^dag. The left
-    inverse depends on span(w) only, so w may be any basis of it."""
+    """(V^dag V)^-1 V^dag H V, for each H of a stack h, for the image v of V
+    and the image w of V in the conjugate embedding, so that w^T is the
+    image of V^dag. The left inverse depends on span(w) only, so w may be
+    any basis of it."""
     gram = f.mm(w.T, v)
     return f.mm(_inverse(gram, f), f.mm(w.T, f.mm(h, v)))
 

@@ -68,7 +68,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlSystem:
     """Modulated control Hamiltonians over a fixed dissipative background,
     kept as read-only copies of their exact Hermitian parts
@@ -301,7 +301,7 @@ def propagate_schedule(system: ControlSystem, schedule) -> Superoperator:
     return Superoperator(total)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Eps1Target:
     """Minimize ||E_T - goal||_HS^2 against a full goal map."""
 
@@ -315,12 +315,12 @@ class Eps1Target:
         return value, 2.0 * diff.conj()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Eps2Target:
     """Minimize the Choi-based subsystem bound toward a system-1 unitary."""
 
     goal_unitary: np.ndarray
-    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _weights: dict = field(default_factory=dict, init=False, repr=False)
 
     def value_and_cograd(self, e_total: np.ndarray):
         """Value and cograd with d(value) = Re sum(cograd * dE)."""
@@ -363,7 +363,7 @@ def objective_and_gradient(
     return value, (system.total_time / n) * grad
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimizationResult:
     best_schedule: np.ndarray  # the amplitude array f[l, k] of the best value
     best_value: float
@@ -469,8 +469,8 @@ def _run_restarts(jobs: list[tuple]) -> list[OptimizationResult]:
 
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
-        futures = [pool.submit(_restart, *job) for job in jobs]
-        try:
+        try:  # submit raises too once a worker has died
+            futures = [pool.submit(_restart, *job) for job in jobs]
             return [future.result() for future in futures]
         except BrokenProcessPool as exc:
             raise OSError(

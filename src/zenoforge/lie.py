@@ -20,6 +20,12 @@ block's dimension, and P(H) comes with a proof of its Krylov minimal
 polynomial over Q (``exact.superproject``), so its images at the two
 primes are those of the rational P(H). A real Lie subalgebra of u(d) of
 dimension d^2 - 1 is su(d), so the dimension alone decides the verdict.
+
+Table I does not come from here: ``chain.sector_lie_dimension`` closes
+the chain's spin-sector blocks one by one and proves each value at the
+first prime (su(d_J) per block, no linked pair, the exact trace rank).
+``dfs_lie_dimension`` on the full 2^N space serves ``lie-dim`` and is
+its differential oracle for N <= 6.
 """
 
 from __future__ import annotations
@@ -115,27 +121,33 @@ def _rational(x: float) -> Fraction:
     return Fraction(x).limit_denominator(1 << 16)
 
 
-def _block_basis(block, jumps, d: int, f: exact.Field) -> np.ndarray:
-    """The block's span in C^d as the null space mod p of the stacked
-    Lj - c_j and G - b, G = sum_j gamma_j Lj^dag Lj. Each c_j is read as a
-    rational from the float label, b = sum_j gamma_j |c_j|^2 exactly; the
-    null space must have the block's dimension."""
-    labels = [(_rational(z.real), _rational(z.imag)) for z in block.lindblad_eigenvalues]
-    b = sum(Fraction(r) * (re * re + im * im) for (r, _), (re, im) in zip(jumps, labels))
-    ls = f.map(np.reshape([l for _, l in jumps], (-1, d, d)))
-    lds = f.map(np.reshape([l.conj().T for _, l in jumps], (-1, d, d)))
+def _block_bases(dfs, jumps, d: int, f: exact.Field):
+    """For each block, the images v in F_p and w in the conjugate embedding
+    of a basis of its span in C^d: the null space mod p of the stacked
+    Lj - c_j and G - b, G = sum_j gamma_j Lj^dag Lj, which must have the
+    block's dimension. Each c_j is read as a rational from the float label,
+    b = sum_j gamma_j |c_j|^2 exactly. The jumps are mapped once
+    (``Field.images``): Lj^dag's image is the transpose of Lj's conjugate
+    image, and G's conjugate image is G^T."""
+    ls, conj = f.images(np.reshape([l for _, l in jumps], (-1, d, d)))
     rates = np.array([f.scalar(Fraction(r)) for r, _ in jumps], dtype=float)
-    g = np.tensordot(rates, f.mm(lds, ls), axes=1)
-    cs = np.array([f.scalar(re, im) for re, im in labels]).reshape(-1, 1, 1)
-    rows = np.vstack([*(ls - cs * np.eye(d)), g - f.scalar(b) * np.eye(d)])
-    v = exact.null_space(rows, f)
-    if v.shape[1] != block.dim:
-        raise ValueError(
-            f"a DFS block of dimension {block.dim} has an exact eigenspace of dimension "
-            f"{v.shape[1]} mod {f.p} for its labels "
-            + ", ".join(f"{re} + {im}i" for re, im in labels)
-        )
-    return v
+    g = np.tensordot(rates, f.mm(conj.transpose(0, 2, 1), ls), axes=1)
+    for block in dfs:
+        labels = [(_rational(z.real), _rational(z.imag)) for z in block.lindblad_eigenvalues]
+        b = sum(Fraction(r) * (re * re + im * im) for (r, _), (re, im) in zip(jumps, labels))
+        bases = []
+        for l, gram, sign in ((ls, g, 1), (conj, g.T, -1)):
+            cs = np.array([f.scalar(re, sign * im) for re, im in labels]).reshape(-1, 1, 1)
+            rows = np.vstack([*(l - cs * np.eye(d)), gram - f.scalar(b) * np.eye(d)])
+            v = exact.null_space(rows, f)
+            if v.shape[1] != block.dim:
+                raise ValueError(
+                    f"a DFS block of dimension {block.dim} has an exact eigenspace of dimension "
+                    f"{v.shape[1]} mod {f.p} for its labels "
+                    + ", ".join(f"{re} + {im}i" for re, im in labels)
+                )
+            bases.append(v)
+        yield bases
 
 
 def _staged(mats, name: str, d: int | None = None) -> np.ndarray:
@@ -159,7 +171,7 @@ def dfs_lie_dimension(spec: LindbladSpec, controls) -> DFSLieReport:
     (``_exact_verdict``), on exact images of the inputs, never on rounded
     floats. For every DFS block the controls are compressed with the
     orthogonal left inverse, (V^dag V)^-1 V^dag H V, where V spans the
-    block's exact eigenspace (``_block_basis``); ``detect_dfs`` supplies
+    block's exact eigenspace (``_block_bases``); ``detect_dfs`` supplies
     only the block dimensions and labels. The joint verdict closes P(H) for
     a unital dissipator (``exact.superproject``), and otherwise the
     block-diagonal sum of the compressions, so that blocks the controls
@@ -184,11 +196,8 @@ def dfs_lie_dimension(spec: LindbladSpec, controls) -> DFSLieReport:
     @functools.cache
     def blocks_at(p):
         f = exact.field(p)
-        out = []
-        for block in dfs:
-            v, w = _block_basis(block, jumps, d, f), _block_basis(block, jumps, d, f.conjugate)
-            out.append([exact.compress(h, v, w, f) for h in f.map(hs)])
-        return out
+        images = f.map(hs)
+        return [exact.compress(images, v, w, f) for v, w in _block_bases(dfs, jumps, d, f)]
 
     block_verdicts = tuple(
         _exact_verdict(block.dim, lambda p, k=k: blocks_at(p)[k])

@@ -91,7 +91,7 @@ def _ldexp(a: np.ndarray, n: int) -> np.ndarray:
     return np.ldexp(a.real, n) + 1j * np.ldexp(a.imag, n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LindbladTerm:
     """A rate and a Lindblad operator, kept as a read-only complex copy."""
 
@@ -104,7 +104,7 @@ class LindbladTerm:
         object.__setattr__(self, "op", _read_only(self.op))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LindbladSpec:
     """A Hamiltonian (possibly zero), kept as a read-only copy of its exact
     Hermitian part (``ops.hermitian``), plus weighted Lindblad operators of
@@ -176,7 +176,7 @@ def _unit_jumps(spec: LindbladSpec) -> tuple[int, list[tuple[int, float, np.ndar
     return k, [(e, math.ldexp(m, x - k), u) for e, m, x, u in out]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Superoperator:
     """A propagated channel's (d^2, d^2) matrix on row-vectorized density matrices."""
 

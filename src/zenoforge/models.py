@@ -34,10 +34,10 @@ HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 MODEL_NAMES = ("two-qubit-amp", "two-qubit-dephasing", "n-level-atom", "ising-chain")
 
 # Table I reference row: dim of the Lie algebra over the DFS's by chain size.
-CHAIN_DFS_LIE_DIMS = {1: 0, 2: 1, 3: 4, 4: 12, 5: 40, 6: 129}
+CHAIN_DFS_LIE_DIMS = {1: 0, 2: 1, 3: 4, 4: 12, 5: 40, 6: 129, 7: 426, 8: 1426, 9: 4858}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelDescriptor:
     name: str
     params: dict

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import zenoforge.chain as chain
+from zenoforge import exact
 from zenoforge.chain import (
     CollectiveSpec,
     allowed_spins,
@@ -14,16 +16,19 @@ from zenoforge.chain import (
     dual_action_matrix,
     four_body_identities,
     generate_inventory_schedule,
+    sector_lie_dimension,
     three_body,
     two_body,
 )
 from zenoforge.chain import inventory
+from zenoforge.lie import dfs_lie_dimension
 from zenoforge.lindblad import (
     dissipator_matrix,
     dual_generator,
     unvec,
     vec,
 )
+from zenoforge.models import CHAIN_DFS_LIE_DIMS, build_model
 from zenoforge.ops import pauli_on
 
 from conftest import dense_superprojection
@@ -231,3 +236,37 @@ class TestHeisenbergProjection:
         heis_control = (1 / 3) * two_body(0, 1).realize(n)
         assert np.max(np.abs(dense_superprojection(spec, drift) - heis_drift)) < 1e-8
         assert np.max(np.abs(dense_superprojection(spec, control) - heis_control)) < 1e-8
+
+
+class TestSectorLieDimension:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_reference_row(self, n):
+        assert sector_lie_dimension(n) == CHAIN_DFS_LIE_DIMS[n]
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_equals_the_full_space_closure(self, n):
+        desc = build_model("ising-chain", n_qubits=n)
+        assert sector_lie_dimension(n) == dfs_lie_dimension(desc.spec, desc.controls).verdict.dim
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_blocks_are_compressions_of_the_superprojection(self, n):
+        # the m-averaged block of each sector is P(H) compressed through V
+        spec, drift, control = build_chain(CollectiveSpec(n))
+        images, _ = exact.superproject(np.stack([drift, control]), [(1, t.op) for t in spec.terms])
+        f = exact.field(exact.PRIMES[0])
+        sizes = []
+        for j, states, v, blocks in chain._sectors(n, f):
+            basis = np.zeros((2**n, v.shape[1]))
+            basis[states] = v
+            assert not f.mm(f.map(highest_weight_rows(n, j)), basis).any()  # V spans W_J
+            projected = exact.compress(np.stack(images[f.p]), basis, basis, f)
+            assert not f.reduce(projected - blocks).any()
+            sizes.append(v.shape[1])
+        assert sizes == [dfs_dimension(j, n) for j in allowed_spins(n)]
+
+
+def highest_weight_rows(n, j):
+    """S+ and S_z - J stacked, as exact integers: their common null space
+    is W_J."""
+    s_plus = (collective_spin(n, "x") + 1j * collective_spin(n, "y")).real
+    return np.vstack([s_plus, (collective_spin(n, "z") - j * np.eye(2**n)).real])

@@ -70,6 +70,15 @@ class TestField:
         assert (f.map(z) % P0).tolist() == want
         assert (f.conjugate.map(z) % P0).tolist() == (f.map(z.conj()) % P0).tolist()
 
+    def test_images_are_the_two_embeddings(self):
+        f = exact.field(P1)
+        z = np.array([[0.5 - 3j, 1e-300j], [-2.0**60 + 0.25j, 7.0]])
+        image, conjugate = f.images(z)
+        assert np.array_equal(image % P1, f.map(z) % P1)
+        assert np.array_equal(conjugate % P1, f.conjugate.map(z) % P1)
+        with pytest.raises(ValueError, match="finite"):
+            f.images(np.array([1j, np.nan]))
+
     def test_non_finite_input_and_vanishing_denominators_raise(self):
         f = exact.field(P0)
         with pytest.raises(ValueError, match="finite"):

@@ -831,6 +831,19 @@ class TestGammaSweep:
             assert len(pools) == 2
             assert "Traceback" in str(info.value.__cause__)  # raised in a worker
 
+    @pytest.mark.skipif(CORES < 2, reason="one usable core: the sweep runs in process")
+    def test_a_worker_dead_before_the_last_submit_is_reported(self, monkeypatch):
+        # a stall between two submits lets the first worker die, so the
+        # second submit raises where a result would otherwise be read
+        class Broken(concurrent.futures.ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                raise concurrent.futures.process.BrokenProcessPool("a child process died")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Broken)
+        with pytest.raises(OSError, match="worker process died"):
+            gamma_sweep(two_qubit_system, [1.0, 20.0], Eps2Target(HADAMARD), restarts=1,
+                        n_slices=4)
+
     def test_worker_error_ends_the_cli_with_one_line(self):
         out = subprocess.run(
             [sys.executable, "-m", "zenoforge", "sweep", "--model", "two-qubit-amp",

@@ -185,6 +185,12 @@ def test_table1_lie_dim_and_dfs_load_no_scipy():
     assert scipy_modules_after(argvs) == []
 
 
+def test_importing_the_cli_loads_neither_scipy_linalg_nor_optimize():
+    # scipy.linalg alone costs more than twice a benchmark worker's set-up
+    loaded = scipy_modules_after([])
+    assert "scipy.linalg" not in loaded and "scipy.optimize" not in loaded
+
+
 def test_zeno_check_loads_scipy_linalg_but_not_optimize():
     loaded = scipy_modules_after([["zeno-check", "--steps", "1,4", "--gammas", "10"]])
     assert "scipy.linalg" in loaded

@@ -16,10 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zenoforge
+import zenoforge.chain
+import zenoforge.exact
 import zenoforge.lie as lie
 import zenoforge.lindblad as lindblad
 from zenoforge.cli import _fmt, build_parser, main
 from zenoforge.models import (
+    CHAIN_DFS_LIE_DIMS,
     HADAMARD,
     MODEL_NAMES,
     build_model,
@@ -89,6 +92,37 @@ class TestRegistry:
 
     def test_hadamard_is_unitary(self):
         assert np.allclose(HADAMARD @ HADAMARD.conj().T, np.eye(2))
+
+
+def _array_holders():
+    """A builder for each frozen dataclass with an array field; each call
+    makes a new, equal value."""
+    from zenoforge.grape import ControlSystem, Eps1Target, Eps2Target, OptimizationResult
+
+    def system():
+        desc = build_model("two-qubit-amp")
+        return ControlSystem(desc.controls, desc.spec, 1.0)
+
+    return {
+        "LindbladTerm": lambda: lindblad.LindbladTerm(1.0, np.eye(2)),
+        "LindbladSpec": lambda: build_model("two-qubit-amp").spec,
+        "Superoperator": lambda: lindblad.Superoperator(np.eye(4)),
+        "ControlSystem": system,
+        "Eps1Target": lambda: Eps1Target(np.eye(16), HADAMARD),
+        "Eps2Target": lambda: Eps2Target(HADAMARD),
+        "OptimizationResult": lambda: OptimizationResult(np.zeros((2, 3)), 0.5, 4, True, 2),
+        "ModelDescriptor": lambda: build_model("two-qubit-amp"),
+    }
+
+
+@pytest.mark.parametrize("name", _array_holders())
+def test_array_holders_compare_by_identity(name):
+    # value equality over array fields raised; identity equality cannot
+    make = _array_holders()[name]
+    x, copy = make(), make()
+    assert x == x and not x != x
+    assert (x == copy) is False
+    assert hash(x) == hash(x) and x in {x}
 
 
 # `dfs` stdout per registered model at the default gamma, 1e-9 and 1e9: every
@@ -222,12 +256,41 @@ class TestCli:
         assert table["sum_dim_su"] == ["0", "0", "3"]
         assert table["sum_dim_u"] == ["1", "2", "5"]
 
+    def test_reproduce_table1_to_nine_qubits(self, capsys):
+        assert main(["reproduce-table1", "--nmax", "9"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        table = {row.split(",")[0]: row.split(",")[1:] for row in lines[1:]}
+        assert table["dim_L_DFS"] == [str(CHAIN_DFS_LIE_DIMS[n]) for n in range(1, 10)]
+        assert table["dim_L_DFS"][6:] == ["426", "1426", "4858"]
+
+    @pytest.mark.parametrize(
+        "target, value, nmax, message",
+        [
+            ("exact.closure_dimension", lambda gens, f: 2, 3,
+             "error: N=3: the J=1/2 block closes to dimension 2 mod 1048573, below su(2)'s 3; "
+             "dim_L_DFS is not proven"),
+            ("chain._intertwiners", lambda a, b, f: 1, 6,
+             "error: N=6: the J=0 and J=2 blocks of size 5 have 1 intertwiners mod 1048573; "
+             "dim_L_DFS is not proven"),
+        ],
+        ids=["block-below-su", "linked-pair"],
+    )
+    def test_reproduce_table1_refuses_an_unproven_column(
+        self, monkeypatch, capsys, target, value, nmax, message
+    ):
+        module, name = target.split(".")
+        monkeypatch.setattr(getattr(zenoforge, module), name, value)
+        assert main(["reproduce-table1", "--nmax", str(nmax)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [message]
+
     @pytest.mark.parametrize("n, dim, bound", [(3, 6, 5), (4, 15, 14)])
     def test_reproduce_table1_refuses_dim_above_sum_dim_u(self, monkeypatch, capsys, n, dim, bound):
         # the projected controls lie in the sum of u(d_J): dim_L_DFS <= sum_dim_u
-        real = zenoforge.cli._chain_dfs_lie_dim
+        real = zenoforge.cli.sector_lie_dimension
         monkeypatch.setattr(
-            zenoforge.cli, "_chain_dfs_lie_dim", lambda k: dim if k == n else real(k)
+            zenoforge.cli, "sector_lie_dimension", lambda k: dim if k == n else real(k)
         )
         assert main(["reproduce-table1", "--nmax", "4"]) == 1
         out, err = capsys.readouterr()
@@ -237,9 +300,9 @@ class TestCli:
         assert f"sum_dim_u {bound}" in err[0]
 
     def test_reproduce_table1_accepts_dim_at_sum_dim_u(self, monkeypatch, capsys):
-        real = zenoforge.cli._chain_dfs_lie_dim
+        real = zenoforge.cli.sector_lie_dimension
         monkeypatch.setattr(
-            zenoforge.cli, "_chain_dfs_lie_dim", lambda k: 5 if k == 3 else real(k)
+            zenoforge.cli, "sector_lie_dimension", lambda k: 5 if k == 3 else real(k)
         )
         assert main(["reproduce-table1", "--nmax", "3"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -260,7 +323,7 @@ class TestCli:
         def exhausted(n):
             raise exc
 
-        monkeypatch.setattr(zenoforge.cli, "_chain_dfs_lie_dim", exhausted)
+        monkeypatch.setattr(zenoforge.cli, "sector_lie_dimension", exhausted)
         assert main(["reproduce-table1", "--nmax", "3"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
