@@ -113,10 +113,13 @@ def _model_from_args(name, n, gamma):
             raise ValueError(f"--n (config 'n') is only for ising-chain and n-level-atom, not {name!r}")
         return build_model(name, **({} if gamma is None else {"gamma": gamma}))
     kwargs = {} if n is None else {size: n}
-    if gamma is not None:
-        # three collective rates for the chain; one per stable atom level (3 by default)
-        kwargs["gammas"] = (gamma,) * (3 if size == "n_qubits" else n or 3)
-    return build_model(name, **kwargs)
+    try:
+        if gamma is not None:
+            # three collective rates for the chain; one per stable atom level (3 by default)
+            kwargs["gammas"] = (gamma,) * (3 if size == "n_qubits" else n or 3)
+        return build_model(name, **kwargs)
+    except OverflowError:  # n atom rates, (gamma,) * n or the default (1.0,) * n
+        raise ValueError(f"--n (config 'n') is out of range, got {n}") from None
 
 
 def cmd_lie_dim(args) -> int:
@@ -179,7 +182,10 @@ def cmd_reproduce_table1(args) -> int:
     nmax = args.nmax
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
-    ns = list(range(1, nmax + 1))
+    try:
+        ns = list(range(1, nmax + 1))
+    except OverflowError:
+        raise ValueError(f"--nmax (config 'nmax') is out of range, got {nmax}") from None
     spins = sorted({j for n in ns for j in allowed_spins(n)})
     header = ["quantity"] + [f"N={n}" for n in ns]
     rows = []

@@ -74,6 +74,9 @@ def _terms(p: int) -> int:
     return 2**53 // (p // 2 + 2) ** 2 - 1
 
 
+_GATHER = 2**12  # entries of c from which _submul gathers its live rows
+
+
 def _submul(c: np.ndarray, a: np.ndarray, b: np.ndarray, p: int) -> None:
     """c -= a @ b (mod p) in place, for entries of magnitude at most p/2 + 1.
 
@@ -83,7 +86,18 @@ def _submul(c: np.ndarray, a: np.ndarray, b: np.ndarray, p: int) -> None:
     output, the one temporary. c goes in blocks of max(k, ``_terms(p)`` /
     width) rows, k the terms of a dot product, so that output is never
     larger than b or ``_terms(p)`` entries. a and b must not share memory
-    with c."""
+    with c.
+
+    A row of c where a is zero is left as it is. When c is a matrix of at
+    least ``_GATHER`` entries and at most half its rows are live, only
+    those are gathered, updated and scattered back."""
+    if c.ndim == 2 and c.size >= _GATHER:
+        live = np.flatnonzero(a.any(axis=1))
+        if 2 * live.size <= c.shape[0]:
+            rows = c[live]
+            _submul(rows, a[live], b, p)
+            c[live] = rows
+            return
     terms, inner = _terms(p), a.shape[-1]
     rows = max(inner, terms // max(c.shape[-1], 1), 1)
     for i in range(0, c.shape[-2], rows):

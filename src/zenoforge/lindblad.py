@@ -285,9 +285,11 @@ def _null_space(mat: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _cluster(values: np.ndarray, tol: float) -> list[complex]:
-    """Cluster complex values within ``tol``; returns cluster means."""
+    """Cluster complex values within ``tol``, taken in the order of their
+    parts rounded to 9 decimals; returns cluster means."""
     out: list[list[complex]] = []
-    for v in sorted(values, key=lambda z: (round(z.real, 9), round(z.imag, 9))):
+    keys = np.round(values, 9)
+    for v in values[np.lexsort((keys.imag, keys.real))]:
         for group in out:
             if abs(v - group[0]) <= tol:
                 group.append(v)

@@ -210,6 +210,86 @@ class TestEchelon:
         assert e.add(f.map(np.array(oracle, dtype=float).reshape(-1, a.shape[1]))).shape[0] == 0
 
 
+def sparse_groups(g, p, width, groups, rank, zeros, bridges):
+    """Rows mod p whose supports fall in disjoint column groups, rank + 3
+    rows a group, each mixing at most two of ``rank`` sparse basis rows of
+    its group. ``bridges`` of these rows get one more entry anywhere, so a
+    few supports overlap, and ``zeros`` zero rows follow. Added group by
+    group, the old rows are zero at most new pivots."""
+    f, out = exact.field(p), []
+    for cols in np.array_split(np.arange(width), groups):
+        basis = np.zeros((rank, width))
+        basis[:, cols] = g.integers(-(p // 2), p // 2 + 1, (rank, cols.size))
+        basis[:, cols] *= g.random((rank, cols.size)) < 0.25
+        mix = np.zeros((rank + 3, rank))
+        for row in mix:
+            row[g.choice(rank, min(2, rank), replace=False)] = g.integers(1, 5, min(2, rank))
+        out.append(f.map(mix) @ basis)
+    rows = np.vstack(out)
+    pick = g.choice(rows.shape[0], bridges, replace=False)
+    rows[pick, g.integers(0, width, bridges)] += 1.0
+    return f.map(np.vstack([rows, np.zeros((zeros, width))]))
+
+
+class TestRowSkip:
+    """``_submul`` updates only the rows where a is nonzero, gathering them
+    from a large block of which at most half are live: the engine still
+    matches plain Gauss-Jordan on both sides of that rule."""
+
+    @staticmethod
+    def check(a, blocks, p):
+        f = exact.field(p)
+        e = exact.Echelon(f, a.shape[1])
+        added = sum(e.add(block).shape[0] for block in blocks)
+        oracle = gauss_jordan_mod(a.astype(int).tolist(), p)
+        assert e.pivots.size == added == len(oracle)
+        rows = e.rows
+        assert np.array_equal(rows[:, e.pivots] % p, np.eye(e.pivots.size))
+        assert np.abs(rows).max(initial=0) <= p // 2 + 1
+        assert e.add(f.map(np.array(oracle, dtype=float).reshape(-1, a.shape[1]))).shape[0] == 0
+        v = exact.null_space(a, f)
+        assert v.shape == (a.shape[1], a.shape[1] - len(oracle))
+        assert not (f.mm(a, v) % p).any()
+        assert np.abs(v).max(initial=0) <= p // 2 + 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([P0, P26]), st.booleans(), st.data())
+    def test_sparse_blocks_match_the_reference_elimination(self, p, wide, data):
+        width = data.draw(st.integers(150, 200) if wide else st.integers(4, 40), label="width")
+        groups = data.draw(st.integers(1, 4), label="groups")
+        rank = data.draw(st.integers(1, max(1, min(40, width // groups))), label="rank")
+        g = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        zeros = data.draw(st.integers(0, 40), label="zeros")
+        a = sparse_groups(g, p, width, groups, rank, zeros, data.draw(st.integers(0, 3)))
+        a = a[np.argsort(g.random(a.shape[0]) + np.arange(a.shape[0]) // (rank + 3))]
+        cuts = sorted(data.draw(st.lists(st.integers(0, a.shape[0]), max_size=4), label="cuts"))
+        self.check(a, np.split(a, cuts), p)
+
+    @pytest.mark.parametrize("width, gathered", [(160, True), (40, False)])
+    def test_each_side_of_the_gather_rule(self, monkeypatch, width, gathered):
+        # two groups added one after the other: the first group's rows are
+        # zero at the second's pivots but where bridged; at width 160 their
+        # rest has some 40 x 120 >= 2^12 entries, at width 40 at most 8 x 32
+        g = np.random.default_rng(width)
+        rank = 40 if gathered else 8
+        a = sparse_groups(g, P0, width, 2, rank, 20, 2)
+        live_gathers, in_place = [], []
+        real = exact._submul
+
+        def spy(c, x, b, p):
+            if c.ndim == 2 and c.shape[0] > 1:
+                live = np.count_nonzero(x.any(axis=1))
+                if c.size >= exact._GATHER and 2 * live <= c.shape[0]:
+                    live_gathers.append(live)
+                else:
+                    in_place.append(live)
+            real(c, x, b, p)
+
+        monkeypatch.setattr(exact, "_submul", spy)
+        self.check(a, [a[: rank + 3], a[rank + 3 :]], P0)
+        assert any(live_gathers) == gathered and in_place
+
+
 class TestClosureDimension:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 5), st.integers(1, 3), st.integers(0, 2**32 - 1))

@@ -445,6 +445,41 @@ class TestDetectDfsProperties:
             assert np.max(np.abs(b @ b.conj().T - c @ c.conj().T)) < 1e-8
 
 
+def scalar_round_cluster(values, tol):
+    """``lindblad._cluster`` as it was, with two numpy-scalar ``round`` calls
+    per value in its sort key: the oracle of the vectorized keys."""
+    out = []
+    for v in sorted(values, key=lambda z: (round(z.real, 9), round(z.imag, 9))):
+        for group in out:
+            if abs(v - group[0]) <= tol:
+                group.append(v)
+                break
+        else:
+            out.append([v])
+    return [complex(np.mean(g)) for g in out]
+
+
+# offsets from far below to past the clustering tolerance of 1e-7
+_OFFSETS = np.array([0.0, 1e-17, -1e-17, 1e-16, 1e-7, -1e-7, 9.999999e-8, -9.999999e-8, 1.5e-7])
+
+
+class TestCluster:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_vectorized_keys_match_scalar_round(self, seed, real):
+        # 100 sets of values next to a half-step k 5e-10 of the 9-decimal
+        # rounding, where numpy's round and Python's differ on about 5 % of
+        # values: in the real part and, unless the values are real, in the
+        # imaginary part
+        g, tol = np.random.default_rng(seed), 10 * lindblad._DFS_TOL
+        for k in g.integers(-(2 * 10**6), 2 * 10**6, 100):
+            n = g.integers(1, 9)
+            re = k * 5e-10 + g.choice(_OFFSETS, n)
+            im = g.choice([0.0, k * 5e-10], n) + g.choice(_OFFSETS[:4], n)
+            values = re if real else re + 1j * im  # eigvals gives a float array if all are real
+            assert lindblad._cluster(values, tol) == scalar_round_cluster(values, tol)
+
+
 class TestSuperprojectorProperties:
     @settings(max_examples=30, deadline=None)
     @given(

@@ -125,6 +125,10 @@ def test_array_holders_compare_by_identity(name):
     assert hash(x) == hash(x) and x in {x}
 
 
+# an integer flag value beyond any index (2^63 - 1)
+HUGE = "99999999999999999999"
+
+
 # `dfs` stdout per registered model at the default gamma, 1e-9 and 1e9: every
 # label is 0 but dephasing's, whose b is gamma
 _DFS_ZERO = [
@@ -214,6 +218,14 @@ class TestCli:
         argv = ["dfs", "--model", name] + (["--gamma", gamma] if gamma else [])
         assert main(argv) == 0
         assert capsys.readouterr().out == f'{{"model": "{name}", "blocks": {out}}}\n'
+
+    def test_dfs_of_the_twenty_level_atom(self, capsys):
+        assert main(["dfs", "--model", "n-level-atom", "--n", "20"]) == 0
+        zeros = ", ".join(["[0.0, 0.0]"] * 20)
+        assert capsys.readouterr().out == (
+            '{"model": "n-level-atom", "blocks": [{"dim": 20, '
+            f'"lindblad_eigenvalues": [{zeros}], "damping_eigenvalue": 0.0}}]}}\n'
+        )
 
     def test_dfs_keeps_small_damping_eigenvalues(self, capsys):
         # b = gamma for dephasing: the zero cut is relative to max_j gamma_j max|Lj|^2
@@ -459,12 +471,20 @@ class TestCli:
             (["zeno-check", "--steps", "1,x"], "--steps (config 'steps')"),
             (["sweep", "--gammas", "1,x", "--restarts", "1"], "--gammas (config 'gammas')"),
             (["zeno-check", "--gammas", "x"], "--gammas (config 'gammas')"),
+            # past the index range: refused before anything of that size is built
+            (["reproduce-table1", "--nmax", HUGE], "--nmax (config 'nmax')"),
+            (["lie-dim", "--model", "n-level-atom", "--n", HUGE], "--n (config 'n')"),
+            (["dfs", "--model", "n-level-atom", "--n", HUGE], "--n (config 'n')"),
+            (["lie-dim", "--model", "n-level-atom", "--n", HUGE, "--gamma", "2"],
+             "--n (config 'n')"),
+            (["dfs", "--model", "n-level-atom", "--n", "-" + HUGE], "--n (config 'n')"),
         ],
         ids=["n-two-qubit-amp", "n-two-qubit-dephasing", "slices-0", "nmax-0",
              "unknown-target", "damping-chain", "gamma-inf-lie-dim", "gamma-inf-dfs",
              "gammas-inf-zeno-check", "gammas-inf-sweep", "t-inf", "t-nan",
              "slices-negative", "seed-negative", "sweep-atom", "sweep-chain",
-             "steps-not-int", "gammas-not-float-sweep", "gammas-not-float-zeno-check"],
+             "steps-not-int", "gammas-not-float-sweep", "gammas-not-float-zeno-check",
+             "nmax-huge", "n-huge-lie-dim", "n-huge-dfs", "n-huge-with-gamma", "n-huge-negative"],
     )
     def test_bad_input_exits_one(self, capsys, argv, message):
         assert main(argv) == 1
@@ -493,6 +513,8 @@ class TestCli:
             (["lie-dim"], {"config": "other.json"}, "config"),
             (["lie-dim"], {"model": "two-qubit-amp", "n": 5}, "n"),
             (["zeno-check"], {"t": float("inf")}, "t"),
+            (["reproduce-table1"], {"nmax": int(HUGE)}, "nmax"),
+            (["lie-dim", "--model", "n-level-atom"], {"n": int(HUGE)}, "n"),
         ],
     )
     def test_bad_config_exits_one(self, tmp_path, capsys, argv, config, key):
