@@ -23,7 +23,7 @@ from .grape import (
     optimize,
     propagate_schedule,
 )
-from .lie import ControllabilityVerdict, dfs_lie_dimension, lie_verdict
+from .lie import dfs_lie_dimension, lie_dimension
 from .lindblad import (
     DFSBlock,
     LindbladSpec,

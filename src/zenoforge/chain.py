@@ -30,7 +30,7 @@ import numpy as np
 
 from . import blas, exact
 from .lindblad import LindbladSpec, LindbladTerm
-from .ops import pauli_on
+from .ops import _qubit_dim, pauli_on
 
 __all__ = [
     "CollectiveSpec",
@@ -79,7 +79,8 @@ class two_body:
             raise ValueError(f"need 0 <= m < n, got ({self.m}, {self.n})")
 
     def realize(self, n_qubits: int) -> np.ndarray:
-        out = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
+        d = _qubit_dim(n_qubits)
+        out = np.zeros((d, d), dtype=complex)
         for axis in "xyz":
             out += pauli_on(n_qubits, self.m, axis) @ pauli_on(n_qubits, self.n, axis)
         return out
@@ -102,7 +103,8 @@ class three_body:
             {axis: pauli_on(n_qubits, site, axis) for axis in "xyz"}
             for site in (self.i, self.j, self.k)
         )
-        out = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
+        d = _qubit_dim(n_qubits)
+        out = np.zeros((d, d), dtype=complex)
         for a, b, c in ("xyz", "yzx", "zxy"):  # cyclic (a, b, c): eps_abc = 1
             out += si[a] @ (sj[b] @ sk[c] - sj[c] @ sk[b])
         return out

@@ -27,7 +27,7 @@ from .grape import (
     gamma_sweep,
     propagate_schedule,
 )
-from .lie import dfs_lie_dimension, lie_verdict
+from .lie import dfs_lie_dimension, lie_dimension
 from .lindblad import (
     LindbladSpec,
     _array_from_json,
@@ -124,11 +124,11 @@ def _model_from_args(name, n, gamma):
 
 def cmd_lie_dim(args) -> int:
     desc = _model_from_args(args.model, args.n, args.gamma)
-    report = dfs_lie_dimension(desc.spec, desc.controls)
+    dim, block_dims = dfs_lie_dimension(desc.spec, desc.controls)
     doc = {
-        "dim_nonoise": lie_verdict(desc.controls).dim,
-        "dim_dfs": report.verdict.dim,
-        "block_dims": list(report.block_dims),
+        "dim_nonoise": lie_dimension(desc.controls),
+        "dim_dfs": dim,
+        "block_dims": list(block_dims),
     }
     print(json.dumps(doc))
     return 0

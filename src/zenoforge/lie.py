@@ -1,4 +1,4 @@
-"""Dynamical Lie-algebra closures and controllability verdicts.
+"""Dynamical Lie-algebra dimensions.
 
 The dynamical Lie algebra is the REAL span of i*(Hamiltonians) and their
 iterated commutators, a subspace of u(d). Its real dimension equals the
@@ -6,7 +6,7 @@ complex dimension of the complex Lie algebra that the Hamiltonians generate
 (u(d) is a real form of gl(d, C)), and that is the dimension over Q(i)
 when the inputs are Gaussian rationals, as floats are.
 
-``dfs_lie_dimension`` takes every printed dimension and verdict from the
+``dfs_lie_dimension`` takes every printed dimension from the
 exact closure over F_p of ``exact``: the inputs (controls, rates, Lindblad
 operators) are read as exact dyadic rationals, P(H) and the DFS
 compressions are computed from them mod p, and no tolerance decides
@@ -18,8 +18,14 @@ second prime runs and the larger of the two is reported. The images are
 checked where they are computed: a DFS block's null space must have the
 block's dimension, and P(H) comes with a proof of its Krylov minimal
 polynomial over Q (``exact.superproject``), so its images at the two
-primes are those of the rational P(H). A real Lie subalgebra of u(d) of
-dimension d^2 - 1 is su(d), so the dimension alone decides the verdict.
+primes are those of the rational P(H).
+
+The dimension alone decides controllability: u(d) has dimension d^2, and
+a real Lie subalgebra of u(d) of dimension d^2 - 1 is su(d). su(d) is
+compact and simple, so it has no subalgebra of codimension 1; the
+algebra's projection onto su(d) is then onto and one to one, and its graph
+over su(d) = [su(d), su(d)] has no trace part. So a dimension of at least
+d^2 - 1 means the algebra contains su(d), and d^2 means it is u(d).
 
 Table I does not come from here: ``chain.sector_lie_dimension`` closes
 the chain's spin-sector blocks one by one and proves each value at the
@@ -32,50 +38,19 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from . import blas, exact
-from .lindblad import DFSBlock, LindbladSpec, detect_dfs
+from .lindblad import LindbladSpec, detect_dfs
 from .ops import hermitian
 
-__all__ = ["ControllabilityVerdict", "DFSLieReport", "dfs_lie_dimension", "lie_verdict"]
+__all__ = ["dfs_lie_dimension", "lie_dimension"]
 
 
-@dataclass(frozen=True)
-class ControllabilityVerdict:
-    dim: int
-    contains_su: bool
-    equals_u: bool
-
-
-def _verdict(dim: int, d: int) -> ControllabilityVerdict:
-    """The verdict of a Lie subalgebra of u(d) of dimension ``dim``: u(d) has
-    dimension d^2, and su(d) is the only one of dimension d^2 - 1 (su(d) is
-    compact and simple, so it has no subalgebra of codimension 1; the
-    algebra's projection onto su(d) is then onto and one to one, and its
-    graph over su(d) = [su(d), su(d)] has no trace part)."""
-    return ControllabilityVerdict(dim, dim > 0 and dim >= d * d - 1, dim > 0 and dim == d * d)
-
-
-@dataclass(frozen=True)
-class DFSLieReport:
-    """The closure over the whole steady manifold, one per DFS block, and
-    the blocks themselves."""
-
-    verdict: ControllabilityVerdict
-    block_verdicts: tuple[ControllabilityVerdict, ...]
-    dfs: tuple[DFSBlock, ...] = field(compare=False)
-
-    @property
-    def block_dims(self) -> tuple[int, ...]:
-        return tuple(v.dim for v in self.block_verdicts)
-
-
-def _exact_verdict(d: int, generators_at, traceless: bool = False) -> ControllabilityVerdict:
-    """The verdict of the Lie algebra whose generators' images in F_p are
+def _exact_dimension(d: int, generators_at, traceless: bool = False) -> int:
+    """The dimension of the Lie algebra whose generators' images in F_p are
     ``generators_at(p)``, closed by ``exact.closure_dimension``.
 
     When the generators are the images of rational ones, each prime gives
@@ -94,7 +69,7 @@ def _exact_verdict(d: int, generators_at, traceless: bool = False) -> Controllab
                 dim = max(dim, exact.closure_dimension(gens, exact.field(p)))
             if dim == proof:
                 break
-    return _verdict(dim, d)
+    return dim
 
 
 def _traceless(mats) -> bool:
@@ -164,18 +139,20 @@ def _staged(mats, name: str, d: int | None = None) -> np.ndarray:
     return np.reshape(hs, (-1, d, d))
 
 
-def dfs_lie_dimension(spec: LindbladSpec, controls) -> DFSLieReport:
-    """Exact Lie dimensions of the projected control system over the DFS's.
+def dfs_lie_dimension(spec: LindbladSpec, controls) -> tuple[int, tuple[int, ...]]:
+    """Exact Lie dimensions of the projected control system over the DFS's:
+    the joint dimension over the whole steady manifold, and one dimension
+    per ``detect_dfs`` block, in its order.
 
-    Every dimension and verdict comes from the closure over F_p
-    (``_exact_verdict``), on exact images of the inputs, never on rounded
-    floats. For every DFS block the controls are compressed with the
-    orthogonal left inverse, (V^dag V)^-1 V^dag H V, where V spans the
-    block's exact eigenspace (``_block_bases``); ``detect_dfs`` supplies
-    only the block dimensions and labels. The joint verdict closes P(H) for
-    a unital dissipator (``exact.superproject``), and otherwise the
-    block-diagonal sum of the compressions, so that blocks the controls
-    link count once; a single block's joint verdict is its block verdict.
+    Every dimension comes from the closure over F_p (``_exact_dimension``),
+    on exact images of the inputs, never on rounded floats. For every DFS
+    block the controls are compressed with the orthogonal left inverse,
+    (V^dag V)^-1 V^dag H V, where V spans the block's exact eigenspace
+    (``_block_bases``); ``detect_dfs`` supplies only the block dimensions
+    and labels. The joint closure takes P(H) for a unital dissipator
+    (``exact.superproject``), and otherwise the block-diagonal sums of the
+    compressions, so that blocks the controls link count once; a single
+    block's joint dimension is its block dimension, and no block gives 0.
     The rates enter divided by their greatest common divisor (``_coprime``),
     which changes neither P(H) nor a block.
 
@@ -199,29 +176,31 @@ def dfs_lie_dimension(spec: LindbladSpec, controls) -> DFSLieReport:
         images = f.map(hs)
         return [exact.compress(images, v, w, f) for v, w in _block_bases(dfs, jumps, d, f)]
 
-    block_verdicts = tuple(
-        _exact_verdict(block.dim, lambda p, k=k: blocks_at(p)[k])
+    total = sum(b.dim for b in dfs)
+
+    def sums_at(p):  # the block-diagonal sums of the compressions, stacked
+        out = np.zeros((len(hs), total, total))
+        at = 0
+        for block in blocks_at(p):
+            k = block.shape[-1]
+            out[:, at : at + k, at : at + k] = block
+            at += k
+        return out
+
+    block_dims = tuple(
+        _exact_dimension(block.dim, lambda p, k=k: blocks_at(p)[k])
         for k, block in enumerate(dfs)
     )
     if jumps and spec.is_unital():
         projected, _ = exact.superproject(hs, jumps)
-        joint = _exact_verdict(d, projected.get, _traceless(hs))  # Tr P(H) = Tr H
-    elif len(dfs) == 1:
-        joint = block_verdicts[0]
-    elif not dfs:
-        joint = _verdict(0, 0)  # no steady manifold to control
-    else:
-        import scipy.linalg
-
-        joint = _exact_verdict(
-            sum(b.dim for b in dfs),
-            lambda p: [scipy.linalg.block_diag(*parts) for parts in zip(*blocks_at(p))],
-        )
-    return DFSLieReport(joint, block_verdicts, dfs)
+        return _exact_dimension(d, projected.get, _traceless(hs)), block_dims  # Tr P(H) = Tr H
+    if len(dfs) == 1:
+        return block_dims[0], block_dims
+    return _exact_dimension(total, sums_at), block_dims
 
 
-def lie_verdict(hamiltonians) -> ControllabilityVerdict:
-    """The exact verdict of Lie(i H_0, ..., i H_m) for Hermitian generators,
+def lie_dimension(hamiltonians) -> int:
+    """The exact dimension of Lie(i H_0, ..., i H_m) for Hermitian generators,
     read as the exact rationals their floats are (see ``dfs_lie_dimension``)."""
     hs = _staged(hamiltonians, "generator")
-    return _exact_verdict(hs.shape[1], lambda p: exact.field(p).map(hs), _traceless(hs))
+    return _exact_dimension(hs.shape[1], lambda p: exact.field(p).map(hs), _traceless(hs))

@@ -1,30 +1,24 @@
 """Registry of the worked example systems.
 
-Each descriptor bundles the dissipative model, its control Hamiltonians,
-and the documented expected results; ``validate_model`` re-derives the
-expectations from the toolkit so the registry stays self-checking.
+Each descriptor bundles a model's name, its parameters, its dissipative
+spec and its control Hamiltonians. Their Lie dimensions and DFS's are
+computed by ``lie`` and ``lindblad``, not stored here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .chain import CollectiveSpec, build_chain
-from .lindblad import (
-    LindbladSpec,
-    LindbladTerm,
-    steady_superprojector,
-)
-from .lie import dfs_lie_dimension, lie_verdict
+from .lindblad import LindbladSpec, LindbladTerm, steady_superprojector
 from .ops import lowering_on, pauli_on
 
 __all__ = [
     "ModelDescriptor",
     "MODEL_NAMES",
     "build_model",
-    "validate_model",
     "HADAMARD",
     "qubit2_reset_superop",
 ]
@@ -33,9 +27,6 @@ HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
 MODEL_NAMES = ("two-qubit-amp", "two-qubit-dephasing", "n-level-atom", "ising-chain")
 
-# Table I reference row: dim of the Lie algebra over the DFS's by chain size.
-CHAIN_DFS_LIE_DIMS = {1: 0, 2: 1, 3: 4, 4: 12, 5: 40, 6: 129, 7: 426, 8: 1426, 9: 4858}
-
 
 @dataclass(frozen=True, eq=False)
 class ModelDescriptor:
@@ -43,7 +34,6 @@ class ModelDescriptor:
     params: dict
     spec: LindbladSpec
     controls: tuple[np.ndarray, ...]
-    expected: dict = field(default_factory=dict)
 
 
 def _two_qubit_controls():
@@ -98,53 +88,23 @@ def build_model(name: str, **params) -> ModelDescriptor:
         _check_no_extra(params)
         drift, control = _two_qubit_controls()
         spec = _two_qubit_spec(gamma, lowering_on(2, 1))
-        expected = {
-            "dfs_count": 1,
-            "dfs_dims": (2,),
-            "nonoise_lie_dim": 2,
-            "block_lie_dims": (3,),
-            "block_contains_su": (True,),
-            "unital": False,
-            "dfs_lie_dim": 3,
-        }
-        return ModelDescriptor(name, {"gamma": gamma}, spec, (drift, control), expected)
+        return ModelDescriptor(name, {"gamma": gamma}, spec, (drift, control))
 
     if name == "two-qubit-dephasing":
         gamma = float(params.pop("gamma", 1.0))
         _check_no_extra(params)
         drift, control = _two_qubit_controls()
         spec = _two_qubit_spec(gamma, pauli_on(2, 1, "z"))
-        expected = {
-            "dfs_count": 2,
-            "dfs_dims": (2, 2),
-            "nonoise_lie_dim": 2,
-            "block_lie_dims": (3, 3),
-            "block_contains_su": (True, True),
-            "unital": True,
-            "dfs_lie_dim": 3,
-        }
-        return ModelDescriptor(name, {"gamma": gamma}, spec, (drift, control), expected)
+        return ModelDescriptor(name, {"gamma": gamma}, spec, (drift, control))
 
     if name == "n-level-atom":
         n_levels = int(params.pop("n_levels", 3))
         gammas = params.pop("gammas", (1.0,) * n_levels)
         _check_no_extra(params)
         spec, drift, control = _atom_model(n_levels, gammas)
-        expected = {
-            "dfs_count": 1,
-            "dfs_dims": (n_levels,),
-            "nonoise_lie_dim": 2,
-            "block_lie_dims": (n_levels**2,),
-            "block_equals_u": (True,),
-            "unital": False,
-            "dfs_lie_dim": n_levels**2,
-        }
+        gammas = tuple(map(float, gammas))
         return ModelDescriptor(
-            name,
-            {"n_levels": n_levels, "gammas": tuple(map(float, gammas))},
-            spec,
-            (drift, control),
-            expected,
+            name, {"n_levels": n_levels, "gammas": gammas}, spec, (drift, control)
         )
 
     if name == "ising-chain":
@@ -152,17 +112,8 @@ def build_model(name: str, **params) -> ModelDescriptor:
         gammas = tuple(map(float, params.pop("gammas", (1.0, 1.0, 1.0))))
         _check_no_extra(params)
         spec, drift, control = build_chain(CollectiveSpec(n_qubits, *gammas))
-        expected = {
-            "nonoise_lie_dim": 2,
-            "unital": True,
-            "dfs_lie_dim": CHAIN_DFS_LIE_DIMS.get(n_qubits),
-        }
         return ModelDescriptor(
-            name,
-            {"n_qubits": n_qubits, "gammas": gammas},
-            spec,
-            (drift, control),
-            expected,
+            name, {"n_qubits": n_qubits, "gammas": gammas}, spec, (drift, control)
         )
 
     raise ValueError(f"unknown model {name!r}; choose from {MODEL_NAMES}")
@@ -171,32 +122,6 @@ def build_model(name: str, **params) -> ModelDescriptor:
 def _check_no_extra(params: dict):
     if params:
         raise ValueError(f"unexpected parameters: {sorted(params)}")
-
-
-def validate_model(desc: ModelDescriptor) -> dict:
-    """Re-derive the descriptor's expected results; raises on mismatch."""
-    derived = {}
-    derived["nonoise_lie_dim"] = lie_verdict(desc.controls).dim
-    report = dfs_lie_dimension(desc.spec, desc.controls)
-    derived["dfs_count"] = len(report.dfs)
-    derived["dfs_dims"] = tuple(b.dim for b in report.dfs)
-    derived["block_lie_dims"] = report.block_dims
-    derived["unital"] = desc.spec.is_unital()
-    derived["dfs_lie_dim"] = report.verdict.dim
-    if "block_contains_su" in desc.expected:
-        derived["block_contains_su"] = tuple(
-            v.contains_su for v in report.block_verdicts
-        )
-    if "block_equals_u" in desc.expected:
-        derived["block_equals_u"] = tuple(v.equals_u for v in report.block_verdicts)
-
-    for key, want in desc.expected.items():
-        if want is None or key not in derived:
-            continue
-        got = derived[key]
-        if got != want:
-            raise AssertionError(f"{desc.name}: {key} derived {got}, expected {want}")
-    return derived
 
 
 def qubit2_reset_superop(spec: LindbladSpec) -> np.ndarray:

@@ -43,6 +43,15 @@ def hermitian(a, name: str) -> np.ndarray:
     return mat / 2 + mat.conj().T / 2
 
 
+def _qubit_dim(n: int) -> int:
+    """2^n, the dimension of n qubits. OverflowError when 2^n exceeds
+    numpy's index range, raised before the power is formed: a huge n would
+    otherwise spend its time building that Python integer."""
+    if n >= np.iinfo(np.intp).bits - 1:
+        raise OverflowError(f"2^{n}, the dimension of {n} qubits, exceeds numpy's index range")
+    return 2**n
+
+
 def pauli_on(n: int, site: int, axis: str) -> np.ndarray:
     """Pauli operator on qubit ``site`` of ``n`` qubits, identity elsewhere.
 
@@ -53,6 +62,7 @@ def pauli_on(n: int, site: int, axis: str) -> np.ndarray:
         raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
     if n < 1:
         raise ValueError("need at least one qubit")
+    _qubit_dim(n)
     if not 0 <= site < n:
         raise ValueError(f"site {site} out of range for {n} qubits")
     return np.kron(np.kron(np.eye(2**site), PAULI[axis]), np.eye(2 ** (n - site - 1)))

@@ -99,6 +99,10 @@ def proven_superprojection(spec, h):
     return out
 
 
+# Table I reference row: dim of the Lie algebra over the DFS's by chain size.
+CHAIN_DFS_LIE_DIMS = {1: 0, 2: 1, 3: 4, 4: 12, 5: 40, 6: 129, 7: 426, 8: 1426, 9: 4858}
+
+
 def heisenberg_bonds(n):
     """3 P(H) for the chain's drift and control, as integer matrices:
     P(Z_i Z_i+1) = sigma_i . sigma_i+1 / 3."""

@@ -30,7 +30,7 @@ from zenoforge.channels import choi, superop_tensor, unitary_superop
 from zenoforge.cli import main as cli_main
 from zenoforge.grape import Eps1Target, Eps2Target, objective_and_gradient
 from zenoforge.grape import ControlSystem
-from zenoforge.lie import dfs_lie_dimension, lie_verdict
+from zenoforge.lie import dfs_lie_dimension, lie_dimension
 from zenoforge.lindblad import (
     LindbladSpec,
     LindbladTerm,
@@ -133,7 +133,7 @@ def test_table1(table1_run):
 
 @criterion(2, "two-qubit example: no-noise dim 2, DFS span, projected su(2), dephasing dims")
 def test_two_qubit_example():
-    assert lie_verdict([H0, H1]).dim == 2
+    assert lie_dimension([H0, H1]) == 2
 
     amp = amp_spec()
     dfs = detect_dfs(amp)
@@ -143,15 +143,10 @@ def test_two_qubit_example():
     assert np.max(np.abs(label_rows(amp, dfs[0]) @ basis)) < 1e-10
 
     projected = [basis.conj().T @ h @ basis for h in (H0, H1)]
-    verdict = lie_verdict(projected)
-    assert verdict.dim == 3
-    assert verdict.contains_su and not verdict.equals_u
+    assert lie_dimension(projected) == 3  # su(2): d^2 - 1 in u(2), so not u(2)
 
     deph = LindbladSpec(np.zeros((4, 4)), (LindbladTerm(1.0, pauli_on(2, 1, "z")),))
-    report = dfs_lie_dimension(deph, [H0, H1])
-    assert report.verdict.dim == 3
-    assert report.block_dims == (3, 3)
-    assert all(v.contains_su for v in report.block_verdicts)
+    assert dfs_lie_dimension(deph, [H0, H1]) == (3, (3, 3))  # su(2) on each 2-dim block
 
 
 @criterion(3, "N-level atom: projected closure dim N^2 with u(N) verdict for N=2..5")
@@ -159,9 +154,7 @@ def test_atom_closures():
     start = time.time()
     for n in (2, 3, 4, 5):
         desc = build_model("n-level-atom", n_levels=n)
-        report = dfs_lie_dimension(desc.spec, desc.controls)
-        assert report.block_dims == (n * n,)
-        assert report.block_verdicts[0].equals_u
+        assert dfs_lie_dimension(desc.spec, desc.controls)[1] == (n * n,)  # u(n): n^2
     assert time.time() - start < 60
 
 

@@ -28,10 +28,10 @@ from zenoforge.lindblad import (
     unvec,
     vec,
 )
-from zenoforge.models import CHAIN_DFS_LIE_DIMS, build_model
+from zenoforge.models import build_model
 from zenoforge.ops import pauli_on
 
-from conftest import dense_superprojection
+from conftest import CHAIN_DFS_LIE_DIMS, dense_superprojection
 
 
 class TestBuildChain:
@@ -58,6 +58,19 @@ class TestBuildChain:
             CollectiveSpec(3, -1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             CollectiveSpec(3, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda n: pauli_on(n, 0, "x"), lambda n: collective_spin(n, "z"),
+         lambda n: build_chain(CollectiveSpec(n)), lambda n: two_body(0, 1).realize(n),
+         lambda n: three_body(0, 1, 2).realize(n)],
+        ids=["pauli_on", "collective_spin", "build_chain", "two_body", "three_body"],
+    )
+    def test_refuses_a_dimension_past_the_index_range(self, build):
+        # 2^63 states: refused before any power of two is formed, which for a
+        # huge n would take unbounded time
+        with pytest.raises(OverflowError, match="exceeds numpy's index range"):
+            build(63)
 
 
 class TestDfsDimension:
@@ -246,7 +259,7 @@ class TestSectorLieDimension:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_equals_the_full_space_closure(self, n):
         desc = build_model("ising-chain", n_qubits=n)
-        assert sector_lie_dimension(n) == dfs_lie_dimension(desc.spec, desc.controls).verdict.dim
+        assert sector_lie_dimension(n) == dfs_lie_dimension(desc.spec, desc.controls)[0]
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_blocks_are_compressions_of_the_superprojection(self, n):

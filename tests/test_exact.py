@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import zenoforge.lie as lie
 from zenoforge import exact
 from zenoforge.chain import CollectiveSpec, build_chain, collective_spin, two_body
-from zenoforge.lie import ControllabilityVerdict, dfs_lie_dimension
+from zenoforge.lie import dfs_lie_dimension
 from zenoforge.lindblad import LindbladSpec, LindbladTerm
 from zenoforge.models import build_model
 
@@ -309,8 +309,8 @@ class TestClosureDimension:
         for m in mats:
             m[-1, -1] -= np.trace(m)
         assert all(dim_at(p, mats) <= d * d - 1 for p in exact.PRIMES)
-        verdict = lie._exact_verdict(d, lambda p: [exact.field(p).map(m) for m in mats], True)
-        assert verdict.dim <= d * d - 1 and not verdict.equals_u
+        dim = lie._exact_dimension(d, lambda p: [exact.field(p).map(m) for m in mats], True)
+        assert dim <= d * d - 1
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
@@ -325,9 +325,9 @@ class TestClosureDimension:
 
     def test_lie_verdict_of_plain_generators(self):
         heis = two_body(0, 1).realize(2) / 3.0
-        assert lie.lie_verdict([heis]) == ControllabilityVerdict(1, False, False)
+        assert lie.lie_dimension([heis]) == 1
         with pytest.raises(ValueError, match="at least one"):
-            lie.lie_verdict([])
+            lie.lie_dimension([])
 
     def test_generic_pair_gives_u_d_at_the_first_prime(self, monkeypatch):
         g = np.random.default_rng(3)
@@ -335,9 +335,9 @@ class TestClosureDimension:
         calls = []
         real = exact.closure_dimension
         monkeypatch.setattr(exact, "closure_dimension", lambda gens, f: calls.append(f.p) or real(gens, f))
-        report = dfs_lie_dimension(LindbladSpec(np.zeros((4, 4))), mats)
-        assert report.verdict == lie.lie_verdict(mats) == ControllabilityVerdict(16, True, True)
-        # the joint verdict is the single block's; each reaches d^2 at P0 and stops
+        assert dfs_lie_dimension(LindbladSpec(np.zeros((4, 4))), mats) == (16, (16,))
+        assert lie.lie_dimension(mats) == 16
+        # the joint dimension is the single block's; each reaches d^2 at P0 and stops
         assert calls == [P0, P0]
 
 
@@ -350,7 +350,7 @@ def test_closure_memory_stays_near_one_dense_matrix(monkeypatch):
     real = exact.closure_dimension
     spy = lambda gens, f: closures.append((gens, f)) or real(gens, f)  # noqa: E731
     monkeypatch.setattr(exact, "closure_dimension", spy)
-    assert dfs_lie_dimension(desc.spec, desc.controls).block_dims == (900,)
+    assert dfs_lie_dimension(desc.spec, desc.controls) == (900, (900,))
     gens, f = next((gens, f) for gens, f in closures if gens[0].shape == (30, 30))
     tracemalloc.start()
     try:
@@ -381,7 +381,7 @@ class TestSuperproject:
         # so does V^dag V = 5 for the eigenvector V = (2, 1) of a DFS block
         jump, h = np.array([[3.0, 2.0], [2.0, 0.0]]), np.diag([1.0, 0.0])
         spec = LindbladSpec(np.zeros((2, 2)), (LindbladTerm(1.0, jump),))
-        assert dfs_lie_dimension(spec, [h]).verdict.dim == 1
+        assert dfs_lie_dimension(spec, [h])[0] == 1
         monkeypatch.setattr(exact, "PRIMES", (5,))
         with pytest.raises(ValueError, match="nu\\(0\\) vanishes mod 5"):
             exact.superproject([h], [(1.0, jump)])
@@ -396,9 +396,7 @@ class TestSuperproject:
             at = lambda g: build_model("ising-chain", n_qubits=n, gammas=(g,) * 3)  # noqa: E731
             one, scaled = at(1.0), at(gamma)
             got = dfs_lie_dimension(scaled.spec, scaled.controls)
-            want = dfs_lie_dimension(one.spec, one.controls)
-            assert got.verdict == want.verdict
-            assert got.block_verdicts == want.block_verdicts
+            assert got == dfs_lie_dimension(one.spec, one.controls)
 
     def test_generic_controls_under_a_rate_of_p0(self):
         # generic controls generate u(4); P(H) keeps u(2) + u(2) for either rate
@@ -406,9 +404,7 @@ class TestSuperproject:
         hs = [integer_hermitian(4, g) / 8 for _ in range(2)]
         for gamma in (1.0, float(P0)):
             desc = build_model("two-qubit-dephasing", gamma=gamma)
-            report = dfs_lie_dimension(desc.spec, hs)
-            assert report.verdict == ControllabilityVerdict(8, False, False)
-            assert report.block_dims == (4, 4)
+            assert dfs_lie_dimension(desc.spec, hs) == (8, (4, 4))
 
     def test_a_rate_that_vanishes_mod_a_prime_raises(self):
         desc = build_model("ising-chain", n_qubits=3, gammas=(1.0, float(P0), 1.0))
@@ -452,9 +448,7 @@ class TestSuperproject:
         real = exact._krylov
         monkeypatch.setattr(exact, "_krylov", lambda h, j, f: primes.append(f.p) or real(h, j, f))
         desc = build_model("ising-chain", n_qubits=3, gammas=(0.7, 1.2, 1.9))
-        report = dfs_lie_dimension(desc.spec, desc.controls)
-        assert report.verdict == ControllabilityVerdict(4, False, False)
-        assert report.block_dims == ()
+        assert dfs_lie_dimension(desc.spec, desc.controls) == (4, ())
         assert primes[:2] == list(exact.PRIMES) and len(primes) > len(exact.PRIMES)
         for h in desc.controls:
             got = proven_superprojection(desc.spec, h)
@@ -513,4 +507,4 @@ class TestN8J2Block:
             gens = generators_at(p)
             assert not (np.trace(np.stack(gens), axis1=1, axis2=2) % p).any()
             assert exact.closure_dimension(gens, exact.field(p)) == 399
-        assert lie._exact_verdict(20, generators_at) == ControllabilityVerdict(399, True, False)
+        assert lie._exact_dimension(20, generators_at) == 399  # su(20)

@@ -736,9 +736,9 @@ assert all(c == [2] for c in mapped_counts().values()), mapped_counts()
 # an exact Lie closure, which caps BLAS threads too, before scipy is imported
 CLOSURE_FIRST = """
 import sys
-from zenoforge.lie import lie_verdict
+from zenoforge.lie import lie_dimension
 from zenoforge.ops import PAULI
-assert lie_verdict([PAULI["x"], PAULI["y"]]).dim == 3
+assert lie_dimension([PAULI["x"], PAULI["y"]]) == 3
 assert "scipy" not in sys.modules
 """
 

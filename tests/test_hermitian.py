@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_hermitian
 from zenoforge.grape import ControlSystem, propagate_schedule
-from zenoforge.lie import dfs_lie_dimension, lie_verdict
+from zenoforge.lie import dfs_lie_dimension, lie_dimension
 from zenoforge.lindblad import LindbladSpec
 from zenoforge.models import build_model
 from zenoforge.ops import hermitian, pauli_on
@@ -25,7 +25,7 @@ def _propagated(h: np.ndarray):
 ENTRY_POINTS = {
     "LindbladSpec": lambda h: LindbladSpec(h, AMP.terms),
     "ControlSystem": _propagated,
-    "lie_verdict": lambda h: lie_verdict([h]),
+    "lie_dimension": lambda h: lie_dimension([h]),
     "dfs_lie_dimension": lambda h: dfs_lie_dimension(AMP, [h]),
     # the full-mantissa Hermitian part of the skewed control needs primes
     # beyond the two closure primes to prove its P(H)
@@ -65,4 +65,4 @@ def test_largest_float_stays_finite_and_nan_fails():
 
 def test_non_square_input_is_named():
     with pytest.raises(ValueError, match="^generator 0 must be a square matrix"):
-        lie_verdict([np.ones((2, 3))])
+        lie_dimension([np.ones((2, 3))])

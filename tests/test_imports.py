@@ -153,9 +153,10 @@ def test_only_ops_decides_hermiticity(path):
     assert hermiticity_checks(path.read_text()) == []
 
 
-def scipy_modules_after(argvs) -> list[str]:
-    """The scipy modules loaded in a fresh process by ``import zenoforge``
-    and then ``cli.main`` on each argv, every one of which must exit 0."""
+def scipy_modules_after(argvs, code: str = "") -> list[str]:
+    """The scipy modules loaded in a fresh process by ``import zenoforge``,
+    then ``cli.main`` on each argv, every one of which must exit 0, and
+    then ``code``."""
     script = (
         "import contextlib, io, sys\n"
         "import zenoforge\n"
@@ -163,6 +164,7 @@ def scipy_modules_after(argvs) -> list[str]:
         f"for argv in {argvs!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0, argv\n"
+        f"{code}\n"
         "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
@@ -176,13 +178,27 @@ def scipy_modules_after(argvs) -> list[str]:
     return run.stdout.split()
 
 
+# the joint closure of two non-unital DFS blocks, span{|0>, |1>} and
+# span{|2>, |3>}, which the controls link (test_lie.py's linked blocks)
+TWO_BLOCK_CLOSURE = """
+import numpy as np
+from zenoforge.lie import dfs_lie_dimension
+from zenoforge.lindblad import LindbladSpec, LindbladTerm
+jump = np.diag([0.0, 0.0, 1.0, 1.0, 0.0]) + np.outer(np.eye(5)[0], np.eye(5)[4])
+spec = LindbladSpec(np.zeros((5, 5)), (LindbladTerm(1.0, jump),))
+x, z = np.zeros((5, 5)), np.zeros((5, 5))
+x[:2, :2] = x[2:4, 2:4] = [[0.0, 1.0], [1.0, 0.0]]
+z[:2, :2] = z[2:4, 2:4] = np.diag([1.0, -1.0])
+assert dfs_lie_dimension(spec, [x, z]) == (3, (3, 3))
+"""
+
+
 def test_table1_lie_dim_and_dfs_load_no_scipy():
     argvs = [
         ["reproduce-table1", "--nmax", "4"],
         ["lie-dim", "--model", "n-level-atom", "--n", "6"],
-        ["lie-dim", "--model", "two-qubit-amp"],
-    ] + [["dfs", "--model", name] for name in MODEL_NAMES]
-    assert scipy_modules_after(argvs) == []
+    ] + [[command, "--model", name] for command in ("lie-dim", "dfs") for name in MODEL_NAMES]
+    assert scipy_modules_after(argvs, TWO_BLOCK_CLOSURE) == []
 
 
 def test_importing_the_cli_loads_neither_scipy_linalg_nor_optimize():

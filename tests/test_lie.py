@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import zenoforge.exact as exact
 import zenoforge.lie as lie
 from zenoforge.grape import ControlSystem
-from zenoforge.lie import ControllabilityVerdict, dfs_lie_dimension, lie_verdict
+from zenoforge.lie import dfs_lie_dimension, lie_dimension
 from zenoforge.lindblad import LindbladSpec, LindbladTerm, detect_dfs
 from zenoforge.models import build_model
 from zenoforge.ops import lowering_on, pauli_on
@@ -53,83 +53,77 @@ def atom_model(n):
 
 class TestLieVerdict:
     def test_commuting_two_qubit_pair_is_two_dimensional(self):
-        assert lie_verdict([H0, H1]).dim == 2
+        assert lie_dimension([H0, H1]) == 2
 
     def test_projected_amp_damping_pair_gives_su2(self):
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
         sy = np.array([[0, 1j], [-1j, 0]], dtype=complex)
-        assert lie_verdict([-sx, sy]).dim == 3
+        assert lie_dimension([-sx, sy]) == 3
 
     def test_single_generator(self):
-        assert lie_verdict([pauli_on(1, 0, "x")]).dim == 1
+        assert lie_dimension([pauli_on(1, 0, "x")]) == 1
 
     def test_generator_order_invariance(self):
         gens = [H0, H1, pauli_on(2, 0, "z")]
-        assert lie_verdict(gens) == lie_verdict(gens[::-1])
+        assert lie_dimension(gens) == lie_dimension(gens[::-1])
 
     def test_exact_unitary_conjugation_invariance(self):
         u = np.kron(_U, _U)  # dyadic entries: u H u^dag is exact in floats
         gens = [H0, H1, pauli_on(2, 0, "x")]
         conj = [u @ g @ u.conj().T for g in gens]
-        assert lie_verdict(gens) == lie_verdict(conj)
+        assert lie_dimension(gens) == lie_dimension(conj)
 
     def test_full_algebra_is_reached(self, rng):
         gens = [random_hermitian(4, rng) for _ in range(2)]
-        assert lie_verdict(gens).dim == 16  # generic pair generates u(4)
+        assert lie_dimension(gens) == 16  # generic pair generates u(4)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_single_nonzero_generator_spans_one_direction(self, seed):
         g = np.random.default_rng(seed)
-        assert lie_verdict([random_hermitian(4, g)]).dim == 1
+        assert lie_dimension([random_hermitian(4, g)]) == 1
 
     def test_rejects_nonhermitian_and_empty(self):
         with pytest.raises(ValueError, match="not Hermitian"):
-            lie_verdict([np.triu(np.ones((4, 4)))])
+            lie_dimension([np.triu(np.ones((4, 4)))])
         with pytest.raises(ValueError, match="^need at least one generator$"):
-            lie_verdict([])
-        assert lie_verdict([np.zeros((4, 4))]) == ControllabilityVerdict(0, False, False)
+            lie_dimension([])
+        assert lie_dimension([np.zeros((4, 4))]) == 0
 
     def test_non_traceless_generators_of_su2_close_to_u2(self):
         # su(d) is the only Lie subalgebra of u(d) of dimension d^2 - 1, so
-        # the verdict reads the dimension alone: a trace lifts su(2) to u(2)
+        # the dimension alone is the verdict: a trace lifts su(2) to u(2)
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
         sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
         gens = [sx, sy + np.eye(2)]
-        assert lie_verdict(gens) == ControllabilityVerdict(4, True, True)
+        assert lie_dimension(gens) == 4
 
 
 class TestControllabilityVerdict:
+    """The verdict is the dimension: su(d) at d^2 - 1, u(d) at d^2."""
+
     def test_su2_detected(self):
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
         sy = np.array([[0, 1j], [-1j, 0]], dtype=complex)
-        v = lie_verdict([sx, sy])
-        assert v.dim == 3 and v.contains_su and not v.equals_u
+        assert lie_dimension([sx, sy]) == 3
 
     def test_identity_only_span(self):
-        v = lie_verdict([np.eye(3)])
-        assert v.dim == 1 and not v.contains_su and not v.equals_u
+        assert lie_dimension([np.eye(3)]) == 1
 
     def test_dephasing_superprojected_pair_not_full(self):
         sxz = pauli_on(2, 0, "x") @ pauli_on(2, 1, "z")
         syz = -1.0 * (pauli_on(2, 0, "y") @ pauli_on(2, 1, "z"))
-        v = lie_verdict([sxz, syz])
-        assert v.dim == 3 and not v.contains_su and not v.equals_u
+        assert lie_dimension([sxz, syz]) == 3  # far below su(4)'s 15
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 17, 18, 19, 20])
     def test_atom_projected_pair_gives_full_unitary_algebra(self, n):
         spec, drift, control = atom_model(n)
-        report = dfs_lie_dimension(spec, [drift, control])
-        assert report.block_dims == (n * n,)
-        verdict = report.block_verdicts[0]
-        assert verdict.contains_su and verdict.equals_u
+        assert dfs_lie_dimension(spec, [drift, control]) == (n * n, (n * n,))
+
 
 class TestDfsLieDimension:
     def test_amp_damping_block_dim_three(self):
         spec = LindbladSpec(np.zeros((4, 4)), (LindbladTerm(1.0, lowering_on(2, 1)),))
-        report = dfs_lie_dimension(spec, [H0, H1])
-        assert report.block_dims == (3,)
-        assert report.block_verdicts[0].contains_su
-        assert report.verdict == report.block_verdicts[0]
+        assert dfs_lie_dimension(spec, [H0, H1]) == (3, (3,))  # su(2), joint = the block
 
     @pytest.mark.parametrize(
         "rate, scale", [(2.0**-700, 2.0**-300), (1e-200, 1e-100)], ids=["dyadic", "decimal"]
@@ -139,31 +133,23 @@ class TestDfsLieDimension:
         # positive factor: still not unital, with the same DFS and closure
         spec = LindbladSpec(np.zeros((4, 4)), (LindbladTerm(rate, scale * lowering_on(2, 1)),))
         assert not spec.is_unital()
-        report = dfs_lie_dimension(spec, [H0, H1])
-        assert (report.verdict.dim, report.block_dims) == (3, (3,))
+        assert dfs_lie_dimension(spec, [H0, H1]) == (3, (3,))
 
     def test_dephasing_blocks_and_unital(self):
         spec = LindbladSpec(np.zeros((4, 4)), (LindbladTerm(1.0, pauli_on(2, 1, "z")),))
-        report = dfs_lie_dimension(spec, [H0, H1])
-        assert report.block_dims == (3, 3)
-        assert all(v.contains_su for v in report.block_verdicts)
-        assert report.verdict.dim == 3
-        assert not report.verdict.contains_su
+        # su(2) on each block, and one su(2) jointly: far below su(4)'s 15
+        assert dfs_lie_dimension(spec, [H0, H1]) == (3, (3, 3))
 
     def test_non_unital_without_dfs_has_empty_algebra(self):
         low = lowering_on(1, 0)
         raising = low.conj().T
         spec = LindbladSpec(np.zeros((2, 2)), (LindbladTerm(1.0, low), LindbladTerm(2.0, raising)))
-        report = dfs_lie_dimension(spec, [pauli_on(1, 0, "x")])
-        assert report.block_dims == ()
-        assert report.verdict == ControllabilityVerdict(0, False, False)
+        assert dfs_lie_dimension(spec, [pauli_on(1, 0, "x")]) == (0, ())
 
     def test_no_jumps_block_is_the_whole_space(self):
         # no jump operator fixes the block's size: it is the spec's d
         controls = [pauli_on(1, 0, "x"), pauli_on(1, 0, "z")]
-        report = dfs_lie_dimension(LindbladSpec(np.zeros((2, 2))), controls)
-        assert report.block_dims == (3,)
-        assert report.verdict == ControllabilityVerdict(3, True, False)
+        assert dfs_lie_dimension(LindbladSpec(np.zeros((2, 2))), controls) == (3, (3,))
 
 
 def on_dephasing(controls):
@@ -184,7 +170,7 @@ def jumps_on_dephasing(ops):
         (on_dephasing, [np.eye(2)] * 4, "control 0 has shape (2, 2), not (4, 4)"),
         (on_dephasing, [np.eye(8)], "control 0 has shape (8, 8), not (4, 4)"),
         (on_dephasing, [np.eye(2)], "control 0 has shape (2, 2), not (4, 4)"),
-        (lie_verdict, [np.eye(2), np.eye(3)], "generator 1 has shape (3, 3), not (2, 2)"),
+        (lie_dimension, [np.eye(2), np.eye(3)], "generator 1 has shape (3, 3), not (2, 2)"),
         (system_on_dephasing, [np.eye(4), np.eye(2)], "control 1 has shape (2, 2), not (4, 4)"),
         (jumps_on_dephasing, [np.eye(4), np.eye(8)],
          "Lindblad term 1 has shape (8, 8), not (4, 4)"),
@@ -241,26 +227,21 @@ class TestLinkedBlocks:
     )
     def test_linked_blocks_count_once(self, second, joint, blocks):
         x2, z2 = second
-        report = dfs_lie_dimension(_LINKED_SPEC, [_on_blocks(_X, x2), _on_blocks(_Z, z2)])
-        assert report.verdict.dim == joint
-        assert report.block_dims == blocks
-        assert all(v.contains_su for v in report.block_verdicts)
+        got = dfs_lie_dimension(_LINKED_SPEC, [_on_blocks(_X, x2), _on_blocks(_Z, z2)])
+        assert got == (joint, blocks)
 
     def test_block_traces_add_a_center(self):
         eye = np.eye(2)
-        report = dfs_lie_dimension(
-            _LINKED_SPEC, [_on_blocks(_X, _X), _on_blocks(_Z + eye, _Z + eye)]
-        )
-        assert report.verdict.dim == 4
-        assert report.block_dims == (4, 4)
-        assert all(v.equals_u for v in report.block_verdicts)
+        got = dfs_lie_dimension(_LINKED_SPEC, [_on_blocks(_X, _X), _on_blocks(_Z + eye, _Z + eye)])
+        assert got == (4, (4, 4))  # u(2) on each block, one u(2) jointly
 
 
-# The float reference the exact closure and its dimension-count verdict are
-# compared against: a modified Gram-Schmidt closure at tolerance 1e-6 on the
-# 2d^2 embedding of complex matrices (real and imaginary part of every
-# entry), and the verdict that checks every su(d) generator for membership
-# after a rank test.
+# The float reference the exact closure's dimension is compared against: a
+# modified Gram-Schmidt closure at tolerance 1e-6 on the 2d^2 embedding of
+# complex matrices (real and imaginary part of every entry), and the verdict
+# that checks every su(d) generator for membership after a rank test. That
+# verdict is computed without the codimension-1 lemma, so comparing it with
+# the dimension's (su(d) at d^2 - 1, u(d) at d^2) tests the lemma.
 
 
 def _embed(mats: np.ndarray) -> np.ndarray:
@@ -340,9 +321,10 @@ def _su_generators(d):
         yield 1j * diag
 
 
-def oracle_verdict(basis: OracleBasis, tol=1e-7) -> ControllabilityVerdict:
+def oracle_verdict(basis: OracleBasis, tol=1e-7) -> tuple[int, bool, bool]:
+    """(dim, contains su(d), equals u(d)) of the reference closure."""
     if not basis.dim:
-        return ControllabilityVerdict(0, False, False)
+        return 0, False, False
     d = basis.space_dim
     traces = np.trace(basis.elements, axis1=1, axis2=2)
     traceless = basis.elements - (traces[:, None, None] / d) * np.eye(d)
@@ -351,7 +333,7 @@ def oracle_verdict(basis: OracleBasis, tol=1e-7) -> ControllabilityVerdict:
         contains_su = all(
             oracle_residual(basis, g / np.linalg.norm(g)) < tol for g in _su_generators(d)
         )
-    return ControllabilityVerdict(basis.dim, bool(contains_su), basis.dim == d * d)
+    return basis.dim, bool(contains_su), basis.dim == d * d
 
 
 def float_generator_sets(desc):
@@ -380,37 +362,38 @@ def float_generator_sets(desc):
 
 
 def exact_closures(desc, monkeypatch):
-    """Every closure that ``lie_verdict`` of the controls and then
-    ``dfs_lie_dimension`` make, as (d, generators_at, verdict): the
-    arguments of ``lie._exact_verdict`` and what it returned."""
+    """Every closure that ``lie_dimension`` of the controls and then
+    ``dfs_lie_dimension`` make, as (d, generators_at, dim): the arguments
+    of ``lie._exact_dimension`` and what it returned."""
     closures = []
-    real_verdict = lie._exact_verdict
+    real_dimension = lie._exact_dimension
 
-    def recording_verdict(d, generators_at, *rest):
-        closures.append((d, generators_at, real_verdict(d, generators_at, *rest)))
+    def recording_dimension(d, generators_at, *rest):
+        closures.append((d, generators_at, real_dimension(d, generators_at, *rest)))
         return closures[-1][2]
 
     with monkeypatch.context() as m:
-        m.setattr(lie, "_exact_verdict", recording_verdict)
-        lie.lie_verdict(desc.controls)
+        m.setattr(lie, "_exact_dimension", recording_dimension)
+        lie.lie_dimension(desc.controls)
         dfs_lie_dimension(desc.spec, desc.controls)
     return closures
 
 
 def closed_generator_sets(desc, monkeypatch):
     """The controls, then every float generator set whose closure
-    ``dfs_lie_dimension`` makes exactly, each with its exact verdict."""
-    verdicts = [verdict for _, _, verdict in exact_closures(desc, monkeypatch)]
+    ``dfs_lie_dimension`` makes exactly, each with its exact dimension."""
+    dims = [dim for _, _, dim in exact_closures(desc, monkeypatch)]
     sets = float_generator_sets(desc)
-    assert len(sets) == len(verdicts)
-    return list(zip(sets, verdicts))
+    assert len(sets) == len(dims)
+    return list(zip(sets, dims))
 
 
 # Atom sizes at which the 2d^2 reference lets Hermitian rounding noise into
 # its span: an element accepted with a Hermitian part near 1e-6 seeds
 # commutators whose Hermitian parts grow to order one, the cap d^2 is
-# reached with directions outside u(d), and the verdict reads contains_su
-# False beside equals_u True. These sizes are compared in their own test.
+# reached with directions outside u(d), and the oracle's verdict reads
+# contains su(d) False beside equals u(d) True. These sizes are compared in
+# their own test.
 REFERENCE_LEAKS = (13, 15, 17, 19)
 
 MODELS_UP_TO_16 = [
@@ -429,37 +412,38 @@ FLOAT_CASES = [
 ]
 
 
-def assert_matches_oracle(generators, verdict):
+def assert_matches_oracle(generators, dim):
     reference = oracle_closure(generators)
-    assert verdict.dim == reference.dim
-    assert verdict == oracle_verdict(reference)
+    d = reference.space_dim
+    assert dim == reference.dim
+    assert (dim, dim >= d * d - 1, dim == d * d) == oracle_verdict(reference)
 
 
 class TestExactAgainstOracle:
     @pytest.mark.parametrize("name, params", FLOAT_CASES, ids=[f"{m}-{p}" for m, p in FLOAT_CASES])
     def test_registered_models(self, name, params, monkeypatch):
-        for generators, verdict in closed_generator_sets(build_model(name, **params), monkeypatch):
-            assert_matches_oracle(generators, verdict)
+        for generators, dim in closed_generator_sets(build_model(name, **params), monkeypatch):
+            assert_matches_oracle(generators, dim)
 
     def test_table1_n6(self, monkeypatch):
         desc = build_model("ising-chain", n_qubits=6)
-        for generators, verdict in closed_generator_sets(desc, monkeypatch):
-            assert_matches_oracle(generators, verdict)
-        assert verdict.dim == 129  # the last pair is P(H)'s
+        for generators, dim in closed_generator_sets(desc, monkeypatch):
+            assert_matches_oracle(generators, dim)
+        assert dim == 129  # the last pair is P(H)'s
 
     @pytest.mark.parametrize("n_levels", REFERENCE_LEAKS)
     def test_atom_sizes_where_the_reference_leaks(self, n_levels, monkeypatch):
         desc = build_model("n-level-atom", n_levels=n_levels)
-        (controls, verdict), (block, block_verdict) = closed_generator_sets(desc, monkeypatch)
-        assert_matches_oracle(controls, verdict)
+        (controls, dim), (block, block_dim) = closed_generator_sets(desc, monkeypatch)
+        assert_matches_oracle(controls, dim)
         reference = oracle_closure(block)
         full = n_levels * n_levels
-        assert block_verdict == ControllabilityVerdict(full, True, True)
+        assert block_dim == full  # u(n_levels)
         assert reference.dim == full
         elements = reference.elements
         hermitian = np.linalg.norm(elements + elements.conj().swapaxes(1, 2), axis=(1, 2)) / 2
         assert hermitian.max() > 0.5
-        assert oracle_verdict(reference) == ControllabilityVerdict(full, False, True)
+        assert oracle_verdict(reference) == (full, False, True)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -480,7 +464,7 @@ class TestExactAgainstOracle:
         elif structure == "block":  # first level apart from the rest
             apart = np.not_equal.outer(np.arange(d) == 0, np.arange(d) == 0)
             mats = [np.where(apart, 0, m) for m in mats]
-        assert_matches_oracle(mats, lie_verdict(mats))
+        assert_matches_oracle(mats, lie_dimension(mats))
 
 
 # Every registered model up to the 20-level atom and the Table I chain at
@@ -500,7 +484,7 @@ class TestEachPrime:
 
     @pytest.mark.parametrize("name, params", PRIME_CASES, ids=[f"{m}-{p}" for m, p in PRIME_CASES])
     def test_registered_models(self, name, params, monkeypatch):
-        for d, generators_at, verdict in exact_closures(build_model(name, **params), monkeypatch):
+        for d, generators_at, dim in exact_closures(build_model(name, **params), monkeypatch):
             for p in exact.PRIMES:
                 gens = [g for g in generators_at(p) if g.any()]
-                assert exact.closure_dimension(gens, exact.field(p)) == verdict.dim, (d, p)
+                assert exact.closure_dimension(gens, exact.field(p)) == dim, (d, p)

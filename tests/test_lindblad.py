@@ -399,6 +399,7 @@ FROZEN_DFS = [
     (("ising-chain", {"n_qubits": 5}), ()),
     (("ising-chain", {"n_qubits": 5, "gammas": (0.0, 0.0, 1.0)}), (1, 5, 10, 10, 5, 1)),
     (("n-level-atom", {"n_levels": 3}), (3,)),
+    (("n-level-atom", {"n_levels": 4}), (4,)),
     (("n-level-atom", {"n_levels": 8}), (8,)),
     (("n-level-atom", {"n_levels": 20}), (20,)),
 ]
@@ -562,7 +563,8 @@ class TestUnitality:
                 LindbladTerm(rate_adj, jump.conj().T),
             ))
 
-        unital = (collective_spec(3), dephasing_spec(), dephasing_spec(1e-300), mixture, pair(0.8))
+        unital = (collective_spec(3), dephasing_spec(), dephasing_spec(1e-300), mixture, pair(0.8),
+                  *(build_model(name).spec for name in ("two-qubit-dephasing", "ising-chain")))
         for spec in unital:
             assert spec.is_unital()
         # D(1) is linear in the rates: no absolute floor makes a small rate unital
@@ -571,7 +573,8 @@ class TestUnitality:
             for r in (1e-10, 1e-300)
             for spec in (amp_damping_spec(r), atom_spec(3, (r,) * 3))
         ]
-        for spec in (amp_damping_spec(), pair(0.5), *small):
+        registered = [build_model(name).spec for name in ("two-qubit-amp", "n-level-atom")]
+        for spec in (amp_damping_spec(), pair(0.5), *small, *registered):
             assert not spec.is_unital()
 
 

@@ -18,55 +18,19 @@ from hypothesis import strategies as st
 import zenoforge
 import zenoforge.chain
 import zenoforge.exact
-import zenoforge.lie as lie
 import zenoforge.lindblad as lindblad
 from zenoforge.cli import _fmt, build_parser, main
-from zenoforge.models import (
-    CHAIN_DFS_LIE_DIMS,
-    HADAMARD,
-    MODEL_NAMES,
-    build_model,
-    qubit2_reset_superop,
-    validate_model,
-)
+from zenoforge.models import HADAMARD, build_model, qubit2_reset_superop
 from zenoforge.lindblad import LindbladSpec, hamiltonian_superop, steady_superprojector, vec
 from zenoforge.ops import expm
 from zenoforge.zeno import strong_damping_error, zeno_product
 
-from conftest import block_dims
+from conftest import CHAIN_DFS_LIE_DIMS
 
 _DELETE = object()  # marks a job entry to delete in the fidelity job tests
 
 
 class TestRegistry:
-    @pytest.mark.parametrize("name", ["two-qubit-amp", "two-qubit-dephasing"])
-    def test_two_qubit_models_self_validate(self, name):
-        validate_model(build_model(name))
-
-    def test_atom_self_validates(self):
-        derived = validate_model(build_model("n-level-atom", n_levels=4))
-        assert derived["dfs_dims"] == (4,)
-        assert derived["block_lie_dims"] == (16,)
-
-    def test_chain_self_validates(self):
-        derived = validate_model(build_model("ising-chain", n_qubits=3))
-        assert derived["dfs_lie_dim"] == 4
-
-    @pytest.mark.parametrize("name", MODEL_NAMES)
-    def test_validation_detects_the_dfs_once(self, name, monkeypatch):
-        calls = []
-        original = lie.detect_dfs
-
-        def counting(spec):
-            calls.append(spec)
-            return original(spec)
-
-        for module in (lindblad, lie):
-            monkeypatch.setattr(module, "detect_dfs", counting)
-        derived = validate_model(build_model(name))
-        assert len(calls) == 1
-        assert derived["dfs_dims"] == block_dims(original(build_model(name).spec))
-
     def test_unknown_model(self):
         with pytest.raises(ValueError):
             build_model("bogus")
@@ -158,13 +122,18 @@ DFS_IDS = [f"{name}-{out}" if gamma is None else f"{name}-gamma{gamma}"
            for name, gamma, out in DFS_ROWS]
 
 
+def run_module(argv, timeout=None):
+    """``python -m zenoforge`` on argv in a fresh process that imports this
+    checkout's package."""
+    src = str(Path(zenoforge.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "zenoforge", *argv], capture_output=True,
+                          text=True, timeout=timeout, env={**os.environ, "PYTHONPATH": path})
+
+
 class TestCli:
     def test_runs_as_module(self):
-        src = str(Path(zenoforge.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        out = subprocess.run([sys.executable, "-m", "zenoforge", "--help"],
-                             capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": path})
+        out = run_module(["--help"])
         assert out.returncode == 0 and out.stdout.startswith("usage: zenoforge")
 
     def test_lie_dim_chain(self, capsys):
@@ -193,9 +162,13 @@ class TestCli:
              '{"dim_nonoise": 2, "dim_dfs": 12, "block_dims": [4]}'),
             (["--model", "ising-chain", "--n", "5"],
              '{"dim_nonoise": 2, "dim_dfs": 40, "block_dims": []}'),
+            (["--model", "ising-chain", "--n", "6"],
+             '{"dim_nonoise": 2, "dim_dfs": 129, "block_dims": [25]}'),
+            (["--model", "n-level-atom", "--n", "20"],
+             '{"dim_nonoise": 2, "dim_dfs": 400, "block_dims": [400]}'),
         ],
         ids=["two-qubit-amp", "two-qubit-dephasing", *[f"atom-{n}" for n in range(2, 7)],
-             "chain-3", "chain-4", "chain-5"],
+             "chain-3", "chain-4", "chain-5", "chain-6", "atom-20"],
     )
     def test_lie_dim_of_every_registered_model(self, capsys, argv, out):
         assert main(["lie-dim", *argv]) == 0
@@ -492,6 +465,28 @@ class TestCli:
         err = captured.err.strip().splitlines()
         assert captured.out == ""
         assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+    # A chain of 2^n states past the index range is refused before 2^n is
+    # formed, which would take unbounded time; each runs in a subprocess, so
+    # that a regression fails at the timeout instead of hanging the run.
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["lie-dim", "--model", "ising-chain", "--n", HUGE], None),
+            (["dfs", "--model", "ising-chain", "--n", HUGE], None),
+            (["lie-dim"], {"model": "ising-chain", "n": int(HUGE)}),
+        ],
+        ids=["n-huge-chain-lie-dim", "n-huge-chain-dfs", "n-huge-chain-config"],
+    )
+    def test_huge_chain_size_exits_one(self, tmp_path, argv, config):
+        if config is not None:
+            path = tmp_path / "conf.json"
+            path.write_text(json.dumps(config))
+            argv = argv + ["--config", str(path)]
+        out = run_module(argv, timeout=60)
+        err = out.stderr.strip().splitlines()
+        assert out.returncode == 1 and out.stdout == ""
+        assert len(err) == 1 and err[0].startswith("error: ") and "--n (config 'n')" in err[0]
 
     @pytest.mark.parametrize(
         "name, n, dim_dfs", [("ising-chain", 3, 4), ("n-level-atom", 4, 16)]

@@ -10,6 +10,6 @@ def test_library_tour_runs():
     [tour] = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
     namespace = {}
     exec(compile(tour, str(README), "exec"), namespace)
-    assert namespace["lie_verdict"]([namespace["drift"], namespace["control"]]).dim == 2
-    assert namespace["report"].verdict.dim == 3
-    assert namespace["report"].block_dims == (3,)
+    assert namespace["lie_dimension"]([namespace["drift"], namespace["control"]]) == 2
+    assert namespace["dim"] == 3
+    assert namespace["block_dims"] == (3,)
